@@ -15,6 +15,7 @@ from .core import (
     TrajectoryDatabase,
     average_direction,
     build_database,
+    database_for_endtime,
     parse_scene,
     read_canonical_csv,
     resample_trajectory,
@@ -58,7 +59,6 @@ from .retrieval import (
     candidate_destinations,
     linear_continuation,
     query_similar,
-    scan_similar,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +89,7 @@ __all__ = [
     "build_intimacy_graph",
     "candidate_destinations",
     "constant_velocity_baseline",
+    "database_for_endtime",
     "extract_groups",
     "fde",
     "group_center_trajectory",
@@ -107,7 +108,6 @@ __all__ = [
     "reconstruct_members",
     "resample_trajectory",
     "run_experiment",
-    "scan_similar",
     "step",
     "to_canonical",
     "velocity_at",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,6 +27,7 @@ from .core import (
     SceneGeometry,
     Trajectory,
     build_database,
+    database_for_endtime,
     parse_scene,
     read_canonical_csv,
 )
@@ -212,8 +214,8 @@ def _predictions_jsonl(preds: list, endtime: int) -> str:
 
 def cmd_ingest(args) -> int:
     cfg, params, seed, mode = _resolve(args)
-    if args.fps <= 0:
-        raise ValueError(f"--fps must be positive, got {args.fps}")
+    if not (args.fps > 0 and math.isfinite(args.fps)):
+        raise ValueError(f"--fps must be positive and finite, got {args.fps}")
     data = _read_bytes(args.input)
     homography = Homography.identity()
     if args.homography:
@@ -259,16 +261,18 @@ def cmd_groups(args) -> int:
     return 0
 
 
-def _database_tracks(args, cfg: Config, tracks: list) -> list:
-    if getattr(args, "database", None):
-        return _load_tracks(args.database, cfg)
-    return tracks
+def _database(args, cfg: Config, tracks: list):
+    """The ``--database`` file when given, else the input's history before
+    the known window."""
+    if args.database:
+        return build_database(_load_tracks(args.database, cfg), cfg)
+    return database_for_endtime(tracks, args.endtime, cfg)
 
 
 def cmd_destinations(args) -> int:
     cfg, params, seed, mode = _resolve(args)
     tracks = _load_tracks(args.input, cfg)
-    db = build_database(_database_tracks(args, cfg, tracks), cfg)
+    db = _database(args, cfg, tracks)
     known = known_window_tracks(tracks, args.endtime, cfg)
     graph = build_intimacy_graph(known, cfg)
     by_id = {tr.agent_id: tr for tr in known}
@@ -319,7 +323,7 @@ def cmd_predict(args) -> int:
     cfg, params, seed, mode = _resolve(args)
     tracks = _load_tracks(args.input, cfg)
     scene = _load_scene(args)
-    db = build_database(_database_tracks(args, cfg, tracks), cfg)
+    db = _database(args, cfg, tracks)
     preds = predict_at_endtime(tracks, args.endtime, db, cfg, params, scene,
                                mode=mode, seed=seed)
     if not preds:
@@ -437,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endtime", type=int, required=True,
                    help="last frame of the known window")
     p.add_argument("--database", metavar="FILE",
-                   help="canonical CSV to search (default: the input)")
+                   help="canonical CSV to search (default: the input's "
+                        "frames before the known window)")
     p.set_defaults(func=cmd_destinations)
 
     p = sub.add_parser("predict", parents=[common],
@@ -446,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endtime", type=int, required=True,
                    help="last frame of the known window")
     p.add_argument("--database", metavar="FILE",
-                   help="canonical CSV to search (default: the input)")
+                   help="canonical CSV to search (default: the input's "
+                        "frames before the known window)")
     p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
     p.add_argument("--mode", choices=_MODES,
                    help="member deviation policy (rigid)")

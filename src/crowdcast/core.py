@@ -32,15 +32,6 @@ class TooFewPointsError(DataError):
 
 
 @dataclass(frozen=True)
-class TrackPoint:
-    """One sample of an agent track: frame index, time in seconds, position."""
-
-    frame: int
-    t: float
-    pos: np.ndarray  # (2,) meters
-
-
-@dataclass(frozen=True)
 class Config:
     """Pipeline parameters.
 
@@ -65,13 +56,18 @@ class Config:
     direction_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("intimate_distance", "personal_distance", "direction_weight",
+                     "person_radius", "step_duration", "neighborhood_range",
+                     "person_mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.intimate_distance < self.personal_distance):
             raise ValueError("need 0 < intimate_distance < personal_distance")
         if self.k_candidates < 1:
             raise ValueError("k_candidates must be >= 1")
         for name in ("known_time_steps", "predict_time_steps", "person_radius",
                      "step_duration", "neighborhood_range", "person_mass"):
-            if getattr(self, name) <= 0:
+            if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be strictly positive")
         if self.min_overlap_frames < 1:
             raise ValueError("min_overlap_frames must be >= 1")
@@ -114,9 +110,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def point(self, i: int) -> TrackPoint:
-        return TrackPoint(int(self.frames[i]), float(self.times[i]), self.positions[i])
 
     def index_of_frame(self, frame: int) -> int:
         i = int(np.searchsorted(self.frames, frame))
@@ -341,6 +334,8 @@ def parse_scene(text: str) -> SceneGeometry:
             nums = [float(v) for v in vals]
         except ValueError as exc:
             raise DataError(f"scene line {lineno}: bad number ({exc})") from None
+        if not all(math.isfinite(v) for v in nums):
+            raise DataError(f"scene line {lineno}: numbers must be finite")
         if kind == "seg":
             if len(nums) != 4:
                 raise DataError(f"scene line {lineno}: seg needs 4 numbers")
@@ -414,6 +409,8 @@ def read_canonical_csv(data, step_duration: float) -> list:
             raise DataError(f"CSV line {lineno}: {exc}") from None
         if frame < 0:
             raise DataError(f"CSV line {lineno}: negative frame {frame}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"CSV line {lineno}: coordinates must be finite")
         per_agent.setdefault(parts[1], []).append((frame, x, y))
     tracks = []
     for agent_id in sorted(per_agent, key=natural_key):
@@ -429,106 +426,66 @@ def read_canonical_csv(data, step_duration: float) -> list:
 # ---------------------------------------------------------------------------
 # historical-track database
 
-@dataclass(frozen=True)
-class DatabaseSample:
-    """One indexed pose of a historical track."""
-
-    agent_id: str
-    step: int          # 1-based point index within the source track
-    frame: int
-    pos: np.ndarray    # (2,)
-    direction: np.ndarray  # (2,) un-normalized average movement direction
-    destination: np.ndarray  # (2,) final point of the source track
-
-
 class TrajectoryDatabase:
-    """Historical tracks indexed for pose-similarity queries.
+    """Historical track samples as read-only arrays, one row per sample.
 
-    Every track point with at least two earlier points is indexed under its
-    (position, average movement direction); the sample's destination is the
-    last point of its source track. A uniform grid over positions accelerates
-    neighborhood queries. Immutable once built.
+    Every track point with at least two earlier points is a sample, stored as
+    its position, its un-normalized average movement direction, the last
+    point of its source track (the destination) and its 1-based ``step`` in
+    that track. ``agent_codes`` index ``agent_ids``, which lists the source
+    agents in natural order, so comparing codes compares ids.
     """
 
-    def __init__(self, tracks: list, cfg: Config):
-        ids = []
-        steps = []
-        frames = []
-        pos = []
-        dirs = []
-        dest = []
-        self.tracks = tuple(tracks)
-        for traj in tracks:
-            if len(traj) < 3:
-                continue
-            final = traj.positions[-1]
-            for step in range(3, len(traj) + 1):
-                ids.append(traj.agent_id)
-                steps.append(step)
-                frames.append(int(traj.frames[step - 1]))
-                pos.append(traj.positions[step - 1])
-                dirs.append(average_direction(traj, step))
-                dest.append(final)
-        self.agent_ids = tuple(ids)
-        self.steps = np.array(steps, dtype=np.int64)
-        self.frames = np.array(frames, dtype=np.int64)
-        self.positions = np.array(pos) if pos else np.empty((0, 2))
-        self.directions = np.array(dirs) if dirs else np.empty((0, 2))
-        self.destinations = np.array(dest) if dest else np.empty((0, 2))
-        for arr in (self.steps, self.frames, self.positions, self.directions,
-                    self.destinations):
+    def __init__(self, tracks: list):
+        tracks = [tr for tr in tracks if len(tr) >= 3]
+        self.agent_ids = tuple(sorted({tr.agent_id for tr in tracks},
+                                      key=lambda a: (natural_key(a), a)))
+        self._codes = {aid: c for c, aid in enumerate(self.agent_ids)}
+        lengths = np.array([len(tr) for tr in tracks], dtype=np.int64)
+        points = np.concatenate([np.empty((0, 2))] + [tr.positions for tr in tracks])
+        # per point: row of its track's first point, index within its track
+        first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        index = np.arange(len(points)) - first
+        sample = index >= 2
+        codes = np.array([self._codes[tr.agent_id] for tr in tracks], dtype=np.int64)
+        self.agent_codes = np.repeat(codes, lengths)[sample]
+        self.steps = index[sample] + 1
+        self.positions = points[sample]
+        self.directions = (_displacement_sums(points, first, index)[sample]
+                           / index[sample, None])
+        self.destinations = points[np.repeat(np.cumsum(lengths) - 1, lengths)[sample]]
+        for arr in (self.agent_codes, self.steps, self.positions,
+                    self.directions, self.destinations):
             arr.setflags(write=False)
-        self.cell_size = cfg.neighborhood_range / 4.0
-        cells: dict = {}
-        for i in range(len(self.positions)):
-            cells.setdefault(self._cell_of(self.positions[i]), []).append(i)
-        self._cells = {c: np.array(ix, dtype=np.int64) for c, ix in cells.items()}
 
     def __len__(self) -> int:
-        return len(self.agent_ids)
+        return len(self.steps)
 
-    def _cell_of(self, p: np.ndarray):
-        return (int(math.floor(p[0] / self.cell_size)),
-                int(math.floor(p[1] / self.cell_size)))
+    def codes_of(self, agent_ids) -> np.ndarray:
+        """Agent codes of those ``agent_ids`` that have samples here."""
+        return np.array([self._codes[a] for a in agent_ids if a in self._codes],
+                        dtype=np.int64)
 
-    def sample(self, i: int) -> DatabaseSample:
-        return DatabaseSample(self.agent_ids[i], int(self.steps[i]), int(self.frames[i]),
-                              self.positions[i], self.directions[i], self.destinations[i])
 
-    def iter_samples(self):
-        for i in range(len(self)):
-            yield self.sample(i)
+def _displacement_sums(points: np.ndarray, first: np.ndarray,
+                       index: np.ndarray) -> np.ndarray:
+    """Sum of p_i - p_k over the earlier points k of each point's track.
 
-    def ring_indices(self, p: np.ndarray, ring: int) -> np.ndarray:
-        """Sample indices in grid cells at Chebyshev ring ``ring`` around p.
-
-        Ring 0 is the cell containing p. Any sample in ring r >= 1 is at least
-        (r - 1) * cell_size away from p, which callers use as a search cutoff.
-        """
-        cx, cy = self._cell_of(p)
-        hit = []
-        if ring == 0:
-            cells = [(cx, cy)]
-        else:
-            cells = []
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) == ring:
-                        cells.append((cx + dx, cy + dy))
-        for c in cells:
-            ix = self._cells.get(c)
-            if ix is not None:
-                hit.append(ix)
-        if not hit:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hit)
-
-    def max_ring(self, p: np.ndarray) -> int:
-        """Largest ring that can still contain any indexed cell."""
-        if not self._cells:
-            return -1
-        cx, cy = self._cell_of(p)
-        return max(max(abs(c[0] - cx), abs(c[1] - cy)) for c in self._cells)
+    Adds the terms in the order :func:`average_direction` does (k = 0, 1,
+    ...), so dividing by the index reproduces it bit for bit. Points are
+    visited in order of their index within their track: the points still
+    summing at pass k are then a suffix, one pass serves every track, and
+    scratch memory stays linear in the number of points.
+    """
+    order = np.argsort(index, kind="stable")
+    pts, base, idx = points[order], first[order], index[order]
+    acc = pts - points[base]
+    for k in range(1, int(idx[-1]) if len(idx) else 0):
+        lo = np.searchsorted(idx, k, side="right")
+        acc[lo:] += pts[lo:] - points[base[lo:] + k]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def build_database(tracks: list, cfg: Config) -> TrajectoryDatabase:
@@ -541,4 +498,19 @@ def build_database(tracks: list, cfg: Config) -> TrajectoryDatabase:
         if len(traj) > 1 and not np.all(np.diff(traj.frames) == 1):
             raise DataError(
                 f"agent {traj.agent_id!r} is not resampled to the step grid")
-    return TrajectoryDatabase(tracks, cfg)
+    return TrajectoryDatabase(tracks)
+
+
+def database_for_endtime(tracks: list, endtime: int, cfg: Config) -> TrajectoryDatabase:
+    """Historical database for the known window ending at ``endtime``: every
+    track clipped to the frames strictly before the window, dropping clips
+    too short to sample, so no window's present or future is searched."""
+    cutoff = endtime - cfg.known_time_steps
+    clipped = []
+    for tr in tracks:
+        if tr.frames[0] > cutoff:
+            continue
+        part = tr.restrict_frames(int(tr.frames[0]), cutoff)
+        if len(part) >= 3:
+            clipped.append(part)
+    return build_database(clipped, cfg)

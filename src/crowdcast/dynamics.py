@@ -9,6 +9,7 @@ deviation term scaled by one minus the group emotion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,13 +49,12 @@ class ForceParams:
     neighborhood_range: float = 10.0
 
     def __post_init__(self):
-        if self.relaxation_time <= 0:
-            raise ValueError("relaxation_time must be positive")
-        for name in ("repulsion_strength", "repulsion_range", "obstacle_strength",
-                     "obstacle_range", "max_speed_factor", "speed_floor", "mass",
-                     "radius", "neighborhood_range"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("relaxation_time", "repulsion_strength", "repulsion_range",
+                     "obstacle_strength", "obstacle_range", "max_speed_factor",
+                     "speed_floor", "mass", "radius", "neighborhood_range"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, DataError, SceneGeometry, Trajectory, build_database
+from .core import Config, DataError, SceneGeometry, Trajectory, database_for_endtime
 from .dynamics import ForceParams, constant_velocity_baseline
 from .pipeline import predict_at_endtime
 
@@ -162,20 +162,6 @@ class MetricReport:
         return ("\n".join(out) + "\n").encode()
 
 
-def _database_for_window(tracks: list, window: Window, cfg: Config):
-    """Historical database for a window: every track clipped to the frames
-    strictly before the known window, dropping clips too short to sample."""
-    cutoff = window.known_first(cfg) - 1
-    clipped = []
-    for tr in tracks:
-        if tr.frames[0] > cutoff:
-            continue
-        part = tr.restrict_frames(int(tr.frames[0]), cutoff)
-        if len(part) >= 3:
-            clipped.append(part)
-    return build_database(clipped, cfg)
-
-
 def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
                    cfg: Config, params: ForceParams, mode: str = "rigid",
                    seed: int = 0) -> MetricReport:
@@ -195,7 +181,7 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
         horizon_first = window.endtime + 1
         horizon_last = window.horizon_last(cfg)
         total = sum(1 for tr in tracks if tr.frames[0] <= horizon_last)
-        db = _database_for_window(tracks, window, cfg)
+        db = database_for_endtime(tracks, window.endtime, cfg)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
         by_id = {tr.agent_id: tr for tr in tracks}

@@ -16,8 +16,6 @@ import numpy as np
 
 from .core import Config, DataError, Trajectory, velocity_at
 
-INTIMACY_LEVELS = (0.0, 0.5, 1.0)
-
 # speeds below this are treated as standing still in the emotion cosine term
 _STILL_SPEED = 1e-6
 
@@ -173,7 +171,7 @@ def group_center_trajectory(members: list) -> Trajectory:
 
 
 def group_emotion(members: list, frame: int, cfg: Config) -> float:
-    """Emotion value of a group at one frame, in (0, 1).
+    """Emotion value of a group at one frame, in [0, 1).
 
     The cohesion score adds 1, the mean pairwise cosine of member velocities,
     minus the mean pairwise absolute speed difference, minus the member
@@ -200,7 +198,11 @@ def group_emotion(members: list, frame: int, cfg: Config) -> float:
             speed_diff_sum += abs(speeds[i] - speeds[j])
     pairs = n * (n - 1)
     score = 1.0 + cos_sum / pairs - speed_diff_sum / pairs - n
-    return 1.0 / (1.0 + math.exp(-score))
+    try:
+        return 1.0 / (1.0 + math.exp(-score))
+    except OverflowError:
+        # exp(-score) is beyond the float range: the IEEE value of 1/(1+inf)
+        return 0.0
 
 
 def group_emotion_for_prediction(members: list, cfg: Config) -> float:

@@ -8,6 +8,7 @@ canonical ``frame,agent_id,x,y`` CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,10 @@ class Homography:
         vals = text.split()
         if len(vals) != 9:
             raise DataError(f"homography file needs 9 numbers, got {len(vals)}")
-        return cls(np.array([float(v) for v in vals]).reshape(3, 3))
+        nums = [float(v) for v in vals]
+        if not all(math.isfinite(v) for v in nums):
+            raise DataError("homography numbers must be finite")
+        return cls(np.array(nums).reshape(3, 3))
 
 
 def apply_homography(h: Homography, p) -> np.ndarray:
@@ -113,6 +117,7 @@ def parse_obsmat(data, column_map: str | None = None) -> list:
         if len(override) != 4:
             raise DataError("column map needs exactly 4 indices: frame,id,x,y")
     rows = []
+    isfinite = math.isfinite
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", "%")):
@@ -135,6 +140,8 @@ def parse_obsmat(data, column_map: str | None = None) -> list:
                        if not _is_number(toks[c]))
             raise ParseError(lineno, f"malformed numeric field {bad!r}") from None
         frame_f, id_f, x, y = vals
+        if not (isfinite(x) and isfinite(y) and isfinite(frame_f) and isfinite(id_f)):
+            raise ParseError(lineno, "numeric fields must be finite")
         frame = int(round(frame_f))
         agent = int(round(id_f))
         if abs(frame_f - frame) > 1e-6 or abs(id_f - agent) > 1e-6:
@@ -163,8 +170,8 @@ def to_canonical(rows: list, homography: Homography | None, source_fps: float,
     suffixes on the agent id. Tracks that end up shorter than 2 grid points
     are dropped and counted.
     """
-    if source_fps <= 0:
-        raise ValueError("source_fps must be > 0")
+    if not (source_fps > 0 and math.isfinite(source_fps)):
+        raise ValueError("source_fps must be positive and finite")
     per_agent: dict = {}
     for row in rows:
         per_agent.setdefault(row.agent_id, []).append(row)

@@ -15,11 +15,9 @@ import numpy as np
 
 from .core import (
     Config,
-    DatabaseSample,
     Trajectory,
     TrajectoryDatabase,
     average_direction,
-    natural_key,
     velocity_at,
 )
 
@@ -39,10 +37,6 @@ class QueryPose:
     pos: np.ndarray
     direction: np.ndarray
 
-    @property
-    def is_stationary(self) -> bool:
-        return float(np.linalg.norm(self.direction)) < _STATIONARY_NORM
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -59,88 +53,37 @@ class Candidate:
     score: float | None
 
 
-def sample_score(pose: QueryPose, sample: DatabaseSample, cfg: Config) -> float | None:
-    """Match score of one database sample against the query pose.
-
-    Distance is normalized by the neighborhood range; the direction term adds
-    ``direction_weight * (1 - cos)`` between the average movement directions.
-    Samples heading against the query (negative cosine) are rejected and
-    score ``None``. A stationary query or sample drops the direction term.
-    """
-    dist = float(np.linalg.norm(pose.pos - sample.pos))
-    score = dist / cfg.neighborhood_range
-    qn = float(np.linalg.norm(pose.direction))
-    sn = float(np.linalg.norm(sample.direction))
-    if qn < _STATIONARY_NORM or sn < _STATIONARY_NORM:
-        return score
-    cos = float(pose.direction @ sample.direction) / (qn * sn)
-    if cos < 0.0:
-        return None
-    return score + cfg.direction_weight * (1.0 - cos)
-
-
-def scan_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
-                 k: int | None = None, exclude=()) -> list:
-    """Exhaustive reference search: score every sample, keep the best one
-    per historical agent, return the ``k`` lowest-scoring agents.
-
-    Ties are broken by agent id (natural order), then by sample step.
-    """
-    if k is None:
-        k = cfg.k_candidates
-    drop = set(exclude) | {pose.agent_id}
-    best: dict = {}
-    for sample in db.iter_samples():
-        if sample.agent_id in drop:
-            continue
-        score = sample_score(pose, sample, cfg)
-        if score is None:
-            continue
-        cur = best.get(sample.agent_id)
-        if cur is None or (score, sample.step) < (cur[0], cur[1].step):
-            best[sample.agent_id] = (score, sample)
-    ranked = sorted(best.items(),
-                    key=lambda kv: (kv[1][0], natural_key(kv[0]), kv[1][1].step))
-    return [(score, sample) for _, (score, sample) in ranked[:k]]
-
-
 def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
                   k: int | None = None, exclude=()) -> list:
-    """Grid-accelerated search, equivalent to :func:`scan_similar`.
+    """The ``k`` best-matching historical agents, one sample each.
 
-    Cells are visited in rings of increasing Chebyshev radius around the
-    query position. Every sample in ring ``r`` lies at least
-    ``(r - 1) * cell_size`` away, so its score is at least that distance over
-    the neighborhood range; once that lower bound exceeds the current k-th
-    best score, no unvisited sample can change the result and the search
-    stops.
+    Every sample is scored: its distance to the query over the neighborhood
+    range, plus ``direction_weight * (1 - cos)`` between the average
+    movement directions. Samples heading against the query (negative
+    cosine) are rejected; a stationary query or sample drops the direction
+    term. The query's own agent and ``exclude`` are skipped. Each agent
+    keeps its lowest-scoring sample; agents rank by score, then id (natural
+    order), then sample step. Returns ``(score, sample index)`` pairs.
     """
     if k is None:
         k = cfg.k_candidates
     if len(db) == 0 or k <= 0:
         return []
-    drop = set(exclude) | {pose.agent_id}
-    best: dict = {}
-    for ring in range(db.max_ring(pose.pos) + 1):
-        if ring >= 1 and len(best) >= k:
-            ranked = sorted((score, natural_key(aid))
-                            for aid, (score, _) in best.items())
-            kth = ranked[k - 1][0]
-            if (ring - 1) * db.cell_size / cfg.neighborhood_range > kth:
-                break
-        for i in db.ring_indices(pose.pos, ring):
-            sample = db.sample(int(i))
-            if sample.agent_id in drop:
-                continue
-            score = sample_score(pose, sample, cfg)
-            if score is None:
-                continue
-            cur = best.get(sample.agent_id)
-            if cur is None or (score, sample.step) < (cur[0], cur[1].step):
-                best[sample.agent_id] = (score, sample)
-    ranked = sorted(best.items(),
-                    key=lambda kv: (kv[1][0], natural_key(kv[0]), kv[1][1].step))
-    return [(score, sample) for _, (score, sample) in ranked[:k]]
+    offset = pose.pos - db.positions
+    score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
+    qn = float(np.sqrt(np.vecdot(pose.direction, pose.direction)))
+    keep = ~np.isin(db.agent_codes, db.codes_of([pose.agent_id, *exclude]))
+    if qn >= _STATIONARY_NORM:
+        sn = np.sqrt(np.vecdot(db.directions, db.directions))
+        moving = sn >= _STATIONARY_NORM
+        cos = np.vecdot(db.directions[moving], pose.direction) / (qn * sn[moving])
+        score[moving] += cfg.direction_weight * (1.0 - cos)
+        keep[moving] &= cos >= 0.0
+    idx = np.flatnonzero(keep)
+    idx = idx[np.lexsort((db.steps[idx], db.agent_codes[idx], score[idx]))]
+    _, first = np.unique(db.agent_codes[idx], return_index=True)
+    best = idx[np.sort(first)[:k]]
+    return [(float(score[i]), int(i)) for i in best]
 
 
 def query_pose(traj: Trajectory) -> QueryPose:
@@ -175,10 +118,10 @@ def candidate_destinations(db: TrajectoryDatabase, traj: Trajectory, cfg: Config
     """Candidate destinations for a track: up to ``k_candidates`` retrieved
     from the database plus the straight-line continuation, always last.
     """
-    pose = query_pose(traj)
-    hits = query_similar(db, pose, cfg, exclude=exclude)
-    out = [Candidate(sample.destination.copy(),
-                     f"db:{sample.agent_id}@step{sample.step}", score)
-           for score, sample in hits]
+    hits = query_similar(db, query_pose(traj), cfg, exclude=exclude)
+    out = [Candidate(db.destinations[i].copy(),
+                     f"db:{db.agent_ids[db.agent_codes[i]]}@step{db.steps[i]}",
+                     score)
+           for score, i in hits]
     out.append(Candidate(linear_continuation(traj, cfg), LINEAR_PROVENANCE, None))
     return out

@@ -15,9 +15,10 @@ import pytest
 import crowdcast as cc
 from crowdcast.evaluate import Window, ade, fde, min_over_candidates, run_experiment
 from crowdcast.grouping import group_emotion, pairwise_intimacy
-from crowdcast.retrieval import QueryPose, query_similar, scan_similar
+from crowdcast.retrieval import QueryPose, query_similar
 
 from conftest import STEP, benchmark_tracks, line_track, random_track
+from retrieval_oracle import scan_similar
 
 ZARA_ENV = "CROWDCAST_ZARA01"
 ZARA_DEFAULT = Path(__file__).resolve().parent.parent / "data" / "zara01_obsmat.txt"
@@ -187,6 +188,8 @@ def test_criterion_5_integrator_sanity(cfg):
 
 
 def test_criterion_6_retrieval_index_equals_scan(cfg):
+    # the vectorized search returns what the scalar oracle returns: the same
+    # samples in the same order, scores bit-equal
     rng = np.random.default_rng(66)
     for db_i in range(50):
         n_tracks = int(rng.integers(10, 60)) if db_i % 10 else 260
@@ -203,9 +206,18 @@ def test_criterion_6_retrieval_index_equals_scan(cfg):
             pose = QueryPose(f"q{q}", rng.uniform(-30, 30, 2), direction)
             fast = query_similar(db, pose, cfg)
             slow = scan_similar(db, pose, cfg)
-            assert [(s.agent_id, s.step) for _, s in fast] \
-                == [(s.agent_id, s.step) for _, s in slow]
+            assert [i for _, i in fast] == [i for _, i in slow]
             assert [score for score, _ in fast] == [score for score, _ in slow]
+
+    # a query 1 km from a 3-track database: same answer, bounded cost
+    db = cc.build_database([line_track(f"f{t}", 0, 20, (0.0, 3.0 * t), (1.0, 0.0))
+                            for t in range(3)], cfg)
+    pose = QueryPose("far", np.array([1000.0, 0.0]), np.array([1.0, 0.0]))
+    t0 = time.perf_counter()
+    fast = query_similar(db, pose, cfg)
+    elapsed = time.perf_counter() - t0
+    assert fast == scan_similar(db, pose, cfg) and len(fast) == 3
+    assert elapsed < 0.1, f"far query took {elapsed:.3f} s (bound 0.1 s)"
 
 
 def test_criterion_7_metric_unit_cases_and_monotonicity():

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from crowdcast import cli
 from crowdcast.core import read_canonical_csv, write_canonical_csv
 
-from conftest import benchmark_tracks, line_track
+from conftest import STEP, benchmark_tracks, line_track
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -105,6 +108,24 @@ class TestGroups:
         assert len(records[0]["center_last"]) == 2
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
+    def test_huge_chained_group_exits_cleanly(self, tmp_path, capsys):
+        # 720 agents 0.4 m apart form one chained group; its cohesion score
+        # is about -718, past the range of exp
+        n = 720
+        rows = "".join(f"{f},{a},{0.4 * a!r},{0.5 * f!r}\n"
+                       for a in range(n) for f in range(2))
+        path = tmp_path / "chain.csv"
+        path.write_text("frame,agent_id,x,y\n" + rows)
+        rc = cli.main(["groups", str(path), "--endtime", "1",
+                       "--known-time-steps", "2", "--min-overlap-frames", "2",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (tmp_path / "groups.jsonl").read_text().splitlines()]
+        assert [r["size"] for r in records] == [n]
+        assert records[0]["emotion"] == 0.0
+
     def test_duplicate_frame_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("frame,agent_id,x,y\n1,a,0.0,0.0\n1,a,1.0,0.0\n")
@@ -112,6 +133,39 @@ class TestGroups:
                        str(tmp_path)])
         assert rc == 3
         assert "duplicate" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    def test_csv_nan_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("frame,agent_id,x,y\n0,a,0.0,0.0\n1,a,nan,0.0\n")
+        rc = cli.main(["groups", str(path), "--endtime", "1", "--out",
+                       str(tmp_path)])
+        assert rc == 3
+        assert "line 3" in capsys.readouterr().err
+
+    def test_scene_inf_is_data_error(self, tmp_path, capsys, tracks_csv):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("seg 0 0 inf 0\n")
+        rc = cli.main(["plot", str(tracks_csv), "--scene", str(scene),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 1" in capsys.readouterr().err
+
+    def test_obsmat_nan_is_parse_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("0 7 0.0 0.0\n1 7 nan 0.0\n")
+        rc = cli.main(["ingest", str(raw), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--person-radius", "--relaxation-time"])
+    def test_nan_parameter_is_usage_error(self, tmp_path, capsys, tracks_csv,
+                                          flag):
+        rc = cli.main(["groups", str(tracks_csv), "--endtime", "99", flag,
+                       "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestDestinations:
@@ -158,6 +212,27 @@ class TestPredict:
                 assert len(cand["group_trajectory"]) == 30
                 for member in rec["members"]:
                     assert len(cand["members"][member]) == 30
+
+    def test_default_database_holds_no_future(self, tmp_path, capsys):
+        # without --database, candidates come from frames before the known
+        # window only: no retrieved destination is a point at or after it
+        tracks = read_canonical_csv((GOLDEN / "input.csv").read_bytes(), STEP)
+        endtime, known = 50, 12
+        later = {(float(x), float(y)) for tr in tracks
+                 for f, (x, y) in zip(tr.frames, tr.positions)
+                 if f >= endtime - known + 1}
+        rc = cli.main(["predict", str(GOLDEN / "input.csv"), "--endtime",
+                       str(endtime), "--known-time-steps", str(known),
+                       "--predict-time-steps", "2", "--substeps", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        retrieved = [tuple(c["destination"])
+                     for line in (tmp_path / "predictions.jsonl").read_text().splitlines()
+                     for c in json.loads(line)["candidates"]
+                     if c["provenance"].startswith("db:")]
+        assert retrieved
+        assert not later & set(retrieved)
 
     def test_run_config_reproduces_output(self, tmp_path, capsys, tracks_csv):
         out_a = tmp_path / "a"

@@ -9,7 +9,6 @@ import pytest
 import crowdcast as cc
 from crowdcast.core import (
     DataError,
-    DatabaseSample,
     TooFewPointsError,
     natural_key,
     parse_scene,
@@ -155,12 +154,29 @@ class TestDatabase:
         db = cc.build_database([tr], cfg)
         # steps 3, 4, 5 for a five-point track
         assert len(db) == 3
-        steps = sorted(s.step for s in db.iter_samples())
-        assert steps == [3, 4, 5]
-        last = max(db.iter_samples(), key=lambda s: s.step)
-        assert np.array_equal(last.destination, tr.positions[-1])
-        assert np.allclose(last.direction,
-                           cc.average_direction(tr, 5))
+        assert db.steps.tolist() == [3, 4, 5]
+        assert db.agent_ids == ("7",) and db.agent_codes.tolist() == [0, 0, 0]
+        assert np.array_equal(db.positions, tr.positions[2:])
+        assert np.array_equal(db.destinations, np.repeat(tr.positions[-1:], 3, axis=0))
+        assert np.array_equal(db.directions[-1], cc.average_direction(tr, 5))
+
+    def test_directions_bit_equal_average_direction(self, cfg):
+        rng = np.random.default_rng(5)
+        tracks = [random_track(rng, f"r{i}", first_frame=0, n=n)
+                  for i, n in enumerate((60, 1, 2, 3, 2000, 4, 17, 301))]
+        db = cc.build_database(tracks, cfg)
+        expected = [cc.average_direction(tr, step)
+                    for tr in tracks for step in range(3, len(tr) + 1)]
+        assert len(db) == len(expected)
+        assert db.directions.tobytes() == np.array(expected).tobytes()
+
+    def test_agent_codes_follow_natural_order(self, cfg):
+        tracks = [line_track(aid, 0, 4, (0, 0), (1, 0))
+                  for aid in ("b10", "b9", "a", "b9x")]
+        db = cc.build_database(tracks, cfg)
+        assert db.agent_ids == ("a", "b9", "b9x", "b10")
+        assert db.agent_codes.tolist() == [3, 3, 1, 1, 0, 0, 2, 2]
+        assert db.codes_of(["b9", "nobody", "a"]).tolist() == [1, 0]
 
     def test_gap_rejected(self, cfg):
         tr = cc.Trajectory.from_frame_grid(
@@ -168,34 +184,38 @@ class TestDatabase:
         with pytest.raises(DataError):
             cc.build_database([tr], cfg)
 
-    def test_ring_indices_cover_all(self, cfg):
-        rng = np.random.default_rng(3)
-        tracks = [random_track(rng, str(i), first_frame=0, n=12)
-                  for i in range(8)]
-        db = cc.build_database(tracks, cfg)
-        center = np.zeros(2)
-        seen = []
-        for ring in range(db.max_ring(center) + 1):
-            seen.extend(db.ring_indices(center, ring).tolist())
-        assert sorted(seen) == list(range(len(db)))
-
-    def test_ring_distance_lower_bound(self, cfg):
-        rng = np.random.default_rng(4)
-        tracks = [random_track(rng, str(i), first_frame=0, n=20, scale=20)
-                  for i in range(10)]
-        db = cc.build_database(tracks, cfg)
-        center = np.array([1.0, -2.0])
-        for ring in range(1, db.max_ring(center) + 1):
-            for idx in db.ring_indices(center, ring):
-                sample = db.sample(int(idx))
-                d = np.linalg.norm(sample.pos - center)
-                assert d >= (ring - 1) * db.cell_size - 1e-9
+    def test_database_for_endtime_holds_only_the_past(self, cfg):
+        tr = line_track("1", 0, 80, (0, 0), (1, 0))
+        db = cc.database_for_endtime([tr], 50, cfg)
+        # the known window of endtime 50 starts at frame 21
+        assert db.steps.max() == 21
+        assert np.array_equal(db.destinations[0], tr.position_at(20))
+        assert len(cc.database_for_endtime([tr], 31, cfg)) == 0
 
 
-def test_database_sample_is_frozen(cfg):
+def test_database_arrays_are_read_only(cfg):
     tr = line_track("7", 0, 5, (0, 0), (1, 0))
     db = cc.build_database([tr], cfg)
-    sample = db.sample(0)
-    assert isinstance(sample, DatabaseSample)
-    with pytest.raises(AttributeError):
-        sample.step = 9
+    for arr in (db.positions, db.directions, db.destinations, db.steps,
+                db.agent_codes):
+        with pytest.raises(ValueError):
+            arr[0] = 9
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_csv_coordinate_rejected_with_line(self, text):
+        data = f"frame,agent_id,x,y\n0,1,0.0,0.0\n1,1,{text},0.0\n".encode()
+        with pytest.raises(DataError, match="line 3"):
+            cc.read_canonical_csv(data, STEP)
+
+    def test_scene_number_rejected_with_line(self):
+        with pytest.raises(DataError, match="line 2"):
+            parse_scene("seg 0 0 1 1\npoly 0 0 nan 0 1 1\n")
+
+    @pytest.mark.parametrize("name", ["person_radius", "step_duration",
+                                      "personal_distance", "direction_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects(self, name, value):
+        with pytest.raises(ValueError):
+            cc.Config(**{name: value})

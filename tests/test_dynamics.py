@@ -44,6 +44,10 @@ class TestForceParams:
             ForceParams(substeps=0)
         with pytest.raises(ValueError):
             ForceParams(repulsion_range=-1.0)
+        for name in ("relaxation_time", "repulsion_strength", "speed_floor"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    ForceParams(**{name: value})
 
     def test_speed_cap_floored(self, params):
         assert params.max_speed_for(0.0) == pytest.approx(0.6)

@@ -138,6 +138,14 @@ class TestGroupEmotion:
         with pytest.raises(DataError):
             group_emotion([], 0, cfg)
 
+    def test_score_beyond_exp_range_gives_zero(self):
+        # one member still, one moving 1 m per 1 ms step: the speed term
+        # pushes the score far below -709, where exp(-score) overflows
+        cfg = cc.Config(step_duration=0.001)
+        a = line_track("a", 0, 6, (0.0, 0.0), (0.0, 0.0), 0.001)
+        b = line_track("b", 0, 6, (0.3, 0.0), (1000.0, 0.0), 0.001)
+        assert group_emotion([a, b], 3, cfg) == 0.0
+
 
 class TestGroupState:
     def test_offsets_anchored_and_balanced(self, cfg):

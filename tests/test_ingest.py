@@ -64,6 +64,12 @@ class TestParseObsmat:
         with pytest.raises(DataError):
             parse_obsmat(b"0 1 1.0 1.0\n", column_map="0,1,2")
 
+    @pytest.mark.parametrize("row", [b"1 1 nan 1.0", b"1 1 1.0 -inf",
+                                     b"inf 1 1.0 1.0", b"1 nan 1.0 1.0"])
+    def test_non_finite_field_reports_line(self, row):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_obsmat(b"0 1 1.0 1.0\n" + row + b"\n")
+
 
 class TestHomography:
     def test_identity(self):
@@ -86,6 +92,10 @@ class TestHomography:
     def test_from_text_needs_nine_numbers(self):
         with pytest.raises(DataError):
             Homography.from_text("1 0 0 0 1 0 0 0")
+
+    def test_from_text_rejects_non_finite(self):
+        with pytest.raises(DataError, match="finite"):
+            Homography.from_text("1 0 0 0 1 0 0 0 nan")
 
 
 def _rows(agent_id, frames, xs, ys):

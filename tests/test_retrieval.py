@@ -14,11 +14,10 @@ from crowdcast.retrieval import (
     linear_continuation,
     query_pose,
     query_similar,
-    sample_score,
-    scan_similar,
 )
 
 from conftest import STEP, line_track
+from retrieval_oracle import scan_similar
 
 
 def _db_from_lines(cfg, lines):
@@ -27,33 +26,46 @@ def _db_from_lines(cfg, lines):
     return cc.build_database(tracks, cfg)
 
 
+def _agents(db, hits):
+    return [db.agent_ids[db.agent_codes[i]] for _, i in hits]
+
+
 class TestSampleScore:
-    def _sample(self, pos, direction):
-        return cc.core.DatabaseSample("s", 5, 4, np.asarray(pos, float),
-                                      np.asarray(direction, float),
-                                      np.zeros(2))
+    """Score terms, checked through the production search on a database
+    holding one sample."""
+
+    def _score(self, cfg, pose, pos, direction):
+        # a three-point track whose last point sits at ``pos`` with average
+        # direction ``direction``
+        pos = np.asarray(pos, float)
+        back = pos - np.asarray(direction, float)
+        tr = cc.Trajectory.from_frame_grid("s", np.arange(3),
+                                           np.array([back, back, pos]), STEP)
+        db = cc.build_database([tr], cfg)
+        assert np.array_equal(db.directions[0], direction)
+        hits = query_similar(db, pose, cfg, k=1)
+        return hits[0][0] if hits else None
 
     def test_distance_and_direction_terms(self, cfg):
         pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
-        assert sample_score(pose, self._sample((5.0, 0.0), (2.0, 0.0)), cfg) \
+        assert self._score(cfg, pose, (5.0, 0.0), (2.0, 0.0)) \
             == pytest.approx(0.5)
-        score = sample_score(pose, self._sample((5.0, 0.0), (0.0, 1.0)), cfg)
+        score = self._score(cfg, pose, (5.0, 0.0), (0.0, 1.0))
         assert score == pytest.approx(0.5 + 1.0)
 
     def test_opposing_sample_excluded(self, cfg):
         pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
-        assert sample_score(pose, self._sample((1.0, 0.0), (-1.0, 0.1)), cfg) \
-            is None
+        assert self._score(cfg, pose, (1.0, 0.0), (-1.0, 0.1)) is None
 
     def test_stationary_query_keeps_all(self, cfg):
         pose = QueryPose("q", np.zeros(2), np.zeros(2))
-        score = sample_score(pose, self._sample((5.0, 0.0), (-1.0, 0.0)), cfg)
+        score = self._score(cfg, pose, (5.0, 0.0), (-1.0, 0.0))
         assert score == pytest.approx(0.5)
 
     def test_direction_weight_config(self):
         cfg = cc.Config(direction_weight=2.0)
         pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
-        score = sample_score(pose, self._sample((0.0, 0.0), (0.0, 1.0)), cfg)
+        score = self._score(cfg, pose, (0.0, 0.0), (0.0, 1.0))
         assert score == pytest.approx(2.0)
 
 
@@ -65,7 +77,7 @@ class TestQuerySimilar:
         ])
         pose = QueryPose("q", np.array([2.0, 0.0]), np.array([1.0, 0.0]))
         hits = query_similar(db, pose, cfg, k=5)
-        assert [s.agent_id for _, s in hits] == ["near", "far"]
+        assert _agents(db, hits) == ["near", "far"]
 
     def test_self_and_exclusions_dropped(self, cfg):
         db = _db_from_lines(cfg, [
@@ -74,8 +86,8 @@ class TestQuerySimilar:
             ("other", 0, 10, (0.0, 1.0), (1.0, 0.0)),
         ])
         pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
-        hits = query_similar(db, pose, cfg, k=5, exclude=("mate",))
-        assert [s.agent_id for _, s in hits] == ["other"]
+        hits = query_similar(db, pose, cfg, k=5, exclude=("mate", "absent"))
+        assert _agents(db, hits) == ["other"]
 
     def test_tie_broken_by_natural_id(self, cfg):
         db = _db_from_lines(cfg, [
@@ -84,7 +96,7 @@ class TestQuerySimilar:
         ])
         pose = QueryPose("q", np.array([9 * STEP, 0.0]), np.array([1.0, 0.0]))
         hits = query_similar(db, pose, cfg, k=2)
-        assert [s.agent_id for _, s in hits] == ["9", "10"]
+        assert _agents(db, hits) == ["9", "10"]
         assert hits[0][0] == hits[1][0]
 
     def test_matches_scan_with_against_flow_samples(self, cfg):
@@ -96,10 +108,7 @@ class TestQuerySimilar:
         for _ in range(10):
             pose = QueryPose("q", rng.uniform(-20, 20, 2),
                              rng.uniform(-1.5, 1.5, 2))
-            fast = query_similar(db, pose, cfg)
-            slow = scan_similar(db, pose, cfg)
-            assert [(s.agent_id, s.step) for _, s in fast] \
-                == [(s.agent_id, s.step) for _, s in slow]
+            assert query_similar(db, pose, cfg) == scan_similar(db, pose, cfg)
 
     def test_empty_database(self, cfg):
         db = cc.build_database([], cfg)
