@@ -15,7 +15,6 @@ from .core import (
     TrajectoryDatabase,
     average_direction,
     build_database,
-    database_for_endtime,
     parse_scene,
     read_canonical_csv,
     resample_trajectory,
@@ -89,7 +88,6 @@ __all__ = [
     "build_intimacy_graph",
     "candidate_destinations",
     "constant_velocity_baseline",
-    "database_for_endtime",
     "extract_groups",
     "fde",
     "group_center_trajectory",

@@ -27,7 +27,7 @@ from .core import (
     SceneGeometry,
     Trajectory,
     build_database,
-    database_for_endtime,
+    history_for_endtime,
     parse_scene,
     read_canonical_csv,
 )
@@ -266,7 +266,7 @@ def _database(args, cfg: Config, tracks: list):
     the known window."""
     if args.database:
         return build_database(_load_tracks(args.database, cfg), cfg)
-    return database_for_endtime(tracks, args.endtime, cfg)
+    return build_database(history_for_endtime(tracks, args.endtime, cfg), cfg)
 
 
 def cmd_destinations(args) -> int:

@@ -443,8 +443,9 @@ class TrajectoryDatabase:
         self._codes = {aid: c for c, aid in enumerate(self.agent_ids)}
         lengths = np.array([len(tr) for tr in tracks], dtype=np.int64)
         points = np.concatenate([np.empty((0, 2))] + [tr.positions for tr in tracks])
+        ends = np.cumsum(lengths)
         # per point: row of its track's first point, index within its track
-        first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        first = np.repeat(ends - lengths, lengths)
         index = np.arange(len(points)) - first
         sample = index >= 2
         codes = np.array([self._codes[tr.agent_id] for tr in tracks], dtype=np.int64)
@@ -453,7 +454,7 @@ class TrajectoryDatabase:
         self.positions = points[sample]
         self.directions = (_displacement_sums(points, first, index)[sample]
                            / index[sample, None])
-        self.destinations = points[np.repeat(np.cumsum(lengths) - 1, lengths)[sample]]
+        self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
         for arr in (self.agent_codes, self.steps, self.positions,
                     self.directions, self.destinations):
             arr.setflags(write=False)
@@ -501,10 +502,10 @@ def build_database(tracks: list, cfg: Config) -> TrajectoryDatabase:
     return TrajectoryDatabase(tracks)
 
 
-def database_for_endtime(tracks: list, endtime: int, cfg: Config) -> TrajectoryDatabase:
-    """Historical database for the known window ending at ``endtime``: every
-    track clipped to the frames strictly before the window, dropping clips
-    too short to sample, so no window's present or future is searched."""
+def history_for_endtime(tracks: list, endtime: int, cfg: Config) -> list:
+    """What the database may hold for the known window ending at ``endtime``:
+    every track clipped to the frames strictly before the window, dropping
+    clips too short to sample, so no window's present or future is searched."""
     cutoff = endtime - cfg.known_time_steps
     clipped = []
     for tr in tracks:
@@ -513,4 +514,4 @@ def database_for_endtime(tracks: list, endtime: int, cfg: Config) -> TrajectoryD
         part = tr.restrict_frames(int(tr.frames[0]), cutoff)
         if len(part) >= 3:
             clipped.append(part)
-    return build_database(clipped, cfg)
+    return clipped

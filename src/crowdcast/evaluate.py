@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, DataError, SceneGeometry, Trajectory, database_for_endtime
+from .core import (
+    Config,
+    DataError,
+    SceneGeometry,
+    Trajectory,
+    build_database,
+    history_for_endtime,
+)
 from .dynamics import ForceParams, constant_velocity_baseline
 from .pipeline import predict_at_endtime
 
@@ -181,7 +188,7 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
         horizon_first = window.endtime + 1
         horizon_last = window.horizon_last(cfg)
         total = sum(1 for tr in tracks if tr.frames[0] <= horizon_last)
-        db = database_for_endtime(tracks, window.endtime, cfg)
+        db = build_database(history_for_endtime(tracks, window.endtime, cfg), cfg)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
         by_id = {tr.agent_id: tr for tr in tracks}

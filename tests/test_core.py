@@ -10,6 +10,7 @@ import crowdcast as cc
 from crowdcast.core import (
     DataError,
     TooFewPointsError,
+    history_for_endtime,
     natural_key,
     parse_scene,
 )
@@ -184,13 +185,12 @@ class TestDatabase:
         with pytest.raises(DataError):
             cc.build_database([tr], cfg)
 
-    def test_database_for_endtime_holds_only_the_past(self, cfg):
+    def test_history_for_endtime_holds_only_the_past(self, cfg):
         tr = line_track("1", 0, 80, (0, 0), (1, 0))
-        db = cc.database_for_endtime([tr], 50, cfg)
         # the known window of endtime 50 starts at frame 21
-        assert db.steps.max() == 21
-        assert np.array_equal(db.destinations[0], tr.position_at(20))
-        assert len(cc.database_for_endtime([tr], 31, cfg)) == 0
+        (part,) = history_for_endtime([tr], 50, cfg)
+        assert part.frames[0] == 0 and part.frames[-1] == 20
+        assert history_for_endtime([tr], 31, cfg) == []
 
 
 def test_database_arrays_are_read_only(cfg):
