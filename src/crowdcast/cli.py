@@ -348,6 +348,8 @@ def cmd_predict(args) -> int:
 
 
 def _auto_endtimes(tracks: list, cfg: Config, stride: int) -> list:
+    if not tracks:
+        return []
     first = min(int(tr.frames[0]) for tr in tracks)
     last = max(int(tr.frames[-1]) for tr in tracks)
     start = first + cfg.known_time_steps - 1

@@ -229,12 +229,7 @@ class SceneGeometry:
 
     def __post_init__(self) -> None:
         segs = tuple(np.asarray(s, dtype=np.float64).reshape(2, 2) for s in self.segments)
-        polys = []
-        for p in self.polygons:
-            p = np.asarray(p, dtype=np.float64)
-            if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] != 2:
-                raise DataError("polygon needs at least 3 vertices of 2 coordinates")
-            polys.append(p)
+        polys = [_convex_polygon(p) for p in self.polygons]
         bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 2)
         verts = [s.reshape(-1, 2) for s in segs] + polys
         if verts and np.any(bounds[1] > bounds[0]):
@@ -271,6 +266,32 @@ class SceneGeometry:
                 d = -d
             out.append((q, d))
         return out
+
+
+def _convex_polygon(p) -> np.ndarray:
+    """The ring as a float array; DataError unless it is a simple convex
+    polygon of non-zero area, which the inside test and the sign of the
+    obstacle force assume. Collinear and repeated vertices are allowed."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] != 2:
+        raise DataError("polygon needs at least 3 vertices of 2 coordinates")
+    edges = np.roll(p, -1, axis=0) - p
+    edges = edges[np.any(edges != 0.0, axis=1)]
+    nxt = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    dot = np.sum(edges * nxt, axis=1)
+    scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
+    turning = cross[np.abs(cross) > 1e-12 * scale]
+    area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
+                              - np.roll(p[:, 0], -1) * p[:, 1]))
+    if abs(area) <= 1e-12 * float(np.sum(scale)):
+        raise DataError("polygon has zero area")
+    # one sign of turn, and one full revolution: a star winds twice
+    winding = float(np.sum(np.arctan2(cross, dot))) / (2.0 * math.pi)
+    one_way = np.all(turning > 0) or np.all(turning < 0)
+    if not one_way or abs(abs(winding) - 1.0) > 1e-6:
+        raise DataError("polygon is not convex")
+    return p
 
 
 def _nearest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,7 +364,10 @@ def parse_scene(text: str) -> SceneGeometry:
         elif kind == "poly":
             if len(nums) < 6 or len(nums) % 2:
                 raise DataError(f"scene line {lineno}: poly needs >= 3 x,y pairs")
-            polygons.append(np.array(nums).reshape(-1, 2))
+            try:
+                polygons.append(_convex_polygon(np.array(nums).reshape(-1, 2)))
+            except DataError as exc:
+                raise DataError(f"scene line {lineno}: {exc}") from None
         elif kind == "bounds":
             if len(nums) != 4:
                 raise DataError(f"scene line {lineno}: bounds needs 4 numbers")

@@ -5,12 +5,26 @@ velocity aimed at its destination and is repelled exponentially by nearby
 groups and by the nearest points of scene obstacles. Member trajectories are
 recovered from a predicted group trajectory by rigid translation plus a
 deviation term scaled by one minus the group emotion.
+
+A rollout simulates only the groups that can reach the subject. Groups i
+and j are joined in the reach graph when, at the start,
+
+    |p_i - p_j| < neighborhood_range + (vmax_i + vmax_j) * horizon + margin
+
+with vmax the speed cap and horizon the rolled-out time. No group moves
+faster than its cap, so two groups without an edge stay at least
+``neighborhood_range`` apart for the whole horizon, where the pair force is
+exactly 0.0 and no coincidence nudge can fire. Groups outside the subject's
+connected component therefore exert exactly zero force on it, directly or
+through a chain, and dropping them changes no bit of its trajectory. Inside
+the component, pair forces are evaluated only along the graph's edges, and
+the margin (``_REACH_MARGIN``) absorbs rounding and nudges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +38,15 @@ _EXP_CAP = 50.0
 # deterministic position nudge instead
 _COINCIDENT = 1e-9
 _NUDGE = 1e-6
+
+# slack on the reach bound, in meters. It covers what lets a group travel
+# slightly more than vmax * horizon: a clamped speed may exceed its cap by a
+# few ulps (about 1e-15 relative), each substep's position sum rounds by half
+# an ulp of the coordinate (under 1e-10 m per substep below 1e5 m), the
+# substep lengths may sum to a few ulps past the horizon, and every
+# coincidence nudge moves a group by _NUDGE. 1 mm leaves room for a thousand
+# nudges per group per rollout.
+_REACH_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -65,13 +88,22 @@ class ForceParams:
         base.update(overrides)
         return cls(**base)
 
-    def max_speed_for(self, desired_speed: float) -> float:
-        return self.max_speed_factor * max(desired_speed, self.speed_floor)
+    def max_speed_for(self, desired_speed):
+        """Speed cap for a desired speed, or elementwise for an array."""
+        return self.max_speed_factor * np.maximum(desired_speed, self.speed_floor)
 
 
 @dataclass
 class SimState:
-    """Mutable per-group simulation arrays, one row per group."""
+    """Mutable simulation arrays, one row per group.
+
+    ``positions``, ``velocities``, ``destinations`` and ``arrived`` may carry
+    a leading batch axis, (B, n, 2) and (B, n): each slice along it is an
+    independent simulation of the same groups, such as one candidate
+    destination of the subject. ``desired_speeds`` and ``max_speeds`` are
+    shared by every slice. ``pairs`` is a (P, 2) array of the ordered (i, j)
+    group pairs whose repulsion is evaluated, sorted by i, then j.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -79,82 +111,120 @@ class SimState:
     desired_speeds: np.ndarray
     max_speeds: np.ndarray
     arrived: np.ndarray
+    pairs: np.ndarray
 
     def copy(self) -> "SimState":
         return SimState(self.positions.copy(), self.velocities.copy(),
                         self.destinations.copy(), self.desired_speeds.copy(),
-                        self.max_speeds.copy(), self.arrived.copy())
+                        self.max_speeds.copy(), self.arrived.copy(), self.pairs)
 
     @property
     def n_groups(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
+
+    def _batched(self) -> "SimState":
+        """A view with exactly one batch axis; writes reach this state."""
+        n = self.n_groups
+        return SimState(self.positions.reshape(-1, n, 2),
+                        self.velocities.reshape(-1, n, 2),
+                        self.destinations.reshape(-1, n, 2), self.desired_speeds,
+                        self.max_speeds, self.arrived.reshape(-1, n), self.pairs)
+
+
+def _rows(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    return a if a.ndim >= 3 else a.reshape(-1, 2)
 
 
 def make_sim_state(positions, velocities, destinations, desired_speeds,
-                   params: ForceParams) -> SimState:
+                   params: ForceParams,
+                   pairs: np.ndarray | None = None) -> SimState:
     """Assemble a SimState, deriving per-group speed caps and clamping the
-    initial velocities to them."""
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2).copy()
-    vel = np.asarray(velocities, dtype=np.float64).reshape(-1, 2).copy()
-    dest = np.asarray(destinations, dtype=np.float64).reshape(-1, 2).copy()
+    initial velocities to them.
+
+    ``positions``, ``velocities`` and ``destinations`` are (n, 2), or
+    (B, n, 2) for B batched simulations, and are broadcast against each
+    other. ``pairs`` defaults to every ordered pair of distinct groups.
+    """
     spd = np.asarray(desired_speeds, dtype=np.float64).reshape(-1).copy()
-    n = pos.shape[0]
-    if not (vel.shape[0] == dest.shape[0] == spd.shape[0] == n):
+    n = spd.shape[0]
+    arrays = [_rows(a) for a in (positions, velocities, destinations)]
+    if any(a.shape[-2] != n for a in arrays):
         raise DataError("simulation arrays disagree on group count")
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))
-            and np.all(np.isfinite(dest)) and np.all(np.isfinite(spd))):
+    try:
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError:
+        raise DataError("simulation arrays disagree on batch size") from None
+    pos, vel, dest = (np.broadcast_to(a, shape).copy() for a in arrays)
+    if not all(np.all(np.isfinite(a)) for a in (pos, vel, dest, spd)):
         raise DataError("non-finite simulation input")
-    caps = np.array([params.max_speed_for(s) for s in spd])
-    norms = np.linalg.norm(vel, axis=1)
+    caps = params.max_speed_for(spd)
+    norms = np.linalg.norm(vel, axis=-1)
     over = norms > caps
     if np.any(over):
-        vel[over] *= (caps[over] / norms[over])[:, None]
-    arrived = np.linalg.norm(pos - dest, axis=1) <= params.radius
+        vel[over] *= (np.broadcast_to(caps, over.shape)[over] / norms[over])[:, None]
+    arrived = np.linalg.norm(pos - dest, axis=-1) <= params.radius
     vel[arrived] = 0.0
-    return SimState(pos, vel, dest, spd, caps, arrived)
+    if pairs is None:
+        pairs = np.argwhere(~np.eye(n, dtype=bool))
+    return SimState(pos, vel, dest, spd, caps, arrived, pairs)
 
 
 def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
             h: float) -> tuple:
-    """Total force per group for one substep of length ``h``.
+    """Total force per group for one substep of length ``h``, on a state
+    with one batch axis.
 
-    Returns the force array and the row indices needing a coincidence nudge.
-    The desired speed is damped to ``dist / h`` close to the destination so
-    the drive term cannot overshoot it in one substep. Arrived groups feel
-    no force but still repel others.
+    Returns the force array and a (B, n) mask of the rows needing a
+    coincidence nudge, or None when no row does. The desired speed is damped
+    to ``dist / h`` close to the destination so the drive term cannot
+    overshoot it in one substep. Arrived groups feel no force but still
+    repel others.
     """
-    n = state.n_groups
     pos = state.positions
     active = ~state.arrived
 
     to_dest = state.destinations - pos
-    dist = np.linalg.norm(to_dest, axis=1)
+    dist = np.linalg.norm(to_dest, axis=-1)
     far = dist > _COINCIDENT
-    v_des = np.zeros((n, 2))
-    v_des[far] = (to_dest[far] / dist[far, None]
-                  * np.minimum(state.desired_speeds[far], dist[far] / h)[:, None])
+    speed = np.minimum(state.desired_speeds, dist / h)
+    v_des = np.where(far[..., None],
+                     to_dest / np.where(far, dist, 1.0)[..., None] * speed[..., None],
+                     0.0)
     forces = params.mass * (v_des - state.velocities) / params.relaxation_time
 
-    delta = pos[:, None, :] - pos[None, :, :]
-    dmat = np.linalg.norm(delta, axis=2)
-    np.fill_diagonal(dmat, np.inf)
-    pair = (dmat < params.neighborhood_range) & (dmat >= _COINCIDENT)
-    if np.any(pair):
-        exponent = np.minimum((2.0 * params.radius - dmat) / params.repulsion_range,
-                              _EXP_CAP)
-        mag = np.where(pair, params.repulsion_strength * np.exp(exponent), 0.0)
-        unit = np.zeros_like(delta)
-        np.divide(delta, dmat[:, :, None], out=unit,
-                  where=pair[:, :, None])
-        forces += (mag[:, :, None] * unit).sum(axis=1)
-    nudge_rows = np.nonzero((dmat < _COINCIDENT).any(axis=1) & active)[0].tolist()
+    rows, cols = state.pairs.T
+    nudge = None
+    if len(rows):
+        delta = pos[:, rows] - pos[:, cols]
+        d = np.linalg.norm(delta, axis=-1)
+        pair = (d < params.neighborhood_range) & (d >= _COINCIDENT)
+        if pair.any():
+            exponent = np.minimum((2.0 * params.radius - d) / params.repulsion_range,
+                                  _EXP_CAP)
+            mag = np.where(pair, params.repulsion_strength * np.exp(exponent), 0.0)
+            unit = np.zeros_like(delta)
+            np.divide(delta, d[..., None], out=unit, where=pair[..., None])
+            terms = mag[..., None] * unit
+            # bincount adds the terms into zeroed bins in input order, so each
+            # row sums in ascending j, as a dense sum over the full pair
+            # matrix does; the pairs left out would add exactly 0.0 there
+            batch, n = active.shape
+            bins = (2 * rows[:, None] + np.arange(2)
+                    + (2 * n * np.arange(batch))[:, None, None])
+            forces += np.bincount(bins.ravel(), terms.ravel(),
+                                  2 * n * batch).reshape(forces.shape)
+        coincident = d < _COINCIDENT
+        if coincident.any():
+            b, k = np.nonzero(coincident)
+            nudge = np.zeros(active.shape, dtype=bool)
+            nudge[b, rows[k]] = True
+            nudge &= active
 
     if not scene.is_empty:
-        for i in range(n):
-            if not active[i]:
-                continue
-            for point, signed_d in scene.obstacle_contacts(pos[i]):
-                away = pos[i] - point
+        for b, i in zip(*np.nonzero(active)):
+            for point, signed_d in scene.obstacle_contacts(pos[b, i]):
+                away = pos[b, i] - point
                 away_len = float(np.linalg.norm(away))
                 if away_len < _COINCIDENT:
                     continue
@@ -163,9 +233,23 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
                     away = -away
                 exponent = min((2.0 * params.radius - signed_d)
                                / params.obstacle_range, _EXP_CAP)
-                forces[i] += params.obstacle_strength * np.exp(exponent) * away
+                forces[b, i] += params.obstacle_strength * np.exp(exponent) * away
     forces[~active] = 0.0
-    return forces, nudge_rows
+    return forces, nudge
+
+
+def _nudge_coincident(positions: np.ndarray, rows: np.ndarray) -> None:
+    """Separate every marked row from the groups coincident with it in its
+    own batch slice, row by row in ascending order: the lower row index of
+    each pair moves by −``_NUDGE`` along x, the higher by +``_NUDGE``."""
+    for b, i in zip(*np.nonzero(rows)):
+        pos = positions[b]
+        twins = np.linalg.norm(pos - pos[i], axis=-1) < _COINCIDENT
+        twins[i] = False
+        for j in np.flatnonzero(twins):
+            lo, hi = (i, j) if i < j else (j, i)
+            pos[lo, 0] -= _NUDGE
+            pos[hi, 0] += _NUDGE
 
 
 def step(state: SimState, scene: SceneGeometry, params: ForceParams,
@@ -177,32 +261,32 @@ def step(state: SimState, scene: SceneGeometry, params: ForceParams,
     then position from the new velocity. A group within ``params.radius``
     of its destination stops and stays put. Coincident pairs get a tiny
     deterministic separation along x (lower row index pushed to −x).
+    Batched simulations advance together and independently.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     out = state.copy()
+    sim = out._batched()
     h = dt / params.substeps
     for _ in range(params.substeps):
-        forces, nudge_rows = _forces(out, scene, params, h)
-        active = ~out.arrived
-        out.velocities[active] += forces[active] / params.mass * h
-        norms = np.linalg.norm(out.velocities, axis=1)
-        over = active & (norms > out.max_speeds)
+        forces, nudge = _forces(sim, scene, params, h)
+        active = ~sim.arrived
+        np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
+               where=active[..., None])
+        norms = np.linalg.norm(sim.velocities, axis=-1)
+        over = active & (norms > sim.max_speeds)
         if np.any(over):
-            out.velocities[over] *= (out.max_speeds[over] / norms[over])[:, None]
-        out.positions[active] += out.velocities[active] * h
-        for i in sorted(set(nudge_rows)):
-            twins = [j for j in range(out.n_groups) if j != i and
-                     np.linalg.norm(out.positions[j] - out.positions[i]) < _COINCIDENT]
-            for j in twins:
-                lo, hi = (i, j) if i < j else (j, i)
-                out.positions[lo, 0] -= _NUDGE
-                out.positions[hi, 0] += _NUDGE
-        newly = (~out.arrived) & (np.linalg.norm(out.positions - out.destinations,
-                                                 axis=1) <= params.radius)
+            caps = np.broadcast_to(sim.max_speeds, over.shape)
+            sim.velocities[over] *= (caps[over] / norms[over])[:, None]
+        np.add(sim.positions, sim.velocities * h, out=sim.positions,
+               where=active[..., None])
+        if nudge is not None:
+            _nudge_coincident(sim.positions, nudge)
+        newly = ~sim.arrived & (np.linalg.norm(sim.positions - sim.destinations,
+                                               axis=-1) <= params.radius)
         if np.any(newly):
-            out.arrived |= newly
-            out.velocities[newly] = 0.0
+            sim.arrived |= newly
+            sim.velocities[newly] = 0.0
     return out
 
 
@@ -219,59 +303,81 @@ class GroupInit:
     velocity: np.ndarray | None = None
 
 
-def _initial_velocity(g: GroupInit, speed: float) -> np.ndarray:
-    if g.velocity is not None:
-        return np.asarray(g.velocity, dtype=np.float64)
-    to_dest = np.asarray(g.dest, dtype=np.float64) - np.asarray(g.pos, dtype=np.float64)
+def _initial_velocity(pos, dest, velocity, speed: float) -> np.ndarray:
+    if velocity is not None:
+        return np.asarray(velocity, dtype=np.float64)
+    to_dest = np.asarray(dest, dtype=np.float64) - np.asarray(pos, dtype=np.float64)
     dist = float(np.linalg.norm(to_dest))
     if dist < _COINCIDENT:
         return np.zeros(2)
     return to_dest / dist * speed
 
 
+def _reach_component(pos: np.ndarray, caps: np.ndarray, reach: float,
+                     horizon: float) -> tuple:
+    """Group 0's connected component of the reach graph, as ascending row
+    indices, and the graph's adjacency restricted to it."""
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    adj = d < reach + (caps[:, None] + caps[None, :]) * horizon + _REACH_MARGIN
+    np.fill_diagonal(adj, False)
+    seen = np.zeros(len(pos), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    keep = np.flatnonzero(seen)
+    return keep, adj[np.ix_(keep, keep)]
+
+
 def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
                              others: list, steps: int, params: ForceParams,
                              cfg: Config, initial_velocity=None,
-                             start_frame: int = 0) -> Trajectory:
-    """Roll the subject group from ``start`` toward ``dest`` for ``steps``
-    output steps, simulating ``others`` jointly.
+                             start_frame: int = 0) -> list:
+    """Roll the subject group from ``start`` toward each candidate
+    destination in ``dest``, a (C, 2) array, for ``steps`` output steps,
+    simulating ``others`` (``GroupInit``) jointly.
 
-    The subject's desired speed is floored at ``params.speed_floor`` unless
-    it is already within arrival range of its destination, so a briefly
-    stationary group still makes progress. Returns one position per step,
-    on frames ``start_frame + 1 .. start_frame + steps``.
+    Each candidate is an independent simulation; all C advance together on
+    a leading batch axis. Only the subject's component of the reach graph is
+    simulated (see the module docstring). The subject's desired speed is
+    floored at ``params.speed_floor``, so a briefly stationary group still
+    makes progress. Returns one trajectory per candidate, each with one
+    position per step on frames ``start_frame + 1 .. start_frame + steps``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    start = np.asarray(start, dtype=np.float64)
-    dest = np.asarray(dest, dtype=np.float64)
     if speed < 0:
         raise ValueError("speed must be non-negative")
-    if float(np.linalg.norm(dest - start)) > params.radius:
-        eff_speed = max(speed, params.speed_floor)
-    else:
-        eff_speed = speed
-    subject = GroupInit(start, dest, eff_speed,
-                        None if initial_velocity is None
-                        else np.asarray(initial_velocity, dtype=np.float64))
-    groups = [subject] + list(others)
-    state = make_sim_state(
-        np.stack([np.asarray(g.pos, dtype=np.float64) for g in groups]),
-        np.stack([_initial_velocity(g, max(g.speed, params.speed_floor)
-                                    if g is not subject else eff_speed)
-                  for g in groups]),
-        np.stack([np.asarray(g.dest, dtype=np.float64) for g in groups]),
-        np.array([max(g.speed, params.speed_floor) if g is not subject
-                  else eff_speed for g in groups]),
-        params,
-    )
-    points = np.empty((steps, 2))
+    start = np.asarray(start, dtype=np.float64)
+    dests = np.asarray(dest, dtype=np.float64).reshape(-1, 2)
+    others = list(others)
+    speeds = np.maximum([speed] + [g.speed for g in others], params.speed_floor)
+    starts = np.stack([start] + [np.asarray(g.pos, dtype=np.float64) for g in others])
+    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(speeds))):
+        raise DataError("non-finite simulation input")
+    keep, adj = _reach_component(starts, params.max_speed_for(speeds),
+                                 params.neighborhood_range, steps * cfg.step_duration)
+
+    pos = np.empty((len(keep), 2))
+    vel = np.empty((len(dests), len(keep), 2))
+    dst = np.empty((len(dests), len(keep), 2))
+    pos[0], dst[:, 0] = start, dests
+    for c, d in enumerate(dests):
+        vel[c, 0] = _initial_velocity(start, d, initial_velocity, speeds[0])
+    for r, k in enumerate(keep[1:], start=1):
+        g = others[k - 1]
+        pos[r], dst[:, r] = g.pos, g.dest
+        vel[:, r] = _initial_velocity(g.pos, g.dest, g.velocity, speeds[k])
+    state = make_sim_state(pos, vel, dst, speeds[keep], params, np.argwhere(adj))
+
+    points = np.empty((len(dests), steps, 2))
     for s in range(steps):
         state = step(state, scene, params, cfg.step_duration)
-        points[s] = state.positions[0]
+        points[:, s] = state.positions[:, 0]
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     times = frames * cfg.step_duration
-    return Trajectory("predicted", frames, times, points)
+    return [Trajectory("predicted", frames, times, p) for p in points]
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
 
     Groups are detected on the known window only. Each group queries the
     database with its center pose for candidate destinations (its own
-    members excluded) and rolls each candidate out jointly with the other
-    groups, which head for their straight-line continuations. Returns a
-    ``GroupPrediction`` per group; empty when no agent covers the window.
+    members excluded) and rolls all its candidates out in one batched call,
+    jointly with the other groups, which head for their straight-line
+    continuations. Returns a ``GroupPrediction`` per group; empty when no
+    agent covers the window.
     """
     known = known_window_tracks(tracks, endtime, cfg)
     if not known:
@@ -108,16 +109,15 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
         cands = candidate_destinations(db, center, cfg, exclude=st.members)
         policy = ReconstructionPolicy.from_known_window(
             [by_id[m] for m in st.members], center, mode, seed)
-        rollouts = []
-        for cand in cands:
-            group_traj = predict_group_trajectory(
-                center.positions[-1], cand.destination, inits[gi].speed,
-                scene, others, cfg.predict_time_steps, params, cfg,
-                initial_velocity=inits[gi].velocity, start_frame=endtime)
-            member_trajs = reconstruct_members(group_traj, st.member_offsets,
-                                               st.emotion, policy)
-            rollouts.append(CandidateRollout(cand.destination, cand.provenance,
-                                             cand.score, group_traj, member_trajs))
+        trajs = predict_group_trajectory(
+            center.positions[-1], np.array([c.destination for c in cands]),
+            inits[gi].speed, scene, others, cfg.predict_time_steps, params, cfg,
+            initial_velocity=inits[gi].velocity, start_frame=endtime)
+        rollouts = [
+            CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
+                             reconstruct_members(traj, st.member_offsets,
+                                                 st.emotion, policy))
+            for cand, traj in zip(cands, trajs)]
         out.append(GroupPrediction(st.members, st.emotion, center,
                                    st.member_offsets, inits[gi].speed,
                                    tuple(rollouts)))

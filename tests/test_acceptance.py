@@ -153,8 +153,8 @@ def test_criterion_5_integrator_sanity(cfg):
 
     for dist in (1.0, 3.0, 6.0, 9.0, 11.5):
         assert dist <= 1.0 * horizon
-        traj = cc.predict_group_trajectory((0.0, 0.0), (dist, 0.0), 1.0, scene,
-                                           [], cfg.predict_time_steps, params, cfg)
+        [traj] = cc.predict_group_trajectory((0.0, 0.0), [(dist, 0.0)], 1.0, scene,
+                                             [], cfg.predict_time_steps, params, cfg)
         err = float(np.linalg.norm(traj.positions[-1] - [dist, 0.0]))
         assert err <= 0.5, f"dist {dist}: arrival error {err:.3f}"
 

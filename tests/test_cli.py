@@ -274,6 +274,22 @@ class TestEval:
         assert rc == 2
         assert "endtimes" in capsys.readouterr().err
 
+    def test_header_only_csv_has_no_endtimes(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("frame,agent_id,x,y\n")
+        rc = cli.main(["eval", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "no endtimes to evaluate" in capsys.readouterr().err
+
+    def test_non_convex_polygon_is_data_error(self, tmp_path, capsys, tracks_csv):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("seg 0 0 1 0\npoly 0 0 4 0 1 1 0 4\n")
+        rc = cli.main(["eval", str(tracks_csv), "--endtimes", "99",
+                       "--scene", str(scene), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "not convex" in err
+
     def test_unknown_config_key(self, tmp_path, capsys, tracks_csv):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("wibble = 3\n")

@@ -117,6 +117,24 @@ class TestScene:
         with pytest.raises(DataError, match="line 2"):
             parse_scene("seg 0 0 1 1\nseg 0 0 oops 1\n")
 
+    @pytest.mark.parametrize("ring", [
+        "0 0 4 0 1 1 0 4",              # dented
+        "0 0 2 6 4 0 -1 4 5 4",         # star: turns one way, winds twice
+        "0 0 2 0 4 0",                  # zero area
+        "1 1 1 1 1 1",
+    ])
+    def test_degenerate_polygon_rejected(self, ring):
+        with pytest.raises(DataError, match="line 2"):
+            parse_scene(f"seg 0 0 1 1\npoly {ring}\n")
+        with pytest.raises(DataError):
+            cc.SceneGeometry(polygons=(np.array(ring.split(), float).reshape(-1, 2),))
+
+    @pytest.mark.parametrize("ring", ["0 0 0 2 2 2 2 0",      # clockwise
+                                      "0 0 0.1 0 0.3 0 0.3 0.3 0 0.3",
+                                      "0 0 2 0 2 0 2 2 0 2"])  # repeated vertex
+    def test_convex_polygon_accepted(self, ring):
+        assert len(parse_scene(f"poly {ring}").polygons) == 1
+
     def test_empty_scene(self):
         scene = cc.SceneGeometry.empty()
         assert scene.is_empty

@@ -19,6 +19,7 @@ from crowdcast.dynamics import (
 )
 
 from conftest import STEP, line_track
+from rollout_oracle import predict_group_trajectory as oracle_rollout
 
 
 @pytest.fixture
@@ -97,14 +98,17 @@ class TestStep:
         with pytest.raises(DataError):
             make_sim_state([[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]],
                            [1.0, 2.0], params)
+        with pytest.raises(DataError):
+            make_sim_state([[0.0, 0.0]], np.zeros((2, 1, 2)), np.ones((3, 1, 2)),
+                           [1.0], params)
 
 
 class TestPredictGroupTrajectory:
     def test_rotation_equivariance(self, cfg, params):
         scene = cc.parse_scene("seg 2 -4 2 4")
         others = [GroupInit(np.array([6.0, 1.0]), np.array([-2.0, 1.0]), 0.9)]
-        base = predict_group_trajectory((0.0, 0.2), (6.0, 0.0), 1.1, scene,
-                                        others, 20, params, cfg)
+        [base] = predict_group_trajectory((0.0, 0.2), [(6.0, 0.0)], 1.1, scene,
+                                          others, 20, params, cfg)
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         rot = np.array([[c, -s], [s, c]])
         scene_r = cc.SceneGeometry(
@@ -112,31 +116,37 @@ class TestPredictGroupTrajectory:
             polygons=(), bounds=np.array([[-20.0, -20.0], [20.0, 20.0]]))
         others_r = [GroupInit(rot @ np.array([6.0, 1.0]),
                               rot @ np.array([-2.0, 1.0]), 0.9)]
-        rotated = predict_group_trajectory(rot @ np.array([0.0, 0.2]),
-                                           rot @ np.array([6.0, 0.0]), 1.1,
-                                           scene_r, others_r, 20, params, cfg)
+        [rotated] = predict_group_trajectory(rot @ np.array([0.0, 0.2]),
+                                             [rot @ np.array([6.0, 0.0])], 1.1,
+                                             scene_r, others_r, 20, params, cfg)
         assert np.max(np.abs(rotated.positions - base.positions @ rot.T)) < 1e-6
 
     def test_zero_speed_uses_floor(self, cfg, params, scene):
-        traj = predict_group_trajectory((0.0, 0.0), (5.0, 0.0), 0.0, scene,
-                                        [], 10, params, cfg)
+        [traj] = predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 0.0, scene,
+                                          [], 10, params, cfg)
         assert traj.positions[-1, 0] >= 0.2
 
     def test_start_frame_controls_grid(self, cfg, params, scene):
-        traj = predict_group_trajectory((0.0, 0.0), (5.0, 0.0), 1.0, scene,
-                                        [], 5, params, cfg, start_frame=100)
+        [traj] = predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 1.0, scene,
+                                          [], 5, params, cfg, start_frame=100)
         assert list(traj.frames) == [101, 102, 103, 104, 105]
         assert traj.times[0] == pytest.approx(101 * cfg.step_duration)
 
     def test_bad_steps_rejected(self, cfg, params, scene):
         with pytest.raises(ValueError):
-            predict_group_trajectory((0.0, 0.0), (1.0, 0.0), 1.0, scene, [],
+            predict_group_trajectory((0.0, 0.0), [(1.0, 0.0)], 1.0, scene, [],
                                      0, params, cfg)
+
+    def test_non_finite_group_rejected_before_pruning(self, cfg, params, scene):
+        far = GroupInit(np.array([1e4, np.nan]), np.array([0.0, 0.0]), 1.0)
+        with pytest.raises(DataError):
+            predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 1.0, scene,
+                                     [far], 5, params, cfg)
 
     def test_substep_free_integration_still_arrives(self, cfg, scene):
         coarse = ForceParams.from_config(cfg, substeps=1)
-        traj = predict_group_trajectory((0.0, 0.0), (6.0, 0.0), 1.0, scene,
-                                        [], 30, coarse, cfg)
+        [traj] = predict_group_trajectory((0.0, 0.0), [(6.0, 0.0)], 1.0, scene,
+                                          [], 30, coarse, cfg)
         assert np.linalg.norm(traj.positions[-1] - [6.0, 0.0]) <= 0.5
 
 
@@ -216,3 +226,91 @@ def test_constant_velocity_baseline(cfg):
     assert list(base.frames) == [10, 11, 12, 13, 14]
     expected_last = tr.positions[-1] + 5 * np.array([1.0, 0.5]) * cfg.step_duration
     assert np.allclose(base.positions[-1], expected_last, atol=1e-9)
+
+
+class TestRolloutMatchesOracle:
+    """The pruned, batched rollout returns exactly what the dense
+    one-candidate rollout in ``rollout_oracle`` returns, candidate by
+    candidate."""
+
+    SCENE = ("seg -6 -30 -6 30\n"
+             "poly 4 -2 7 -2 7 1 4 1\n"
+             "bounds -60 -60 60 60")
+
+    def _assert_matches(self, start, dests, speed, scene, others, steps,
+                        params, cfg, initial_velocity=None):
+        trajs = predict_group_trajectory(start, dests, speed, scene, others,
+                                         steps, params, cfg, initial_velocity,
+                                         start_frame=7)
+        assert len(trajs) == len(dests)
+        for dest, traj in zip(dests, trajs):
+            ref = oracle_rollout(start, dest, speed, scene, others, steps,
+                                 params, cfg, initial_velocity, start_frame=7)
+            assert np.array_equal(traj.frames, ref.frames)
+            assert np.array_equal(traj.times, ref.times)
+            assert np.array_equal(traj.positions, ref.positions)
+
+    def _random_case(self, rng, n_others):
+        start = rng.uniform(-20.0, 20.0, 2)
+        others = []
+        for _ in range(n_others):
+            if rng.random() < 0.4:      # a cluster around the subject
+                pos = start + rng.uniform(-3.0, 3.0, 2)
+            else:
+                pos = rng.uniform(-55.0, 55.0, 2)
+            vel = rng.uniform(-1.5, 1.5, 2) if rng.random() < 0.5 else None
+            others.append(GroupInit(pos, rng.uniform(-50.0, 50.0, 2),
+                                    float(rng.uniform(0.0, 2.0)), vel))
+        dests = [rng.uniform(-50.0, 50.0, 2)
+                 for _ in range(int(rng.integers(1, 7)))]
+        if others and rng.random() < 0.5:
+            # coincident starts; an exact twin keeps coinciding, so it is nudged
+            twin = others[0]
+            others.append(GroupInit(np.array(twin.pos), np.array(twin.dest),
+                                    twin.speed, twin.velocity))
+            others.append(GroupInit(start.copy(), np.array([30.0, -30.0]), 0.8))
+        if rng.random() < 0.3:              # a candidate within radius
+            dests[-1] = start + rng.uniform(-0.2, 0.2, 2)
+        vel0 = rng.uniform(-1.5, 1.5, 2) if rng.random() < 0.5 else None
+        return start, np.array(dests), float(rng.uniform(0.0, 2.0)), others, vel0
+
+    @pytest.mark.parametrize("substeps", [1, 8])
+    @pytest.mark.parametrize("with_scene", [False, True])
+    def test_random_scenes(self, cfg, substeps, with_scene):
+        params = ForceParams.from_config(cfg, substeps=substeps)
+        scene = cc.parse_scene(self.SCENE) if with_scene else cc.SceneGeometry.empty()
+        rng = np.random.default_rng(100 * substeps + with_scene)
+        for n_others in (0, 3, 8, 15, 22, 29):
+            start, dests, speed, others, vel0 = self._random_case(rng, n_others)
+            self._assert_matches(start, dests, speed, scene, others, 12,
+                                 params, cfg, vel0)
+
+    def test_cluster_and_coincident_starts(self, cfg, params, scene):
+        start = np.array([0.0, 0.0])
+        others = [GroupInit(np.array([0.8, 0.1]), np.array([-9.0, 0.0]), 1.2),
+                  GroupInit(np.array([-0.7, 0.4]), np.array([9.0, 1.0]), 1.0),
+                  GroupInit(np.array([0.2, -0.9]), np.array([0.0, 9.0]), 0.9),
+                  GroupInit(np.array([0.8, 0.1]), np.array([-9.0, 0.0]), 1.2),
+                  GroupInit(start.copy(), np.array([8.0, 0.0]), 1.0)]
+        dests = np.array([[8.0, 0.0], [0.1, 0.1], [-8.0, -2.0]])
+        self._assert_matches(start, dests, 1.0, scene, others, 20, params, cfg)
+
+    def test_reach_bound_edge(self, cfg, params, scene):
+        from crowdcast.dynamics import _REACH_MARGIN, _reach_component
+
+        steps = 10
+        horizon = steps * cfg.step_duration
+        cap = params.max_speed_for(1.0)
+        bound = params.neighborhood_range + 2 * cap * horizon + _REACH_MARGIN
+        start = np.array([0.0, 0.0])
+        # both groups head straight at the subject, which heads at them
+        inside = GroupInit(np.array([bound - 1e-6, 0.0]), np.array([-50.0, 0.0]), 1.0,
+                           np.array([-cap, 0.0]))
+        outside = GroupInit(np.array([0.0, bound + 1e-6]), np.array([0.0, -50.0]), 1.0,
+                            np.array([0.0, -cap]))
+        keep, _ = _reach_component(np.stack([start, inside.pos, outside.pos]),
+                                   np.full(3, cap), params.neighborhood_range, horizon)
+        assert keep.tolist() == [0, 1]
+        dests = np.array([[50.0, 0.0], [0.0, 50.0]])
+        self._assert_matches(start, dests, 1.0, scene, [inside, outside], steps,
+                             params, cfg, np.array([cap, 0.0]))
