@@ -22,6 +22,9 @@ CANONICAL_HEADER = "frame,agent_id,x,y"
 # tolerance when deciding whether a timestamp lies exactly on the step grid
 _GRID_EPS = 1e-9
 
+# largest frame index a canonical CSV may hold: frames are int64 arrays
+_MAX_FRAME = np.iinfo(np.int64).max
+
 
 class DataError(ValueError):
     """Semantically invalid input data (trajectory, CSV, or scene)."""
@@ -71,6 +74,9 @@ class Config:
                 raise ValueError(f"{name} must be strictly positive")
         if self.min_overlap_frames < 1:
             raise ValueError("min_overlap_frames must be >= 1")
+        if self.known_time_steps < 2:
+            # a velocity, and with it emotion and retrieval, needs two points
+            raise ValueError("known_time_steps must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ class Trajectory:
     """Time-indexed track of one agent or one group center.
 
     ``frames`` are strictly increasing integers, ``times`` the matching
-    timestamps in seconds, ``positions`` an (N, 2) array in meters. Arrays are
-    frozen after construction.
+    timestamps in seconds, strictly increasing too, ``positions`` an (N, 2)
+    array in meters. Arrays are frozen after construction.
     """
 
     agent_id: str
@@ -95,8 +101,12 @@ class Trajectory:
             raise DataError(f"positions must be (N, 2), got {positions.shape}")
         if not (len(frames) == len(times) == len(positions)):
             raise DataError("frames, times, positions must have equal length")
-        if len(frames) > 1 and not np.all(np.diff(frames) > 0):
+        if not np.all(frames[1:] > frames[:-1]):
             raise DataError(f"frames of agent {self.agent_id!r} must strictly increase")
+        if not np.all(times[1:] > times[:-1]):
+            # velocities divide by time steps; huge frame numbers can round
+            # two frames to one time
+            raise DataError(f"times of agent {self.agent_id!r} must strictly increase")
         for arr, name in ((frames, "frames"), (times, "times"), (positions, "positions")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -131,20 +141,25 @@ class Trajectory:
                           self.positions[mask])
 
 
-def velocity_at(traj: Trajectory, frame: int) -> np.ndarray:
+def velocity_at(traj: Trajectory, frame) -> np.ndarray:
     """Velocity in m/s at a frame, from the actual time deltas of the track.
 
     Uses the backward difference to the previous point so the value never
     depends on the future; the very first point falls back to the forward
-    difference.
+    difference. ``frame`` may also be a sequence of frames, giving an
+    (n, 2) array with one velocity per frame.
     """
     if len(traj) < 2:
         raise TooFewPointsError(
             f"agent {traj.agent_id!r} needs >= 2 points for a velocity query")
-    i = traj.index_of_frame(frame)
-    j0, j1 = (0, 1) if i == 0 else (i - 1, i)
-    dt = traj.times[j1] - traj.times[j0]
-    return (traj.positions[j1] - traj.positions[j0]) / dt
+    i = np.searchsorted(traj.frames, frame)
+    missing = np.asarray(frame)[traj.frames[np.minimum(i, len(traj) - 1)] != frame]
+    if missing.size:
+        raise DataError(
+            f"frame {missing[0]} not in trajectory of agent {traj.agent_id!r}")
+    j1 = np.maximum(i, 1)
+    dt = traj.times[j1] - traj.times[j1 - 1]
+    return (traj.positions[j1] - traj.positions[j1 - 1]) / dt[..., None]
 
 
 def average_direction(traj: Trajectory, step: int) -> np.ndarray:
@@ -439,6 +454,8 @@ def read_canonical_csv(data, step_duration: float) -> list:
     tracks = []
     for agent_id in sorted(per_agent, key=natural_key):
         rows = sorted(per_agent[agent_id])
+        if rows[-1][0] > _MAX_FRAME:
+            raise DataError(f"agent {agent_id!r}: frame {rows[-1][0]} is out of range")
         frames = np.array([r[0] for r in rows], dtype=np.int64)
         if len(np.unique(frames)) != len(frames):
             raise DataError(f"agent {agent_id!r} has duplicate frames")

@@ -23,6 +23,9 @@ _STILL_SPEED = 1e-6
 # window to get the single value used for prediction
 EMOTION_WINDOW_FRAMES = 5
 
+# emotion pair terms held in memory at once, over all frames of a group
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class IntimacyGraph:
@@ -74,10 +77,6 @@ class _UnionFind:
             self._parent[rb] = ra
 
 
-def _co_present_frames(traj_i: Trajectory, traj_j: Trajectory) -> np.ndarray:
-    return np.intersect1d(traj_i.frames, traj_j.frames)
-
-
 def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> float:
     """Closeness level of two agents over their co-present frames.
 
@@ -86,7 +85,7 @@ def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> fl
     intimate distance, 0.5 within the personal distance, else 0. Pairs sharing
     fewer than ``cfg.min_overlap_frames`` frames score 0.
     """
-    common = _co_present_frames(traj_i, traj_j)
+    common = np.intersect1d(traj_i.frames, traj_j.frames)
     if len(common) < cfg.min_overlap_frames:
         return 0.0
     pi = traj_i.positions[np.searchsorted(traj_i.frames, common)]
@@ -100,33 +99,41 @@ def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> fl
 
 
 def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
-    """Evaluate all agent pairs and keep the edges with positive closeness.
+    """Closeness level of every agent pair; the positive ones become edges.
 
-    A cheap prefilter skips the full per-frame scan for pairs that cannot be
-    close: too few co-present frames, or already farther than the personal
-    distance at the first or last co-present frame (the maximum over all
-    frames is then certainly above the threshold too). The result is
-    identical to evaluating every pair exhaustively.
+    The tracks are laid on one dense grid over their distinct frames: a
+    presence mask and x and y planes, each (N, F), rows in node order. Each
+    row is scored against all later rows in one pass, with the definition
+    of :func:`pairwise_intimacy`: co-present count, then the maximum
+    distance over the co-present frames, then the two thresholds. Scratch
+    memory is O(N·F); edges are inserted in (i, j) node order.
     """
     nodes = tuple(sorted({tr.agent_id for tr in tracks}))
-    by_id = {tr.agent_id: tr for tr in tracks}
     if len(nodes) != len(tracks):
         raise DataError("duplicate agent ids in track list")
-    edges = {}
+    by_id = {tr.agent_id: tr for tr in tracks}
+    frames = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [tr.frames for tr in tracks]))
+    present = np.zeros((len(nodes), len(frames)), dtype=bool)
+    x, y = np.zeros((2, len(nodes), len(frames)))
     for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            ta, tb = by_id[a], by_id[b]
-            common = _co_present_frames(ta, tb)
-            if len(common) < cfg.min_overlap_frames:
-                continue
-            for probe in (common[0], common[-1]):
-                d = np.linalg.norm(ta.position_at(probe) - tb.position_at(probe))
-                if d > cfg.personal_distance:
-                    break
-            else:
-                level = pairwise_intimacy(ta, tb, cfg)
-                if level > 0.0:
-                    edges[(a, b)] = level
+        tr = by_id[a]
+        cols = np.searchsorted(frames, tr.frames)
+        present[i, cols] = True
+        x[i, cols], y[i, cols] = tr.positions.T
+    edges = {}
+    for i, a in enumerate(nodes[:-1]):
+        co = present[i] & present[i + 1:]
+        dx = x[i] - x[i + 1:]
+        dy = y[i] - y[i + 1:]
+        # sqrt(dx*dx + dy*dy) is what np.linalg.norm computes for a 2-vector,
+        # and sqrt is monotone: the root of the largest square is the largest
+        # distance, bit for bit
+        worst = np.sqrt(np.max(dx * dx + dy * dy, axis=1, where=co, initial=0.0))
+        close = co.sum(axis=1) >= cfg.min_overlap_frames
+        for j in np.flatnonzero(close & (worst <= cfg.personal_distance)):
+            level = 1.0 if worst[j] <= cfg.intimate_distance else 0.5
+            edges[(a, nodes[i + 1 + j])] = level
     return IntimacyGraph(nodes, edges)
 
 
@@ -159,7 +166,7 @@ def group_center_trajectory(members: list) -> Trajectory:
         return Trajectory(f"group[{tr.agent_id}]", tr.frames, tr.times, tr.positions)
     common = members[0].frames
     for tr in members[1:]:
-        common = np.intersect1d(common, tr.frames)
+        common = np.intersect1d(common, tr.frames, assume_unique=True)
     if len(common) == 0:
         ids = ",".join(tr.agent_id for tr in members)
         raise DataError(f"members {ids} are never co-present")
@@ -168,6 +175,52 @@ def group_center_trajectory(members: list) -> Trajectory:
     times = members[0].times[np.searchsorted(members[0].frames, common)]
     name = "group[" + ",".join(sorted(tr.agent_id for tr in members)) + "]"
     return Trajectory(name, common, times, center)
+
+
+def _logistic(score: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-score))
+    except OverflowError:
+        # exp(-score) is beyond the float range: the IEEE value of 1/(1+inf)
+        return 0.0
+
+
+def _running_sum(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Each frame's ``total`` plus its terms, added one at a time in
+    row-major order: a sequential ``np.cumsum``, where ``np.sum`` would add
+    pairwise and change the bits."""
+    flat = np.concatenate([total[:, None], terms.reshape(len(total), -1)], axis=1)
+    return np.cumsum(flat, axis=1)[:, -1]
+
+
+def _emotions(members: list, frames) -> list:
+    """Emotion values of a group of two or more members, one per frame.
+
+    Reproduces the scalar definition bit for bit: pair terms are added in
+    i-major, j-minor order (skipped pairs add an exact +0.0), and the pair
+    dot products come from ``np.vecdot``, whose inner loop is the one
+    ``vels[i] @ vels[j]`` runs. Rows are taken in blocks, so scratch memory
+    stays near ``_PAIR_BLOCK`` terms however large the group.
+    """
+    n = len(members)
+    vels = np.stack([velocity_at(tr, frames) for tr in members], axis=1)
+    speeds = np.linalg.norm(vels, axis=-1)
+    moving = speeds > _STILL_SPEED
+    cos_sum = np.zeros(len(frames))
+    diff_sum = np.zeros(len(frames))
+    rows = max(1, _PAIR_BLOCK // (len(frames) * n))
+    for lo in range(0, n, rows):
+        i = slice(lo, lo + rows)
+        pair = np.arange(n)[i, None] != np.arange(n)
+        si, sj = speeds[:, i, None], speeds[:, None, :]
+        cos = np.zeros((len(frames),) + pair.shape)
+        np.divide(np.vecdot(vels[:, i, None], vels[:, None, :]), si * sj,
+                  out=cos, where=pair & moving[:, i, None] & moving[:, None, :])
+        cos_sum = _running_sum(cos_sum, cos)
+        diff_sum = _running_sum(diff_sum, np.where(pair, np.abs(si - sj), 0.0))
+    pairs = n * (n - 1)
+    scores = 1.0 + cos_sum / pairs - diff_sum / pairs - n
+    return [_logistic(float(s)) for s in scores]
 
 
 def group_emotion(members: list, frame: int, cfg: Config) -> float:
@@ -180,53 +233,26 @@ def group_emotion(members: list, frame: int, cfg: Config) -> float:
     singleton group has emotion 1 by convention: its track is the group
     track, with nothing to deviate.
     """
-    n = len(members)
-    if n == 0:
+    if not members:
         raise DataError("group needs at least one member")
-    if n == 1:
-        return 1.0
-    vels = np.stack([velocity_at(tr, frame) for tr in members])
-    speeds = np.linalg.norm(vels, axis=1)
-    cos_sum = 0.0
-    speed_diff_sum = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if speeds[i] > _STILL_SPEED and speeds[j] > _STILL_SPEED:
-                cos_sum += float(vels[i] @ vels[j]) / (speeds[i] * speeds[j])
-            speed_diff_sum += abs(speeds[i] - speeds[j])
-    pairs = n * (n - 1)
-    score = 1.0 + cos_sum / pairs - speed_diff_sum / pairs - n
-    try:
-        return 1.0 / (1.0 + math.exp(-score))
-    except OverflowError:
-        # exp(-score) is beyond the float range: the IEEE value of 1/(1+inf)
-        return 0.0
-
-
-def group_emotion_for_prediction(members: list, cfg: Config) -> float:
-    """Single emotion value for a group's prediction.
-
-    The per-frame value is averaged over the trailing frames of the window
-    where all members are co-present (up to ``EMOTION_WINDOW_FRAMES`` of
-    them).
-    """
     if len(members) == 1:
         return 1.0
-    center = group_center_trajectory(members)
-    frames = center.frames[-EMOTION_WINDOW_FRAMES:]
-    values = [group_emotion(members, int(f), cfg) for f in frames]
-    return float(np.mean(values))
+    return _emotions(members, [frame])[0]
 
 
 def make_group_state(members: list, cfg: Config) -> GroupState:
     """Assemble the full group description used by prediction.
 
-    The offsets are anchored at the last frame of the center trajectory.
+    The emotion is the per-frame value averaged over the trailing frames of
+    the center trajectory, where all members are co-present (up to
+    ``EMOTION_WINDOW_FRAMES`` of them). The offsets are anchored at the last
+    frame of the center trajectory.
     """
     center = group_center_trajectory(members)
-    emotion = group_emotion_for_prediction(members, cfg)
+    emotion = 1.0
+    if len(members) > 1:
+        emotion = float(np.mean(_emotions(
+            members, center.frames[-EMOTION_WINDOW_FRAMES:])))
     anchor = int(center.frames[-1])
     center_pos = center.positions[-1]
     offsets = {tr.agent_id: tr.position_at(anchor) - center_pos for tr in members}

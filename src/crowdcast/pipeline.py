@@ -55,12 +55,21 @@ class GroupPrediction:
 
 def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:
     """Tracks restricted to the known window, keeping only agents present at
-    every frame of it."""
-    first = endtime - cfg.known_time_steps + 1
+    every frame of it.
+
+    Frames strictly increase, so a track whose first window frame sits at
+    index i covers the whole window exactly when the frame T - 1 places
+    later is the endtime.
+    """
+    steps = cfg.known_time_steps
+    first = endtime - steps + 1
     out = []
     for tr in tracks:
-        if all(tr.has_frame(f) for f in range(first, endtime + 1)):
-            out.append(tr.restrict_frames(first, endtime))
+        i = int(np.searchsorted(tr.frames, first))
+        if i + steps <= len(tr) and tr.frames[i + steps - 1] == endtime:
+            window = slice(i, i + steps)
+            out.append(Trajectory(tr.agent_id, tr.frames[window],
+                                  tr.times[window], tr.positions[window]))
     return out
 
 

@@ -281,6 +281,18 @@ class TestEval:
         assert rc == 2
         assert "no endtimes to evaluate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--endtimes", "99"], ["predict", "--endtime", "99"],
+        ["groups", "--endtime", "99"]])
+    def test_one_known_step_is_usage_error(self, tmp_path, capsys, tracks_csv,
+                                           command):
+        # a velocity needs two points, so a one-step window is refused
+        # before any work, as a usage error
+        rc = cli.main([command[0], str(tracks_csv)] + command[1:]
+                      + ["--known-time-steps", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "known_time_steps must be >= 2" in capsys.readouterr().err
+
     def test_non_convex_polygon_is_data_error(self, tmp_path, capsys, tracks_csv):
         scene = tmp_path / "scene.txt"
         scene.write_text("seg 0 0 1 0\npoly 0 0 4 0 1 1 0 4\n")

@@ -33,6 +33,23 @@ class TestTrajectory:
         tr = line_track("1", 5, 4, (0, 0), (1, 0))
         assert tr.index_of_frame(6) == 1
         assert tr.has_frame(8) and not tr.has_frame(9)
+
+    def test_velocity_at_frame_array(self):
+        rng = np.random.default_rng(2)
+        pos = rng.normal(size=(6, 2))
+        tr = cc.Trajectory.from_frame_grid("1", [3, 4, 6, 7, 9, 12], pos, STEP)
+        frames = [3, 4, 7, 12]
+        rows = cc.velocity_at(tr, frames)
+        assert rows.shape == (4, 2)
+        for f, row in zip(frames, rows):
+            assert np.array_equal(cc.velocity_at(tr, f), row)
+        assert np.array_equal(cc.velocity_at(tr, 3), cc.velocity_at(tr, 4))
+        assert np.array_equal(cc.velocity_at(tr, 7),
+                              (pos[3] - pos[2]) / (tr.times[3] - tr.times[2]))
+        with pytest.raises(DataError, match="frame 5"):
+            cc.velocity_at(tr, [3, 5])
+        with pytest.raises(DataError, match="frame 13"):
+            cc.velocity_at(tr, 13)
         with pytest.raises(DataError):
             tr.index_of_frame(99)
 
@@ -227,6 +244,19 @@ class TestNonFiniteInput:
         with pytest.raises(DataError, match="line 3"):
             cc.read_canonical_csv(data, STEP)
 
+    def test_csv_frame_beyond_int64_rejected(self):
+        data = b"frame,agent_id,x,y\n0,1,0.0,0.0\n99999999999999999999,1,1.0,0.0\n"
+        with pytest.raises(DataError, match="frame 99999999999999999999 is out of range"):
+            cc.read_canonical_csv(data, STEP)
+
+    def test_csv_frames_too_large_for_distinct_times(self):
+        # near 2**63 neighbouring frames round to one time, and a velocity
+        # would divide by zero
+        top = np.iinfo(np.int64).max
+        data = f"frame,agent_id,x,y\n{top - 1},1,0.0,0.0\n{top},1,1.0,0.0\n"
+        with pytest.raises(DataError, match="times of agent '1'"):
+            cc.read_canonical_csv(data.encode(), STEP)
+
     def test_scene_number_rejected_with_line(self):
         with pytest.raises(DataError, match="line 2"):
             parse_scene("seg 0 0 1 1\npoly 0 0 nan 0 1 1\n")
@@ -237,3 +267,10 @@ class TestNonFiniteInput:
     def test_config_rejects(self, name, value):
         with pytest.raises(ValueError):
             cc.Config(**{name: value})
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_known_window_needs_two_steps(steps):
+    with pytest.raises(ValueError, match="known_time_steps"):
+        cc.Config(known_time_steps=steps)
+    assert cc.Config(known_time_steps=2).known_time_steps == 2

@@ -29,6 +29,7 @@ CASES = {
                 "predictions.jsonl"),
     "destinations": (["destinations", "input.csv", "--database", "history.csv",
                       "--endtime", "40"], "destinations.jsonl"),
+    "groups": (["groups", "input.csv", "--endtime", "40"], "groups.jsonl"),
 }
 
 

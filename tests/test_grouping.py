@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 import crowdcast as cc
+from crowdcast import grouping
 from crowdcast.core import DataError
 from crowdcast.grouping import (
     build_intimacy_graph,
     extract_groups,
     group_center_trajectory,
     group_emotion,
-    group_emotion_for_prediction,
     make_group_state,
     pairwise_intimacy,
 )
 
+import grouping_oracle as oracle
 from conftest import STEP, line_track, random_track
 
 
@@ -132,7 +133,7 @@ class TestGroupEmotion:
     def test_windowed_mean_matches_constant_case(self, cfg):
         a = line_track("a", 0, 20, (0.0, 0.0), (1.0, 0.0))
         b = line_track("b", 0, 20, (0.0, 0.3), (1.0, 0.0))
-        assert abs(group_emotion_for_prediction([a, b], cfg) - 0.5) <= 1e-9
+        assert abs(make_group_state([a, b], cfg).emotion - 0.5) <= 1e-9
 
     def test_empty_group_rejected(self, cfg):
         with pytest.raises(DataError):
@@ -163,3 +164,170 @@ class TestGroupState:
         a = line_track("a", 0, 12, (0.0, 0.0), (1.0, 0.0))
         state = make_group_state([a], cfg)
         assert state.emotion == 1.0
+
+
+def _gappy_track(rng, agent_id, first, n, start, scale=0.3):
+    """Random walk over ``n`` frames from ``first``, with random frames dropped."""
+    frames = np.arange(first, first + n)
+    keep = rng.random(n) > 0.2
+    keep[[0, -1]] = True
+    steps = rng.normal(0.0, scale, size=(n, 2))
+    pos = np.asarray(start, dtype=np.float64) + np.cumsum(steps, axis=0)
+    return cc.Trajectory.from_frame_grid(agent_id, frames[keep], pos[keep], STEP)
+
+
+class TestGraphMatchesOracle:
+    """The dense graph against the scalar pair loop in ``grouping_oracle``:
+    same nodes, same levels, same edge insertion order."""
+
+    @staticmethod
+    def check(tracks, cfg):
+        got = build_intimacy_graph(tracks, cfg)
+        ref = oracle.build_intimacy_graph(tracks, cfg)
+        assert got.nodes == ref.nodes
+        assert list(got.edges.items()) == list(ref.edges.items())
+        return got
+
+    @pytest.mark.parametrize("min_overlap", [1, 4, 10])
+    def test_random_spans_and_gaps(self, min_overlap):
+        cfg = cc.Config(min_overlap_frames=min_overlap)
+        rng = np.random.default_rng(40 + min_overlap)
+        levels = set()
+        for _ in range(12):
+            tracks = []
+            for i in range(int(rng.integers(1, 30))):
+                first = int(rng.integers(0, 25))
+                n = int(rng.integers(1, 30))
+                start = rng.uniform(-2.0, 2.0, size=2)
+                if rng.random() < 0.5:
+                    tracks.append(_gappy_track(rng, f"g{i}", first, n, start, 0.05))
+                else:
+                    tracks.append(random_track(rng, f"g{i}", first, n, scale=2.0))
+            graph = self.check(tracks, cfg)
+            levels |= set(graph.edges.values())
+        assert levels == {0.5, 1.0}
+
+    def test_shared_window(self, cfg):
+        # the production shape: every track covers the same frames
+        rng = np.random.default_rng(7)
+        tracks = []
+        for g in range(20):
+            center = rng.uniform(0.0, 15.0, size=2)
+            for m in range(int(rng.integers(1, 5))):
+                offset = rng.uniform(-0.7, 0.7, size=2)
+                tracks.append(line_track(f"p{g}.{m}", 100, 30, center + offset,
+                                         (1.0, 0.2)))
+        assert len(self.check(tracks, cfg).edges) > 10
+
+    @pytest.mark.parametrize("dist", [0.45, 1.2])
+    def test_distance_exactly_at_threshold(self, cfg, dist):
+        a, b = _pair_at_distance(dist)
+        c, d = _pair_at_distance(np.nextafter(dist, 2.0))
+        tracks = [a, b, cc.Trajectory("c", c.frames, c.times, c.positions + 5.0),
+                  cc.Trajectory("d", d.frames, d.times, d.positions + 5.0)]
+        graph = self.check(tracks, cfg)
+        assert graph.level("a", "b") == (1.0 if dist == 0.45 else 0.5)
+        assert graph.level("c", "d") == (0.5 if dist == 0.45 else 0.0)
+
+    def test_overlap_just_short(self, cfg):
+        # 9 co-present frames at 0.1 m: too few; 10: a pair
+        a = line_track("a", 0, 20, (0.0, 0.0), (1.0, 0.0))
+        b = line_track("b", 11, 9, (11 * STEP, 0.1), (1.0, 0.0))
+        c = line_track("c", 10, 10, (10 * STEP, -0.1), (1.0, 0.0))
+        graph = self.check([a, b, c], cfg)
+        assert graph.level("a", "b") == 0.0
+        assert graph.level("a", "c") == 1.0
+
+    def test_degenerate_inputs(self, cfg):
+        empty = cc.Trajectory("e", np.empty(0, dtype=np.int64), np.empty(0),
+                              np.empty((0, 2)))
+        one = line_track("o", 3, 1, (0.0, 0.0), (0.0, 0.0))
+        assert build_intimacy_graph([], cfg).nodes == ()
+        self.check([empty], cfg)
+        self.check([empty, one, line_track("p", 0, 12, (0.0, 0.1), (0.0, 0.0))],
+                   cfg)
+
+
+def _still_track(agent_id, first, n, start):
+    return line_track(agent_id, first, n, start, (0.0, 0.0))
+
+
+class TestEmotionMatchesOracle:
+    """``make_group_state`` and ``group_emotion`` against the scalar loop in
+    ``grouping_oracle``, compared with ``==``."""
+
+    @staticmethod
+    def check(members, cfg):
+        state = make_group_state(members, cfg)
+        assert state.emotion == oracle.emotion_for_prediction(members, cfg)
+        for f in state.center_trajectory.frames:
+            assert group_emotion(members, int(f), cfg) == \
+                oracle.group_emotion(members, int(f), cfg)
+        return state.emotion
+
+    def test_random_groups(self, cfg):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            n = 2 + trial % 5
+            members = []
+            for m in range(n):
+                first = int(rng.integers(0, 4))
+                kind = rng.integers(0, 3)
+                if kind == 0:
+                    members.append(random_track(rng, f"m{m}", first, 12))
+                elif kind == 1:
+                    members.append(_gappy_track(rng, f"m{m}", first, 12,
+                                                rng.uniform(-1, 1, size=2)))
+                else:
+                    members.append(_still_track(f"m{m}", first, 12,
+                                                rng.uniform(-1, 1, size=2)))
+            self.check(members, cfg)
+
+    @pytest.mark.parametrize("block", [1, 12, 40])
+    def test_row_blocks_match_oracle(self, cfg, monkeypatch, block):
+        # large groups are summed in row blocks carrying the running sums;
+        # small blocks make every group here take several
+        monkeypatch.setattr(grouping, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in range(2, 7):
+            members = [random_track(rng, f"b{m}", 0, 10) for m in range(n)]
+            members.append(_still_track("still", 0, 10, (0.0, 0.0)))
+            self.check(members, cfg)
+
+    def test_near_perpendicular_velocities(self, cfg):
+        # dot products that cancel almost exactly, where a fused and an
+        # unfused multiply-add round differently
+        rng = np.random.default_rng(5)
+        for n in range(2, 7):
+            for _ in range(20):
+                v = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)
+                members = []
+                for m in range(n):
+                    w = v if m % 2 == 0 else np.array([-v[1], v[0]])
+                    w = w * (1.0 + 1e-9 * rng.normal(size=2))
+                    members.append(line_track(f"q{m}", 0, 6, (0.0, 0.3 * m), w))
+                self.check(members, cfg)
+
+    def test_standing_still_members(self, cfg):
+        for n in range(2, 7):
+            still = [_still_track(f"s{m}", 0, 8, (0.3 * m, 0.0)) for m in range(n)]
+            assert self.check(still, cfg) == 1.0 / (1.0 + math.exp(n - 1.0))
+            mixed = still[:-1] + [line_track("w", 0, 8, (0.0, 1.0), (1e-7, 1.0))]
+            self.check(mixed, cfg)
+
+    def test_overflow_gives_zero(self):
+        cfg = cc.Config(step_duration=0.001)
+        for n in range(2, 7):
+            members = [line_track(f"f{m}", 0, 8, (0.3 * m, 0.0),
+                                  (1e4 * (m % 2), 0.0), 0.001)
+                       for m in range(n)]
+            assert self.check(members, cfg) == 0.0
+
+    def test_pair_dot_matches_scalar_matmul(self):
+        # the vectorized dot must be the one ``vels[i] @ vels[j]`` computes
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-4, 5, size=(40, 1))
+        v[1::2] = v[0::2, ::-1] * [1.0, -1.0] + 1e-9 * rng.normal(size=(20, 2))
+        got = np.vecdot(v[:, None], v[None, :])
+        ref = np.array([[float(a @ b) for b in v] for a in v])
+        assert np.array_equal(got, ref)
