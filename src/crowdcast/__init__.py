@@ -15,6 +15,7 @@ from .core import (
     TrajectoryDatabase,
     average_direction,
     build_database,
+    history_for_endtime,
     parse_scene,
     read_canonical_csv,
     resample_trajectory,
@@ -51,7 +52,12 @@ from .grouping import (
     pairwise_intimacy,
 )
 from .ingest import Homography, ParseError, parse_obsmat, to_canonical
-from .pipeline import GroupPrediction, predict_at_endtime
+from .pipeline import (
+    GroupPrediction,
+    detect_groups,
+    group_candidates,
+    predict_at_endtime,
+)
 from .retrieval import (
     Candidate,
     QueryPose,
@@ -88,10 +94,13 @@ __all__ = [
     "build_intimacy_graph",
     "candidate_destinations",
     "constant_velocity_baseline",
+    "detect_groups",
     "extract_groups",
     "fde",
+    "group_candidates",
     "group_center_trajectory",
     "group_emotion",
+    "history_for_endtime",
     "linear_continuation",
     "make_group_state",
     "make_sim_state",

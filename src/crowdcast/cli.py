@@ -25,7 +25,6 @@ from .core import (
     Config,
     DataError,
     SceneGeometry,
-    Trajectory,
     build_database,
     history_for_endtime,
     parse_scene,
@@ -33,11 +32,14 @@ from .core import (
 )
 from .dynamics import ForceParams
 from .evaluate import Window, run_experiment
-from .grouping import build_intimacy_graph, extract_groups, make_group_state
 from .ingest import Homography, ParseError, parse_obsmat, to_canonical
-from .pipeline import known_window_tracks, predict_at_endtime
+from .pipeline import (
+    detect_groups,
+    group_candidates,
+    known_window_tracks,
+    predict_at_endtime,
+)
 from .plotting import render_svg
-from .retrieval import candidate_destinations
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(Config)}
 _FORCE_FIELDS = {f.name: f.type for f in fields(ForceParams)
@@ -143,12 +145,14 @@ def _resolve(args) -> tuple:
     return cfg, params, seed, mode
 
 
-def _write_run_config(args, cfg: Config, params: ForceParams, seed: int,
-                      mode: str, extra: dict) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_outputs(args, run: tuple, files: dict, **extra) -> Path:
+    """Write ``files`` (name -> text or bytes) into ``--out``, then
+    ``run_config.txt``: the resolved ``run`` from :func:`_resolve`, headed
+    by the subcommand, its input and ``extra``."""
+    cfg, params, seed, mode = run
     lines = ["# resolved run configuration; pass back via --config to reproduce"]
-    for key, value in extra.items():
+    header = {"subcommand": args.command, "input": args.input, **extra}
+    for key, value in header.items():
         lines.append(f"# {key}: {value}")
     values = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
     values.update({name: getattr(params, name) for name in _FORCE_FIELDS})
@@ -159,9 +163,12 @@ def _write_run_config(args, cfg: Config, params: ForceParams, seed: int,
         # the mode is a bare word, numbers round-trip through repr
         rendered = value if isinstance(value, str) else repr(value)
         lines.append(f"{key} = {rendered}")
-    path = out_dir / "run_config.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in {**files, "run_config.txt": "\n".join(lines) + "\n"}.items():
+        (out_dir / name).write_bytes(
+            data if isinstance(data, bytes) else data.encode("utf-8"))
+    return out_dir
 
 
 def _read_bytes(path: str) -> bytes:
@@ -181,39 +188,27 @@ def _load_scene(args) -> SceneGeometry:
     return SceneGeometry.empty()
 
 
-def _traj_points(traj: Trajectory) -> list:
-    return [[float(x), float(y)] for x, y in traj.positions]
+def _point(p) -> list:
+    return [float(p[0]), float(p[1])]
+
+
+def _points(positions) -> list:
+    return [_point(p) for p in positions]
+
+
+def _candidate(c) -> dict:
+    """A candidate destination (``Candidate`` or ``CandidateRollout``)."""
+    return {"destination": _point(c.destination),
+            "provenance": c.provenance,
+            "score": None if c.score is None else float(c.score)}
 
 
 def _jsonl(records: list) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
-def _predictions_jsonl(preds: list, endtime: int) -> str:
-    records = []
-    for pred in preds:
-        cands = []
-        for c in pred.candidates:
-            cands.append({
-                "destination": [float(c.destination[0]), float(c.destination[1])],
-                "provenance": c.provenance,
-                "score": None if c.score is None else float(c.score),
-                "group_trajectory": _traj_points(c.group_trajectory),
-                "members": {m: _traj_points(t)
-                            for m, t in sorted(c.member_trajectories.items())},
-            })
-        records.append({
-            "endtime": endtime,
-            "members": list(pred.members),
-            "emotion": float(pred.emotion),
-            "desired_speed": float(pred.desired_speed),
-            "candidates": cands,
-        })
-    return _jsonl(records)
-
-
 def cmd_ingest(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
+    run = _resolve(args)
     if not (args.fps > 0 and math.isfinite(args.fps)):
         raise ValueError(f"--fps must be positive and finite, got {args.fps}")
     data = _read_bytes(args.input)
@@ -221,42 +216,24 @@ def cmd_ingest(args) -> int:
     if args.homography:
         homography = Homography.from_text(_read_bytes(args.homography).decode())
     rows = parse_obsmat(data, column_map=args.columns)
-    csv_bytes, summary = to_canonical(rows, homography, args.fps, cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "canonical.csv").write_bytes(csv_bytes)
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "ingest", "input": args.input,
-                       "fps": args.fps})
+    csv_bytes, summary = to_canonical(rows, homography, args.fps, run[0])
+    out_dir = _write_outputs(args, run, {"canonical.csv": csv_bytes},
+                             fps=args.fps)
     print(summary.describe())
     print(f"wrote {out_dir / 'canonical.csv'}")
     return 0
 
 
 def cmd_groups(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
-    tracks = _load_tracks(args.input, cfg)
-    known = known_window_tracks(tracks, args.endtime, cfg)
-    graph = build_intimacy_graph(known, cfg)
-    by_id = {tr.agent_id: tr for tr in known}
-    records = []
-    for members in extract_groups(graph):
-        state = make_group_state([by_id[m] for m in members], cfg)
-        center = state.center_trajectory
-        records.append({
-            "members": list(members),
-            "size": len(members),
-            "emotion": float(state.emotion),
-            "center_last": [float(center.positions[-1][0]),
-                            float(center.positions[-1][1])],
-        })
-    text = _jsonl(records)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "groups.jsonl").write_text(text, encoding="utf-8")
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "groups", "input": args.input,
-                       "endtime": args.endtime})
+    run = _resolve(args)
+    cfg = run[0]
+    _, states = detect_groups(_load_tracks(args.input, cfg), args.endtime, cfg)
+    text = _jsonl([{"members": list(st.members),
+                    "size": st.size,
+                    "emotion": float(st.emotion),
+                    "center_last": _point(st.center_trajectory.positions[-1])}
+                   for st in states])
+    _write_outputs(args, run, {"groups.jsonl": text}, endtime=args.endtime)
     sys.stdout.write(text)
     return 0
 
@@ -270,33 +247,16 @@ def _database(args, cfg: Config, tracks: list):
 
 
 def cmd_destinations(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
+    run = _resolve(args)
+    cfg = run[0]
     tracks = _load_tracks(args.input, cfg)
     db = _database(args, cfg, tracks)
-    known = known_window_tracks(tracks, args.endtime, cfg)
-    graph = build_intimacy_graph(known, cfg)
-    by_id = {tr.agent_id: tr for tr in known}
-    records = []
-    for members in extract_groups(graph):
-        state = make_group_state([by_id[m] for m in members], cfg)
-        cands = candidate_destinations(db, state.center_trajectory, cfg,
-                                       exclude=state.members)
-        records.append({
-            "members": list(members),
-            "emotion": float(state.emotion),
-            "candidates": [{
-                "destination": [float(c.destination[0]), float(c.destination[1])],
-                "provenance": c.provenance,
-                "score": None if c.score is None else float(c.score),
-            } for c in cands],
-        })
-    text = _jsonl(records)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "destinations.jsonl").write_text(text, encoding="utf-8")
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "destinations", "input": args.input,
-                       "endtime": args.endtime})
+    _, states = detect_groups(tracks, args.endtime, cfg)
+    text = _jsonl([{"members": list(st.members),
+                    "emotion": float(st.emotion),
+                    "candidates": [_candidate(c) for c in cands]}
+                   for st, cands in zip(states, group_candidates(db, states, cfg))])
+    _write_outputs(args, run, {"destinations.jsonl": text}, endtime=args.endtime)
     sys.stdout.write(text)
     return 0
 
@@ -320,7 +280,8 @@ def _prediction_layers(preds: list, known: list, tracks: list, endtime: int,
 
 
 def cmd_predict(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
+    run = _resolve(args)
+    cfg, params, seed, mode = run
     tracks = _load_tracks(args.input, cfg)
     scene = _load_scene(args)
     db = _database(args, cfg, tracks)
@@ -329,15 +290,21 @@ def cmd_predict(args) -> int:
     if not preds:
         print(f"warning: no complete group at endtime {args.endtime}",
               file=sys.stderr)
-    text = _predictions_jsonl(preds, args.endtime)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "predictions.jsonl").write_text(text, encoding="utf-8")
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "predict", "input": args.input,
-                       "endtime": args.endtime,
-                       "scene": getattr(args, "scene", None),
-                       "database": getattr(args, "database", None)})
+    text = _jsonl([{
+        "endtime": args.endtime,
+        "members": list(pred.members),
+        "emotion": float(pred.emotion),
+        "desired_speed": float(pred.desired_speed),
+        "candidates": [{
+            **_candidate(c),
+            "group_trajectory": _points(c.group_trajectory.positions),
+            "members": {m: _points(t.positions)
+                        for m, t in sorted(c.member_trajectories.items())},
+        } for c in pred.candidates],
+    } for pred in preds])
+    _write_outputs(args, run, {"predictions.jsonl": text},
+                   endtime=args.endtime, scene=args.scene,
+                   database=args.database)
     if args.plot:
         known = known_window_tracks(tracks, args.endtime, cfg)
         svg = render_svg(_prediction_layers(preds, known, tracks,
@@ -357,7 +324,10 @@ def _auto_endtimes(tracks: list, cfg: Config, stride: int) -> list:
 
 
 def cmd_eval(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
+    run = _resolve(args)
+    cfg, params, seed, mode = run
+    if args.stride is not None and args.stride < 1:
+        raise ValueError(f"--stride must be at least 1, got {args.stride}")
     tracks = _load_tracks(args.input, cfg)
     scene = _load_scene(args)
     if args.endtimes:
@@ -367,27 +337,23 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--endtimes must be comma-separated integers, "
                              f"got {args.endtimes!r}")
     else:
-        stride = args.stride or cfg.predict_time_steps
-        endtimes = _auto_endtimes(tracks, cfg, stride)
+        endtimes = _auto_endtimes(tracks, cfg,
+                                  args.stride or cfg.predict_time_steps)
     if not endtimes:
         raise ValueError("no endtimes to evaluate")
     report = run_experiment(tracks, scene, [Window(e) for e in endtimes],
                             cfg, params, mode=mode, seed=seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = report.text_table()
-    (out_dir / "results.txt").write_text(table, encoding="utf-8")
-    (out_dir / "results.csv").write_bytes(report.csv_bytes())
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "eval", "input": args.input,
-                       "endtimes": ",".join(str(e) for e in endtimes)})
+    _write_outputs(args, run, {"results.txt": table,
+                               "results.csv": report.csv_bytes()},
+                   endtimes=",".join(str(e) for e in endtimes))
     sys.stdout.write(table)
     return 0
 
 
 def cmd_plot(args) -> int:
-    cfg, params, seed, mode = _resolve(args)
-    tracks = _load_tracks(args.input, cfg)
+    run = _resolve(args)
+    tracks = _load_tracks(args.input, run[0])
     scene = _load_scene(args)
     layers = []
     for tr in tracks:
@@ -400,13 +366,8 @@ def cmd_plot(args) -> int:
             layers.append(("known", past))
         if len(future):
             layers.append(("groundtruth", future))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "plot.svg"
-    path.write_text(render_svg(layers, scene), encoding="utf-8")
-    _write_run_config(args, cfg, params, seed, mode,
-                      {"subcommand": "plot", "input": args.input})
-    print(f"wrote {path}")
+    out_dir = _write_outputs(args, run, {"plot.svg": render_svg(layers, scene)})
+    print(f"wrote {out_dir / 'plot.svg'}")
     return 0
 
 

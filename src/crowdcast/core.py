@@ -412,11 +412,13 @@ def write_canonical_csv(tracks: list) -> bytes:
     """Serialize trajectories as the canonical CSV interchange format.
 
     UTF-8, header ``frame,agent_id,x,y``, frames as non-negative integers,
-    coordinates as shortest round-trip decimals, rows sorted by
+    coordinates as finite shortest round-trip decimals, rows sorted by
     (agent_id, frame).
     """
     lines = [CANONICAL_HEADER]
     for traj in sorted(tracks, key=lambda tr: natural_key(tr.agent_id)):
+        if not np.all(np.isfinite(traj.positions)):
+            raise DataError(f"agent {traj.agent_id!r}: non-finite coordinate")
         for i in range(len(traj)):
             f = int(traj.frames[i])
             if f < 0:

@@ -398,21 +398,20 @@ class ReconstructionPolicy:
             raise ValueError(f"unknown reconstruction mode {self.mode!r}")
 
     @classmethod
-    def from_known_window(cls, members: list, center: Trajectory,
+    def from_known_window(cls, members: list, center: Trajectory, offsets: dict,
                           mode: str = "rigid", seed: int = 0) -> "ReconstructionPolicy":
         """Derive residual patterns from the known window.
 
         For each member, residual(t) = position(t) − (center(t) + offset),
-        with the offset anchored at the center's last frame; the residual at
-        the anchor is therefore zero.
+        with ``offsets`` the group's member offsets (``GroupState``), anchored
+        at the center's last frame; the residual at the anchor is therefore
+        zero.
         """
-        anchor = int(center.frames[-1])
         residuals = {}
         for tr in members:
-            idx = np.searchsorted(tr.frames, center.frames)
-            member_pos = tr.positions[idx]
-            offset = tr.position_at(anchor) - center.positions[-1]
-            residuals[tr.agent_id] = member_pos - (center.positions + offset)
+            member_pos = tr.positions[np.searchsorted(tr.frames, center.frames)]
+            residuals[tr.agent_id] = member_pos - (center.positions
+                                                   + offsets[tr.agent_id])
         return cls(mode, residuals, seed)
 
 

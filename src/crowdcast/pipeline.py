@@ -1,10 +1,15 @@
-"""End-to-end prediction at a single endtime.
+"""End-to-end prediction at a single endtime, as a chain of stages.
 
-Given the tracks known up to an endtime and a historical database, this
-module detects groups in the known window, computes each group's emotion and
-member offsets, retrieves candidate destinations, rolls every candidate out
-jointly with the other groups, and reconstructs member trajectories. Both
-the CLI and the experiment runner call into here.
+1. :func:`detect_groups` cuts the known window and divides its agents into
+   groups, each with its center track, emotion and member offsets;
+2. :func:`group_candidates` retrieves each group's candidate destinations
+   from a historical database;
+3. :func:`predict_at_endtime` composes the two, rolls every group's
+   candidates out jointly with the other groups, and reconstructs member
+   trajectories.
+
+The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
+the first, second and full stage; the experiment runner scores the last.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .dynamics import (
     reconstruct_members,
 )
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
-from .retrieval import candidate_destinations, linear_continuation
+from .retrieval import candidate_destinations
 
 
 @dataclass(frozen=True)
@@ -43,14 +48,8 @@ class GroupPrediction:
 
     members: tuple
     emotion: float
-    center_known: Trajectory
-    member_offsets: dict
     desired_speed: float
     candidates: tuple
-
-    @property
-    def n_candidates(self) -> int:
-        return len(self.candidates)
 
 
 def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:
@@ -82,52 +81,69 @@ def mean_speed(traj: Trajectory) -> float:
     return float(np.mean(seg / dt))
 
 
+def detect_groups(tracks: list, endtime: int, cfg: Config) -> tuple:
+    """Stage 1: the known window ending at ``endtime`` and its groups.
+
+    Returns the known tracks (:func:`known_window_tracks`) and one
+    ``GroupState`` per connected component of their closeness graph, in
+    ``extract_groups`` order; both are empty when no agent covers the
+    window.
+    """
+    known = known_window_tracks(tracks, endtime, cfg)
+    by_id = {tr.agent_id: tr for tr in known}
+    states = [make_group_state([by_id[m] for m in members], cfg)
+              for members in extract_groups(build_intimacy_graph(known, cfg))]
+    return known, states
+
+
+def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config) -> list:
+    """Stage 2: each group's candidate destinations, in ``states`` order.
+
+    A group queries ``db`` with its center pose, its own members excluded;
+    its straight-line continuation is always its last candidate.
+    """
+    return [candidate_destinations(db, st.center_trajectory, cfg, exclude=st.members)
+            for st in states]
+
+
 def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                        cfg: Config, params: ForceParams, scene: SceneGeometry,
                        mode: str = "rigid", seed: int = 0) -> list:
     """Predict every group present over the known window ending at ``endtime``.
 
-    Groups are detected on the known window only. Each group queries the
-    database with its center pose for candidate destinations (its own
-    members excluded) and rolls all its candidates out in one batched call,
-    jointly with the other groups, which head for their straight-line
-    continuations. Returns a ``GroupPrediction`` per group; empty when no
-    agent covers the window.
+    Runs :func:`detect_groups` and :func:`group_candidates`, then rolls each
+    group's candidates out in one batched call, jointly with the other
+    groups, which head for their straight-line continuations. The desired
+    speed is the center's mean speed, floored at ``params.speed_floor``.
+    Returns a ``GroupPrediction`` per group; empty when no agent covers the
+    window.
     """
-    known = known_window_tracks(tracks, endtime, cfg)
-    if not known:
-        return []
+    known, states = detect_groups(tracks, endtime, cfg)
+    cands = group_candidates(db, states, cfg)
     by_id = {tr.agent_id: tr for tr in known}
-    graph = build_intimacy_graph(known, cfg)
-    states = [make_group_state([by_id[m] for m in members], cfg)
-              for members in extract_groups(graph)]
-
     inits = []
-    for st in states:
+    for st, group_cands in zip(states, cands):
         center = st.center_trajectory
-        speed = max(mean_speed(center), params.speed_floor)
         inits.append(GroupInit(center.positions[-1].copy(),
-                               linear_continuation(center, cfg),
-                               speed,
+                               group_cands[-1].destination,
+                               max(mean_speed(center), params.speed_floor),
                                velocity_at(center, int(center.frames[-1]))))
 
     out = []
-    for gi, st in enumerate(states):
-        center = st.center_trajectory
-        others = [init for gj, init in enumerate(inits) if gj != gi]
-        cands = candidate_destinations(db, center, cfg, exclude=st.members)
+    for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):
         policy = ReconstructionPolicy.from_known_window(
-            [by_id[m] for m in st.members], center, mode, seed)
+            [by_id[m] for m in st.members], st.center_trajectory,
+            st.member_offsets, mode, seed)
         trajs = predict_group_trajectory(
-            center.positions[-1], np.array([c.destination for c in cands]),
-            inits[gi].speed, scene, others, cfg.predict_time_steps, params, cfg,
-            initial_velocity=inits[gi].velocity, start_frame=endtime)
+            init.pos, np.array([c.destination for c in group_cands]),
+            init.speed, scene, inits[:gi] + inits[gi + 1:],
+            cfg.predict_time_steps, params, cfg,
+            initial_velocity=init.velocity, start_frame=endtime)
         rollouts = [
             CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
                              reconstruct_members(traj, st.member_offsets,
                                                  st.emotion, policy))
-            for cand, traj in zip(cands, trajs)]
-        out.append(GroupPrediction(st.members, st.emotion, center,
-                                   st.member_offsets, inits[gi].speed,
+            for cand, traj in zip(group_cands, trajs)]
+        out.append(GroupPrediction(st.members, st.emotion, init.speed,
                                    tuple(rollouts)))
     return out

@@ -87,6 +87,18 @@ class TestIngest:
         assert rc == 2
         assert "3" in capsys.readouterr().err
 
+    def test_overflowing_resample_is_data_error(self, tmp_path, capsys):
+        # both coordinates are finite, but interpolating between them
+        # overflows to -inf; nothing may be written
+        raw = tmp_path / "raw.txt"
+        raw.write_text("0 7 1e308 0.0 2.0 0 0 0\n1 7 -1e308 0.0 2.0 0 0 0\n"
+                       "2 7 0.0 0.0 2.0 0 0 0\n")
+        out = tmp_path / "run"
+        rc = cli.main(["ingest", str(raw), "--out", str(out)])
+        assert rc == 3
+        assert "agent '7'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGroups:
     def test_jsonl_structure(self, tmp_path, capsys):
@@ -273,6 +285,15 @@ class TestEval:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "endtimes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_non_positive_stride_is_usage_error(self, tmp_path, capsys,
+                                                tracks_csv, stride):
+        rc = cli.main(["eval", str(tracks_csv), "--stride", stride,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "--stride" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_header_only_csv_has_no_endtimes(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

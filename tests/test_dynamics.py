@@ -214,8 +214,9 @@ class TestReconstruction:
     def test_from_known_window_zero_at_anchor(self, cfg):
         a = line_track("a", 0, 10, (0.0, 0.0), (1.0, 0.1))
         b = line_track("b", 0, 10, (0.0, 0.4), (1.0, -0.1))
-        center = cc.group_center_trajectory([a, b])
-        policy = ReconstructionPolicy.from_known_window([a, b], center)
+        state = cc.make_group_state([a, b], cfg)
+        policy = ReconstructionPolicy.from_known_window(
+            [a, b], state.center_trajectory, state.member_offsets)
         for m in ("a", "b"):
             assert np.allclose(policy.residuals[m][-1], [0.0, 0.0], atol=1e-12)
 

@@ -1,7 +1,8 @@
-"""Property test: ``crowdcast groups`` on malformed or degenerate CSVs.
+"""Property tests: ``crowdcast groups``, ``destinations`` and ``predict``
+on malformed or degenerate CSVs.
 
-Whatever the canonical CSV holds, the command ends with exit code 0 (done),
-2 (usage) or 3 (data), never with a traceback; on exit 0 the groups
+Whatever the canonical CSV holds, each command ends with exit code 0
+(done), 2 (usage) or 3 (data), never with a traceback; on exit 0 the groups
 partition the agents that cover the known window.
 """
 
@@ -94,3 +95,62 @@ def test_groups_cli_exit_codes_and_partition(case):
     assert all(rec["size"] == len(rec["members"]) for rec in records)
     assert all(math.isfinite(v) for rec in records
                for v in [rec["emotion"]] + rec["center_last"])
+
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=groups_case())
+def test_destinations_and_predict_cli_exit_codes_and_candidates(case):
+    """``destinations`` and ``predict`` (short horizon, one substep) on the
+    same inputs: exit 0, 2 or 3; on 0 the records partition the known
+    agents, each has at most k retrieved candidates from distinct
+    non-member agents and ends with the straight-line one, the members and
+    emotions are those ``groups`` reports, and both report the same
+    candidates."""
+    text, endtime, known, overlap = case
+    outputs = {"groups": "groups.jsonl", "destinations": "destinations.jsonl",
+               "predict": "predictions.jsonl"}
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        for command, output in outputs.items():
+            out = Path(tmp) / command
+            rc = cli.main([command, str(path), "--endtime", str(endtime),
+                           "--known-time-steps", str(known),
+                           "--min-overlap-frames", str(overlap),
+                           "--predict-time-steps", "3", "--substeps", "1",
+                           "--out", str(out)])
+            assert rc in (0, 2, 3)
+            if rc == 0:
+                records[command] = [json.loads(line) for line in
+                                    (out / output).read_text().splitlines()]
+    if records.keys() <= {"groups"}:
+        return
+    cfg = Config(known_time_steps=known, min_overlap_frames=overlap)
+    tracks = read_canonical_csv(text, cfg.step_duration)
+    expected = sorted(tr.agent_id for tr in known_window_tracks(tracks, endtime, cfg))
+    for command in records.keys() - {"groups"}:
+        flat = [m for rec in records[command] for m in rec["members"]]
+        assert sorted(flat) == expected
+        assert len(flat) == len(set(flat))
+        for rec in records[command]:
+            *retrieved, linear = rec["candidates"]
+            assert linear["provenance"] == "linear-continuation"
+            assert linear["score"] is None
+            sources = [c["provenance"].split("@")[0] for c in retrieved]
+            assert len(retrieved) <= cfg.k_candidates
+            assert len(set(sources)) == len(sources)
+            assert not {f"db:{m}" for m in rec["members"]} & set(sources)
+            if command == "predict":
+                assert all(sorted(c["members"]) == rec["members"]
+                           for c in rec["candidates"])
+    groups = {command: [(r["members"], r["emotion"]) for r in recs]
+              for command, recs in records.items()}
+    assert len(set(map(repr, groups.values()))) == 1
+    if records.keys() >= {"destinations", "predict"}:
+        shared = ("destination", "provenance", "score")
+        assert [[[c[k] for k in shared] for c in r["candidates"]]
+                for r in records["destinations"]] == \
+            [[[c[k] for k in shared] for c in r["candidates"]]
+             for r in records["predict"]]

@@ -30,12 +30,23 @@ CASES = {
     "destinations": (["destinations", "input.csv", "--database", "history.csv",
                       "--endtime", "40"], "destinations.jsonl"),
     "groups": (["groups", "input.csv", "--endtime", "40"], "groups.jsonl"),
+    "predict-default-database": (["predict", "input.csv", "--scene", "scene.txt",
+                                  "--endtime", "40"], "predictions.jsonl"),
+    "destinations-default-database": (["destinations", "input.csv",
+                                       "--endtime", "40"], "destinations.jsonl"),
+    "predict-plot": (["predict", "input.csv", "--database", "history.csv",
+                      "--scene", "scene.txt", "--endtime", "40",
+                      "--plot", "predict.svg"], "predict.svg"),
+    "plot": (["plot", "input.csv", "--scene", "scene.txt", "--endtime", "40"],
+             "plot.svg"),
 }
 
 
 def run_case(name: str, out_dir: Path) -> bytes:
     args, output = CASES[name]
-    argv = [str(GOLDEN / a) if a.endswith((".csv", ".txt")) else a
+    # inputs are read from golden/, a --plot file is written to the output
+    argv = [str(GOLDEN / a) if a.endswith((".csv", ".txt"))
+            else str(out_dir / a) if a.endswith(".svg") else a
             for a in args] + PARAMS + ["--out", str(out_dir)]
     assert main(argv) == 0
     return (out_dir / output).read_bytes()
