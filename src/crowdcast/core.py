@@ -218,7 +218,11 @@ def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
             positions.append(traj.positions[-1])
         else:
             w = (t - times[j - 1]) / (times[j] - times[j - 1])
-            positions.append(traj.positions[j - 1] + w * (traj.positions[j] - traj.positions[j - 1]))
+            # finite neighbors can interpolate to a non-finite point; the
+            # canonical writer rejects it as a data error
+            with np.errstate(over="ignore", invalid="ignore"):
+                positions.append(traj.positions[j - 1]
+                                 + w * (traj.positions[j] - traj.positions[j - 1]))
         frames.append(k)
     if frames:
         pos_arr = np.vstack(positions)
@@ -243,7 +247,8 @@ class SceneGeometry:
     bounds: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self) -> None:
-        segs = tuple(np.asarray(s, dtype=np.float64).reshape(2, 2) for s in self.segments)
+        segs = tuple(_edges_fit(np.asarray(s, dtype=np.float64).reshape(2, 2), closed=False)
+                     for s in self.segments)
         polys = [_convex_polygon(p) for p in self.polygons]
         bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 2)
         verts = [s.reshape(-1, 2) for s in segs] + polys
@@ -264,23 +269,51 @@ class SceneGeometry:
     def is_empty(self) -> bool:
         return not self.segments and not self.polygons
 
-    def obstacle_contacts(self, p: np.ndarray) -> list:
-        """Nearest boundary point and signed distance for every obstacle.
+    def obstacle_contacts(self, points) -> tuple:
+        """Nearest boundary point and signed distance of every obstacle to
+        every point of ``points``, an (M, 2) array.
 
-        Returns (point, signed_distance) pairs; the distance is negative when
-        p lies inside a polygon.
+        Returns (O, M, 2) nearest points and (O, M) distances, segments
+        first, then polygons, each in scene order. A polygon's nearest point
+        lies on the first of its nearest edges, and its distance is negative
+        when the point lies inside it.
         """
-        p = np.asarray(p, dtype=np.float64)
-        out = []
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        near, dist = [], []
         for seg in self.segments:
             q = _nearest_on_segment(p, seg[0], seg[1])
-            out.append((q, float(np.linalg.norm(p - q))))
-        for poly in self.polygons:
-            q, d = _nearest_on_ring(p, poly)
-            if _inside_convex(p, poly):
-                d = -d
-            out.append((q, d))
-        return out
+            near.append(q)
+            dist.append(_length(p - q))
+        cols = np.arange(len(p))
+        for ring in self.polygons:
+            a = ring[:, None]
+            b = np.roll(ring, -1, axis=0)[:, None]
+            q = _nearest_on_segment(p, a, b)
+            d = _length(p - q)
+            first = np.argmin(d, axis=0)
+            # a point is inside when every edge whose cross product clears
+            # 1e-15 turns the same way, and at least one does
+            cross = ((b[..., 0] - a[..., 0]) * (p[:, 1] - a[..., 1])
+                     - (b[..., 1] - a[..., 1]) * (p[:, 0] - a[..., 0]))
+            counted = ~(np.abs(cross) < 1e-15)
+            left = (counted & (cross > 0)).any(axis=0)
+            right = (counted & ~(cross > 0)).any(axis=0)
+            near.append(q[first, cols])
+            dist.append(np.where(left != right, -d[first, cols], d[first, cols]))
+        return (np.array(near).reshape(len(near), len(p), 2),
+                np.array(dist).reshape(len(dist), len(p)))
+
+
+def _edges_fit(points: np.ndarray, closed: bool) -> np.ndarray:
+    """The points, unchanged; DataError when the squared length of an edge
+    between consecutive points overflows, as no distance to it is finite."""
+    ends = np.roll(points, -1, axis=0) if closed else points[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = ends - points[:len(ends)]
+        fits = np.all(np.isfinite(np.vecdot(edges, edges)))
+    if not fits:
+        raise DataError("obstacle edge too long: its squared length overflows")
+    return points
 
 
 def _convex_polygon(p) -> np.ndarray:
@@ -290,6 +323,7 @@ def _convex_polygon(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] != 2:
         raise DataError("polygon needs at least 3 vertices of 2 coordinates")
+    _edges_fit(p, closed=True)
     edges = np.roll(p, -1, axis=0) - p
     edges = edges[np.any(edges != 0.0, axis=1)]
     nxt = np.roll(edges, -1, axis=0)
@@ -310,39 +344,19 @@ def _convex_polygon(p) -> np.ndarray:
 
 
 def _nearest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nearest point to p on each segment a-b, broadcast over all three; a
+    segment of squared length below 1e-18 stands for its point a."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return a
-    t = float((p - a) @ ab) / denom
-    return a + min(1.0, max(0.0, t)) * ab
+    denom = np.vecdot(ab, ab)
+    short = denom < 1e-18
+    t = np.vecdot(p - a, ab) / np.where(short, 1.0, denom)
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    return np.where(short[..., None], a, a + t[..., None] * ab)
 
 
-def _nearest_on_ring(p: np.ndarray, ring: np.ndarray):
-    best_q = None
-    best_d = math.inf
-    for i in range(len(ring)):
-        q = _nearest_on_segment(p, ring[i], ring[(i + 1) % len(ring)])
-        d = float(np.linalg.norm(p - q))
-        if d < best_d:
-            best_q, best_d = q, d
-    return best_q, best_d
-
-
-def _inside_convex(p: np.ndarray, ring: np.ndarray) -> bool:
-    sign = 0
-    for i in range(len(ring)):
-        a = ring[i]
-        b = ring[(i + 1) % len(ring)]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if abs(cross) < 1e-15:
-            continue
-        s = 1 if cross > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return sign != 0
+def _length(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
 
 
 def parse_scene(text: str) -> SceneGeometry:
@@ -364,31 +378,29 @@ def parse_scene(text: str) -> SceneGeometry:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        kind, vals = parts[0], parts[1:]
+        kind, *vals = line.split()
         try:
             nums = [float(v) for v in vals]
+            if not all(math.isfinite(v) for v in nums):
+                raise DataError("numbers must be finite")
+            if kind == "seg":
+                if len(nums) != 4:
+                    raise DataError("seg needs 4 numbers")
+                segments.append(_edges_fit(np.array(nums).reshape(2, 2), closed=False))
+            elif kind == "poly":
+                if len(nums) < 6 or len(nums) % 2:
+                    raise DataError("poly needs >= 3 x,y pairs")
+                polygons.append(_convex_polygon(np.array(nums).reshape(-1, 2)))
+            elif kind == "bounds":
+                if len(nums) != 4:
+                    raise DataError("bounds needs 4 numbers")
+                bounds = np.array(nums).reshape(2, 2)
+            else:
+                raise DataError(f"unknown entry {kind!r}")
+        except DataError as exc:
+            raise DataError(f"scene line {lineno}: {exc}") from None
         except ValueError as exc:
             raise DataError(f"scene line {lineno}: bad number ({exc})") from None
-        if not all(math.isfinite(v) for v in nums):
-            raise DataError(f"scene line {lineno}: numbers must be finite")
-        if kind == "seg":
-            if len(nums) != 4:
-                raise DataError(f"scene line {lineno}: seg needs 4 numbers")
-            segments.append(np.array(nums).reshape(2, 2))
-        elif kind == "poly":
-            if len(nums) < 6 or len(nums) % 2:
-                raise DataError(f"scene line {lineno}: poly needs >= 3 x,y pairs")
-            try:
-                polygons.append(_convex_polygon(np.array(nums).reshape(-1, 2)))
-            except DataError as exc:
-                raise DataError(f"scene line {lineno}: {exc}") from None
-        elif kind == "bounds":
-            if len(nums) != 4:
-                raise DataError(f"scene line {lineno}: bounds needs 4 numbers")
-            bounds = np.array([[nums[0], nums[1]], [nums[2], nums[3]]])
-        else:
-            raise DataError(f"scene line {lineno}: unknown entry {kind!r}")
     if bounds is None:
         verts = [s for s in segments] + polygons
         if verts:

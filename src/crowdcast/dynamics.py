@@ -95,14 +95,11 @@ class ForceParams:
 
 @dataclass
 class SimState:
-    """Mutable simulation arrays, one row per group.
+    """Mutable simulation arrays, one row per simulated body.
 
-    ``positions``, ``velocities``, ``destinations`` and ``arrived`` may carry
-    a leading batch axis, (B, n, 2) and (B, n): each slice along it is an
-    independent simulation of the same groups, such as one candidate
-    destination of the subject. ``desired_speeds`` and ``max_speeds`` are
-    shared by every slice. ``pairs`` is a (P, 2) array of the ordered (i, j)
-    group pairs whose repulsion is evaluated, sorted by i, then j.
+    ``pairs`` is a (P, 2) array of the ordered (i, j) body pairs whose
+    repulsion is evaluated, sorted by i, then j. Bodies that share no pair
+    must never come within ``neighborhood_range`` of each other.
     """
 
     positions: np.ndarray
@@ -118,51 +115,28 @@ class SimState:
                         self.destinations.copy(), self.desired_speeds.copy(),
                         self.max_speeds.copy(), self.arrived.copy(), self.pairs)
 
-    @property
-    def n_groups(self) -> int:
-        return self.positions.shape[-2]
-
-    def _batched(self) -> "SimState":
-        """A view with exactly one batch axis; writes reach this state."""
-        n = self.n_groups
-        return SimState(self.positions.reshape(-1, n, 2),
-                        self.velocities.reshape(-1, n, 2),
-                        self.destinations.reshape(-1, n, 2), self.desired_speeds,
-                        self.max_speeds, self.arrived.reshape(-1, n), self.pairs)
-
-
-def _rows(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    return a if a.ndim >= 3 else a.reshape(-1, 2)
-
 
 def make_sim_state(positions, velocities, destinations, desired_speeds,
                    params: ForceParams,
                    pairs: np.ndarray | None = None) -> SimState:
-    """Assemble a SimState, deriving per-group speed caps and clamping the
-    initial velocities to them.
+    """Assemble a SimState from (n, 2) arrays, deriving per-body speed caps
+    and clamping the initial velocities to them.
 
-    ``positions``, ``velocities`` and ``destinations`` are (n, 2), or
-    (B, n, 2) for B batched simulations, and are broadcast against each
-    other. ``pairs`` defaults to every ordered pair of distinct groups.
+    ``pairs`` defaults to every ordered pair of distinct bodies.
     """
     spd = np.asarray(desired_speeds, dtype=np.float64).reshape(-1).copy()
-    n = spd.shape[0]
-    arrays = [_rows(a) for a in (positions, velocities, destinations)]
-    if any(a.shape[-2] != n for a in arrays):
+    n = len(spd)
+    pos, vel, dest = (np.asarray(a, dtype=np.float64).reshape(-1, 2).copy()
+                      for a in (positions, velocities, destinations))
+    if any(len(a) != n for a in (pos, vel, dest)):
         raise DataError("simulation arrays disagree on group count")
-    try:
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    except ValueError:
-        raise DataError("simulation arrays disagree on batch size") from None
-    pos, vel, dest = (np.broadcast_to(a, shape).copy() for a in arrays)
     if not all(np.all(np.isfinite(a)) for a in (pos, vel, dest, spd)):
         raise DataError("non-finite simulation input")
     caps = params.max_speed_for(spd)
     norms = np.linalg.norm(vel, axis=-1)
     over = norms > caps
     if np.any(over):
-        vel[over] *= (np.broadcast_to(caps, over.shape)[over] / norms[over])[:, None]
+        vel[over] *= (caps[over] / norms[over])[:, None]
     arrived = np.linalg.norm(pos - dest, axis=-1) <= params.radius
     vel[arrived] = 0.0
     if pairs is None:
@@ -172,13 +146,12 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
 
 def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
             h: float) -> tuple:
-    """Total force per group for one substep of length ``h``, on a state
-    with one batch axis.
+    """Total force per body for one substep of length ``h``.
 
-    Returns the force array and a (B, n) mask of the rows needing a
-    coincidence nudge, or None when no row does. The desired speed is damped
+    Returns the force array and a mask of the rows needing a coincidence
+    nudge, or None when no pair is coincident. The desired speed is damped
     to ``dist / h`` close to the destination so the drive term cannot
-    overshoot it in one substep. Arrived groups feel no force but still
+    overshoot it in one substep. Arrived bodies feel no force but still
     repel others.
     """
     pos = state.positions
@@ -188,15 +161,15 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     dist = np.linalg.norm(to_dest, axis=-1)
     far = dist > _COINCIDENT
     speed = np.minimum(state.desired_speeds, dist / h)
-    v_des = np.where(far[..., None],
-                     to_dest / np.where(far, dist, 1.0)[..., None] * speed[..., None],
+    v_des = np.where(far[:, None],
+                     to_dest / np.where(far, dist, 1.0)[:, None] * speed[:, None],
                      0.0)
     forces = params.mass * (v_des - state.velocities) / params.relaxation_time
 
     rows, cols = state.pairs.T
     nudge = None
     if len(rows):
-        delta = pos[:, rows] - pos[:, cols]
+        delta = pos[rows] - pos[cols]
         d = np.linalg.norm(delta, axis=-1)
         pair = (d < params.neighborhood_range) & (d >= _COINCIDENT)
         if pair.any():
@@ -204,90 +177,87 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
                                   _EXP_CAP)
             mag = np.where(pair, params.repulsion_strength * np.exp(exponent), 0.0)
             unit = np.zeros_like(delta)
-            np.divide(delta, d[..., None], out=unit, where=pair[..., None])
-            terms = mag[..., None] * unit
+            np.divide(delta, d[:, None], out=unit, where=pair[:, None])
+            terms = mag[:, None] * unit
             # bincount adds the terms into zeroed bins in input order, so each
             # row sums in ascending j, as a dense sum over the full pair
             # matrix does; the pairs left out would add exactly 0.0 there
-            batch, n = active.shape
-            bins = (2 * rows[:, None] + np.arange(2)
-                    + (2 * n * np.arange(batch))[:, None, None])
+            bins = 2 * rows[:, None] + np.arange(2)
             forces += np.bincount(bins.ravel(), terms.ravel(),
-                                  2 * n * batch).reshape(forces.shape)
+                                  forces.size).reshape(forces.shape)
         coincident = d < _COINCIDENT
         if coincident.any():
-            b, k = np.nonzero(coincident)
-            nudge = np.zeros(active.shape, dtype=bool)
-            nudge[b, rows[k]] = True
+            nudge = np.zeros(len(pos), dtype=bool)
+            nudge[rows[coincident]] = True
             nudge &= active
 
+    # one obstacle at a time, in scene order, as a per-body sum would add
+    # them; a body at a contact point gets no term from that obstacle, and a
+    # distance that overflows to inf gives a term of exactly zero
     if not scene.is_empty:
-        for b, i in zip(*np.nonzero(active)):
-            for point, signed_d in scene.obstacle_contacts(pos[b, i]):
-                away = pos[b, i] - point
-                away_len = float(np.linalg.norm(away))
-                if away_len < _COINCIDENT:
-                    continue
-                away /= away_len
-                if signed_d < 0.0:
-                    away = -away
-                exponent = min((2.0 * params.radius - signed_d)
-                               / params.obstacle_range, _EXP_CAP)
-                forces[b, i] += params.obstacle_strength * np.exp(exponent) * away
+        with np.errstate(over="ignore"):
+            for point, signed_d in zip(*scene.obstacle_contacts(pos)):
+                away = pos - point
+                away_len = np.sqrt(np.vecdot(away, away))
+                use = (active & ~(away_len < _COINCIDENT))[:, None]
+                np.divide(away, away_len[:, None], out=away, where=use)
+                away = np.where(signed_d[:, None] < 0.0, -away, away)
+                exponent = np.minimum(
+                    (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
+                np.add(forces,
+                       (params.obstacle_strength * np.exp(exponent))[:, None] * away,
+                       out=forces, where=use)
     forces[~active] = 0.0
     return forces, nudge
 
 
-def _nudge_coincident(positions: np.ndarray, rows: np.ndarray) -> None:
-    """Separate every marked row from the groups coincident with it in its
-    own batch slice, row by row in ascending order: the lower row index of
-    each pair moves by −``_NUDGE`` along x, the higher by +``_NUDGE``."""
-    for b, i in zip(*np.nonzero(rows)):
-        pos = positions[b]
-        twins = np.linalg.norm(pos - pos[i], axis=-1) < _COINCIDENT
-        twins[i] = False
-        for j in np.flatnonzero(twins):
+def _nudge_coincident(positions: np.ndarray, rows: np.ndarray,
+                      pairs: np.ndarray) -> None:
+    """Separate every marked row from the pair partners coincident with it,
+    row by row in ascending order: the lower row index of each pair moves
+    by −``_NUDGE`` along x, the higher by +``_NUDGE``."""
+    for i in np.flatnonzero(rows):
+        partners = pairs[pairs[:, 0] == i, 1]
+        gap = np.linalg.norm(positions[partners] - positions[i], axis=-1)
+        for j in partners[gap < _COINCIDENT]:
             lo, hi = (i, j) if i < j else (j, i)
-            pos[lo, 0] -= _NUDGE
-            pos[hi, 0] += _NUDGE
+            positions[lo, 0] -= _NUDGE
+            positions[hi, 0] += _NUDGE
 
 
 def step(state: SimState, scene: SceneGeometry, params: ForceParams,
          dt: float) -> SimState:
-    """Advance every group by one output step of length ``dt``.
+    """Advance every body by one output step of length ``dt``.
 
     The step is integrated as ``params.substeps`` semi-implicit Euler
-    substeps: velocity from the force, clamped to the group's speed cap,
-    then position from the new velocity. A group within ``params.radius``
+    substeps: velocity from the force, clamped to the body's speed cap,
+    then position from the new velocity. A body within ``params.radius``
     of its destination stops and stays put. Coincident pairs get a tiny
     deterministic separation along x (lower row index pushed to −x).
-    Batched simulations advance together and independently.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = state.copy()
-    sim = out._batched()
+    sim = state.copy()
     h = dt / params.substeps
     for _ in range(params.substeps):
         forces, nudge = _forces(sim, scene, params, h)
         active = ~sim.arrived
         np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
-               where=active[..., None])
+               where=active[:, None])
         norms = np.linalg.norm(sim.velocities, axis=-1)
         over = active & (norms > sim.max_speeds)
         if np.any(over):
-            caps = np.broadcast_to(sim.max_speeds, over.shape)
-            sim.velocities[over] *= (caps[over] / norms[over])[:, None]
+            sim.velocities[over] *= (sim.max_speeds[over] / norms[over])[:, None]
         np.add(sim.positions, sim.velocities * h, out=sim.positions,
-               where=active[..., None])
+               where=active[:, None])
         if nudge is not None:
-            _nudge_coincident(sim.positions, nudge)
+            _nudge_coincident(sim.positions, nudge, sim.pairs)
         newly = ~sim.arrived & (np.linalg.norm(sim.positions - sim.destinations,
                                                axis=-1) <= params.radius)
         if np.any(newly):
             sim.arrived |= newly
             sim.velocities[newly] = 0.0
-    return out
+    return sim
 
 
 @dataclass(frozen=True)
@@ -338,12 +308,13 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     destination in ``dest``, a (C, 2) array, for ``steps`` output steps,
     simulating ``others`` (``GroupInit``) jointly.
 
-    Each candidate is an independent simulation; all C advance together on
-    a leading batch axis. Only the subject's component of the reach graph is
-    simulated (see the module docstring). The subject's desired speed is
-    floored at ``params.speed_floor``, so a briefly stationary group still
-    makes progress. Returns one trajectory per candidate, each with one
-    position per step on frames ``start_frame + 1 .. start_frame + steps``.
+    Each candidate is an independent simulation; all C advance together as
+    C blocks of one flat state, one body per group of the subject's reach
+    component (see the module docstring), with pairs only inside a block.
+    The subject's desired speed is floored at ``params.speed_floor``, so a
+    briefly stationary group still makes progress. Returns one trajectory
+    per candidate, each with one position per step on frames
+    ``start_frame + 1 .. start_frame + steps``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -359,22 +330,27 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     keep, adj = _reach_component(starts, params.max_speed_for(speeds),
                                  params.neighborhood_range, steps * cfg.step_duration)
 
-    pos = np.empty((len(keep), 2))
-    vel = np.empty((len(dests), len(keep), 2))
-    dst = np.empty((len(dests), len(keep), 2))
-    pos[0], dst[:, 0] = start, dests
+    n_cand, k = len(dests), len(keep)
+    vel = np.empty((n_cand, k, 2))
+    dst = np.empty((n_cand, k, 2))
+    dst[:, 0] = dests
     for c, d in enumerate(dests):
         vel[c, 0] = _initial_velocity(start, d, initial_velocity, speeds[0])
-    for r, k in enumerate(keep[1:], start=1):
-        g = others[k - 1]
-        pos[r], dst[:, r] = g.pos, g.dest
-        vel[:, r] = _initial_velocity(g.pos, g.dest, g.velocity, speeds[k])
-    state = make_sim_state(pos, vel, dst, speeds[keep], params, np.argwhere(adj))
+    for r, i in enumerate(keep[1:], start=1):
+        g = others[i - 1]
+        dst[:, r] = g.dest
+        vel[:, r] = _initial_velocity(g.pos, g.dest, g.velocity, speeds[i])
+    # block c holds rows c*k .. c*k + k - 1; offsetting the component's
+    # pairs by c*k keeps the list sorted by row, then column
+    pairs = (np.argwhere(adj) + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)
+    state = make_sim_state(np.tile(starts[keep], (n_cand, 1)), vel, dst,
+                           np.tile(speeds[keep], n_cand), params, pairs)
 
-    points = np.empty((len(dests), steps, 2))
+    subject = k * np.arange(n_cand)
+    points = np.empty((n_cand, steps, 2))
     for s in range(steps):
         state = step(state, scene, params, cfg.step_duration)
-        points[:, s] = state.positions[:, 0]
+        points[:, s] = state.positions[subject]
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     times = frames * cfg.step_duration
     return [Trajectory("predicted", frames, times, p) for p in points]

@@ -1,12 +1,16 @@
 """Dense reference for the force rollout: one candidate, every group.
 
 Every call simulates the subject together with all other groups, with full
-G×G pair matrices. ``predict_group_trajectory`` in ``crowdcast.dynamics``
-must return exactly what this returns, one candidate at a time.
+G×G pair matrices, and finds obstacle contacts one body at a time with the
+scalar geometry below. ``predict_group_trajectory`` in ``crowdcast.dynamics``
+must return exactly what this returns, one candidate at a time, and
+``SceneGeometry.obstacle_contacts`` exactly what ``obstacle_contacts`` here
+returns, point by point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +88,7 @@ def _forces(state: SimState, scene, params, h: float) -> tuple:
         for i in range(n):
             if not active[i]:
                 continue
-            for point, signed_d in scene.obstacle_contacts(pos[i]):
+            for point, signed_d in obstacle_contacts(scene, pos[i]):
                 away = pos[i] - point
                 away_len = float(np.linalg.norm(away))
                 if away_len < _COINCIDENT:
@@ -97,6 +101,61 @@ def _forces(state: SimState, scene, params, h: float) -> tuple:
                 forces[i] += params.obstacle_strength * np.exp(exponent) * away
     forces[~active] = 0.0
     return forces, nudge_rows
+
+
+def obstacle_contacts(scene, p: np.ndarray) -> list:
+    """Nearest boundary point and signed distance for every obstacle.
+
+    Returns (point, signed_distance) pairs; the distance is negative when
+    p lies inside a polygon.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    out = []
+    for seg in scene.segments:
+        q = _nearest_on_segment(p, seg[0], seg[1])
+        out.append((q, float(np.linalg.norm(p - q))))
+    for poly in scene.polygons:
+        q, d = _nearest_on_ring(p, poly)
+        if _inside_convex(p, poly):
+            d = -d
+        out.append((q, d))
+    return out
+
+
+def _nearest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-18:
+        return a
+    t = float((p - a) @ ab) / denom
+    return a + min(1.0, max(0.0, t)) * ab
+
+
+def _nearest_on_ring(p: np.ndarray, ring: np.ndarray):
+    best_q = None
+    best_d = math.inf
+    for i in range(len(ring)):
+        q = _nearest_on_segment(p, ring[i], ring[(i + 1) % len(ring)])
+        d = float(np.linalg.norm(p - q))
+        if d < best_d:
+            best_q, best_d = q, d
+    return best_q, best_d
+
+
+def _inside_convex(p: np.ndarray, ring: np.ndarray) -> bool:
+    sign = 0
+    for i in range(len(ring)):
+        a = ring[i]
+        b = ring[(i + 1) % len(ring)]
+        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if abs(cross) < 1e-15:
+            continue
+        s = 1 if cross > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return sign != 0
 
 
 def step(state: SimState, scene, params, dt: float) -> SimState:

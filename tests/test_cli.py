@@ -87,9 +87,11 @@ class TestIngest:
         assert rc == 2
         assert "3" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_resample_is_data_error(self, tmp_path, capsys):
         # both coordinates are finite, but interpolating between them
-        # overflows to -inf; nothing may be written
+        # overflows to -inf; nothing may be written, and no numpy warning
+        # may reach stderr
         raw = tmp_path / "raw.txt"
         raw.write_text("0 7 1e308 0.0 2.0 0 0 0\n1 7 -1e308 0.0 2.0 0 0 0\n"
                        "2 7 0.0 0.0 2.0 0 0 0\n")
@@ -163,6 +165,24 @@ class TestNonFiniteInput:
                        "--out", str(tmp_path)])
         assert rc == 3
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["seg -1e308 0 1e308 0",
+                                       "seg 0 0 1e200 0",
+                                       "poly 0 0 1e308 0 1e308 1e308"])
+    def test_scene_edge_overflow_is_data_error(self, tmp_path, capsys, tracks_csv,
+                                               entry):
+        # every coordinate is finite, but no distance to such an edge is:
+        # predicting next to it would write NaN coordinates
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"bounds -1e308 -1e308 1e308 1e308\n{entry}\n")
+        out = tmp_path / "run"
+        rc = cli.main(["predict", str(tracks_csv), "--endtime", "99",
+                       "--predict-time-steps", "3", "--scene", str(scene),
+                       "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "overflows" in err
+        assert not (out / "predictions.jsonl").exists()
 
     def test_obsmat_nan_is_parse_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

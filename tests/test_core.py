@@ -120,15 +120,15 @@ class TestScene:
     def test_parse_and_contacts(self):
         scene = parse_scene("# walls\nseg 0 0 4 0\npoly 10 0 12 0 12 2 10 2\n")
         assert len(scene.segments) == 1 and len(scene.polygons) == 1
-        contacts = scene.obstacle_contacts(np.array([2.0, 1.0]))
-        assert len(contacts) == 2
-        point, dist = contacts[0]
-        assert np.allclose(point, [2.0, 0.0]) and abs(dist - 1.0) < 1e-12
+        points, dists = scene.obstacle_contacts(np.array([[2.0, 1.0], [13.0, 1.0]]))
+        assert points.shape == (2, 2, 2) and dists.shape == (2, 2)
+        assert np.allclose(points[0, 0], [2.0, 0.0]) and abs(dists[0, 0] - 1.0) < 1e-12
+        assert np.allclose(points[1, 1], [12.0, 1.0]) and abs(dists[1, 1] - 1.0) < 1e-12
 
     def test_inside_polygon_negative_distance(self):
         scene = parse_scene("poly 0 0 2 0 2 2 0 2")
-        _, dist = scene.obstacle_contacts(np.array([1.0, 0.3]))[0]
-        assert abs(dist + 0.3) < 1e-12
+        _, dists = scene.obstacle_contacts(np.array([[1.0, 0.3]]))
+        assert abs(dists[0, 0] + 0.3) < 1e-12
 
     def test_bad_line_reports_number(self):
         with pytest.raises(DataError, match="line 2"):
@@ -155,7 +155,8 @@ class TestScene:
     def test_empty_scene(self):
         scene = cc.SceneGeometry.empty()
         assert scene.is_empty
-        assert scene.obstacle_contacts(np.zeros(2)) == []
+        points, dists = scene.obstacle_contacts(np.zeros((3, 2)))
+        assert points.shape == (0, 3, 2) and dists.shape == (0, 3)
 
 
 class TestCanonicalCsv:

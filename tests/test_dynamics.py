@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 import crowdcast as cc
+from crowdcast import dynamics
 from crowdcast.core import DataError
 from crowdcast.dynamics import (
     ForceParams,
@@ -19,6 +22,7 @@ from crowdcast.dynamics import (
 )
 
 from conftest import STEP, line_track
+import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
 
 
@@ -104,6 +108,20 @@ class TestStep:
 
 
 class TestPredictGroupTrajectory:
+    def test_many_vertex_polygon_is_cheap(self, cfg, params):
+        # contacts with a 10,000-vertex polygon cost one array pass per
+        # substep, not a Python loop over its edges
+        angles = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
+        ring = np.array([3.0, 0.0]) + 2.0 * np.column_stack([np.cos(angles),
+                                                             np.sin(angles)])
+        scene = cc.SceneGeometry(polygons=(ring,),
+                                 bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
+        t0 = time.perf_counter()
+        trajs = predict_group_trajectory((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0,
+                                         scene, [], 5, params, cfg)
+        assert time.perf_counter() - t0 < 2.0
+        assert all(np.all(np.isfinite(t.positions)) for t in trajs)
+
     def test_rotation_equivariance(self, cfg, params):
         scene = cc.parse_scene("seg 2 -4 2 4")
         others = [GroupInit(np.array([6.0, 1.0]), np.array([-2.0, 1.0]), 0.9)]
@@ -315,3 +333,80 @@ class TestRolloutMatchesOracle:
         dests = np.array([[50.0, 0.0], [0.0, 50.0]])
         self._assert_matches(start, dests, 1.0, scene, [inside, outside], steps,
                              params, cfg, np.array([cap, 0.0]))
+
+
+class TestObstacleFieldMatchesOracle:
+    """``SceneGeometry.obstacle_contacts`` and the obstacle terms of the
+    force return the bits of the scalar per-point code in
+    ``rollout_oracle``, signed zeros included, on points placed where the
+    geometry is ambiguous: on vertices and edges, at equal distance from
+    several edges, and inside or outside polygons of either orientation
+    with repeated vertices."""
+
+    SEGMENTS = ([(0.0, 0.0), (4.0, 0.0)],
+                [(0.1, 0.7), (0.3, -0.2)],
+                [(1.5, 1.5), (1.5, 1.5)],                   # zero length
+                [(2.0, -1.0), (2.0 + 1e-10, -1.0)])         # shorter than 1e-9
+    POLYGONS = ([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)],
+                [(5.0, 5.0), (5.0, 7.0), (7.0, 7.0), (7.0, 5.0)],      # clockwise
+                [(0.1, 0.3), (0.7, 0.2), (0.9, 0.8), (0.2, 0.6)],
+                [(3.0, 0.0), (4.0, 0.0), (4.0, 0.0), (3.5, 1.0)],      # repeated
+                [(-3.0, 0.0), (-2.0, 0.0), (-1.0, 0.0), (-1.0, 1.0), (-3.0, 1.0)],
+                [(-2.0, 0.0), (-3.0, 1.0), (-2.0, 2.0), (-1.0, 1.0)])  # diamond
+
+    def _scene(self):
+        return cc.SceneGeometry(tuple(np.array(s) for s in self.SEGMENTS),
+                                tuple(np.array(p) for p in self.POLYGONS),
+                                np.array([[-10.0, -10.0], [10.0, 10.0]]))
+
+    def _points(self, rng):
+        shapes = [np.array(s) for s in self.SEGMENTS + self.POLYGONS]
+        pts = [rng.uniform(-4.0, 8.0, (1500, 2))]
+        for shape in shapes:
+            ends = np.roll(shape, -1, axis=0)
+            t = np.linspace(0.0, 1.0, 15)[:, None, None]
+            along = shape + t * (ends - shape)            # vertices, midpoints
+            normal = (ends - shape)[:, ::-1] * np.array([1.0, -1.0])
+            pts += [shape, along.reshape(-1, 2), shape.mean(axis=0)[None],
+                    (along + 1e-17 * normal).reshape(-1, 2),
+                    (along - 3e-16 * normal).reshape(-1, 2),
+                    shape.mean(axis=0) + rng.normal(0.0, 1e-3, (40, 2)),
+                    shape[0] + rng.uniform(-1.0, 1.0, (80, 2))]
+        return np.vstack(pts)
+
+    def test_contacts_bit_equal(self):
+        scene = self._scene()
+        pts = self._points(np.random.default_rng(7))
+        near, dist = scene.obstacle_contacts(pts)
+        assert near.shape == (10, len(pts), 2) and dist.shape == (10, len(pts))
+        ref_near = np.empty_like(near)
+        ref_dist = np.empty_like(dist)
+        for m, p in enumerate(pts):
+            for o, (q, d) in enumerate(rollout_oracle.obstacle_contacts(scene, p)):
+                ref_near[o, m], ref_dist[o, m] = q, d
+        assert near.tobytes() == ref_near.tobytes()
+        assert dist.tobytes() == ref_dist.tobytes()
+        assert np.any(dist < 0.0) and np.any(dist == 0.0)
+
+    def test_forces_bit_equal(self, cfg, params):
+        h = cfg.step_duration / params.substeps
+
+        def assert_same_forces(scene, p, vel, dest):
+            args = ([p], [vel], [dest], [1.0], params)
+            forces, _ = dynamics._forces(make_sim_state(*args), scene, params, h)
+            ref, _ = rollout_oracle._forces(rollout_oracle.make_sim_state(*args),
+                                            scene, params, h)
+            assert forces.tobytes() == ref.tobytes(), p
+            return ref
+
+        rng = np.random.default_rng(8)
+        scene = self._scene()
+        for p in self._points(rng)[::37]:
+            assert_same_forces(scene, p, rng.uniform(-1.0, 1.0, 2),
+                               rng.uniform(-9.0, 9.0, 2))
+        # a body at rest on x = 0 heading for x = -0.0 feels a force whose x
+        # is -0.0; it sits on both obstacles, so neither term may touch it
+        contact = cc.parse_scene("seg 0 -1 0 1\npoly 0 -1 1 -1 1 1 0 1")
+        ref = assert_same_forces(contact, np.array([0.0, 0.5]), np.zeros(2),
+                                 np.array([-0.0, 3.0]))
+        assert ref[0, 0] == 0.0 and np.signbit(ref[0, 0])
