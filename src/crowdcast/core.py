@@ -167,17 +167,26 @@ def average_direction(traj: Trajectory, step: int) -> np.ndarray:
 
     ``step`` counts points from 1 at the start of the track. The result is the
     average of (p_step - p_k) over k = 1 .. step-1 and is left un-normalized;
-    callers normalize where a unit direction is needed. Implemented
-    difference-first so that translating the whole track leaves the result
-    unchanged whenever the shifted coordinates are exactly representable.
+    callers normalize where a unit direction is needed. It is row ``step - 1``
+    of :func:`_directions`, so the database's directions equal it bit for bit.
     """
     if step < 2:
         raise TooFewPointsError("average direction needs at least one prior point")
     if step > len(traj):
         raise DataError(f"step {step} out of range for {len(traj)}-point track")
-    i = step - 1
-    diffs = traj.positions[i] - traj.positions[:i]
-    return diffs.sum(axis=0) / i
+    return _directions(traj.positions[:step])[-1]
+
+
+def _directions(positions: np.ndarray) -> np.ndarray:
+    """Average direction at every point of one track, from one sequential
+    prefix sum: row i is (i·d_i − (d_0 + … + d_{i−1})) / i with d = p − p_0,
+    the mean of p_i − p_k over k < i (row 0 is zero). Row i depends only on
+    points 0 .. i, the cost is linear in the length, and a translation that
+    keeps the coordinates exact leaves every row unchanged."""
+    d = positions - positions[0]
+    before = np.concatenate([d[:1], np.cumsum(d[:-1], axis=0)])  # d_0 is 0
+    i = np.arange(len(d), dtype=np.float64)[:, None]
+    return (i * d - before) / np.maximum(i, 1.0)
 
 
 def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
@@ -329,11 +338,15 @@ def _convex_polygon(p) -> np.ndarray:
     nxt = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
     dot = np.sum(edges * nxt, axis=1)
-    scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
+        area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
+                                  - np.roll(p[:, 0], -1) * p[:, 1]))
+        total_scale = float(np.sum(scale))
+    if not (math.isfinite(area) and math.isfinite(total_scale)):
+        raise DataError("polygon too large: its area overflows")
     turning = cross[np.abs(cross) > 1e-12 * scale]
-    area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
-                              - np.roll(p[:, 0], -1) * p[:, 1]))
-    if abs(area) <= 1e-12 * float(np.sum(scale)):
+    if abs(area) <= 1e-12 * total_scale:
         raise DataError("polygon has zero area")
     # one sign of turn, and one full revolution: a star winds twice
     winding = float(np.sum(np.arctan2(cross, dot))) / (2.0 * math.pi)
@@ -499,16 +512,15 @@ class TrajectoryDatabase:
         lengths = np.array([len(tr) for tr in tracks], dtype=np.int64)
         points = np.concatenate([np.empty((0, 2))] + [tr.positions for tr in tracks])
         ends = np.cumsum(lengths)
-        # per point: row of its track's first point, index within its track
-        first = np.repeat(ends - lengths, lengths)
-        index = np.arange(len(points)) - first
+        # per point: index within its track
+        index = np.arange(len(points)) - np.repeat(ends - lengths, lengths)
         sample = index >= 2
         codes = np.array([self._codes[tr.agent_id] for tr in tracks], dtype=np.int64)
         self.agent_codes = np.repeat(codes, lengths)[sample]
         self.steps = index[sample] + 1
         self.positions = points[sample]
-        self.directions = (_displacement_sums(points, first, index)[sample]
-                           / index[sample, None])
+        self.directions = np.concatenate(
+            [np.empty((0, 2))] + [_directions(tr.positions)[2:] for tr in tracks])
         self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
         for arr in (self.agent_codes, self.steps, self.positions,
                     self.directions, self.destinations):
@@ -521,27 +533,6 @@ class TrajectoryDatabase:
         """Agent codes of those ``agent_ids`` that have samples here."""
         return np.array([self._codes[a] for a in agent_ids if a in self._codes],
                         dtype=np.int64)
-
-
-def _displacement_sums(points: np.ndarray, first: np.ndarray,
-                       index: np.ndarray) -> np.ndarray:
-    """Sum of p_i - p_k over the earlier points k of each point's track.
-
-    Adds the terms in the order :func:`average_direction` does (k = 0, 1,
-    ...), so dividing by the index reproduces it bit for bit. Points are
-    visited in order of their index within their track: the points still
-    summing at pass k are then a suffix, one pass serves every track, and
-    scratch memory stays linear in the number of points.
-    """
-    order = np.argsort(index, kind="stable")
-    pts, base, idx = points[order], first[order], index[order]
-    acc = pts - points[base]
-    for k in range(1, int(idx[-1]) if len(idx) else 0):
-        lo = np.searchsorted(idx, k, side="right")
-        acc[lo:] += pts[lo:] - points[base[lo:] + k]
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
 
 
 def build_database(tracks: list, cfg: Config) -> TrajectoryDatabase:

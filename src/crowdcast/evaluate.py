@@ -32,9 +32,6 @@ class Window:
 
     endtime: int
 
-    def known_first(self, cfg: Config) -> int:
-        return self.endtime - cfg.known_time_steps + 1
-
     def horizon_last(self, cfg: Config) -> int:
         return self.endtime + cfg.predict_time_steps
 
@@ -184,28 +181,30 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
     """
     rows = []
     records = []
+    by_id = {tr.agent_id: tr for tr in tracks}
+    steps = cfg.predict_time_steps
     for window in windows:
-        horizon_first = window.endtime + 1
         horizon_last = window.horizon_last(cfg)
         total = sum(1 for tr in tracks if tr.frames[0] <= horizon_last)
         db = build_database(history_for_endtime(tracks, window.endtime, cfg), cfg)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
-        by_id = {tr.agent_id: tr for tr in tracks}
         win_records = []
         for pred in preds:
-            for member in pred.members:
+            for member, known in zip(pred.members, pred.known):
+                # frames increase: covered when steps - 1 after the first is last
                 tr = by_id[member]
-                if not all(tr.has_frame(f)
-                           for f in range(horizon_first, horizon_last + 1)):
+                i = int(np.searchsorted(tr.frames, window.endtime + 1))
+                if i + steps > len(tr) or tr.frames[i + steps - 1] != horizon_last:
                     continue
-                gt = tr.restrict_frames(horizon_first, horizon_last)
+                horizon = slice(i, i + steps)
+                gt = Trajectory(member, tr.frames[horizon], tr.times[horizon],
+                                tr.positions[horizon])
                 cand_trajs = [c.member_trajectories[member]
                               for c in pred.candidates]
                 min_ade, min_fde, (ai, fi) = min_over_candidates(cand_trajs, gt)
-                known = tr.restrict_frames(window.known_first(cfg), window.endtime)
-                base = constant_velocity_baseline(known, cfg.predict_time_steps,
-                                                  cfg, start_frame=window.endtime)
+                base = constant_velocity_baseline(known, steps, cfg,
+                                                  start_frame=window.endtime)
                 win_records.append(AgentRecord(
                     window.endtime, member, len(pred.members), pred.emotion,
                     min_ade, min_fde, ai, fi, ade(base, gt), fde(base, gt),

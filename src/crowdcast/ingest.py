@@ -50,7 +50,11 @@ class Homography:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.float64).reshape(3, 3)
-        if abs(np.linalg.det(m)) <= 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(m)
+        if not math.isfinite(det):
+            raise DataError("homography matrix too large: its determinant overflows")
+        if abs(det) <= 1e-12:
             raise DataError("homography matrix is not invertible")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

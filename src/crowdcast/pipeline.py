@@ -50,6 +50,7 @@ class GroupPrediction:
     emotion: float
     desired_speed: float
     candidates: tuple
+    known: tuple  # the members' known-window tracks, in ``members`` order
 
 
 def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:
@@ -131,9 +132,9 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
 
     out = []
     for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):
+        member_known = tuple(by_id[m] for m in st.members)
         policy = ReconstructionPolicy.from_known_window(
-            [by_id[m] for m in st.members], st.center_trajectory,
-            st.member_offsets, mode, seed)
+            member_known, st.center_trajectory, st.member_offsets, mode, seed)
         trajs = predict_group_trajectory(
             init.pos, np.array([c.destination for c in group_cands]),
             init.speed, scene, inits[:gi] + inits[gi + 1:],
@@ -145,5 +146,5 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                                                  st.emotion, policy))
             for cand, traj in zip(group_cands, trajs)]
         out.append(GroupPrediction(st.members, st.emotion, init.speed,
-                                   tuple(rollouts)))
+                                   tuple(rollouts), member_known))
     return out

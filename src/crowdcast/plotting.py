@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SceneGeometry
+from .core import DataError, SceneGeometry
 
 _STYLE = """\
 .bg { fill: #ffffff; }
@@ -48,7 +48,11 @@ def render_svg(layers: list, scene: SceneGeometry | None = None,
                if any(len(p) for p in all_pts) else np.zeros((1, 2)))
     xmin, ymin = stacked.min(axis=0) - pad
     xmax, ymax = stacked.max(axis=0) + pad
-    w, h = xmax - xmin, ymax - ymin
+    with np.errstate(over="ignore"):
+        w, h = xmax - xmin, ymax - ymin
+        fits = np.isfinite(w * _PX_PER_METER) and np.isfinite(h * _PX_PER_METER)
+    if not fits:
+        raise DataError("plot too large: its size in pixels overflows")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '

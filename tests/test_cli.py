@@ -168,7 +168,8 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("entry", ["seg -1e308 0 1e308 0",
                                        "seg 0 0 1e200 0",
-                                       "poly 0 0 1e308 0 1e308 1e308"])
+                                       "poly 0 0 1e308 0 1e308 1e308",
+                                       "poly 0 0 1e154 0 1e154 1e154 0 1e154"])
     def test_scene_edge_overflow_is_data_error(self, tmp_path, capsys, tracks_csv,
                                                entry):
         # every coordinate is finite, but no distance to such an edge is:

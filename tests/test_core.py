@@ -3,6 +3,8 @@ and the sample database."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,15 @@ class TestDatabase:
                     for tr in tracks for step in range(3, len(tr) + 1)]
         assert len(db) == len(expected)
         assert db.directions.tobytes() == np.array(expected).tobytes()
+
+    def test_long_track_builds_in_linear_time(self, cfg):
+        # every direction comes from one prefix sum over the track, so a
+        # 40,000-point track costs one pass, not one pass per point
+        tr = random_track(np.random.default_rng(9), "w", first_frame=0, n=40_000)
+        t0 = time.perf_counter()
+        db = cc.build_database([tr], cfg)
+        assert time.perf_counter() - t0 < 1.0
+        assert db.directions[-1].tobytes() == cc.average_direction(tr, 40_000).tobytes()
 
     def test_agent_codes_follow_natural_order(self, cfg):
         tracks = [line_track(aid, 0, 4, (0, 0), (1, 0))

@@ -108,7 +108,6 @@ class TestMinOverCandidates:
 class TestWindow:
     def test_frame_arithmetic(self, cfg):
         w = Window(99)
-        assert w.known_first(cfg) == 70
         assert w.horizon_last(cfg) == 129
 
 
