@@ -330,7 +330,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--stride must be at least 1, got {args.stride}")
     tracks = _load_tracks(args.input, cfg)
     scene = _load_scene(args)
-    if args.endtimes:
+    if args.endtimes is not None:
         try:
             endtimes = [int(part) for part in args.endtimes.split(",") if part]
         except ValueError:

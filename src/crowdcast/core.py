@@ -204,41 +204,29 @@ def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
     if len(traj) < 2:
         raise TooFewPointsError(
             f"agent {traj.agent_id!r} needs >= 2 points to resample")
-    t0 = float(traj.times[0])
-    t1 = float(traj.times[-1])
-    k0 = math.ceil(t0 / step_duration - _GRID_EPS)
-    k1 = math.floor(t1 / step_duration + _GRID_EPS)
-    frames = []
-    positions = []
     times = traj.times
-    for k in range(k0, k1 + 1):
-        t = k * step_duration
-        j = int(np.searchsorted(times, t))
-        snap = None
-        for cand in (j, j - 1):
-            if 0 <= cand < len(times) and abs(times[cand] - t) <= _GRID_EPS * max(1.0, abs(t)):
-                snap = cand
-                break
-        if snap is not None:
-            positions.append(traj.positions[snap])
-        elif j == 0:
-            positions.append(traj.positions[0])
-        elif j >= len(times):
-            positions.append(traj.positions[-1])
-        else:
-            w = (t - times[j - 1]) / (times[j] - times[j - 1])
-            # finite neighbors can interpolate to a non-finite point; the
-            # canonical writer rejects it as a data error
-            with np.errstate(over="ignore", invalid="ignore"):
-                positions.append(traj.positions[j - 1]
-                                 + w * (traj.positions[j] - traj.positions[j - 1]))
-        frames.append(k)
-    if frames:
-        pos_arr = np.vstack(positions)
-    else:
-        pos_arr = np.empty((0, 2))
-    return Trajectory.from_frame_grid(traj.agent_id, np.array(frames, dtype=np.int64),
-                                      pos_arr, step_duration)
+    n = len(times)
+    k0 = math.ceil(float(times[0]) / step_duration - _GRID_EPS)
+    k1 = math.floor(float(times[-1]) / step_duration + _GRID_EPS)
+    frames = np.arange(k0, k1 + 1, dtype=np.int64)
+    t = frames * step_duration
+    j = np.searchsorted(times, t)
+    here, prev = np.minimum(j, n - 1), np.maximum(j - 1, 0)
+    tol = _GRID_EPS * np.maximum(1.0, np.abs(t))
+    at_j = (j < n) & (np.abs(times[here] - t) <= tol)
+    at_prev = (j > 0) & (np.abs(times[prev] - t) <= tol)
+    # snap to sample j before j - 1, hold the end points, else interpolate
+    copy = at_j | at_prev | (j == 0) | (j >= n)
+    src = np.where(at_j | (j == 0), here, prev)
+    lo = np.clip(j - 1, 0, n - 2)
+    # finite neighbors can interpolate to a non-finite point; the canonical
+    # writer rejects it as a data error
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (t - times[lo]) / (times[lo + 1] - times[lo])
+        between = traj.positions[lo] + w[:, None] * (traj.positions[lo + 1]
+                                                     - traj.positions[lo])
+    positions = np.where(copy[:, None], traj.positions[src], between)
+    return Trajectory.from_frame_grid(traj.agent_id, frames, positions, step_duration)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Dataset ingestion: annotation matrices to canonical CSV.
 
-Handles the whitespace-separated annotation matrices shipped with the common
-public pedestrian datasets, applies a homography when the source coordinates
-are pixels, resamples every track onto the shared step grid, and emits the
-canonical ``frame,agent_id,x,y`` CSV.
+Parses the whitespace-separated annotation matrices shipped with the common
+public pedestrian datasets into one (N, 4) array of (frame, id, x, y) rows,
+maps each agent's points to meters with one stacked homography product, cuts
+the track at long gaps, resamples every part onto the shared step grid in one
+pass, and emits the canonical ``frame,agent_id,x,y`` CSV. Agents and parts are
+handled in order, so of several faults the first is the one reported.
 """
 
 from __future__ import annotations
@@ -28,20 +30,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class DegeneratePointError(ValueError):
-    """Perspective transform mapped a point to infinity."""
-
-
-@dataclass(frozen=True)
-class RawAnnotationRow:
-    """One annotation: frame, agent id, and position in source units."""
-
-    frame: int
-    agent_id: int
-    raw_x: float
-    raw_y: float
-
-
 @dataclass(frozen=True)
 class Homography:
     """Invertible 3x3 perspective transform from source units to meters."""
@@ -50,11 +38,16 @@ class Homography:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.float64).reshape(3, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # numpy takes log(0) at a zero pivot, which flags a division; det is 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             det = np.linalg.det(m)
+            # |det| over the row norms' product, so no uniform scaling decides:
+            # the determinant of the unit-length rows, safe from over/underflow
+            norms = np.hypot.reduce(m, axis=1)
+            relative = np.linalg.det(m / norms[:, None]) if norms.all() else 0.0
         if not math.isfinite(det):
             raise DataError("homography matrix too large: its determinant overflows")
-        if abs(det) <= 1e-12:
+        if abs(relative) <= 1e-12:
             raise DataError("homography matrix is not invertible")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -75,13 +68,21 @@ class Homography:
         return cls(np.array(nums).reshape(3, 3))
 
 
-def apply_homography(h: Homography, p) -> np.ndarray:
-    """Apply the perspective transform to one 2D point."""
-    x, y = float(p[0]), float(p[1])
-    u, v, w = h.matrix @ np.array([x, y, 1.0])
-    if abs(w) < 1e-12:
-        raise DegeneratePointError(f"point ({x}, {y}) maps to infinity")
-    return np.array([u / w, v / w])
+def apply_homography(h: Homography, points: np.ndarray) -> np.ndarray:
+    """Apply the perspective transform to an (N, 2) array of points.
+
+    One stacked product ``H @ [x, y, 1]`` gives every point the same bits as
+    a product per point would. A point that overflows comes out non-finite,
+    and the canonical writer rejects it as a data error.
+    """
+    ones = np.ones((len(points), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, w = np.matmul(h.matrix, np.hstack([points, ones])[:, :, None])[:, :, 0].T
+        far = np.flatnonzero(np.abs(w) < 1e-12)
+        if far.size:
+            x, y = points[far[0]]
+            raise DataError(f"point ({float(x)}, {float(y)}) maps to infinity")
+        return np.column_stack([u / w, v / w])
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,16 @@ class IngestSummary:
                 f"{self.n_split} split off)")
 
 
-def parse_obsmat(data, column_map: str | None = None) -> list:
+def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
     """Parse a whitespace-separated annotation matrix.
 
     Two layouts are recognized by column count: the 8-or-more column
     observation-matrix convention (frame, id, x, ., y, ...) where position
     columns are 2 and 4, and the plain 4-column (frame, id, x, y) layout.
     ``column_map`` overrides the detection with four comma-separated column
-    indices for frame, id, x, y. Rows come back in file order; rows are never
-    reordered or deduplicated here.
+    indices for frame, id, x, y. The result is an (N, 4) float array of
+    (frame, id, x, y) rows in file order, never reordered or deduplicated
+    here; frame and id hold integers.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -152,8 +154,8 @@ def parse_obsmat(data, column_map: str | None = None) -> list:
             raise ParseError(lineno, "frame and id columns must be integers")
         if frame < 0:
             raise ParseError(lineno, f"negative frame {frame}")
-        rows.append(RawAnnotationRow(frame, agent, x, y))
-    return rows
+        rows.append((frame, agent, x, y))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def _is_number(tok: str) -> bool:
@@ -164,9 +166,9 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def to_canonical(rows: list, homography: Homography | None, source_fps: float,
+def to_canonical(rows: np.ndarray, homography: Homography, source_fps: float,
                  cfg: Config) -> tuple:
-    """Convert parsed annotation rows to canonical CSV bytes plus a summary.
+    """Convert parsed (N, 4) annotation rows to canonical CSV and a summary.
 
     Rows are grouped per agent, transformed to meters, resampled onto the
     shared step grid, and emitted sorted by (agent_id, frame). A temporal gap
@@ -176,25 +178,26 @@ def to_canonical(rows: list, homography: Homography | None, source_fps: float,
     """
     if not (source_fps > 0 and math.isfinite(source_fps)):
         raise ValueError("source_fps must be positive and finite")
-    per_agent: dict = {}
-    for row in rows:
-        per_agent.setdefault(row.agent_id, []).append(row)
+    rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
+    agent_ids, starts = np.unique(rows[:, 1], return_index=True)
     tracks = []
-    n_dropped = 0
-    n_split = 0
+    n_dropped = n_split = 0
     gap_limit = 2.0 * cfg.step_duration * (1.0 + _GAP_TOL)
-    for agent_id in sorted(per_agent):
-        agent_rows = sorted(per_agent[agent_id], key=lambda r: r.frame)
-        frames = [r.frame for r in agent_rows]
-        if len(set(frames)) != len(frames):
+    for agent, block in zip(agent_ids, np.split(rows, starts[1:])):
+        agent_id = int(agent)
+        frames = block[:, 0]
+        if np.any(np.diff(frames) == 0):
             raise DataError(f"agent {agent_id} has duplicate frames in the source")
-        times = np.array(frames, dtype=np.float64) / source_fps
-        points = np.array([[r.raw_x, r.raw_y] for r in agent_rows])
-        if homography is not None:
-            points = np.array([apply_homography(homography, p) for p in points])
-        segments = _split_on_gaps(times, points, gap_limit)
+        with np.errstate(over="ignore"):
+            times = frames / source_fps
+        if not np.isfinite(times[-1]):
+            frame = int(frames[np.flatnonzero(~np.isfinite(times))[0]])
+            raise DataError(f"agent {agent_id}: frame {frame} at {source_fps} fps "
+                            f"overflows the time axis")
+        points = apply_homography(homography, block[:, 2:])
+        cuts = np.flatnonzero(np.diff(times) > gap_limit) + 1
         part = 0
-        for seg_times, seg_points in segments:
+        for seg_times, seg_points in zip(np.split(times, cuts), np.split(points, cuts)):
             if len(seg_times) < 2:
                 n_dropped += 1
                 continue
@@ -209,17 +212,6 @@ def to_canonical(rows: list, homography: Homography | None, source_fps: float,
                 n_split += 1
             tracks.append(Trajectory(name, res.frames, res.times, res.positions))
     csv_bytes = write_canonical_csv(tracks)
-    summary = IngestSummary(n_rows=len(rows), n_source_agents=len(per_agent),
+    summary = IngestSummary(n_rows=len(rows), n_source_agents=len(agent_ids),
                             n_tracks=len(tracks), n_dropped=n_dropped, n_split=n_split)
     return csv_bytes, summary
-
-
-def _split_on_gaps(times: np.ndarray, points: np.ndarray, gap_limit: float) -> list:
-    segments = []
-    start = 0
-    for i in range(1, len(times)):
-        if times[i] - times[i - 1] > gap_limit:
-            segments.append((times[start:i], points[start:i]))
-            start = i
-    segments.append((times[start:], points[start:]))
-    return segments

@@ -4,11 +4,12 @@
 
 Writes ``input.csv`` (about 40 agents walking in groups of 1-4 across a
 30 x 20 m area, frames 0-99), ``history.csv`` (earlier walkers, passed to
-``predict`` and ``destinations`` as ``--database``) and ``scene.txt`` (one
-wall segment, one convex pillar) next to this script. The expected outputs
-under ``expected/`` come from running the commands in ``test_golden.py`` on
-these inputs; regenerating them is a behaviour change and must be stated as
-one.
+``predict`` and ``destinations`` as ``--database``), ``scene.txt`` (one
+wall segment, one convex pillar), and the raw annotations ``raw.txt`` with
+their pixel-to-meter ``homography.txt`` (passed to ``ingest``) next to this
+script. The expected outputs under ``expected/`` come from running the
+commands in ``test_golden.py`` on these inputs; regenerating them is a
+behaviour change and must be stated as one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 STEP = 0.3999
 SEED = 20210219
+RAW_SEED = 20090929   # own stream: the canonical inputs stay as they were
+RAW_FPS = 10.0
+
+# pixels to meters with a perspective term, as in the ETH recordings
+HOMOGRAPHY = np.array([[2.8e-2, 1.5e-3, -3.2],
+                       [-6.0e-4, 3.1e-2, -1.7],
+                       [2.0e-5, 4.5e-5, 1.0]])
 
 SCENE = """\
 # wall along the south edge of the crossing, and a square pillar
@@ -67,11 +75,44 @@ def _csv(rows: list) -> str:
         f"{f},{a},{x!r},{y!r}\n" for a, f, x, y in rows)
 
 
+def _raw_obsmat(rng) -> str:
+    """Five walkers at 10 fps in the 8-column obsmat layout, pixel units,
+    rows ordered by frame. Walker 2 misses one frame (bridged), walker 3
+    leaves for three seconds (split into ``3`` and ``3#2``), and walker 4
+    comes back for a single row (a remnant that is dropped)."""
+    to_pixels = np.linalg.inv(HOMOGRAPHY)
+    rows = []
+    for agent in range(5):
+        first = int(rng.integers(0, 40))
+        frames = np.arange(first, first + int(rng.integers(50, 90)))
+        if agent == 2:
+            frames = np.delete(frames, 20)
+        elif agent == 3:
+            frames = np.concatenate([frames[:30], frames[60:]])
+        elif agent == 4:
+            frames = np.append(frames, frames[-1] + 40)
+        t = (frames - first) / RAW_FPS
+        heading = rng.uniform(-np.pi, np.pi)
+        speed = rng.uniform(0.8, 1.5)
+        start = rng.uniform([2.0, 2.0], [18.0, 12.0])
+        world = start + speed * t[:, None] * np.array([np.cos(heading), np.sin(heading)])
+        world += rng.normal(0.0, 0.02, size=world.shape)
+        hom = np.column_stack([world, np.ones(len(world))]) @ to_pixels.T
+        pixels = hom[:, :2] / hom[:, 2:]
+        rows += [(int(f), agent, px, py) for f, (px, py) in zip(frames, pixels)]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return "".join(f"{f:.7e} {a:.7e} {x:.7e} {0.0:.7e} {y:.7e} "
+                   f"{0.0:.7e} {0.0:.7e} {0.0:.7e}\n" for f, a, x, y in rows)
+
+
 def main() -> None:
     rng = np.random.default_rng(SEED)
     (HERE / "input.csv").write_text(_csv(_rows(rng, "", 16, (0, 30), (60, 80))))
     (HERE / "history.csv").write_text(_csv(_rows(rng, "h", 12, (0, 10), (20, 40))))
     (HERE / "scene.txt").write_text(SCENE)
+    (HERE / "raw.txt").write_text(_raw_obsmat(np.random.default_rng(RAW_SEED)))
+    (HERE / "homography.txt").write_text(
+        "\n".join(" ".join(repr(float(v)) for v in row) for row in HOMOGRAPHY) + "\n")
 
 
 if __name__ == "__main__":

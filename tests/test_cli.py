@@ -101,6 +101,41 @@ class TestIngest:
         assert "agent '7'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_time_is_data_error(self, tmp_path, capsys):
+        # frame 1e308 at 1e-300 fps has no finite time
+        raw = tmp_path / "raw.txt"
+        raw.write_text("0 7 0.0 0.0\n1e308 7 1.0 0.0\n")
+        out = tmp_path / "run"
+        rc = cli.main(["ingest", str(raw), "--fps", "1e-300", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "agent 7: frame 1000" in err and "overflows the time axis" in err
+        assert not out.exists()
+
+    def test_point_at_infinity_is_data_error(self, tmp_path, capsys):
+        # w = 0.01 x + 1 vanishes at x = -100
+        raw = tmp_path / "raw.txt"
+        raw.write_text("0 7 -99.0 0.0\n1 7 -100.0 0.0\n")
+        (tmp_path / "h.txt").write_text("1 0 0  0 1 0  0.01 0 1\n")
+        out = tmp_path / "run"
+        rc = cli.main(["ingest", str(raw), "--homography", str(tmp_path / "h.txt"),
+                       "--out", str(out)])
+        assert rc == 3
+        assert "point (-100.0, 0.0) maps to infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_transform_is_data_error(self, tmp_path, capsys):
+        # a valid matrix times a finite pixel overflows to inf
+        raw = tmp_path / "raw.txt"
+        raw.write_text("0 7 1e308 0.0\n1 7 1e308 0.0\n2 7 1e308 0.0\n")
+        (tmp_path / "h.txt").write_text("1e200 0 0  0 1 0  0 0 1\n")
+        out = tmp_path / "run"
+        rc = cli.main(["ingest", str(raw), "--homography", str(tmp_path / "h.txt"),
+                       "--out", str(out)])
+        assert rc == 3
+        assert "agent '7': non-finite coordinate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGroups:
     def test_jsonl_structure(self, tmp_path, capsys):
@@ -306,6 +341,14 @@ class TestEval:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "endtimes" in capsys.readouterr().err
+
+    def test_empty_endtimes_is_usage_error(self, tmp_path, capsys, tracks_csv):
+        # an explicitly empty list is not the default list
+        rc = cli.main(["eval", str(tracks_csv), "--endtimes", "",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "no endtimes to evaluate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_non_positive_stride_is_usage_error(self, tmp_path, capsys,

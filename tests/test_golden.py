@@ -39,6 +39,8 @@ CASES = {
                       "--plot", "predict.svg"], "predict.svg"),
     "plot": (["plot", "input.csv", "--scene", "scene.txt", "--endtime", "40"],
              "plot.svg"),
+    "ingest": (["ingest", "raw.txt", "--homography", "homography.txt",
+                "--fps", "10"], "canonical.csv"),
 }
 
 

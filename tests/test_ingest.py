@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
-from crowdcast.core import DataError
+import ingest_oracle
+from crowdcast.core import DataError, Trajectory, resample_trajectory
 from crowdcast.ingest import (
-    DegeneratePointError,
     Homography,
     ParseError,
     apply_homography,
@@ -29,16 +31,17 @@ class TestParseObsmat:
     def test_eight_column_layout(self):
         rows = parse_obsmat(OBSMAT_8COL.encode())
         assert len(rows) == 3
-        assert rows[0].frame == 0 and rows[0].agent_id == 1
-        assert rows[0].raw_x == 1.0 and rows[0].raw_y == 2.0
+        frame, agent_id, raw_x, raw_y = rows[0]
+        assert frame == 0 and agent_id == 1
+        assert raw_x == 1.0 and raw_y == 2.0
 
     def test_four_column_layout(self):
         rows = parse_obsmat(b"0 7 3.5 4.5\n1 7 3.6 4.4\n")
-        assert rows[0].raw_x == 3.5 and rows[0].raw_y == 4.5
+        assert rows[0, 2] == 3.5 and rows[0, 3] == 4.5
 
     def test_column_map_override(self):
         rows = parse_obsmat(b"0 7 4.5 3.5\n", column_map="0,1,3,2")
-        assert rows[0].raw_x == 3.5 and rows[0].raw_y == 4.5
+        assert rows[0, 2] == 3.5 and rows[0, 3] == 4.5
 
     def test_comments_and_blanks_skipped(self):
         rows = parse_obsmat(b"# c\n\n% c\n0 1 1.0 1.0\n")
@@ -73,21 +76,39 @@ class TestParseObsmat:
 
 class TestHomography:
     def test_identity(self):
-        p = apply_homography(Homography.identity(), (3.0, -2.0))
+        p = apply_homography(Homography.identity(), np.array([[3.0, -2.0]]))
         assert np.allclose(p, [3.0, -2.0])
 
     def test_scaling(self):
         h = Homography.from_text("2 0 0  0 2 0  0 0 1")
-        assert np.allclose(apply_homography(h, (1.0, 2.0)), [2.0, 4.0])
+        assert np.allclose(apply_homography(h, np.array([[1.0, 2.0]])), [2.0, 4.0])
 
     def test_singular_rejected(self):
         with pytest.raises(DataError):
             Homography.from_text("1 0 0  0 1 0  0 0 0")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 3  2 4 6  0 0 1", "not invertible"),
+        ("0 0 0  0 0 0  0 0 0", "not invertible"),
+        ("0 0 0  0 1 0  2.225073858507203e-309 0 1", "not invertible"),
+        ("1e300 0 0  0 1e300 0  0 0 1", "determinant overflows")])
+    def test_singular_zero_and_overflowing_messages(self, text, message):
+        with pytest.raises(DataError, match=message):
+            Homography.from_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e-7 0 0  0 1e-7 0  0 0 1", "1e-300 0 0  0 1e-300 0  0 0 1",
+        "1e200 0 0  0 1e-200 0  0 0 1", "1.4e154 0 0  1.2124e154 7e153 0  0 0 1"])
+    def test_invertibility_is_scale_free(self, text):
+        # det 1e-14, 1e-600 (underflows to 0), 1 and 9.8e307 (the row norms'
+        # product overflows): rows of any scale that are far from dependent
+        h = Homography.from_text(text)
+        assert np.all(np.isfinite(apply_homography(h, np.array([[1.0, 2.0]]))))
+
     def test_degenerate_point(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 1.0]]))
-        with pytest.raises(DegeneratePointError):
-            apply_homography(h, (-1.0, 0.0))
+        with pytest.raises(DataError, match=r"point \(-1.0, 0.0\) maps to infinity"):
+            apply_homography(h, np.array([[2.0, 0.0], [-1.0, 0.0]]))
 
     def test_from_text_needs_nine_numbers(self):
         with pytest.raises(DataError):
@@ -98,16 +119,19 @@ class TestHomography:
             Homography.from_text("1 0 0 0 1 0 0 0 nan")
 
 
+IDENTITY = Homography.identity()
+
+
 def _rows(agent_id, frames, xs, ys):
-    return [cc.ingest.RawAnnotationRow(f, agent_id, x, y)
-            for f, x, y in zip(frames, xs, ys)]
+    frames = np.asarray(frames, dtype=np.float64)
+    return np.column_stack([frames, np.full(len(frames), agent_id), xs, ys])
 
 
 class TestToCanonical:
     def test_resamples_onto_step_grid(self, cfg):
         # 2.5 fps annotations are 0.4 s apart, slightly off the 0.3999 grid
         rows = _rows(1, range(11), [0.4 * f for f in range(11)], [0.0] * 11)
-        csv_bytes, summary = to_canonical(rows, None, 2.5, cfg)
+        csv_bytes, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         tracks = cc.read_canonical_csv(csv_bytes, cfg.step_duration)
         assert summary.n_tracks == 1 and summary.n_dropped == 0
         tr = tracks[0]
@@ -118,13 +142,13 @@ class TestToCanonical:
     def test_single_missing_frame_is_bridged(self, cfg):
         frames = [0, 1, 3, 4]
         rows = _rows(1, frames, [0.4 * f for f in frames], [0.0] * 4)
-        _, summary = to_canonical(rows, None, 2.5, cfg)
+        _, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         assert summary.n_tracks == 1 and summary.n_split == 0
 
     def test_long_gap_splits_track(self, cfg):
         frames = [0, 1, 2, 6, 7, 8]
         rows = _rows(5, frames, [0.4 * f for f in frames], [0.0] * 6)
-        csv_bytes, summary = to_canonical(rows, None, 2.5, cfg)
+        csv_bytes, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         names = [tr.agent_id
                  for tr in cc.read_canonical_csv(csv_bytes, cfg.step_duration)]
         assert names == ["5", "5#2"]
@@ -132,7 +156,7 @@ class TestToCanonical:
 
     def test_short_remnant_dropped(self, cfg):
         rows = _rows(9, [0], [1.0], [1.0])
-        csv_bytes, summary = to_canonical(rows, None, 2.5, cfg)
+        csv_bytes, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         assert summary.n_dropped == 1 and summary.n_tracks == 0
         assert cc.read_canonical_csv(csv_bytes, cfg.step_duration) == []
 
@@ -146,14 +170,84 @@ class TestToCanonical:
     def test_duplicate_source_frame_rejected(self, cfg):
         rows = _rows(1, [0, 0, 1], [0.0, 0.1, 0.2], [0.0] * 3)
         with pytest.raises(DataError):
-            to_canonical(rows, None, 2.5, cfg)
+            to_canonical(rows, IDENTITY, 2.5, cfg)
 
     def test_zero_fps_rejected(self, cfg):
         with pytest.raises(ValueError):
-            to_canonical([], None, 0.0, cfg)
+            to_canonical(np.empty((0, 4)), IDENTITY, 0.0, cfg)
 
     def test_summary_describe(self, cfg):
         rows = _rows(1, range(4), [0.4 * f for f in range(4)], [0.0] * 4)
-        _, summary = to_canonical(rows, None, 2.5, cfg)
+        _, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         text = summary.describe()
         assert "1 source agents" in text and "1 tracks" in text
+
+
+STEPS = st.sampled_from([0.3999, 0.4, 0.1, 1.0 / 3.0, 2.5])
+COORDS = st.one_of(st.floats(-100.0, 100.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def raw_track(draw) -> tuple:
+    """Samples on the grid, within about 1e-9 of it (either side of the
+    snap tolerance), or between grid points, so ranges often start or end
+    off the grid; coordinates up to the largest finite floats."""
+    step = draw(STEPS)
+    times = []
+    # grid indices in a small range, so two samples often share a grid point
+    for k in draw(st.lists(st.integers(-3, 20), min_size=2, max_size=12)):
+        t = k * step
+        kind = draw(st.sampled_from(["on", "near", "off"]))
+        if kind == "near":
+            t += draw(st.floats(-1.5e-9, 1.5e-9)) * max(1.0, abs(t))
+        elif kind == "off":
+            t += draw(st.floats(-0.49, 0.49)) * step
+        times.append(t)
+    times = np.unique(times)
+    assume(len(times) >= 2)
+    points = np.array(draw(st.lists(COORDS, min_size=2 * len(times),
+                                    max_size=2 * len(times)))).reshape(-1, 2)
+    return Trajectory("a", np.arange(len(times)), times, points), step
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=raw_track())
+def test_resample_bit_equal_to_oracle(case):
+    traj, step = case
+    got = resample_trajectory(traj, step)
+    want = ingest_oracle.resample_trajectory(traj, step)
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.positions.tobytes() == want.positions.tobytes()
+
+
+MATRIX_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.0, 2.0]),
+                           st.floats(-10.0, 10.0), st.floats(-1e200, 1e200))
+POINT_COORDS = st.one_of(st.integers(-4, 4).map(float), COORDS)
+
+
+def _transform_or_error(transform, h, points):
+    try:
+        return transform(h, points).tobytes()
+    except DataError as err:
+        return str(err)
+
+
+def _oracle_transform(h, points):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([ingest_oracle.apply_homography(h, p)
+                         for p in points]).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(MATRIX_ENTRIES, min_size=9, max_size=9),
+       coords=st.lists(POINT_COORDS, min_size=0, max_size=16))
+def test_homography_bit_equal_to_oracle(entries, coords):
+    try:
+        h = Homography(np.array(entries))
+    except DataError:
+        assume(False)
+    points = np.array(coords[:len(coords) // 2 * 2]).reshape(-1, 2)
+    assert (_transform_or_error(apply_homography, h, points)
+            == _transform_or_error(_oracle_transform, h, points))
