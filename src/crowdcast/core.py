@@ -22,6 +22,10 @@ CANONICAL_HEADER = "frame,agent_id,x,y"
 # tolerance when deciding whether a timestamp lies exactly on the step grid
 _GRID_EPS = 1e-9
 
+# direction vectors shorter than this are treated as "no direction": the
+# directional retrieval term is dropped rather than divided by ~0
+STATIONARY_NORM = 1e-9
+
 # largest frame index a canonical CSV may hold: frames are int64 arrays
 _MAX_FRAME = np.iinfo(np.int64).max
 
@@ -489,7 +493,12 @@ class TrajectoryDatabase:
     its position, its un-normalized average movement direction, the last
     point of its source track (the destination) and its 1-based ``step`` in
     that track. ``agent_codes`` index ``agent_ids``, which lists the source
-    agents in natural order, so comparing codes compares ids.
+    agents in natural order, so comparing codes compares ids. A track's
+    samples are contiguous, in ascending step, and tracks of three or more
+    points keep their input order; ``track_starts`` holds the index of each
+    track's first sample. ``direction_norms`` are the directions' lengths
+    and ``moving`` the indices of the samples whose length is at least
+    ``STATIONARY_NORM``.
     """
 
     def __init__(self, tracks: list):
@@ -510,8 +519,12 @@ class TrajectoryDatabase:
         self.directions = np.concatenate(
             [np.empty((0, 2))] + [_directions(tr.positions)[2:] for tr in tracks])
         self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
-        for arr in (self.agent_codes, self.steps, self.positions,
-                    self.directions, self.destinations):
+        self.direction_norms = np.sqrt(np.vecdot(self.directions, self.directions))
+        self.moving = np.flatnonzero(self.direction_norms >= STATIONARY_NORM)
+        self.track_starts = np.flatnonzero(self.steps == 3)  # first sample: step 3
+        for arr in (self.agent_codes, self.steps, self.positions, self.directions,
+                    self.destinations, self.direction_norms, self.moving,
+                    self.track_starts):
             arr.setflags(write=False)
 
     def __len__(self) -> int:

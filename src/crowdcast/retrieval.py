@@ -1,8 +1,9 @@
 """Destination candidates retrieved from the historical track database.
 
-A query pose (current position plus average movement direction) is matched
-against every stored sample; the destinations of the best-matching samples,
-one per historical agent, become candidate destinations. A straight-line
+A query pose (current position plus average movement direction) is scored
+against every stored sample. Each stored track keeps its best sample, and
+only these track minima are ranked: the destinations of the best ones, one
+per historical agent, become candidate destinations. A straight-line
 continuation of the query track is always appended as the final candidate so
 the set never depends entirely on the database.
 """
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    STATIONARY_NORM,
     Config,
     Trajectory,
     TrajectoryDatabase,
@@ -22,10 +24,6 @@ from .core import (
 )
 
 LINEAR_PROVENANCE = "linear-continuation"
-
-# direction vectors shorter than this are treated as "no direction": the
-# directional score term is dropped rather than divided by ~0
-_STATIONARY_NORM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,10 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
     range, plus ``direction_weight * (1 - cos)`` between the average
     movement directions. Samples heading against the query (negative
     cosine) are rejected; a stationary query or sample drops the direction
-    term. The query's own agent and ``exclude`` are skipped. Each agent
-    keeps its lowest-scoring sample; agents rank by score, then id (natural
-    order), then sample step. Returns ``(score, sample index)`` pairs.
+    term. Each stored track keeps its lowest score at its lowest step; the
+    query's own agent and ``exclude`` are then dropped, and only these track
+    minima are sorted, by score, then id (natural order), then step, so
+    each agent keeps its best one. Returns ``(score, sample index)`` pairs.
     """
     if k is None:
         k = cfg.k_candidates
@@ -72,18 +71,24 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
     offset = pose.pos - db.positions
     score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
     qn = float(np.sqrt(np.vecdot(pose.direction, pose.direction)))
-    keep = ~np.isin(db.agent_codes, db.codes_of([pose.agent_id, *exclude]))
-    if qn >= _STATIONARY_NORM:
-        sn = np.sqrt(np.vecdot(db.directions, db.directions))
-        moving = sn >= _STATIONARY_NORM
-        cos = np.vecdot(db.directions[moving], pose.direction) / (qn * sn[moving])
+    if qn >= STATIONARY_NORM:
+        moving = db.moving
+        # ``take`` gathers the rows several times faster than ``[moving]``
+        cos = np.vecdot(db.directions.take(moving, axis=0), pose.direction) / (
+            qn * db.direction_norms[moving])
         score[moving] += cfg.direction_weight * (1.0 - cos)
-        keep[moving] &= cos >= 0.0
-    idx = np.flatnonzero(keep)
-    idx = idx[np.lexsort((db.steps[idx], db.agent_codes[idx], score[idx]))]
-    _, first = np.unique(db.agent_codes[idx], return_index=True)
-    best = idx[np.sort(first)[:k]]
-    return [(float(score[i]), int(i)) for i in best]
+        # a rejected sample scores NaN: fmin passes over it and no minimum
+        # equals it
+        score[moving[~(cos >= 0.0)]] = np.nan
+    starts, n = db.track_starts, len(db)
+    low = np.repeat(np.fmin.reduceat(score, starts), np.diff(starts, append=n))
+    # each track's first, so lowest-step, sample at its minimum; n if none
+    best = np.minimum.reduceat(np.where(score == low, np.arange(n), n), starts)
+    best = best[best < n]
+    best = best[~np.isin(db.agent_codes[best], db.codes_of([pose.agent_id, *exclude]))]
+    best = best[np.lexsort((db.steps[best], db.agent_codes[best], score[best]))]
+    _, first = np.unique(db.agent_codes[best], return_index=True)
+    return [(float(score[i]), int(i)) for i in best[np.sort(first)[:k]]]
 
 
 def query_pose(traj: Trajectory) -> QueryPose:
@@ -107,7 +112,7 @@ def linear_continuation(traj: Trajectory, cfg: Config) -> np.ndarray:
     direction = average_direction(traj, len(traj))
     norm = float(np.linalg.norm(direction))
     speed = float(np.linalg.norm(velocity_at(traj, int(traj.frames[-1]))))
-    if norm < _STATIONARY_NORM or speed < _STATIONARY_NORM:
+    if norm < STATIONARY_NORM or speed < STATIONARY_NORM:
         return last
     horizon = cfg.predict_time_steps * cfg.step_duration
     return last + (direction / norm) * speed * horizon

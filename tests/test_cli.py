@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -157,10 +158,9 @@ class TestGroups:
         assert len(records[0]["center_last"]) == 2
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
-    def test_huge_chained_group_exits_cleanly(self, tmp_path, capsys):
-        # 720 agents 0.4 m apart form one chained group; its cohesion score
-        # is about -718, past the range of exp
-        n = 720
+    @staticmethod
+    def _chain_groups(tmp_path, capsys, n):
+        """``groups`` records of n agents 0.4 m apart over a 2-frame window."""
         rows = "".join(f"{f},{a},{0.4 * a!r},{0.5 * f!r}\n"
                        for a in range(n) for f in range(2))
         path = tmp_path / "chain.csv"
@@ -170,9 +170,23 @@ class TestGroups:
                        "--out", str(tmp_path)])
         assert rc == 0
         capsys.readouterr()
-        records = [json.loads(line) for line in
-                   (tmp_path / "groups.jsonl").read_text().splitlines()]
-        assert [r["size"] for r in records] == [n]
+        return [json.loads(line) for line in
+                (tmp_path / "groups.jsonl").read_text().splitlines()]
+
+    def test_huge_chained_group_exits_cleanly(self, tmp_path, capsys):
+        # 720 agents 0.4 m apart form one chained group; its cohesion score
+        # is about -718, past the range of exp
+        records = self._chain_groups(tmp_path, capsys, 720)
+        assert [r["size"] for r in records] == [720]
+        assert records[0]["emotion"] == 0.0
+
+    def test_5000_agent_chain_is_cheap(self, tmp_path, capsys):
+        # cost probe: 5,000 agents still form one chained group, with the
+        # same emotion, in bounded time (about 4.5 s on a 2-core host)
+        t0 = time.perf_counter()
+        records = self._chain_groups(tmp_path, capsys, 5000)
+        assert time.perf_counter() - t0 < 20.0
+        assert [r["size"] for r in records] == [5000]
         assert records[0]["emotion"] == 0.0
 
     def test_duplicate_frame_is_data_error(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast.retrieval import (
@@ -114,6 +116,68 @@ class TestQuerySimilar:
         db = cc.build_database([], cfg)
         pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
         assert query_similar(db, pose, cfg) == []
+
+
+AGENTS = ("a", "b", "9", "10")
+LATTICE = 0.5
+LATTICE_POINTS = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+MOVES = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (0, 0)])
+# zero, at, just below and just above the stationary norm 1e-9, or a step
+# of the lattice
+QUERY_DIRECTIONS = st.one_of(
+    st.sampled_from([(0.0, 0.0), (1e-9, 0.0), (1e-9 * (1 - 1e-6), 0.0),
+                     (1e-9 * (1 + 1e-6), 0.0), (0.0, -1e-9 * (1 + 1e-6))]),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    .map(lambda d: (d[0] * LATTICE, d[1] * LATTICE)))
+
+
+@st.composite
+def lattice_tracks(draw):
+    """0-12 tracks of 3-30 lattice points, as (agent id, first frame, points)
+    tuples. Ids come from a pool of four, so one id often holds adjacent and
+    non-adjacent tracks, and distances tie exactly. Some tracks copy an
+    earlier one, under a new id or under its own id with its first points
+    cut, so one agent reaches one score at two steps; some open with a
+    stationary stretch, whose directions are exactly zero. Moves head every
+    way, so many samples run against the query's flow."""
+    tracks = []
+    for t in range(draw(st.integers(0, 12))):
+        if tracks and draw(st.integers(0, 4)) == 0:
+            aid, first, points = tracks[draw(st.integers(0, len(tracks) - 1))]
+            cut = draw(st.integers(0, len(points) - 3))
+            tracks.append((draw(st.sampled_from([f"copy{t}", aid])), first + cut,
+                           points[cut:]))
+            continue
+        n = draw(st.integers(3, 30))
+        still = draw(st.integers(0, n - 1))
+        moves = [(0, 0)] * still + draw(st.lists(MOVES, min_size=n - 1 - still,
+                                                 max_size=n - 1 - still))
+        points = [draw(LATTICE_POINTS)]
+        for dx, dy in moves:
+            points.append((points[-1][0] + dx, points[-1][1] + dy))
+        tracks.append((draw(st.sampled_from(AGENTS)), draw(st.integers(0, 5)), points))
+    return tracks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(tracks=lattice_tracks(), agent=st.sampled_from(AGENTS + ("q",)),
+       pos=LATTICE_POINTS, direction=QUERY_DIRECTIONS,
+       exclude=st.lists(st.sampled_from(AGENTS + ("absent", "copy3")), max_size=3),
+       k=st.integers(1, 16))
+# two adjacent tracks of one agent that both reach score 0.0, the first at
+# step 9 and the second at step 4: the agent's best sample is the step 4 one
+@example(tracks=[("a", 0, [(i - 8, 0) for i in range(10)]),
+                 ("a", 0, [(i - 3, 0) for i in range(6)])],
+         agent="q", pos=(0, 0), direction=(0.0, 0.0), exclude=[], k=2)
+def test_query_equals_scan_oracle(tracks, agent, pos, direction, exclude, k):
+    cfg = cc.Config()
+    db = cc.build_database(
+        [cc.Trajectory.from_frame_grid(aid, np.arange(first, first + len(points)),
+                                       np.array(points, float) * LATTICE, STEP)
+         for aid, first, points in tracks], cfg)
+    pose = QueryPose(agent, np.array(pos, float) * LATTICE, np.array(direction))
+    assert (query_similar(db, pose, cfg, k=k, exclude=exclude)
+            == scan_similar(db, pose, cfg, k=k, exclude=exclude))
 
 
 class TestLinearContinuation:
