@@ -261,6 +261,20 @@ class SceneGeometry:
         object.__setattr__(self, "polygons", tuple(polys))
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
+        # every obstacle edge a -> a + ab, stacked once: segments first, then
+        # each ring's edges in order; ring r owns rows _ring_starts[r:r + 2].
+        # An edge of squared length below 1e-18 stands for its point a.
+        a = np.concatenate([np.empty((0, 2))] + [s[:1] for s in segs] + polys)
+        ab = np.concatenate([np.empty((0, 2))] + [s[1:] - s[:1] for s in segs]
+                            + [np.roll(p, -1, axis=0) - p for p in polys])
+        sq = np.vecdot(ab, ab)
+        short = sq < 1e-18
+        starts = np.cumsum([len(segs)] + [len(p) for p in polys])
+        for name, value in (("_a", a), ("_ab", ab), ("_short", short),
+                            ("_div", np.where(short, 1.0, sq)),
+                            ("_ring_starts", starts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def empty(cls) -> "SceneGeometry":
@@ -280,29 +294,35 @@ class SceneGeometry:
         when the point lies inside it.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        near, dist = [], []
-        for seg in self.segments:
-            q = _nearest_on_segment(p, seg[0], seg[1])
-            near.append(q)
-            dist.append(_length(p - q))
+        starts = self._ring_starts
+        n_seg = int(starts[0])
+        a = self._a[:, None]
+        ab = self._ab[:, None]
+        # (E, M) nearest points and distances, every edge against every point
+        pa = p - a
+        t = np.vecdot(pa, ab) / self._div[:, None]
+        t = np.where(t > 0.0, t, 0.0)
+        t = np.where(t < 1.0, t, 1.0)
+        q = np.where(self._short[:, None, None], a, a + t[..., None] * ab)
+        pq = p - q
+        d = np.sqrt(np.vecdot(pq, pq))
+        near = np.empty((n_seg + len(starts) - 1, len(p), 2))
+        dist = np.empty(near.shape[:2])
+        near[:n_seg] = q[:n_seg]
+        dist[:n_seg] = d[:n_seg]
         cols = np.arange(len(p))
-        for ring in self.polygons:
-            a = ring[:, None]
-            b = np.roll(ring, -1, axis=0)[:, None]
-            q = _nearest_on_segment(p, a, b)
-            d = _length(p - q)
-            first = np.argmin(d, axis=0)
-            # a point is inside when every edge whose cross product clears
-            # 1e-15 turns the same way, and at least one does
-            cross = ((b[..., 0] - a[..., 0]) * (p[:, 1] - a[..., 1])
-                     - (b[..., 1] - a[..., 1]) * (p[:, 0] - a[..., 0]))
+        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]), start=n_seg):
+            first = lo + d[lo:hi].argmin(axis=0)
+            # a point is inside a ring when every edge whose cross product
+            # clears 1e-15 turns the same way, and at least one does
+            cross = (ab[lo:hi, :, 0] * pa[lo:hi, :, 1]
+                     - ab[lo:hi, :, 1] * pa[lo:hi, :, 0])
             counted = ~(np.abs(cross) < 1e-15)
             left = (counted & (cross > 0)).any(axis=0)
             right = (counted & ~(cross > 0)).any(axis=0)
-            near.append(q[first, cols])
-            dist.append(np.where(left != right, -d[first, cols], d[first, cols]))
-        return (np.array(near).reshape(len(near), len(p), 2),
-                np.array(dist).reshape(len(dist), len(p)))
+            near[r] = q[first, cols]
+            dist[r] = np.where(left != right, -d[first, cols], d[first, cols])
+        return near, dist
 
 
 def _edges_fit(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -346,22 +366,6 @@ def _convex_polygon(p) -> np.ndarray:
     if not one_way or abs(abs(winding) - 1.0) > 1e-6:
         raise DataError("polygon is not convex")
     return p
-
-
-def _nearest_on_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nearest point to p on each segment a-b, broadcast over all three; a
-    segment of squared length below 1e-18 stands for its point a."""
-    ab = b - a
-    denom = np.vecdot(ab, ab)
-    short = denom < 1e-18
-    t = np.vecdot(p - a, ab) / np.where(short, 1.0, denom)
-    t = np.where(t > 0.0, t, 0.0)
-    t = np.where(t < 1.0, t, 1.0)
-    return np.where(short[..., None], a, a + t[..., None] * ab)
-
-
-def _length(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(v, v))
 
 
 def parse_scene(text: str) -> SceneGeometry:

@@ -99,7 +99,10 @@ class SimState:
 
     ``pairs`` is a (P, 2) array of the ordered (i, j) body pairs whose
     repulsion is evaluated, sorted by i, then j. Bodies that share no pair
-    must never come within ``neighborhood_range`` of each other.
+    must never come within ``neighborhood_range`` of each other. ``rows``
+    and ``cols`` are its two columns and ``bins`` the (2P,) flat indices of
+    each pair's x and y force term in an (n, 2) array. These four never
+    change during a rollout: they are read-only and shared by every copy.
     """
 
     positions: np.ndarray
@@ -109,11 +112,22 @@ class SimState:
     max_speeds: np.ndarray
     arrived: np.ndarray
     pairs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    bins: np.ndarray
 
     def copy(self) -> "SimState":
         return SimState(self.positions.copy(), self.velocities.copy(),
                         self.destinations.copy(), self.desired_speeds.copy(),
-                        self.max_speeds.copy(), self.arrived.copy(), self.pairs)
+                        self.max_speeds.copy(), self.arrived.copy(), self.pairs,
+                        self.rows, self.cols, self.bins)
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """Length of each row of an (n, 2) array, with the bits of
+    ``np.linalg.norm(v, axis=-1)``."""
+    x, y = v[:, 0], v[:, 1]
+    return np.sqrt(x * x + y * y)
 
 
 def make_sim_state(positions, velocities, destinations, desired_speeds,
@@ -133,15 +147,20 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     if not all(np.all(np.isfinite(a)) for a in (pos, vel, dest, spd)):
         raise DataError("non-finite simulation input")
     caps = params.max_speed_for(spd)
-    norms = np.linalg.norm(vel, axis=-1)
+    norms = _length(vel)
     over = norms > caps
     if np.any(over):
         vel[over] *= (caps[over] / norms[over])[:, None]
-    arrived = np.linalg.norm(pos - dest, axis=-1) <= params.radius
+    arrived = _length(pos - dest) <= params.radius
     vel[arrived] = 0.0
     if pairs is None:
         pairs = np.argwhere(~np.eye(n, dtype=bool))
-    return SimState(pos, vel, dest, spd, caps, arrived, pairs)
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    rows, cols = pairs[:, 0].copy(), pairs[:, 1].copy()
+    bins = (2 * rows[:, None] + np.arange(2)).ravel()
+    for a in (pairs, rows, cols, bins):
+        a.setflags(write=False)
+    return SimState(pos, vel, dest, spd, caps, arrived, pairs, rows, cols, bins)
 
 
 def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
@@ -158,7 +177,7 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     active = ~state.arrived
 
     to_dest = state.destinations - pos
-    dist = np.linalg.norm(to_dest, axis=-1)
+    dist = _length(to_dest)
     far = dist > _COINCIDENT
     speed = np.minimum(state.desired_speeds, dist / h)
     v_des = np.where(far[:, None],
@@ -166,24 +185,23 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
                      0.0)
     forces = params.mass * (v_des - state.velocities) / params.relaxation_time
 
-    rows, cols = state.pairs.T
+    rows = state.rows
     nudge = None
     if len(rows):
-        delta = pos[rows] - pos[cols]
-        d = np.linalg.norm(delta, axis=-1)
+        delta = pos[rows] - pos[state.cols]
+        d = _length(delta)
         pair = (d < params.neighborhood_range) & (d >= _COINCIDENT)
         if pair.any():
             exponent = np.minimum((2.0 * params.radius - d) / params.repulsion_range,
                                   _EXP_CAP)
             mag = np.where(pair, params.repulsion_strength * np.exp(exponent), 0.0)
-            unit = np.zeros_like(delta)
+            unit = np.zeros(delta.shape)
             np.divide(delta, d[:, None], out=unit, where=pair[:, None])
             terms = mag[:, None] * unit
             # bincount adds the terms into zeroed bins in input order, so each
             # row sums in ascending j, as a dense sum over the full pair
             # matrix does; the pairs left out would add exactly 0.0 there
-            bins = 2 * rows[:, None] + np.arange(2)
-            forces += np.bincount(bins.ravel(), terms.ravel(),
+            forces += np.bincount(state.bins, terms.ravel(),
                                   forces.size).reshape(forces.shape)
         coincident = d < _COINCIDENT
         if coincident.any():
@@ -191,34 +209,36 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
             nudge[rows[coincident]] = True
             nudge &= active
 
-    # one obstacle at a time, in scene order, as a per-body sum would add
-    # them; a body at a contact point gets no term from that obstacle, and a
-    # distance that overflows to inf gives a term of exactly zero
+    # the (O, M) terms of every obstacle at once, then added one obstacle at
+    # a time, in scene order, as a per-body sum would add them; a body at a
+    # contact point gets no term from that obstacle, and a distance that
+    # overflows to inf gives a term of exactly zero
     if not scene.is_empty:
         with np.errstate(over="ignore"):
-            for point, signed_d in zip(*scene.obstacle_contacts(pos)):
-                away = pos - point
-                away_len = np.sqrt(np.vecdot(away, away))
-                use = (active & ~(away_len < _COINCIDENT))[:, None]
-                np.divide(away, away_len[:, None], out=away, where=use)
-                away = np.where(signed_d[:, None] < 0.0, -away, away)
-                exponent = np.minimum(
-                    (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
-                np.add(forces,
-                       (params.obstacle_strength * np.exp(exponent))[:, None] * away,
-                       out=forces, where=use)
-    forces[~active] = 0.0
+            point, signed_d = scene.obstacle_contacts(pos)
+            away = pos - point
+            away_len = np.sqrt(np.vecdot(away, away))
+            use = (active & ~(away_len < _COINCIDENT))[..., None]
+            np.divide(away, away_len[..., None], out=away, where=use)
+            away = np.where(signed_d[..., None] < 0.0, -away, away)
+            exponent = np.minimum(
+                (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
+            terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
+            for term, mask in zip(terms, use):
+                np.add(forces, term, out=forces, where=mask)
+    forces[state.arrived] = 0.0
     return forces, nudge
 
 
-def _nudge_coincident(positions: np.ndarray, rows: np.ndarray,
-                      pairs: np.ndarray) -> None:
+def _nudge_coincident(state: SimState, marked: np.ndarray) -> None:
     """Separate every marked row from the pair partners coincident with it,
     row by row in ascending order: the lower row index of each pair moves
     by −``_NUDGE`` along x, the higher by +``_NUDGE``."""
-    for i in np.flatnonzero(rows):
-        partners = pairs[pairs[:, 0] == i, 1]
-        gap = np.linalg.norm(positions[partners] - positions[i], axis=-1)
+    positions = state.positions
+    for i in np.flatnonzero(marked):
+        first, end = np.searchsorted(state.rows, (i, i + 1))
+        partners = state.cols[first:end]
+        gap = _length(positions[partners] - positions[i])
         for j in partners[gap < _COINCIDENT]:
             lo, hi = (i, j) if i < j else (j, i)
             positions[lo, 0] -= _NUDGE
@@ -232,31 +252,34 @@ def step(state: SimState, scene: SceneGeometry, params: ForceParams,
     The step is integrated as ``params.substeps`` semi-implicit Euler
     substeps: velocity from the force, clamped to the body's speed cap,
     then position from the new velocity. A body within ``params.radius``
-    of its destination stops and stays put. Coincident pairs get a tiny
-    deterministic separation along x (lower row index pushed to −x).
+    of its destination stops and stays put, with one exception: a
+    coincident pair with at least one body not yet arrived gets a tiny
+    deterministic separation along x (lower row index pushed to −x), and
+    that nudge moves an arrived twin by ``_NUDGE`` too.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     sim = state.copy()
     h = dt / params.substeps
+    active = ~sim.arrived
+    moving = active[:, None]
     for _ in range(params.substeps):
         forces, nudge = _forces(sim, scene, params, h)
-        active = ~sim.arrived
         np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
-               where=active[:, None])
-        norms = np.linalg.norm(sim.velocities, axis=-1)
+               where=moving)
+        norms = _length(sim.velocities)
         over = active & (norms > sim.max_speeds)
-        if np.any(over):
+        if over.any():
             sim.velocities[over] *= (sim.max_speeds[over] / norms[over])[:, None]
-        np.add(sim.positions, sim.velocities * h, out=sim.positions,
-               where=active[:, None])
+        np.add(sim.positions, sim.velocities * h, out=sim.positions, where=moving)
         if nudge is not None:
-            _nudge_coincident(sim.positions, nudge, sim.pairs)
-        newly = ~sim.arrived & (np.linalg.norm(sim.positions - sim.destinations,
-                                               axis=-1) <= params.radius)
-        if np.any(newly):
+            _nudge_coincident(sim, nudge)
+        newly = active & (_length(sim.positions - sim.destinations) <= params.radius)
+        if newly.any():
             sim.arrived |= newly
             sim.velocities[newly] = 0.0
+            active = ~sim.arrived
+            moving = active[:, None]
     return sim
 
 

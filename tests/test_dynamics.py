@@ -92,6 +92,23 @@ class TestStep:
         assert np.all(np.isfinite(state.positions))
         assert state.positions[0, 0] != state.positions[1, 0]
 
+    def test_shared_arrays_read_only(self, cfg, params):
+        # every copy of a state, and every rollout in a scene, shares these
+        # arrays, so a write into one must raise instead of changing the rest
+        pairs = np.array([[0, 1], [1, 0]])
+        state = make_sim_state([[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)),
+                               [[5.0, 0.0], [-5.0, 0.0]], [1.0, 1.0], params, pairs)
+        assert pairs.flags.writeable
+        sibling = step(state, cc.SceneGeometry.empty(), params, cfg.step_duration)
+        for name in ("pairs", "rows", "cols", "bins"):
+            assert getattr(sibling, name) is getattr(state, name)
+            with pytest.raises(ValueError):
+                getattr(sibling, name)[0] = 0
+        scene = cc.parse_scene("seg 0 1 0 6\npoly 4 0 5 0 5 1")
+        for name in ("_a", "_ab", "_div", "_short", "_ring_starts"):
+            with pytest.raises(ValueError):
+                getattr(scene, name)[0] = 0
+
     def test_bad_dt_rejected(self, params, scene):
         state = make_sim_state([[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]],
                                [1.0], params)
@@ -314,6 +331,49 @@ class TestRolloutMatchesOracle:
         dests = np.array([[8.0, 0.0], [0.1, 0.1], [-8.0, -2.0]])
         self._assert_matches(start, dests, 1.0, scene, others, 20, params, cfg)
 
+    def test_arrivals_mid_step_beside_obstacles(self, cfg, monkeypatch):
+        """Other groups arrive partway through an output step at 8
+        substeps, beside the segment and the polygon, one of them in the
+        substep that nudges the coincident twin of an already arrived
+        group."""
+        params = ForceParams.from_config(cfg, substeps=8)
+        scene = cc.parse_scene(self.SCENE)
+        start = np.array([0.0, 0.0])
+        twin = np.array([-2.0, -2.0])
+        others = [GroupInit(np.array([-5.0, 3.0]), np.array([-5.3, 0.0]), 1.0),
+                  GroupInit(np.array([3.0, 3.0]), np.array([3.3, -0.5]), 1.0),
+                  GroupInit(twin.copy(), twin + np.array([0.1, 0.0]), 1.0),
+                  GroupInit(twin.copy(), np.array([-2.0, -12.0]), 0.8),
+                  GroupInit(np.array([1.0, -3.0]), np.array([1.305, -3.0]), 1.0)]
+        dests = np.array([[2.0, 1.5], [-4.0, -1.0], [0.1, 0.0]])
+
+        seen = []       # (arrived at the substep's start, nudged), per substep
+        oracle_forces = rollout_oracle._forces
+
+        def spy(state, *args):
+            forces, nudge_rows = oracle_forces(state, *args)
+            seen.append((state.arrived.copy(), bool(nudge_rows)))
+            return forces, nudge_rows
+
+        monkeypatch.setattr(rollout_oracle, "_forces", spy)
+        steps = 12
+        self._assert_matches(start, dests, 1.0, scene, others, steps, params, cfg)
+
+        per_rollout = steps * params.substeps
+        assert len(seen) == len(dests) * per_rollout
+        mid_step = in_nudge = 0
+        for c in range(len(dests)):
+            run = seen[c * per_rollout:(c + 1) * per_rollout]
+            # rows 3 and 4 are the twins: 3 starts arrived, 4 does not, and
+            # the first substep nudges them apart
+            arrived, nudged = run[0]
+            assert arrived[3] and not arrived[4] and nudged
+            for s, ((before, nudged), (after, _)) in enumerate(zip(run, run[1:])):
+                if (after & ~before)[1:].any():
+                    mid_step += s % params.substeps != params.substeps - 1
+                    in_nudge += nudged
+        assert mid_step >= 3 * len(dests) and in_nudge >= len(dests)
+
     def test_reach_bound_edge(self, cfg, params, scene):
         from crowdcast.dynamics import _REACH_MARGIN, _reach_component
 
@@ -387,6 +447,26 @@ class TestObstacleFieldMatchesOracle:
         assert near.tobytes() == ref_near.tobytes()
         assert dist.tobytes() == ref_dist.tobytes()
         assert np.any(dist < 0.0) and np.any(dist == 0.0)
+
+    @pytest.mark.parametrize("segments, polygons", [
+        (range(4), ()),                 # segments only
+        ((), (4, 0, 5)),                # rings of 5, 4 and 4 vertices in a row
+        ((1, 2), (2, 3, 1)),            # a zero-length ring edge mid-stack
+    ])
+    def test_contacts_bit_equal_on_edge_stack(self, segments, polygons):
+        scene = cc.SceneGeometry(tuple(np.array(self.SEGMENTS[i]) for i in segments),
+                                 tuple(np.array(self.POLYGONS[i]) for i in polygons),
+                                 np.array([[-10.0, -10.0], [10.0, 10.0]]))
+        n_obstacles = len(segments) + len(polygons)
+        near, dist = scene.obstacle_contacts(np.empty((0, 2)))
+        assert near.shape == (n_obstacles, 0, 2) and dist.shape == (n_obstacles, 0)
+        pts = self._points(np.random.default_rng(9))[::3]
+        near, dist = scene.obstacle_contacts(pts)
+        ref = [rollout_oracle.obstacle_contacts(scene, p) for p in pts]
+        ref_near = np.array([[q for q, _ in contacts] for contacts in ref])
+        ref_dist = np.array([[d for _, d in contacts] for contacts in ref])
+        assert near.tobytes() == ref_near.transpose(1, 0, 2).tobytes()
+        assert dist.tobytes() == ref_dist.T.tobytes()
 
     def test_forces_bit_equal(self, cfg, params):
         h = cfg.step_duration / params.substeps
