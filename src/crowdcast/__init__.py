@@ -15,7 +15,6 @@ from .core import (
     TrajectoryDatabase,
     average_direction,
     build_database,
-    history_for_endtime,
     parse_scene,
     read_canonical_csv,
     resample_trajectory,
@@ -100,7 +99,6 @@ __all__ = [
     "group_candidates",
     "group_center_trajectory",
     "group_emotion",
-    "history_for_endtime",
     "linear_continuation",
     "make_group_state",
     "make_sim_state",

@@ -19,14 +19,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     Config,
     DataError,
     SceneGeometry,
     build_database,
-    history_for_endtime,
     parse_scene,
     read_canonical_csv,
 )
@@ -243,7 +240,7 @@ def _database(args, cfg: Config, tracks: list):
     the known window."""
     if args.database:
         return build_database(_load_tracks(args.database, cfg), cfg)
-    return build_database(history_for_endtime(tracks, args.endtime, cfg), cfg)
+    return build_database(tracks, cfg, endtime=args.endtime)
 
 
 def cmd_destinations(args) -> int:
@@ -269,10 +266,9 @@ def _prediction_layers(preds: list, known: list, tracks: list, endtime: int,
     for pred in preds:
         for member in pred.members:
             tr = by_id[member]
-            future = [tr.positions[i] for i, f in enumerate(tr.frames)
-                      if endtime < f <= horizon_last]
+            future = tr.positions[(tr.frames > endtime) & (tr.frames <= horizon_last)]
             if len(future) >= 2:
-                layers.append(("groundtruth", np.asarray(future)))
+                layers.append(("groundtruth", future))
         for c in pred.candidates:
             layers.append(("predicted", c.group_trajectory.positions))
             layers.append(("destination", c.destination.reshape(1, 2)))

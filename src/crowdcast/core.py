@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,11 +139,14 @@ class Trajectory:
     def position_at(self, frame: int) -> np.ndarray:
         return self.positions[self.index_of_frame(frame)]
 
-    def restrict_frames(self, first: int, last: int) -> "Trajectory":
-        """Sub-trajectory with frames in the inclusive range [first, last]."""
-        mask = (self.frames >= first) & (self.frames <= last)
-        return Trajectory(self.agent_id, self.frames[mask], self.times[mask],
-                          self.positions[mask])
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """Read-only (N, 2) :func:`_directions` of the positions. Row i
+        depends only on points 0 .. i, so the rows of a prefix of the track
+        are a prefix of these rows, bit for bit."""
+        rows = _directions(self.positions)
+        rows.setflags(write=False)
+        return rows
 
 
 def velocity_at(traj: Trajectory, frame) -> np.ndarray:
@@ -172,13 +176,13 @@ def average_direction(traj: Trajectory, step: int) -> np.ndarray:
     ``step`` counts points from 1 at the start of the track. The result is the
     average of (p_step - p_k) over k = 1 .. step-1 and is left un-normalized;
     callers normalize where a unit direction is needed. It is row ``step - 1``
-    of :func:`_directions`, so the database's directions equal it bit for bit.
+    of ``traj.directions``, so the database's directions equal it bit for bit.
     """
     if step < 2:
         raise TooFewPointsError("average direction needs at least one prior point")
     if step > len(traj):
         raise DataError(f"step {step} out of range for {len(traj)}-point track")
-    return _directions(traj.positions[:step])[-1]
+    return traj.directions[step - 1]
 
 
 def _directions(positions: np.ndarray) -> np.ndarray:
@@ -493,35 +497,37 @@ def read_canonical_csv(data, step_duration: float) -> list:
 class TrajectoryDatabase:
     """Historical track samples as read-only arrays, one row per sample.
 
-    Every track point with at least two earlier points is a sample, stored as
-    its position, its un-normalized average movement direction, the last
-    point of its source track (the destination) and its 1-based ``step`` in
+    The database stores the first ``lengths[t]`` points of each track t.
+    Every stored point with at least two earlier points is a sample, stored
+    as its position, its un-normalized average movement direction, the last
+    stored point of its track (the destination) and its 1-based ``step`` in
     that track. ``agent_codes`` index ``agent_ids``, which lists the source
     agents in natural order, so comparing codes compares ids. A track's
     samples are contiguous, in ascending step, and tracks of three or more
-    points keep their input order; ``track_starts`` holds the index of each
-    track's first sample. ``direction_norms`` are the directions' lengths
-    and ``moving`` the indices of the samples whose length is at least
-    ``STATIONARY_NORM``.
+    stored points keep their input order; ``track_starts`` holds the index
+    of each track's first sample. ``direction_norms`` are the directions'
+    lengths and ``moving`` the indices of the samples whose length is at
+    least ``STATIONARY_NORM``.
     """
 
-    def __init__(self, tracks: list):
-        tracks = [tr for tr in tracks if len(tr) >= 3]
-        self.agent_ids = tuple(sorted({tr.agent_id for tr in tracks},
+    def __init__(self, tracks: list, lengths: list):
+        kept = [(tr, n) for tr, n in zip(tracks, lengths) if n >= 3]
+        self.agent_ids = tuple(sorted({tr.agent_id for tr, _ in kept},
                                       key=lambda a: (natural_key(a), a)))
         self._codes = {aid: c for c, aid in enumerate(self.agent_ids)}
-        lengths = np.array([len(tr) for tr in tracks], dtype=np.int64)
-        points = np.concatenate([np.empty((0, 2))] + [tr.positions for tr in tracks])
+        lengths = np.array([n for _, n in kept], dtype=np.int64)
+        points = np.concatenate([np.empty((0, 2))]
+                                + [tr.positions[:n] for tr, n in kept])
         ends = np.cumsum(lengths)
         # per point: index within its track
         index = np.arange(len(points)) - np.repeat(ends - lengths, lengths)
         sample = index >= 2
-        codes = np.array([self._codes[tr.agent_id] for tr in tracks], dtype=np.int64)
+        codes = np.array([self._codes[tr.agent_id] for tr, _ in kept], dtype=np.int64)
         self.agent_codes = np.repeat(codes, lengths)[sample]
         self.steps = index[sample] + 1
         self.positions = points[sample]
         self.directions = np.concatenate(
-            [np.empty((0, 2))] + [_directions(tr.positions)[2:] for tr in tracks])
+            [np.empty((0, 2))] + [tr.directions[2:n] for tr, n in kept])
         self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
         self.direction_norms = np.sqrt(np.vecdot(self.directions, self.directions))
         self.moving = np.flatnonzero(self.direction_norms >= STATIONARY_NORM)
@@ -540,29 +546,28 @@ class TrajectoryDatabase:
                         dtype=np.int64)
 
 
-def build_database(tracks: list, cfg: Config) -> TrajectoryDatabase:
+def build_database(tracks: list, cfg: Config, endtime: int | None = None
+                   ) -> TrajectoryDatabase:
     """Index resampled historical tracks for destination retrieval.
 
-    Tracks must already live on the shared step grid. An empty input yields an
-    empty database whose every query misses.
+    With an ``endtime``, the database holds only the history of the known
+    window ending there: each track's points before the window's first
+    frame, ``endtime - cfg.known_time_steps + 1``, a prefix of the track, so
+    no window's present or future is searched. Tracks must lie on the
+    shared step grid over the points stored: a gap among them raises
+    ``DataError``, a gap after them does not. An empty input yields an empty
+    database whose every query misses.
     """
-    for traj in tracks:
-        if len(traj) > 1 and not np.all(np.diff(traj.frames) == 1):
+    if endtime is None:
+        lengths = [len(tr) for tr in tracks]
+    else:
+        first = endtime - cfg.known_time_steps + 1
+        lengths = [int(np.searchsorted(tr.frames, first)) for tr in tracks]
+        # a prefix under three points holds no sample and goes unchecked
+        lengths = [n if n >= 3 else 0 for n in lengths]
+    for tr, n in zip(tracks, lengths):
+        # strictly increasing frames are consecutive when they span n - 1
+        if n > 1 and int(tr.frames[n - 1]) - int(tr.frames[0]) != n - 1:
             raise DataError(
-                f"agent {traj.agent_id!r} is not resampled to the step grid")
-    return TrajectoryDatabase(tracks)
-
-
-def history_for_endtime(tracks: list, endtime: int, cfg: Config) -> list:
-    """What the database may hold for the known window ending at ``endtime``:
-    every track clipped to the frames strictly before the window, dropping
-    clips too short to sample, so no window's present or future is searched."""
-    cutoff = endtime - cfg.known_time_steps
-    clipped = []
-    for tr in tracks:
-        if tr.frames[0] > cutoff:
-            continue
-        part = tr.restrict_frames(int(tr.frames[0]), cutoff)
-        if len(part) >= 3:
-            clipped.append(part)
-    return clipped
+                f"agent {tr.agent_id!r} is not resampled to the step grid")
+    return TrajectoryDatabase(tracks, lengths)

@@ -19,10 +19,9 @@ from .core import (
     SceneGeometry,
     Trajectory,
     build_database,
-    history_for_endtime,
 )
 from .dynamics import ForceParams, constant_velocity_baseline
-from .pipeline import predict_at_endtime
+from .pipeline import frame_span, predict_at_endtime
 
 
 @dataclass(frozen=True)
@@ -171,8 +170,10 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
                    seed: int = 0) -> MetricReport:
     """Run the full predictor over a list of windows and score it.
 
-    Per window, the database holds only frames before the known window and
-    each group's own members are excluded from its query. Agents covering
+    Per window, the database is ``build_database(tracks, cfg,
+    endtime=window.endtime)``: each track's points before the known window,
+    so nothing of the window or its horizon is searched. Each group's own
+    members are excluded from its query. Agents covering
     the whole known window are simulated; those also covering the whole
     horizon are scored. An agent with any frame at or before the window's
     last horizon frame counts toward the window's total; total minus
@@ -186,20 +187,15 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
     for window in windows:
         horizon_last = window.horizon_last(cfg)
         total = sum(1 for tr in tracks if tr.frames[0] <= horizon_last)
-        db = build_database(history_for_endtime(tracks, window.endtime, cfg), cfg)
+        db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
         win_records = []
         for pred in preds:
             for member, known in zip(pred.members, pred.known):
-                # frames increase: covered when steps - 1 after the first is last
-                tr = by_id[member]
-                i = int(np.searchsorted(tr.frames, window.endtime + 1))
-                if i + steps > len(tr) or tr.frames[i + steps - 1] != horizon_last:
+                gt = frame_span(by_id[member], window.endtime + 1, steps)
+                if gt is None:
                     continue
-                horizon = slice(i, i + steps)
-                gt = Trajectory(member, tr.frames[horizon], tr.times[horizon],
-                                tr.positions[horizon])
                 cand_trajs = [c.member_trajectories[member]
                               for c in pred.candidates]
                 min_ade, min_fde, (ai, fi) = min_over_candidates(cand_trajs, gt)

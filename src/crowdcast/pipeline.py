@@ -53,24 +53,24 @@ class GroupPrediction:
     known: tuple  # the members' known-window tracks, in ``members`` order
 
 
+def frame_span(tr: Trajectory, first: int, steps: int) -> Trajectory | None:
+    """``tr`` over frames ``first`` .. ``first + steps - 1``, or None unless
+    it holds every one of them: frames strictly increase, so it does when
+    the frame ``steps - 1`` places after the first is the last."""
+    i = int(np.searchsorted(tr.frames, first))
+    if i + steps > len(tr) or tr.frames[i + steps - 1] != first + steps - 1:
+        return None
+    span = slice(i, i + steps)
+    return Trajectory(tr.agent_id, tr.frames[span], tr.times[span],
+                      tr.positions[span])
+
+
 def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:
     """Tracks restricted to the known window, keeping only agents present at
-    every frame of it.
-
-    Frames strictly increase, so a track whose first window frame sits at
-    index i covers the whole window exactly when the frame T - 1 places
-    later is the endtime.
-    """
+    every frame of it (:func:`frame_span`)."""
     steps = cfg.known_time_steps
-    first = endtime - steps + 1
-    out = []
-    for tr in tracks:
-        i = int(np.searchsorted(tr.frames, first))
-        if i + steps <= len(tr) and tr.frames[i + steps - 1] == endtime:
-            window = slice(i, i + steps)
-            out.append(Trajectory(tr.agent_id, tr.frames[window],
-                                  tr.times[window], tr.positions[window]))
-    return out
+    spans = (frame_span(tr, endtime - steps + 1, steps) for tr in tracks)
+    return [span for span in spans if span is not None]
 
 
 def mean_speed(traj: Trajectory) -> float:

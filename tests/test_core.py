@@ -7,12 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast.core import (
     DataError,
     TooFewPointsError,
-    history_for_endtime,
+    _directions,
     natural_key,
     parse_scene,
 )
@@ -55,11 +57,31 @@ class TestTrajectory:
         with pytest.raises(DataError):
             tr.index_of_frame(99)
 
-    def test_restrict_frames_inclusive(self):
-        tr = line_track("1", 0, 10, (0, 0), (1, 0))
-        part = tr.restrict_frames(3, 6)
-        assert list(part.frames) == [3, 4, 5, 6]
-        assert np.array_equal(part.positions, tr.positions[3:7])
+    def test_directions_read_only_and_kept(self):
+        tr = random_track(np.random.default_rng(4), "1", n=12)
+        rows = tr.directions
+        assert tr.directions is rows
+        with pytest.raises(ValueError):
+            rows[3, 0] = 9.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 301, 2000])
+    def test_directions_prefix_of_every_prefix(self, n):
+        # row i depends only on points 0 .. i, so the directions of any
+        # prefix of a track are that prefix of the track's directions
+        tr = random_track(np.random.default_rng(n), "1", n=n)
+        for m in range(1, n + 1):
+            assert (tr.directions[:m].tobytes()
+                    == _directions(tr.positions[:m]).tobytes())
+
+    def test_directions_prefix_of_a_long_track(self):
+        tr = random_track(np.random.default_rng(8), "1", n=40_000)
+        rng = np.random.default_rng(9)
+        lengths = set(range(1, 65)) | {2 ** k + d for k in range(6, 16)
+                                       for d in (-1, 0, 1)}
+        lengths |= {39_999, 40_000} | set(rng.integers(1, 40_001, size=100).tolist())
+        for m in sorted(lengths):
+            assert (tr.directions[:m].tobytes()
+                    == _directions(tr.positions[:m]).tobytes())
 
 
 class TestVelocity:
@@ -249,10 +271,133 @@ class TestDatabase:
 
     def test_history_for_endtime_holds_only_the_past(self, cfg):
         tr = line_track("1", 0, 80, (0, 0), (1, 0))
-        # the known window of endtime 50 starts at frame 21
-        (part,) = history_for_endtime([tr], 50, cfg)
-        assert part.frames[0] == 0 and part.frames[-1] == 20
-        assert history_for_endtime([tr], 31, cfg) == []
+        # the known window of endtime 50 starts at frame 21: frames 0 .. 20
+        # are stored, samples at frames 2 .. 20
+        db = cc.build_database([tr], cfg, endtime=50)
+        assert db.steps.tolist() == list(range(3, 22))
+        assert np.array_equal(db.positions, tr.positions[2:21])
+        assert np.array_equal(db.destinations,
+                              np.repeat(tr.positions[20:21], 19, axis=0))
+        assert len(cc.build_database([tr], cfg, endtime=31)) == 0
+        assert cc.build_database([tr], cfg, endtime=32).steps.tolist() == [3]
+
+    def test_window_gap_rules(self):
+        cfg = cc.Config(known_time_steps=2)
+        # endtime e stores the frames up to e - 2: a gap after them is legal,
+        # and so is one inside a two-point clip, which stores nothing
+        for frames, fine, gapped in (([0, 1, 2, 3, 4, 10, 11], 11, 12),
+                                     ([0, 5, 6, 7], 7, 8)):
+            tracks = [cc.Trajectory.from_frame_grid(
+                "g", frames, np.zeros((len(frames), 2)), STEP)]
+            assert len(cc.build_database(tracks, cfg, endtime=fine)) \
+                == len(clip_then_build(tracks, cfg, fine))
+            with pytest.raises(DataError, match="not resampled"):
+                cc.build_database(tracks, cfg, endtime=gapped)
+            with pytest.raises(DataError, match="not resampled"):
+                clip_then_build(tracks, cfg, gapped)
+            with pytest.raises(DataError, match="not resampled"):
+                cc.build_database(tracks, cfg)
+
+
+def clip_then_build(tracks: list, cfg, endtime: int):
+    """Reference for ``build_database(tracks, cfg, endtime=endtime)``: every
+    track clipped by a frame mask to the frames before the known window and
+    copied, clips under three points dropped, the clips indexed whole. Each
+    clip computes its own directions, apart from the full track's."""
+    cutoff = endtime - cfg.known_time_steps
+    clips = []
+    for tr in tracks:
+        keep = tr.frames <= cutoff
+        clip = cc.Trajectory(tr.agent_id, tr.frames[keep], tr.times[keep],
+                             tr.positions[keep])
+        if len(clip) >= 3:
+            clips.append(clip)
+    return cc.build_database(clips, cfg)
+
+
+DATABASE_ARRAYS = ("agent_codes", "steps", "positions", "directions", "destinations",
+                   "direction_norms", "moving", "track_starts")
+
+
+def assert_same_database(got, want):
+    assert got.agent_ids == want.agent_ids and len(got) == len(want)
+    for name in DATABASE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+LATTICE_MOVES = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (0, 0)])
+
+
+@st.composite
+def window_tracks(draw):
+    """0-6 tracks of 1-20 points on a 0.5 m lattice, first frames 0-8, ids
+    from a pool of three. One track in three skips 1-4 frames once, so a
+    window's clip can end before, at or after its gap."""
+    tracks = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 20))
+        frames = draw(st.integers(0, 8)) + np.arange(n)
+        if n >= 2 and draw(st.integers(0, 2)) == 0:
+            frames[draw(st.integers(1, n - 1)):] += draw(st.integers(1, 4))
+        steps = draw(st.lists(LATTICE_MOVES, min_size=n - 1, max_size=n - 1))
+        start = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+        points = np.cumsum([start] + steps, axis=0) * 0.5
+        tracks.append(cc.Trajectory.from_frame_grid(
+            draw(st.sampled_from(("a", "b", "10"))), frames, points, STEP))
+    return tracks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tracks=window_tracks(), known=st.integers(2, 5))
+# clips of 0-4 points, then a gap after frame 3 that a clip reaches at
+# endtime 5 + known
+@example(tracks=[cc.Trajectory.from_frame_grid(
+             "a", [0, 1, 2, 3, 6, 7], np.arange(12.0).reshape(6, 2), STEP)],
+         known=2)
+def test_window_database_equals_clip_then_build(tracks, known):
+    cfg = cc.Config(known_time_steps=known)
+    last = max((int(tr.frames[-1]) for tr in tracks), default=0)
+    for endtime in range(-2, last + known + 3):
+        try:
+            want = clip_then_build(tracks, cfg, endtime)
+        except DataError as err:
+            with pytest.raises(DataError) as got:
+                cc.build_database(tracks, cfg, endtime=endtime)
+            assert str(got.value) == str(err)
+            continue
+        assert_same_database(cc.build_database(tracks, cfg, endtime=endtime), want)
+
+
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_window_database_ignores_the_window_and_after(precomputed):
+    # moving or appending points at or after the known window's first frame
+    # leaves the database of that window unchanged, whether or not the
+    # changed tracks' directions were computed in full beforehand
+    cfg = cc.Config(known_time_steps=4)
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        tracks = [random_track(rng, f"r{i}") for i in range(int(rng.integers(1, 6)))]
+        endtime = int(rng.integers(0, 60))
+        first = endtime - cfg.known_time_steps + 1
+        changed = []
+        for tr in tracks:
+            pos = tr.positions.copy()
+            moved = (tr.frames >= first) & (rng.random(len(tr)) < 0.5)
+            pos[moved] += rng.normal(size=(int(moved.sum()), 2))
+            extra = int(rng.integers(0, 4))
+            # appended from the window on, past a gap when the track ends earlier
+            after = max(int(tr.frames[-1]) + 1, first)
+            frames = np.concatenate([tr.frames, after + np.arange(extra)])
+            pos = np.vstack([pos, rng.normal(size=(extra, 2))])
+            changed.append(cc.Trajectory.from_frame_grid(tr.agent_id, frames, pos,
+                                                         STEP))
+        if precomputed:
+            for tr in tracks + changed:
+                assert len(tr.directions) == len(tr)
+        assert_same_database(cc.build_database(changed, cfg, endtime=endtime),
+                             cc.build_database(tracks, cfg, endtime=endtime))
 
 
 def test_database_arrays_are_read_only(cfg):
