@@ -7,13 +7,30 @@ trajectories may carry arbitrary timestamps.
 
 Everything here is immutable after construction and safe to share between
 workers. The database is build-once, read-many.
+
+One scale rule holds where input enters: every coordinate read (canonical
+CSV, scene vertices, annotation points after the homography) lies within
+±S, S = ``SCALE`` = 1e9 m, and every float parameter of ``Config`` and
+``ForceParams`` within [1/S, S] (``direction_weight`` within ±S). Then no
+later square, prefix sum, division or capped exponent overflows for any
+horizon of H < 2**63 steps, so no later layer guards against overflow.
+With tau the step duration: displacements are under 3S and neighbouring
+canonical times at least tau/4 apart, so speeds are under 12S/tau and
+direction prefix sums under 2**63 · 3S < 3e28. A speed cap moves a body
+under max_speed_factor · max(12S, speed_floor · tau) <= S**3 per step, so
+predicted points lie within 2e27·H m, and squared distances, errors and
+plot sizes stay under 1e94. A force is under 2e46 (drive) plus S·e**50 <
+1e31 per pair or obstacle (exponents are capped at 50), so force / mass · h
+stays under 1e70. Every divisor is a parameter, a time step, or a length
+checked against a positive threshold first; a very negative exponent
+underflows to 0.0, which numpy does not report.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +47,10 @@ STATIONARY_NORM = 1e-9
 # largest frame index a canonical CSV may hold: frames are int64 arrays
 _MAX_FRAME = np.iinfo(np.int64).max
 
+# the scale rule of the module docstring: input coordinates within ±SCALE m,
+# float parameters within [1/SCALE, SCALE]
+SCALE = 1e9
+
 
 class DataError(ValueError):
     """Semantically invalid input data (trajectory, CSV, or scene)."""
@@ -37,6 +58,16 @@ class DataError(ValueError):
 
 class TooFewPointsError(DataError):
     """Operation needs more trajectory points than were given."""
+
+
+def check_scale(params, signed=()) -> None:
+    """ValueError unless every float field of the dataclass ``params`` lies
+    in [1/SCALE, SCALE], or within ±SCALE for a field named in ``signed``."""
+    for name in (f.name for f in fields(params) if f.type == "float"):
+        low = -SCALE if name in signed else 1.0 / SCALE
+        if not low <= getattr(params, name) <= SCALE:
+            raise ValueError(f"{name} must be finite and in [{low:g}, {SCALE:g}], "
+                             f"got {getattr(params, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -64,24 +95,14 @@ class Config:
     direction_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("intimate_distance", "personal_distance", "direction_weight",
-                     "person_radius", "step_duration", "neighborhood_range",
-                     "person_mass"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (0.0 < self.intimate_distance < self.personal_distance):
+        check_scale(self, signed=("direction_weight",))
+        if not self.intimate_distance < self.personal_distance:
             raise ValueError("need 0 < intimate_distance < personal_distance")
-        if self.k_candidates < 1:
-            raise ValueError("k_candidates must be >= 1")
-        for name in ("known_time_steps", "predict_time_steps", "person_radius",
-                     "step_duration", "neighborhood_range", "person_mass"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be strictly positive")
-        if self.min_overlap_frames < 1:
-            raise ValueError("min_overlap_frames must be >= 1")
-        if self.known_time_steps < 2:
-            # a velocity, and with it emotion and retrieval, needs two points
-            raise ValueError("known_time_steps must be >= 2")
+        # a velocity, and with it emotion and retrieval, needs two known points
+        for name, least in (("k_candidates", 1), ("predict_time_steps", 1),
+                            ("min_overlap_frames", 1), ("known_time_steps", 2)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -252,13 +273,14 @@ class SceneGeometry:
     bounds: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self) -> None:
-        segs = tuple(_edges_fit(np.asarray(s, dtype=np.float64).reshape(2, 2), closed=False)
-                     for s in self.segments)
-        polys = [_convex_polygon(p) for p in self.polygons]
+        segs = tuple(np.asarray(s, dtype=np.float64).reshape(2, 2) for s in self.segments)
+        rings = [np.asarray(p, dtype=np.float64) for p in self.polygons]
+        if not all(np.all(np.abs(v) <= SCALE) for v in segs + tuple(rings)):
+            raise DataError(f"obstacle vertices must lie within ±{SCALE:g} m")
+        polys = [_convex_polygon(p) for p in rings]
         bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 2)
-        verts = [s.reshape(-1, 2) for s in segs] + polys
-        if verts and np.any(bounds[1] > bounds[0]):
-            allv = np.vstack(verts)
+        allv = np.concatenate([np.empty((0, 2)), *segs, *polys])
+        if np.any(bounds[1] > bounds[0]):
             if np.any(allv < bounds[0] - 1e-9) or np.any(allv > bounds[1] + 1e-9):
                 raise DataError("obstacle vertices lie outside the scene bounds")
         object.__setattr__(self, "segments", segs)
@@ -329,18 +351,6 @@ class SceneGeometry:
         return near, dist
 
 
-def _edges_fit(points: np.ndarray, closed: bool) -> np.ndarray:
-    """The points, unchanged; DataError when the squared length of an edge
-    between consecutive points overflows, as no distance to it is finite."""
-    ends = np.roll(points, -1, axis=0) if closed else points[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        edges = ends - points[:len(ends)]
-        fits = np.all(np.isfinite(np.vecdot(edges, edges)))
-    if not fits:
-        raise DataError("obstacle edge too long: its squared length overflows")
-    return points
-
-
 def _convex_polygon(p) -> np.ndarray:
     """The ring as a float array; DataError unless it is a simple convex
     polygon of non-zero area, which the inside test and the sign of the
@@ -348,21 +358,16 @@ def _convex_polygon(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] != 2:
         raise DataError("polygon needs at least 3 vertices of 2 coordinates")
-    _edges_fit(p, closed=True)
     edges = np.roll(p, -1, axis=0) - p
     edges = edges[np.any(edges != 0.0, axis=1)]
     nxt = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
     dot = np.sum(edges * nxt, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
-        area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
-                                  - np.roll(p[:, 0], -1) * p[:, 1]))
-        total_scale = float(np.sum(scale))
-    if not (math.isfinite(area) and math.isfinite(total_scale)):
-        raise DataError("polygon too large: its area overflows")
+    scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
+    area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
+                              - np.roll(p[:, 0], -1) * p[:, 1]))
     turning = cross[np.abs(cross) > 1e-12 * scale]
-    if abs(area) <= 1e-12 * total_scale:
+    if abs(area) <= 1e-12 * float(np.sum(scale)):
         raise DataError("polygon has zero area")
     # one sign of turn, and one full revolution: a star winds twice
     winding = float(np.sum(np.arctan2(cross, dot))) / (2.0 * math.pi)
@@ -381,8 +386,10 @@ def parse_scene(text: str) -> SceneGeometry:
         poly x1 y1 x2 y2 x3 y3 ...
         bounds xmin ymin xmax ymax
 
-    Blank lines and lines starting with ``#`` are ignored. ``bounds`` is
-    optional; when absent the obstacle bounding box (padded by 1 m) is used.
+    Blank lines and lines starting with ``#`` are ignored. Obstacle
+    coordinates lie within ±``SCALE`` m; ``bounds``, only compared with them,
+    need only be finite. ``bounds`` is optional; when absent the obstacle
+    bounding box (padded by 1 m) is used.
     """
     segments = []
     polygons = []
@@ -396,10 +403,12 @@ def parse_scene(text: str) -> SceneGeometry:
             nums = [float(v) for v in vals]
             if not all(math.isfinite(v) for v in nums):
                 raise DataError("numbers must be finite")
+            if kind != "bounds" and not all(abs(v) <= SCALE for v in nums):
+                raise DataError(f"coordinates must lie within ±{SCALE:g} m")
             if kind == "seg":
                 if len(nums) != 4:
                     raise DataError("seg needs 4 numbers")
-                segments.append(_edges_fit(np.array(nums).reshape(2, 2), closed=False))
+                segments.append(np.array(nums).reshape(2, 2))
             elif kind == "poly":
                 if len(nums) < 6 or len(nums) % 2:
                     raise DataError("poly needs >= 3 x,y pairs")
@@ -415,12 +424,9 @@ def parse_scene(text: str) -> SceneGeometry:
         except ValueError as exc:
             raise DataError(f"scene line {lineno}: bad number ({exc})") from None
     if bounds is None:
-        verts = [s for s in segments] + polygons
-        if verts:
-            allv = np.vstack(verts)
-            bounds = np.vstack([allv.min(axis=0) - 1.0, allv.max(axis=0) + 1.0])
-        else:
-            bounds = np.zeros((2, 2))
+        allv = np.concatenate([np.empty((0, 2)), *segments, *polygons])
+        bounds = (np.vstack([allv.min(axis=0) - 1.0, allv.max(axis=0) + 1.0])
+                  if len(allv) else np.zeros((2, 2)))
     return SceneGeometry(tuple(segments), tuple(polygons), bounds)
 
 
@@ -454,7 +460,8 @@ def write_canonical_csv(tracks: list) -> bytes:
 
 
 def read_canonical_csv(data, step_duration: float) -> list:
-    """Parse canonical CSV bytes or text into trajectories on the step grid."""
+    """Parse canonical CSV bytes or text into trajectories on the step grid.
+    Every coordinate must lie within ±``SCALE`` m."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = data.splitlines()
@@ -475,8 +482,9 @@ def read_canonical_csv(data, step_duration: float) -> list:
             raise DataError(f"CSV line {lineno}: {exc}") from None
         if frame < 0:
             raise DataError(f"CSV line {lineno}: negative frame {frame}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DataError(f"CSV line {lineno}: coordinates must be finite")
+        if not (abs(x) <= SCALE and abs(y) <= SCALE):
+            raise DataError(f"CSV line {lineno}: coordinates must be finite "
+                            f"and within ±{SCALE:g} m")
         per_agent.setdefault(parts[1], []).append((frame, x, y))
     tracks = []
     for agent_id in sorted(per_agent, key=natural_key):
@@ -555,19 +563,18 @@ def build_database(tracks: list, cfg: Config, endtime: int | None = None
     frame, ``endtime - cfg.known_time_steps + 1``, a prefix of the track, so
     no window's present or future is searched. Tracks must lie on the
     shared step grid over the points stored: a gap among them raises
-    ``DataError``, a gap after them does not. An empty input yields an empty
-    database whose every query misses.
+    ``DataError``, a gap after them does not. A track or prefix under three
+    points holds no sample, so it is neither stored nor checked. An empty
+    input yields an empty database whose every query misses.
     """
     if endtime is None:
         lengths = [len(tr) for tr in tracks]
     else:
         first = endtime - cfg.known_time_steps + 1
         lengths = [int(np.searchsorted(tr.frames, first)) for tr in tracks]
-        # a prefix under three points holds no sample and goes unchecked
-        lengths = [n if n >= 3 else 0 for n in lengths]
     for tr, n in zip(tracks, lengths):
         # strictly increasing frames are consecutive when they span n - 1
-        if n > 1 and int(tr.frames[n - 1]) - int(tr.frames[0]) != n - 1:
+        if n >= 3 and int(tr.frames[n - 1]) - int(tr.frames[0]) != n - 1:
             raise DataError(
                 f"agent {tr.agent_id!r} is not resampled to the step grid")
     return TrajectoryDatabase(tracks, lengths)

@@ -23,12 +23,11 @@ the margin (``_REACH_MARGIN``) absorbs rounding and nudges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Config, DataError, SceneGeometry, Trajectory, velocity_at
+from .core import Config, DataError, SceneGeometry, Trajectory, check_scale, velocity_at
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -72,12 +71,7 @@ class ForceParams:
     neighborhood_range: float = 10.0
 
     def __post_init__(self):
-        for name in ("relaxation_time", "repulsion_strength", "repulsion_range",
-                     "obstacle_strength", "obstacle_range", "max_speed_factor",
-                     "speed_floor", "mass", "radius", "neighborhood_range"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+        check_scale(self)
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
 
@@ -211,21 +205,19 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
 
     # the (O, M) terms of every obstacle at once, then added one obstacle at
     # a time, in scene order, as a per-body sum would add them; a body at a
-    # contact point gets no term from that obstacle, and a distance that
-    # overflows to inf gives a term of exactly zero
+    # contact point gets no term from that obstacle
     if not scene.is_empty:
-        with np.errstate(over="ignore"):
-            point, signed_d = scene.obstacle_contacts(pos)
-            away = pos - point
-            away_len = np.sqrt(np.vecdot(away, away))
-            use = (active & ~(away_len < _COINCIDENT))[..., None]
-            np.divide(away, away_len[..., None], out=away, where=use)
-            away = np.where(signed_d[..., None] < 0.0, -away, away)
-            exponent = np.minimum(
-                (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
-            terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
-            for term, mask in zip(terms, use):
-                np.add(forces, term, out=forces, where=mask)
+        point, signed_d = scene.obstacle_contacts(pos)
+        away = pos - point
+        away_len = np.sqrt(np.vecdot(away, away))
+        use = (active & ~(away_len < _COINCIDENT))[..., None]
+        np.divide(away, away_len[..., None], out=away, where=use)
+        away = np.where(signed_d[..., None] < 0.0, -away, away)
+        exponent = np.minimum(
+            (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
+        terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
+        for term, mask in zip(terms, use):
+            np.add(forces, term, out=forces, where=mask)
     forces[state.arrived] = 0.0
     return forces, nudge
 

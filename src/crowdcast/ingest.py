@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, DataError, Trajectory, resample_trajectory, write_canonical_csv
+from .core import SCALE, Config, DataError, Trajectory, resample_trajectory, write_canonical_csv
 
 # a single missing annotation step must interpolate, not split, so the gap
 # threshold gets a little slack against frame-rate rounding
@@ -73,7 +73,7 @@ def apply_homography(h: Homography, points: np.ndarray) -> np.ndarray:
 
     One stacked product ``H @ [x, y, 1]`` gives every point the same bits as
     a product per point would. A point that overflows comes out non-finite,
-    and the canonical writer rejects it as a data error.
+    and :func:`to_canonical` rejects it as a data error.
     """
     ones = np.ones((len(points), 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,7 +174,7 @@ def to_canonical(rows: np.ndarray, homography: Homography, source_fps: float,
     shared step grid, and emitted sorted by (agent_id, frame). A temporal gap
     longer than two steps splits a track; the later parts get ``#2``, ``#3``
     suffixes on the agent id. Tracks that end up shorter than 2 grid points
-    are dropped and counted.
+    are dropped and counted. Every point must map within ±``SCALE`` m.
     """
     if not (source_fps > 0 and math.isfinite(source_fps)):
         raise ValueError("source_fps must be positive and finite")
@@ -195,6 +195,10 @@ def to_canonical(rows: np.ndarray, homography: Homography, source_fps: float,
             raise DataError(f"agent {agent_id}: frame {frame} at {source_fps} fps "
                             f"overflows the time axis")
         points = apply_homography(homography, block[:, 2:])
+        beyond = np.flatnonzero(~np.all(np.abs(points) <= SCALE, axis=1))
+        if beyond.size:
+            x, y = block[beyond[0], 2:]
+            raise DataError(f"agent {agent_id}: point ({x}, {y}) maps beyond ±{SCALE:g} m")
         cuts = np.flatnonzero(np.diff(times) > gap_limit) + 1
         part = 0
         for seg_times, seg_points in zip(np.split(times, cuts), np.split(points, cuts)):

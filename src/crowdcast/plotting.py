@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataError, SceneGeometry
+from .core import SceneGeometry
 
 _STYLE = """\
 .bg { fill: #ffffff; }
@@ -48,11 +48,7 @@ def render_svg(layers: list, scene: SceneGeometry | None = None,
                if any(len(p) for p in all_pts) else np.zeros((1, 2)))
     xmin, ymin = stacked.min(axis=0) - pad
     xmax, ymax = stacked.max(axis=0) + pad
-    with np.errstate(over="ignore"):
-        w, h = xmax - xmin, ymax - ymin
-        fits = np.isfinite(w * _PX_PER_METER) and np.isfinite(h * _PX_PER_METER)
-    if not fits:
-        raise DataError("plot too large: its size in pixels overflows")
+    w, h = xmax - xmin, ymax - ymin
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '

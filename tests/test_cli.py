@@ -90,16 +90,17 @@ class TestIngest:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_resample_is_data_error(self, tmp_path, capsys):
-        # both coordinates are finite, but interpolating between them
-        # overflows to -inf; nothing may be written, and no numpy warning
-        # may reach stderr
+        # both coordinates are finite, but interpolating between them would
+        # overflow to -inf: the scale check rejects the first point before
+        # any resampling; nothing may be written, and no numpy warning may
+        # reach stderr
         raw = tmp_path / "raw.txt"
         raw.write_text("0 7 1e308 0.0 2.0 0 0 0\n1 7 -1e308 0.0 2.0 0 0 0\n"
                        "2 7 0.0 0.0 2.0 0 0 0\n")
         out = tmp_path / "run"
         rc = cli.main(["ingest", str(raw), "--out", str(out)])
         assert rc == 3
-        assert "agent '7'" in capsys.readouterr().err
+        assert "agent 7: point (1e+308, 2.0) maps beyond" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_time_is_data_error(self, tmp_path, capsys):
@@ -134,7 +135,7 @@ class TestIngest:
         rc = cli.main(["ingest", str(raw), "--homography", str(tmp_path / "h.txt"),
                        "--out", str(out)])
         assert rc == 3
-        assert "agent '7': non-finite coordinate" in capsys.readouterr().err
+        assert "agent 7: point (1e+308, 0.0) maps beyond" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -222,16 +223,16 @@ class TestNonFiniteInput:
     def test_scene_edge_overflow_is_data_error(self, tmp_path, capsys, tracks_csv,
                                                entry):
         # every coordinate is finite, but no distance to such an edge is:
-        # predicting next to it would write NaN coordinates
+        # the scale check rejects the entry's line before any geometry
         scene = tmp_path / "scene.txt"
-        scene.write_text(f"bounds -1e308 -1e308 1e308 1e308\n{entry}\n")
+        scene.write_text(f"bounds -1e9 -1e9 1e9 1e9\n{entry}\n")
         out = tmp_path / "run"
         rc = cli.main(["predict", str(tracks_csv), "--endtime", "99",
                        "--predict-time-steps", "3", "--scene", str(scene),
                        "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "line 2" in err and "overflows" in err
+        assert "line 2" in err and "within ±1e+09 m" in err
         assert not (out / "predictions.jsonl").exists()
 
     def test_obsmat_nan_is_parse_error(self, tmp_path, capsys):
@@ -248,6 +249,52 @@ class TestNonFiniteInput:
                        "nan", "--out", str(tmp_path)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+
+# the float parameters a flag sets; each must lie in [1e-9, 1e9]
+FLOAT_FLAGS = ["person_radius", "step_duration", "neighborhood_range",
+               "person_mass", "intimate_distance", "personal_distance",
+               "direction_weight", "relaxation_time", "repulsion_strength",
+               "repulsion_range", "obstacle_strength", "obstacle_range",
+               "max_speed_factor", "speed_floor"]
+
+
+class TestScaleContract:
+    @pytest.mark.parametrize("name", FLOAT_FLAGS)
+    def test_float_parameter_range_on_eval(self, tmp_path, capsys, name):
+        # three walkers past a wall and a square pillar; a RuntimeWarning
+        # anywhere in the run fails the test
+        path = tmp_path / "in.csv"
+        path.write_text("frame,agent_id,x,y\n" + "".join(
+            f"{f},{a},{a * 0.5 + 0.4 * f!r},{0.1 * f!r}\n"
+            for a in range(3) for f in range(12)))
+        scene = tmp_path / "scene.txt"
+        scene.write_text("seg 0 -1 5 -1\npoly 2 1 3 1 3 2 2 2\n")
+
+        def run(value):
+            out = tmp_path / value
+            rc = cli.main(["eval", str(path), "--scene", str(scene),
+                           "--endtimes", "5,8", "--known-time-steps", "3",
+                           "--predict-time-steps", "3", "--min-overlap-frames", "2",
+                           f"--{name.replace('_', '-')}={value}", "--out", str(out)])
+            return rc, capsys.readouterr().err, (out / "results.csv").exists()
+
+        low = "-1e+09" if name == "direction_weight" else "1e-09"
+        for value in ("5e-324", "1e-300", "1e300", "1.7976931348623157e308"):
+            if name == "direction_weight" and float(value) < 1.0:
+                assert run(value) == (0, "", True)  # the weight may be 0
+            else:
+                assert run(value) == (2, f"error: {name} must be finite and in "
+                                         f"[{low}, 1e+09], got {float(value)!r}\n", False)
+        for value in ("1e-9", "1e9"):
+            rc, err, written = run(value)
+            if (name, value) in (("intimate_distance", "1e9"),
+                                 ("personal_distance", "1e-9")):
+                # intimate_distance < personal_distance cannot hold
+                assert (rc, written) == (2, False)
+                assert "intimate_distance < personal_distance" in err
+            else:
+                assert (rc, err, written) == (0, "", True)
 
 
 class TestDestinations:
@@ -315,6 +362,37 @@ class TestPredict:
                      if c["provenance"].startswith("db:")]
         assert retrieved
         assert not later & set(retrieved)
+
+    def test_two_point_gapped_database_track_is_kept_out(self, tmp_path, capsys, tracks_csv):
+        # a two-point track stores no sample, so its gap goes unchecked
+        db = tmp_path / "db.csv"
+        db.write_text("frame,agent_id,x,y\n0,z,0.0,0.0\n5,z,1.0,0.0\n")
+        rc = cli.main(["predict", str(tracks_csv), "--endtime", "99",
+                       "--database", str(db), "--predict-time-steps", "2",
+                       "--substeps", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (tmp_path / "predictions.jsonl").read_text().splitlines()]
+        assert len(records) == 3
+        assert all(c["provenance"] == "linear-continuation"
+                   for rec in records for c in rec["candidates"])
+
+    @pytest.mark.parametrize("stride", [1e200, 1e306])
+    def test_huge_coordinates_are_data_error(self, tmp_path, capsys, stride):
+        # three walkers stepping far beyond 1e9 m per frame: the CSV reader
+        # names the first such line, before any arithmetic could overflow
+        path = tmp_path / "in.csv"
+        path.write_text("frame,agent_id,x,y\n" + "".join(
+            f"{f},{a},{stride * f!r},{float(a)!r}\n" for a in range(3) for f in range(40)))
+        out = tmp_path / "run"
+        rc = cli.main(["predict", str(path), "--endtime", "29",
+                       "--known-time-steps", "5", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: CSV line 3: coordinates must be finite "
+                                "and within ±1e+09 m\n")
+        assert captured.out == "" and not out.exists()
 
     def test_run_config_reproduces_output(self, tmp_path, capsys, tracks_csv):
         out_a = tmp_path / "a"

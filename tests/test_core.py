@@ -3,7 +3,9 @@ and the sample database."""
 
 from __future__ import annotations
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast.core import (
+    SCALE,
     DataError,
     TooFewPointsError,
     _directions,
@@ -20,6 +23,10 @@ from crowdcast.core import (
 )
 
 from conftest import STEP, line_track, random_track
+
+CONFIG_FLOATS = ["person_radius", "step_duration", "neighborhood_range",
+                 "person_mass", "intimate_distance", "personal_distance",
+                 "direction_weight"]
 
 
 class TestTrajectory:
@@ -297,6 +304,11 @@ class TestDatabase:
                 clip_then_build(tracks, cfg, gapped)
             with pytest.raises(DataError, match="not resampled"):
                 cc.build_database(tracks, cfg)
+        # a track under three points stores nothing, so its gap goes
+        # unchecked with or without an endtime
+        tracks = [cc.Trajectory.from_frame_grid("s", [0, 5], np.zeros((2, 2)), STEP)]
+        for endtime in (None, 5, 7, 8, 100):
+            assert len(cc.build_database(tracks, cfg, endtime=endtime)) == 0
 
 
 def clip_then_build(tracks: list, cfg, endtime: int):
@@ -410,7 +422,8 @@ def test_database_arrays_are_read_only(cfg):
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1000000000.0000001",
+                                      "1e200", "1.7976931348623157e308"])
     def test_csv_coordinate_rejected_with_line(self, text):
         data = f"frame,agent_id,x,y\n0,1,0.0,0.0\n1,1,{text},0.0\n".encode()
         with pytest.raises(DataError, match="line 3"):
@@ -433,12 +446,86 @@ class TestNonFiniteInput:
         with pytest.raises(DataError, match="line 2"):
             parse_scene("seg 0 0 1 1\npoly 0 0 nan 0 1 1\n")
 
-    @pytest.mark.parametrize("name", ["person_radius", "step_duration",
-                                      "personal_distance", "direction_weight"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", CONFIG_FLOATS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 5e-324, 1e-300,
+                                       1e300, 1.7976931348623157e308])
     def test_config_rejects(self, name, value):
-        with pytest.raises(ValueError):
+        if name == "direction_weight" and value < 1.0:
+            # the weight may be 0, so a tiny one is kept
+            assert cc.Config(direction_weight=value).direction_weight == value
+            return
+        with pytest.raises(ValueError, match=name):
             cc.Config(**{name: value})
+
+    @pytest.mark.parametrize("name", CONFIG_FLOATS)
+    @pytest.mark.parametrize("value", [1 / SCALE, SCALE])
+    def test_config_accepts_the_ends_of_the_scale(self, name, value):
+        if (name, value) in (("intimate_distance", SCALE),
+                             ("personal_distance", 1 / SCALE)):
+            # no personal_distance in range lies above an intimate one of
+            # 1e9, nor an intimate one below a personal one of 1e-9
+            with pytest.raises(ValueError, match="intimate_distance < personal"):
+                cc.Config(**{name: value})
+        else:
+            assert getattr(cc.Config(**{name: value}), name) == value
+        if name == "direction_weight":
+            assert cc.Config(direction_weight=-value).direction_weight == -value
+
+
+class TestScaleContract:
+    """Input coordinates within ±SCALE m, checked where they enter."""
+
+    def test_csv_coordinate_at_the_scale_kept(self):
+        data = f"frame,agent_id,x,y\n0,1,{SCALE!r},{-SCALE!r}\n".encode()
+        assert cc.read_canonical_csv(data, STEP)[0].positions.tolist() == [[SCALE, -SCALE]]
+
+    def test_scene_vertex_beyond_the_scale(self):
+        with pytest.raises(DataError, match="line 2: .*within"):
+            parse_scene("seg 0 0 1 1\npoly 0 0 2e9 0 0 1\n")
+        with pytest.raises(DataError, match="within"):
+            cc.SceneGeometry(segments=(np.array([[0.0, 0.0], [1e10, 0.0]]),))
+        with pytest.raises(DataError, match="within"):
+            cc.SceneGeometry(polygons=(np.array([[0.0, 0.0], [1e300, 0.0], [0.0, 1.0]]),))
+        # bounds are only compared with the vertices, so any finite ones do
+        scene = parse_scene("bounds -1e308 -1e308 1e308 1e308\nseg -1e9 0 1e9 0\n")
+        assert len(scene.segments) == 1
+        with pytest.raises(DataError, match="line 1: .*finite"):
+            parse_scene("bounds -inf 0 1 1\n")
+
+
+# np.errstate sites allowed in src/: each guards arithmetic on input before
+# the scale check, or input its own tests feed unbounded
+ERRSTATE_SITES = {
+    ("core.py", "resample_trajectory"),
+    ("ingest.py", "Homography.__post_init__"),
+    ("ingest.py", "apply_homography"),
+    ("ingest.py", "to_canonical"),
+}
+
+
+def _errstate_sites(path: Path) -> list:
+    """(file, enclosing function) of every ``errstate`` or ``seterr`` use."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("errstate", "seterr"):
+            sites.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return sites
+
+
+def test_errstate_only_at_input_guards():
+    """Overflow is bounded once, where input enters (``core.SCALE``); a later
+    layer may not silence floating-point warnings locally again."""
+    src = Path(cc.__file__).parent
+    sites = [site for path in sorted(src.glob("*.py")) for site in _errstate_sites(path)]
+    assert sorted(set(sites)) == sorted(ERRSTATE_SITES)
+    assert len(sites) == len(ERRSTATE_SITES)
 
 
 @pytest.mark.parametrize("steps", [0, 1])

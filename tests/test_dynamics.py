@@ -49,10 +49,15 @@ class TestForceParams:
             ForceParams(substeps=0)
         with pytest.raises(ValueError):
             ForceParams(repulsion_range=-1.0)
-        for name in ("relaxation_time", "repulsion_strength", "speed_floor"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(ValueError):
+        for name in ("relaxation_time", "repulsion_strength", "repulsion_range",
+                     "obstacle_strength", "obstacle_range", "max_speed_factor",
+                     "speed_floor", "mass", "radius", "neighborhood_range"):
+            for value in (float("nan"), float("inf"), 5e-324, 1e-300, 1e300,
+                          1.7976931348623157e308):
+                with pytest.raises(ValueError, match=name):
                     ForceParams(**{name: value})
+            for value in (1e-9, 1e9):
+                assert getattr(ForceParams(**{name: value}), name) == value
 
     def test_speed_cap_floored(self, params):
         assert params.max_speed_for(0.0) == pytest.approx(0.6)

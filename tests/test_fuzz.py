@@ -25,8 +25,10 @@ from crowdcast.core import read_canonical_csv
 from crowdcast.pipeline import known_window_tracks
 
 HEADER = "frame,agent_id,x,y\n"
+# finite but beyond the ±1e9 m coordinate scale
+HUGE = [1e154, 1e200, 1.7976931348623157e308]
 BAD_TOKENS = ["nan", "inf", "-inf", "NaN", "1e999", "", "x", "-3", "1.5",
-              "99999999999999999999999", "9223372036854775807"]
+              "99999999999999999999999", "9223372036854775807"] + list(map(repr, HUGE))
 
 
 @st.composite
@@ -35,8 +37,9 @@ def groups_case(draw, messy: bool = True) -> tuple:
     minimum. Most agents walk near one another over the whole known window;
     the rest start or end inside it, and tracks get gaps and single frames.
     Unless ``messy`` is false, tracks also get duplicate frames, sometimes
-    one token is spoiled or a row cut short, and sometimes the file is
-    empty, header-only or header-less."""
+    one token is spoiled (sometimes to a huge finite number) or a row cut
+    short, and sometimes the file is empty, header-only or header-less;
+    agents spaced hugely apart lie beyond the coordinate scale."""
     known = draw(st.sampled_from([2, 3, 4, 6]))
     endtime = draw(st.integers(max(known - 1, 0), 14))
     overlap = draw(st.integers(1, known + 1))
@@ -44,7 +47,7 @@ def groups_case(draw, messy: bool = True) -> tuple:
         if messy else "tracks"
     if kind in ("empty", "header"):
         return ("" if kind == "empty" else HEADER), endtime, known, overlap
-    spacing = draw(st.sampled_from([0.2, 0.44, 1.0, 5.0, 0.0]))
+    spacing = draw(st.sampled_from([0.2, 0.44, 1.0, 5.0, 0.0] + HUGE))
     velocities = st.sampled_from([(0.5, 0.0), (1.0, 0.3), (0.0, 0.0)])
     shared = draw(velocities)
     rows = []
@@ -105,8 +108,8 @@ def test_groups_cli_exit_codes_and_partition(case):
 
 
 
-# scene coordinates: near the walkers, or huge enough that an edge's
-# squared length, or the distance to it, overflows
+# scene coordinates: near the walkers, or beyond the ±1e9 m coordinate
+# scale, which the scene reader rejects (bounds excepted)
 SCENE_COORDS = st.one_of(st.floats(-3.0, 12.0, width=16),
                          st.sampled_from([0.0, 1e154, -1e154, 1e200, -1e308,
                                           1e308, 1.7976931348623157e308]))
@@ -391,8 +394,9 @@ def config_file(draw) -> str:
             lines.append(f"{draw(st.sampled_from(CONFIG_INTS))} = {value}")
         elif kind == "float":
             value = draw(st.sampled_from(["0.3999", "0.5", "1.0", "2", "0",
-                                          "-1", "1e-300", "1e300", "nan",
-                                          "inf", "-inf", "x"]))
+                                          "-1", "5e-324", "1e-300", "1e-9", "1e9",
+                                          "1e300", "1.7976931348623157e308",
+                                          "nan", "inf", "-inf", "x"]))
             lines.append(f"{draw(st.sampled_from(CONFIG_FLOATS))} = {value}")
         elif kind == "seed":
             lines.append(f"seed = {draw(st.sampled_from(['0', '7', '-1', 'x']))}")

@@ -167,6 +167,18 @@ class TestToCanonical:
         tr = cc.read_canonical_csv(csv_bytes, cfg.step_duration)[0]
         assert np.allclose(tr.positions[0], [0.0, 2.0])
 
+    def test_point_mapped_beyond_the_scale_rejected(self, cfg):
+        # 5e8 doubles to exactly 1e9, kept; the first point past it is named
+        rows = np.vstack([_rows(1, range(3), [0.0, 1.0, 5e8], [0.0] * 3),
+                          _rows(2, range(3), [0.0, 3e8, 6e8], [0.0] * 3)])
+        h = Homography.from_text("2 0 0  0 2 0  0 0 1")
+        with pytest.raises(DataError, match=r"agent 2: point \(600000000.0, 0.0\)"):
+            to_canonical(rows, h, 2.5, cfg)
+        # on the step grid every sample is copied bit for bit
+        csv_bytes, _ = to_canonical(rows[:3], h, 1.0 / cfg.step_duration, cfg)
+        tr = cc.read_canonical_csv(csv_bytes, cfg.step_duration)[0]
+        assert tr.positions[-1, 0] == 1e9
+
     def test_duplicate_source_frame_rejected(self, cfg):
         rows = _rows(1, [0, 0, 1], [0.0, 0.1, 0.2], [0.0] * 3)
         with pytest.raises(DataError):
