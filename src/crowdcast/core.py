@@ -301,6 +301,8 @@ class SceneGeometry:
                             ("_ring_starts", starts)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        # without a short edge, obstacle_contacts has no point to put back
+        object.__setattr__(self, "_any_short", bool(short.any()))
 
     @classmethod
     def empty(cls) -> "SceneGeometry":
@@ -329,7 +331,9 @@ class SceneGeometry:
         t = np.vecdot(pa, ab) / self._div[:, None]
         t = np.where(t > 0.0, t, 0.0)
         t = np.where(t < 1.0, t, 1.0)
-        q = np.where(self._short[:, None, None], a, a + t[..., None] * ab)
+        q = a + t[..., None] * ab
+        if self._any_short:
+            q = np.where(self._short[:, None, None], a, q)
         pq = p - q
         d = np.sqrt(np.vecdot(pq, pq))
         near = np.empty((n_seg + len(starts) - 1, len(p), 2))
@@ -364,8 +368,11 @@ def _convex_polygon(p) -> np.ndarray:
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
     dot = np.sum(edges * nxt, axis=1)
     scale = np.linalg.norm(edges, axis=1) * np.linalg.norm(nxt, axis=1)
-    area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)
-                              - np.roll(p[:, 0], -1) * p[:, 1]))
+    # shoelace sum about the first vertex: translation-free, so a small
+    # ring far from the origin keeps its area
+    q = p - p[0]
+    area = 0.5 * float(np.sum(q[:, 0] * np.roll(q[:, 1], -1)
+                              - np.roll(q[:, 0], -1) * q[:, 1]))
     turning = cross[np.abs(cross) > 1e-12 * scale]
     if abs(area) <= 1e-12 * float(np.sum(scale)):
         raise DataError("polygon has zero area")

@@ -23,7 +23,8 @@ _STILL_SPEED = 1e-6
 # window to get the single value used for prediction
 EMOTION_WINDOW_FRAMES = 5
 
-# emotion pair terms held in memory at once, over all frames of a group
+# pair terms (one pair on one frame) held in memory at once: the emotion's
+# over a group's frames, the closeness graph's over its candidates' frames
 _PAIR_BLOCK = 1 << 16
 
 
@@ -101,39 +102,76 @@ def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> fl
 def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
     """Closeness level of every agent pair; the positive ones become edges.
 
-    The tracks are laid on one dense grid over their distinct frames: a
-    presence mask and x and y planes, each (N, F), rows in node order. Each
-    row is scored against all later rows in one pass, with the definition
-    of :func:`pairwise_intimacy`: co-present count, then the maximum
-    distance over the co-present frames, then the two thresholds. Scratch
-    memory is O(N·F); edges are inserted in (i, j) node order.
+    The tracks are laid on one grid over their distinct frames in one
+    pass: a presence mask and x and y planes, each (N, F), rows in node
+    order. Only candidate pairs are scored. A pair's maximum distance over
+    its co-present frames is at least its |dx| on any one of them, so two
+    rows present on the grid's last frame are a candidate only when their
+    x there lie within ``personal_distance``: a sort-and-sweep over that
+    frame's x. Every pair with a row absent from the last frame stays a
+    candidate. Candidates are scored in blocks of about ``_PAIR_BLOCK``
+    terms with the definition of :func:`pairwise_intimacy`: co-present
+    count, then the maximum distance over the co-present frames, then the
+    two thresholds. Edges are inserted in (i, j) node order.
     """
-    nodes = tuple(sorted({tr.agent_id for tr in tracks}))
-    if len(nodes) != len(tracks):
+    rows = sorted(tracks, key=lambda tr: tr.agent_id)
+    nodes = tuple(tr.agent_id for tr in rows)
+    if len(set(nodes)) != len(nodes):
         raise DataError("duplicate agent ids in track list")
-    by_id = {tr.agent_id: tr for tr in tracks}
-    frames = np.unique(np.concatenate(
-        [np.empty(0, dtype=np.int64)] + [tr.frames for tr in tracks]))
-    present = np.zeros((len(nodes), len(frames)), dtype=bool)
-    x, y = np.zeros((2, len(nodes), len(frames)))
-    for i, a in enumerate(nodes):
-        tr = by_id[a]
-        cols = np.searchsorted(frames, tr.frames)
-        present[i, cols] = True
-        x[i, cols], y[i, cols] = tr.positions.T
-    edges = {}
-    for i, a in enumerate(nodes[:-1]):
-        co = present[i] & present[i + 1:]
-        dx = x[i] - x[i + 1:]
-        dy = y[i] - y[i + 1:]
+    n = len(rows)
+    frames, cols = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [tr.frames for tr in rows]),
+        return_inverse=True)
+    if not len(frames):
+        return IntimacyGraph(nodes, {})
+    cells = np.repeat(np.arange(n), [len(tr.frames) for tr in rows]), cols
+    present = np.zeros((n, len(frames)), dtype=bool)
+    present[cells] = True
+    x, y = np.zeros((2, n, len(frames)))
+    x[cells], y[cells] = np.concatenate(
+        [np.empty((0, 2))] + [tr.positions for tr in rows]).T
+    # sweep order: rows absent from the last frame first, each paired with
+    # every later row; then the present rows by last-frame x, each paired
+    # with the later ones within the cutoff. Its slack outweighs the
+    # rounding of |dx|, of its square and root, and of ``s + cut``; the
+    # scoring still decides.
+    last = present[:, -1]
+    on = np.flatnonzero(last)
+    on = on[np.argsort(x[on, -1])]
+    s = x[on, -1]
+    absent = n - len(on)
+    cut = cfg.personal_distance * (1.0 + 1e-9)
+    hi = np.concatenate([np.full(absent, n),
+                         absent + np.searchsorted(s, s + cut, side="right")])
+    order = np.concatenate([np.flatnonzero(~last), on])
+    # position k has hi[k] - k - 1 partners: candidate t is the pair of the
+    # first k with ends[k] > t and position hi[k] - (ends[k] - t)
+    ends = np.cumsum(hi - np.arange(n) - 1)
+    total = int(ends[-1])
+    block = max(1, _PAIR_BLOCK // len(frames))
+    found = []
+    for lo in range(0, total, block):
+        t = np.arange(lo, min(lo + block, total))
+        k = np.searchsorted(ends, t, side="right")
+        a, b = order[k], order[hi[k] - (ends[k] - t)]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        co = present[i] & present[j]
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
         # sqrt(dx*dx + dy*dy) is what np.linalg.norm computes for a 2-vector,
         # and sqrt is monotone: the root of the largest square is the largest
         # distance, bit for bit
         worst = np.sqrt(np.max(dx * dx + dy * dy, axis=1, where=co, initial=0.0))
-        close = co.sum(axis=1) >= cfg.min_overlap_frames
-        for j in np.flatnonzero(close & (worst <= cfg.personal_distance)):
-            level = 1.0 if worst[j] <= cfg.intimate_distance else 0.5
-            edges[(a, nodes[i + 1 + j])] = level
+        keep = ((co.sum(axis=1) >= cfg.min_overlap_frames)
+                & (worst <= cfg.personal_distance))
+        found.append((i[keep], j[keep],
+                      np.where(worst[keep] <= cfg.intimate_distance, 1.0, 0.5)))
+    edges = {}
+    if found:
+        i, j, level = (np.concatenate(c) for c in zip(*found))
+        first = np.lexsort((j, i))
+        edges = {(nodes[a], nodes[b]): v for a, b, v in zip(
+            i[first].tolist(), j[first].tolist(), level[first].tolist())}
     return IntimacyGraph(nodes, edges)
 
 

@@ -183,7 +183,8 @@ class TestGroups:
 
     def test_5000_agent_chain_is_cheap(self, tmp_path, capsys):
         # cost probe: 5,000 agents still form one chained group, with the
-        # same emotion, in bounded time (about 4.5 s on a 2-core host)
+        # same emotion, in bounded time (about 2.3 s on a 2-core host, nearly
+        # all of it the group's emotion, whose pair terms are O(n²))
         t0 = time.perf_counter()
         records = self._chain_groups(tmp_path, capsys, 5000)
         assert time.perf_counter() - t0 < 20.0

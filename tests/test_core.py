@@ -492,6 +492,15 @@ class TestScaleContract:
         with pytest.raises(DataError, match="line 1: .*finite"):
             parse_scene("bounds -inf 0 1 1\n")
 
+    def test_small_polygon_far_from_the_origin(self):
+        # the area is taken about the first vertex, so a 0.5 m² triangle
+        # keeps it at 1e8 m, and a flat one there still has none
+        scene = parse_scene("poly 1e8 1e8 100000001 1e8 100000001 100000001")
+        assert scene.polygons[0].tolist() == [[1e8, 1e8], [1e8 + 1, 1e8],
+                                              [1e8 + 1, 1e8 + 1]]
+        with pytest.raises(DataError, match="zero area"):
+            parse_scene("poly 1e8 1e8 100000001 1e8 100000002 1e8")
+
 
 # np.errstate sites allowed in src/: each guards arithmetic on input before
 # the scale check, or input its own tests feed unbounded

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,97 @@ class TestGraphMatchesOracle:
         self.check([empty], cfg)
         self.check([empty, one, line_track("p", 0, 12, (0.0, 0.1), (0.0, 0.0))],
                    cfg)
+        # empty tracks among rows present on the last frame
+        graph = self.check([line_track("q", 0, 12, (0.0, 0.0), (1.0, 0.0)), empty,
+                            line_track("r", 0, 12, (0.0, 0.3), (1.0, 0.0))], cfg)
+        assert list(graph.edges) == [("q", "r")]
+
+    # -1.5497 and -0.8611: b - a crosses a power of two, so it rounds, and
+    # a + personal_distance rounds below b
+    @pytest.mark.parametrize("origin", [0.0, 7.3, -1.5496659014108836,
+                                        -0.8610632758893614, -1e3, 1e8, -9e8])
+    def test_last_frame_dx_at_the_cutoff(self, cfg, origin):
+        # shared-window pairs standing still on one line in x: a, and b at
+        # the largest float whose distance from a is within the personal
+        # distance, or one float either side. The sweep must not drop the
+        # first two before scoring.
+        pd = cfg.personal_distance
+        a = origin
+        b = a + pd
+        while b - a > pd:
+            b = np.nextafter(b, -np.inf)
+        while np.nextafter(b, np.inf) - a <= pd:
+            b = np.nextafter(b, np.inf)
+        tracks = []
+        for y, name, bx in ((0.0, "lo", np.nextafter(b, -np.inf)), (5.0, "at", b),
+                            (10.0, "hi", np.nextafter(b, np.inf))):
+            tracks.append(_still_track(f"{name}.a", 0, 12, (a, y)))
+            tracks.append(_still_track(f"{name}.b", 0, 12, (bx, y)))
+        graph = self.check(tracks, cfg)
+        assert graph.level("lo.a", "lo.b") == graph.level("at.a", "at.b") == 0.5
+        assert graph.level("hi.a", "hi.b") == 0.0
+
+    def test_many_ties_in_x(self, cfg):
+        # three columns, each sharing one x on every frame, so every pair
+        # of a column is a candidate; rows are about 0.5 m apart in y, and
+        # the first two columns the personal distance apart in x
+        rng = np.random.default_rng(31)
+        tracks = []
+        for c, x in enumerate((0.0, cfg.personal_distance, 4.0)):
+            for r in range(15):
+                pos = np.column_stack([np.full(10, x),
+                                       0.5 * r + rng.normal(0.0, 0.02, 10)])
+                tracks.append(cc.Trajectory.from_frame_grid(
+                    f"c{c}.{r:02d}", np.arange(10), pos, STEP))
+        assert len(self.check(tracks, cfg).edges) > 20
+
+    def test_rows_absent_from_the_last_frame(self):
+        # tracks that end early or skip the last frame, among tracks present
+        # there, close to and far from each other
+        cfg = cc.Config(min_overlap_frames=3)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            tracks = []
+            for i in range(24):
+                first = int(rng.integers(0, 6))
+                n = 20 - first - int(rng.integers(0, 6)) * (i % 2)
+                start = rng.uniform(-1.5, 1.5, size=2)
+                tr = _gappy_track(rng, f"a{i:02d}", first, n, start, 0.05)
+                if i % 3 == 0 and tr.frames[-1] == 19:
+                    tr = cc.Trajectory(tr.agent_id, tr.frames[:-1], tr.times[:-1],
+                                       tr.positions[:-1])
+                tracks.append(tr)
+            last = [tr.frames[-1] == 19 for tr in tracks]
+            assert any(last) and not all(last)
+            self.check(tracks, cfg)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_candidate_blocks(self, monkeypatch, block):
+        # candidates are scored in blocks of about _PAIR_BLOCK terms; small
+        # blocks split every candidate list, across rows too
+        monkeypatch.setattr(grouping, "_PAIR_BLOCK", block)
+        cfg = cc.Config(min_overlap_frames=4)
+        rng = np.random.default_rng(block)
+        tracks = [_gappy_track(rng, f"k{i}", int(rng.integers(0, 3)), 12,
+                               rng.uniform(-1.5, 1.5, size=2), 0.05)
+                  for i in range(25)]
+        assert self.check(tracks, cfg).edges
+
+
+def test_graph_cost_follows_nearby_pairs(cfg):
+    # 20,000 shared-window agents 2 m apart in a line along x: no pair is
+    # within the personal distance on the last frame, so none is scored,
+    # where a pass over every pair would score 2e8 of them
+    n = 20_000
+    frames = np.arange(cfg.min_overlap_frames)
+    tracks = [cc.Trajectory(f"w{i:05d}", frames, frames * STEP,
+                            np.column_stack([np.full(len(frames), 2.0 * i),
+                                             0.1 * frames]))
+              for i in range(n)]
+    t0 = time.perf_counter()
+    graph = build_intimacy_graph(tracks, cfg)
+    assert time.perf_counter() - t0 < 10.0
+    assert len(graph.nodes) == n and graph.edges == {}
 
 
 def _still_track(agent_id, first, n, start):
