@@ -147,6 +147,22 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def span(self, start: int, stop: int, agent_id: str | None = None) -> "Trajectory":
+        """Rows ``start`` .. ``stop - 1`` as read-only views, named
+        ``agent_id`` (this track's id by default).
+
+        Nothing is copied or checked again: a contiguous slice of strictly
+        increasing frames and times strictly increases too, and a view of a
+        read-only array is read-only.
+        """
+        out = object.__new__(Trajectory)
+        rows = slice(start, stop)
+        for name, value in (("agent_id", self.agent_id if agent_id is None else agent_id),
+                            ("frames", self.frames[rows]), ("times", self.times[rows]),
+                            ("positions", self.positions[rows])):
+            object.__setattr__(out, name, value)
+        return out
+
     def index_of_frame(self, frame: int) -> int:
         i = int(np.searchsorted(self.frames, frame))
         if i >= len(self.frames) or self.frames[i] != frame:

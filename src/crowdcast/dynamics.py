@@ -431,7 +431,8 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
     if set(offsets) != set(policy.residuals):
         raise DataError("member offsets and residual patterns disagree")
     steps = len(group_traj)
-    rng = np.random.default_rng(policy.seed)
+    # only seeded-jitter draws; creating a generator is not free
+    rng = np.random.default_rng(policy.seed) if policy.mode == "seeded-jitter" else None
     out = {}
     for agent_id in sorted(offsets, key=str):
         dev = _deviations(policy, agent_id, steps, rng)

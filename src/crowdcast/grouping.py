@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, DataError, Trajectory, velocity_at
+from .core import Config, DataError, TooFewPointsError, Trajectory, velocity_at
 
 # speeds below this are treated as standing still in the emotion cosine term
 _STILL_SPEED = 1e-6
@@ -191,28 +191,48 @@ def extract_groups(graph: IntimacyGraph) -> list:
     return sorted(tuple(sorted(m)) for m in components.values())
 
 
+def _gather(members: list) -> tuple:
+    """The center track of two or more members, and the gather it is built on.
+
+    Frames strictly increase within a track, so a frame every member holds
+    appears n times in a row in the sorted member frames. The members' rows
+    there take one ``searchsorted`` each, into their concatenated positions
+    and times. Returns the center, the (n, F, 2) member positions at the F
+    common frames, the (n, F) rows where a :func:`velocity_at` difference
+    at each of them starts (the previous row; a track's first row is its
+    own), and the concatenated positions and times.
+    """
+    n = len(members)
+    frames = np.sort(np.concatenate([tr.frames for tr in members]))
+    tail = frames[n - 1:]
+    common = tail[tail == frames[:len(tail)]]
+    if len(common) == 0:
+        ids = ",".join(tr.agent_id for tr in members)
+        raise DataError(f"members {ids} are never co-present")
+    starts = np.array([0] + [len(tr) for tr in members[:-1]]).cumsum()[:, None]
+    rows = np.array([tr.frames.searchsorted(common) for tr in members]) + starts
+    positions = np.concatenate([tr.positions for tr in members])
+    times = np.concatenate([tr.times for tr in members])
+    stack = positions[rows]
+    name = "group[" + ",".join(sorted(tr.agent_id for tr in members)) + "]"
+    # the sum over members divided by n is what stack.mean(axis=0) computes
+    center = Trajectory(name, common, times[rows[0]], stack.sum(axis=0) / n)
+    return center, stack, np.maximum(rows - 1, starts), positions, times
+
+
 def group_center_trajectory(members: list) -> Trajectory:
     """Per-frame arithmetic mean of the member positions.
 
     Only frames where every member is present contribute, which keeps the
     center free of jumps when a member's track starts late or ends early.
+    A singleton's center is a :meth:`Trajectory.span` of its track.
     """
     if not members:
         raise DataError("group needs at least one member")
     if len(members) == 1:
         tr = members[0]
-        return Trajectory(f"group[{tr.agent_id}]", tr.frames, tr.times, tr.positions)
-    common = members[0].frames
-    for tr in members[1:]:
-        common = np.intersect1d(common, tr.frames, assume_unique=True)
-    if len(common) == 0:
-        ids = ",".join(tr.agent_id for tr in members)
-        raise DataError(f"members {ids} are never co-present")
-    stack = np.stack([tr.positions[np.searchsorted(tr.frames, common)] for tr in members])
-    center = stack.mean(axis=0)
-    times = members[0].times[np.searchsorted(members[0].frames, common)]
-    name = "group[" + ",".join(sorted(tr.agent_id for tr in members)) + "]"
-    return Trajectory(name, common, times, center)
+        return tr.span(0, len(tr), f"group[{tr.agent_id}]")
+    return _gather(members)[0]
 
 
 def _logistic(score: float) -> float:
@@ -231,8 +251,9 @@ def _running_sum(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(flat, axis=1)[:, -1]
 
 
-def _emotions(members: list, frames) -> list:
-    """Emotion values of a group of two or more members, one per frame.
+def _emotions(vels: np.ndarray) -> list:
+    """Emotion values of a group of two or more members, one per frame,
+    from the (F, n, 2) member velocities on F frames.
 
     Reproduces the scalar definition bit for bit: pair terms are added in
     i-major, j-minor order (skipped pairs add an exact +0.0), and the pair
@@ -240,25 +261,25 @@ def _emotions(members: list, frames) -> list:
     ``vels[i] @ vels[j]`` runs. Rows are taken in blocks, so scratch memory
     stays near ``_PAIR_BLOCK`` terms however large the group.
     """
-    n = len(members)
-    vels = np.stack([velocity_at(tr, frames) for tr in members], axis=1)
-    speeds = np.linalg.norm(vels, axis=-1)
+    frames, n = vels.shape[:2]
+    # sqrt of the sum of squares is what np.linalg.norm computes
+    speeds = np.sqrt((vels * vels).sum(axis=-1))
     moving = speeds > _STILL_SPEED
-    cos_sum = np.zeros(len(frames))
-    diff_sum = np.zeros(len(frames))
-    rows = max(1, _PAIR_BLOCK // (len(frames) * n))
+    cos_sum = np.zeros(frames)
+    diff_sum = np.zeros(frames)
+    rows = max(1, _PAIR_BLOCK // (frames * n))
     for lo in range(0, n, rows):
         i = slice(lo, lo + rows)
         pair = np.arange(n)[i, None] != np.arange(n)
         si, sj = speeds[:, i, None], speeds[:, None, :]
-        cos = np.zeros((len(frames),) + pair.shape)
+        cos = np.zeros((frames,) + pair.shape)
         np.divide(np.vecdot(vels[:, i, None], vels[:, None, :]), si * sj,
                   out=cos, where=pair & moving[:, i, None] & moving[:, None, :])
         cos_sum = _running_sum(cos_sum, cos)
         diff_sum = _running_sum(diff_sum, np.where(pair, np.abs(si - sj), 0.0))
     pairs = n * (n - 1)
-    scores = 1.0 + cos_sum / pairs - diff_sum / pairs - n
-    return [_logistic(float(s)) for s in scores]
+    return [_logistic(1.0 + cos / pairs - diff / pairs - n)
+            for cos, diff in zip(cos_sum.tolist(), diff_sum.tolist())]
 
 
 def group_emotion(members: list, frame: int, cfg: Config) -> float:
@@ -275,7 +296,7 @@ def group_emotion(members: list, frame: int, cfg: Config) -> float:
         raise DataError("group needs at least one member")
     if len(members) == 1:
         return 1.0
-    return _emotions(members, [frame])[0]
+    return _emotions(np.stack([velocity_at(tr, [frame]) for tr in members], axis=1))[0]
 
 
 def make_group_state(members: list, cfg: Config) -> GroupState:
@@ -285,14 +306,31 @@ def make_group_state(members: list, cfg: Config) -> GroupState:
     the center trajectory, where all members are co-present (up to
     ``EMOTION_WINDOW_FRAMES`` of them). The offsets are anchored at the last
     frame of the center trajectory.
+
+    Everything is read off one gather of the members' rows at their common
+    frames (:func:`group_center_trajectory`). A member's velocity at a frame
+    follows :func:`velocity_at`: the backward difference to its previous
+    row, the forward one at its first row.
     """
-    center = group_center_trajectory(members)
-    emotion = 1.0
-    if len(members) > 1:
-        emotion = float(np.mean(_emotions(
-            members, center.frames[-EMOTION_WINDOW_FRAMES:])))
-    anchor = int(center.frames[-1])
-    center_pos = center.positions[-1]
-    offsets = {tr.agent_id: tr.position_at(anchor) - center_pos for tr in members}
+    if len(members) < 2:
+        center = group_center_trajectory(members)
+        stack = center.positions[None]
+        emotion = 1.0
+    else:
+        center, stack, before, positions, times = _gather(members)
+        for tr in members:
+            if len(tr) < 2:
+                raise TooFewPointsError(
+                    f"agent {tr.agent_id!r} needs >= 2 points for a velocity query")
+        # a member of two or more rows starts no difference at its last row,
+        # so none spans two members; indexing by (F, n) rows gathers the
+        # (F, n, 2) velocities contiguous, as the pair loops read them
+        before = before[:, -EMOTION_WINDOW_FRAMES:].T
+        dt = (times[1:] - times[:-1])[before]
+        vels = (positions[1:] - positions[:-1])[before] / dt[..., None]
+        values = _emotions(vels)
+        # the bits of np.mean(values)
+        emotion = float(np.add.reduce(values)) / len(values)
+    offsets = dict(zip((tr.agent_id for tr in members), stack[:, -1] - center.positions[-1]))
     return GroupState(tuple(sorted(tr.agent_id for tr in members)), center,
                       emotion, offsets)

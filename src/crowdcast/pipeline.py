@@ -56,13 +56,12 @@ class GroupPrediction:
 def frame_span(tr: Trajectory, first: int, steps: int) -> Trajectory | None:
     """``tr`` over frames ``first`` .. ``first + steps - 1``, or None unless
     it holds every one of them: frames strictly increase, so it does when
-    the frame ``steps - 1`` places after the first is the last."""
+    the frame ``steps - 1`` places after the first is the last. The result
+    is a :meth:`Trajectory.span` of ``tr``: read-only views, no copy."""
     i = int(np.searchsorted(tr.frames, first))
     if i + steps > len(tr) or tr.frames[i + steps - 1] != first + steps - 1:
         return None
-    span = slice(i, i + steps)
-    return Trajectory(tr.agent_id, tr.frames[span], tr.times[span],
-                      tr.positions[span])
+    return tr.span(i, i + steps)
 
 
 def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:

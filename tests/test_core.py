@@ -21,6 +21,7 @@ from crowdcast.core import (
     natural_key,
     parse_scene,
 )
+from crowdcast.pipeline import frame_span
 
 from conftest import STEP, line_track, random_track
 
@@ -39,6 +40,25 @@ class TestTrajectory:
         tr = line_track("1", 0, 4, (0, 0), (1, 0))
         with pytest.raises(ValueError):
             tr.positions[0, 0] = 9.0
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (5, 5), (4, 5), (2, 7), (0, 9)])
+    def test_span_is_a_read_only_view_of_checked_rows(self, start, stop):
+        # empty, one-row, interior and full ranges of a nine-point track
+        tr = random_track(np.random.default_rng(6), "7", first_frame=3, n=9)
+        rows = slice(start, stop)
+        for agent_id in (None, "g"):
+            got = tr.span(start, stop, agent_id)
+            want = cc.Trajectory(agent_id or "7", tr.frames[rows].copy(),
+                                 tr.times[rows].copy(), tr.positions[rows].copy())
+            assert_same_track(got, want)
+            for name in ("frames", "times", "positions"):
+                arr, source = getattr(got, name), getattr(tr, name)
+                assert not arr.flags.writeable
+                assert np.shares_memory(arr, source) == (stop > start)
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+            if stop > start:
+                assert got.directions.tobytes() == want.directions.tobytes()
 
     def test_position_lookup(self):
         tr = line_track("1", 5, 4, (0, 0), (1, 0))
@@ -412,6 +432,30 @@ def test_window_database_ignores_the_window_and_after(precomputed):
                              cc.build_database(tracks, cfg, endtime=endtime))
 
 
+def assert_same_track(got, want):
+    assert got.agent_id == want.agent_id
+    for name in ("frames", "times", "positions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tracks=window_tracks(), steps=st.integers(1, 6))
+def test_frame_span_keeps_exactly_the_covering_tracks(tracks, steps):
+    # None unless the track holds every frame of the span; otherwise the
+    # rows of those frames, as the checked constructor builds them
+    for tr in tracks:
+        for first in range(-2, int(tr.frames[-1]) + 3):
+            got = frame_span(tr, first, steps)
+            keep = (tr.frames >= first) & (tr.frames < first + steps)
+            if keep.sum() < steps:
+                assert got is None
+            else:
+                assert_same_track(got, cc.Trajectory(
+                    tr.agent_id, tr.frames[keep], tr.times[keep], tr.positions[keep]))
+
+
 def test_database_arrays_are_read_only(cfg):
     tr = line_track("7", 0, 5, (0, 0), (1, 0))
     db = cc.build_database([tr], cfg)
@@ -512,14 +556,20 @@ ERRSTATE_SITES = {
 }
 
 
-def _errstate_sites(path: Path) -> list:
-    """(file, enclosing function) of every ``errstate`` or ``seterr`` use."""
+# places in src/ that build a Trajectory without running __post_init__ (an
+# object made by __new__ skips __init__): only a span of a checked track,
+# whose rows need no second check
+UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span")}
+
+
+def _attribute_sites(path: Path, attrs: tuple) -> list:
+    """(file, enclosing function) of every use of an attribute in ``attrs``."""
     sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr in ("errstate", "seterr"):
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
             sites.append((path.name, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -528,13 +578,26 @@ def _errstate_sites(path: Path) -> list:
     return sites
 
 
+def _src_sites(attrs: tuple) -> list:
+    src = Path(cc.__file__).parent
+    return [site for path in sorted(src.glob("*.py"))
+            for site in _attribute_sites(path, attrs)]
+
+
 def test_errstate_only_at_input_guards():
     """Overflow is bounded once, where input enters (``core.SCALE``); a later
     layer may not silence floating-point warnings locally again."""
-    src = Path(cc.__file__).parent
-    sites = [site for path in sorted(src.glob("*.py")) for site in _errstate_sites(path)]
+    sites = _src_sites(("errstate", "seterr"))
     assert sorted(set(sites)) == sorted(ERRSTATE_SITES)
     assert len(sites) == len(ERRSTATE_SITES)
+
+
+def test_trajectory_checks_skipped_only_by_span():
+    """Every other Trajectory in src/ is built through the checked
+    constructor."""
+    sites = _src_sites(("__new__",))
+    assert sorted(set(sites)) == sorted(UNCHECKED_TRAJECTORY_SITES)
+    assert len(sites) == len(UNCHECKED_TRAJECTORY_SITES)
 
 
 @pytest.mark.parametrize("steps", [0, 1])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import time
 
 import numpy as np
@@ -344,9 +346,22 @@ def _still_track(agent_id, first, n, start):
     return line_track(agent_id, first, n, start, (0.0, 0.0))
 
 
+def reference_center(members):
+    """The center and offsets by their definition: frames held by every
+    member, the per-frame mean of the member positions there, and each
+    member's position at the last of them minus the center's."""
+    common = functools.reduce(np.intersect1d, [tr.frames for tr in members])
+    rows = [np.searchsorted(tr.frames, common) for tr in members]
+    positions = np.mean([tr.positions[r] for tr, r in zip(members, rows)], axis=0)
+    anchor = int(common[-1])
+    offsets = {tr.agent_id: tr.position_at(anchor) - positions[-1] for tr in members}
+    return common, members[0].times[rows[0]], positions, offsets
+
+
 class TestEmotionMatchesOracle:
     """``make_group_state`` and ``group_emotion`` against the scalar loop in
-    ``grouping_oracle``, compared with ``==``."""
+    ``grouping_oracle``, and the center and offsets against
+    ``reference_center``, compared with ``==``."""
 
     @staticmethod
     def check(members, cfg):
@@ -355,6 +370,15 @@ class TestEmotionMatchesOracle:
         for f in state.center_trajectory.frames:
             assert group_emotion(members, int(f), cfg) == \
                 oracle.group_emotion(members, int(f), cfg)
+        frames, times, positions, offsets = reference_center(members)
+        center = state.center_trajectory
+        for got, want in ((center.frames, frames), (center.times, times),
+                          (center.positions, positions)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert list(state.member_offsets) == list(offsets)
+        for agent_id, offset in offsets.items():
+            assert state.member_offsets[agent_id].tobytes() == offset.tobytes()
         return state.emotion
 
     def test_random_groups(self, cfg):
@@ -414,6 +438,27 @@ class TestEmotionMatchesOracle:
                                   (1e4 * (m % 2), 0.0), 0.001)
                        for m in range(n)]
             assert self.check(members, cfg) == 0.0
+
+    def test_singletons(self, cfg):
+        rng = np.random.default_rng(29)
+        for n in (2, 12):
+            assert self.check([random_track(rng, "s", 3, n)], cfg) == 1.0
+
+    def test_error_contract(self, cfg):
+        a = line_track("a", 0, 6, (0.0, 0.0), (1.0, 0.0))
+        b = line_track("b", 10, 6, (0.0, 1.0), (1.0, 0.0))
+        with pytest.raises(DataError, match=r"^group needs at least one member$"):
+            make_group_state([], cfg)
+        with pytest.raises(DataError, match=r"^members a,b are never co-present$"):
+            make_group_state([a, b], cfg)
+        # a one-point member shares its frame with the others, but has no
+        # velocity there
+        c = line_track("c", 4, 6, (0.0, 2.0), (1.0, 0.0))
+        dot = cc.Trajectory.from_frame_grid("dot", [5], [[0.0, 0.5]], STEP)
+        for members in ([a, dot], [a, dot, c], [dot, a]):
+            with pytest.raises(cc.TooFewPointsError, match=re.escape(
+                    "agent 'dot' needs >= 2 points for a velocity query")):
+                make_group_state(members, cfg)
 
     def test_pair_dot_matches_scalar_matmul(self):
         # the vectorized dot must be the one ``vels[i] @ vels[j]`` computes
