@@ -275,6 +275,60 @@ def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
+# near pairs and connected components
+
+def near_pairs(points: np.ndarray, bound: float, block: int):
+    """Blocks of at most ``block`` (i, j) row pairs, i < j, of the (n, 2)
+    ``points``: every pair within ``bound`` in |dx| and |dy|, with a slack
+    above the rounding of distances computed from them, and every pair with
+    a non-finite row. A linked-cell list (Hockney & Eastwood 1988): sorted
+    by cell (cx, cy), a row meets its partners in two runs, the rest of its
+    column up to cy + 1 and column cx + 1 from cy − 1 to cy + 1, expanded
+    lazily, so memory is O(n + block). The cell side absorbs the rounding
+    of ``p / side`` at the points' magnitude."""
+    bad = ~np.isfinite(points).all(axis=1)
+    side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(points[~bad]).max(initial=0.0))
+    cx, cy = np.floor(np.where(bad[:, None], 0.0, points) / side).T
+    # (cx, cy) sorts as one complex key, which cannot overflow; a row with a
+    # non-finite coordinate sorts first and runs to the end
+    key = np.where(bad, -np.inf, cx) + cy * 1j
+    order = np.argsort(key, kind="stable")
+    key, bad, cx, cy = key[order], bad[order], cx[order], cy[order]
+    s1 = np.arange(1, len(key) + 1)
+    first = np.where(bad, len(key), key.searchsorted(cx + (cy + 1.0) * 1j, "right")) - s1
+    s2, e2 = (np.where(bad, 0, key.searchsorted(cx + 1.0 + (cy + dy) * 1j, side))
+              for dy, side in ((-1.0, "left"), (1.0, "right")))
+    counts = first + e2 - s2
+    # pair t belongs to the first position k with ends[k] > t
+    ends = np.cumsum(counts)
+    for lo in range(0, int(counts.sum()), block):
+        t = np.arange(lo, min(lo + block, ends[-1]))
+        k = ends.searchsorted(t, side="right")
+        o = t - ends[k] + counts[k]
+        a, b = order[k], order[np.where(o < first[k], s1[k] + o, s2[k] + o - first[k])]
+        yield np.minimum(a, b), np.maximum(a, b)
+
+
+def connected_components(n: int, edges) -> list:
+    """Connected components of rows 0 .. n-1 under edges given as blocks of
+    (i, j) index arrays: ascending row lists, by first row (union-find)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]       # path halving
+        return x
+
+    for i, j in edges:
+        for a, b in zip(i.tolist(), j.tolist()):
+            parent[find(b)] = find(a)
+    out: dict = {}
+    for x in range(n):
+        out.setdefault(find(x), []).append(x)
+    return list(out.values())
+
+
+# ---------------------------------------------------------------------------
 # scene geometry
 
 @dataclass(frozen=True)

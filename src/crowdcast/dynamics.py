@@ -18,7 +18,8 @@ exactly 0.0 and no coincidence nudge can fire. Groups outside the subject's
 connected component therefore exert exactly zero force on it, directly or
 through a chain, and dropping them changes no bit of its trajectory. Inside
 the component, pair forces are evaluated only along the graph's edges, and
-the margin (``_REACH_MARGIN``) absorbs rounding and nudges.
+the margin (``_REACH_MARGIN``) absorbs rounding and nudges. A window finds
+the components once (:func:`reach_components`) and hands each rollout its own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Config, DataError, SceneGeometry, Trajectory, check_scale, velocity_at
+from .core import (Config, DataError, SceneGeometry, Trajectory, check_scale,
+                   connected_components, near_pairs, velocity_at)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -118,9 +120,9 @@ class SimState:
 
 
 def _length(v: np.ndarray) -> np.ndarray:
-    """Length of each row of an (n, 2) array, with the bits of
+    """Length of each 2-vector along the last axis, with the bits of
     ``np.linalg.norm(v, axis=-1)``."""
-    x, y = v[:, 0], v[:, 1]
+    x, y = v[..., 0], v[..., 1]
     return np.sqrt(x * x + y * y)
 
 
@@ -298,21 +300,29 @@ def _initial_velocity(pos, dest, velocity, speed: float) -> np.ndarray:
     return to_dest / dist * speed
 
 
+def _linked(delta, cap_sum, reach: float, horizon: float) -> np.ndarray:
+    """The reach-graph edge test, on start differences and speed cap sums."""
+    return _length(delta) < reach + cap_sum * horizon + _REACH_MARGIN
+
+
 def _reach_component(pos: np.ndarray, caps: np.ndarray, reach: float,
                      horizon: float) -> tuple:
     """Group 0's connected component of the reach graph, as ascending row
     indices, and the graph's adjacency restricted to it."""
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    adj = d < reach + (caps[:, None] + caps[None, :]) * horizon + _REACH_MARGIN
+    adj = _linked(pos[:, None] - pos[None], caps[:, None] + caps[None], reach, horizon)
     np.fill_diagonal(adj, False)
-    seen = np.zeros(len(pos), dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    keep = np.flatnonzero(seen)
+    keep = np.array(connected_components(len(pos), [np.nonzero(np.triu(adj))])[0])
     return keep, adj[np.ix_(keep, keep)]
+
+
+def reach_components(pos: np.ndarray, caps: np.ndarray, reach: float,
+                     horizon: float) -> list:
+    """The reach-graph components of the (G, 2) starts ``pos`` with speed
+    caps ``caps``: the edge test on the :func:`near_pairs` of the longest edge."""
+    bound = reach + 2.0 * float(caps.max(initial=0.0)) * horizon + _REACH_MARGIN
+    edges = ((i[e], j[e]) for i, j in near_pairs(pos, bound, 1 << 16)
+             for e in [_linked(pos[i] - pos[j], caps[i] + caps[j], reach, horizon)])
+    return connected_components(len(pos), edges)
 
 
 def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, DataError, TooFewPointsError, Trajectory, velocity_at
+from .core import (Config, DataError, TooFewPointsError, Trajectory, connected_components,
+                   near_pairs, velocity_at)
 
 # speeds below this are treated as standing still in the emotion cosine term
 _STILL_SPEED = 1e-6
@@ -60,24 +61,6 @@ class GroupState:
         return len(self.members)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-
 def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> float:
     """Closeness level of two agents over their co-present frames.
 
@@ -102,14 +85,15 @@ def pairwise_intimacy(traj_i: Trajectory, traj_j: Trajectory, cfg: Config) -> fl
 def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
     """Closeness level of every agent pair; the positive ones become edges.
 
-    The tracks are laid on one grid over their distinct frames in one
-    pass: a presence mask and x and y planes, each (N, F), rows in node
-    order. Only candidate pairs are scored. A pair's maximum distance over
-    its co-present frames is at least its |dx| on any one of them, so two
-    rows present on the grid's last frame are a candidate only when their
-    x there lie within ``personal_distance``: a sort-and-sweep over that
-    frame's x. Every pair with a row absent from the last frame stays a
-    candidate. Candidates are scored in blocks of about ``_PAIR_BLOCK``
+    The tracks are laid on one grid over their distinct frames in one pass:
+    a presence mask and x and y planes (NaN where absent), each (N, F), rows
+    in node order. Only candidate pairs are scored. A pair's maximum
+    distance over its co-present frames is at least its |dx| and its |dy| on
+    any one of them, so two rows present on the grid's last frame are a
+    candidate only when both lie within ``personal_distance`` there: the 2-D
+    cell list of :func:`near_pairs` over that frame, which does not depend
+    on the axis. A row absent from that frame is NaN there, so it pairs with
+    every row. Candidates are scored in blocks of about ``_PAIR_BLOCK``
     terms with the definition of :func:`pairwise_intimacy`: co-present
     count, then the maximum distance over the co-present frames, then the
     two thresholds. Edges are inserted in (i, j) node order.
@@ -127,34 +111,12 @@ def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
     cells = np.repeat(np.arange(n), [len(tr.frames) for tr in rows]), cols
     present = np.zeros((n, len(frames)), dtype=bool)
     present[cells] = True
-    x, y = np.zeros((2, n, len(frames)))
+    x, y = np.full((2, n, len(frames)), np.nan)
     x[cells], y[cells] = np.concatenate(
         [np.empty((0, 2))] + [tr.positions for tr in rows]).T
-    # sweep order: rows absent from the last frame first, each paired with
-    # every later row; then the present rows by last-frame x, each paired
-    # with the later ones within the cutoff. Its slack outweighs the
-    # rounding of |dx|, of its square and root, and of ``s + cut``; the
-    # scoring still decides.
-    last = present[:, -1]
-    on = np.flatnonzero(last)
-    on = on[np.argsort(x[on, -1])]
-    s = x[on, -1]
-    absent = n - len(on)
-    cut = cfg.personal_distance * (1.0 + 1e-9)
-    hi = np.concatenate([np.full(absent, n),
-                         absent + np.searchsorted(s, s + cut, side="right")])
-    order = np.concatenate([np.flatnonzero(~last), on])
-    # position k has hi[k] - k - 1 partners: candidate t is the pair of the
-    # first k with ends[k] > t and position hi[k] - (ends[k] - t)
-    ends = np.cumsum(hi - np.arange(n) - 1)
-    total = int(ends[-1])
-    block = max(1, _PAIR_BLOCK // len(frames))
     found = []
-    for lo in range(0, total, block):
-        t = np.arange(lo, min(lo + block, total))
-        k = np.searchsorted(ends, t, side="right")
-        a, b = order[k], order[hi[k] - (ends[k] - t)]
-        i, j = np.minimum(a, b), np.maximum(a, b)
+    for i, j in near_pairs(np.column_stack([x[:, -1], y[:, -1]]), cfg.personal_distance,
+                           max(1, _PAIR_BLOCK // len(frames))):
         co = present[i] & present[j]
         dx = x[i] - x[j]
         dy = y[i] - y[j]
@@ -182,13 +144,10 @@ def extract_groups(graph: IntimacyGraph) -> list:
     singleton groups. Components are returned as sorted member tuples,
     ordered by their first member.
     """
-    uf = _UnionFind(graph.nodes)
-    for a, b in graph.edges:
-        uf.union(a, b)
-    components: dict = {}
-    for node in graph.nodes:
-        components.setdefault(uf.find(node), []).append(node)
-    return sorted(tuple(sorted(m)) for m in components.values())
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    ends = np.array([index[m] for edge in graph.edges for m in edge], dtype=np.intp)
+    return sorted(tuple(sorted(graph.nodes[k] for k in rows)) for rows
+                  in connected_components(len(index), [(ends[::2], ends[1::2])]))
 
 
 def _gather(members: list) -> tuple:
@@ -314,6 +273,8 @@ def make_group_state(members: list, cfg: Config) -> GroupState:
     """
     if len(members) < 2:
         center = group_center_trajectory(members)
+        if not len(center):
+            raise DataError(f"agent {members[0].agent_id!r} has no points")
         stack = center.positions[None]
         emotion = 1.0
     else:

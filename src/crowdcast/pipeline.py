@@ -24,6 +24,7 @@ from .dynamics import (
     GroupInit,
     ReconstructionPolicy,
     predict_group_trajectory,
+    reach_components,
     reconstruct_members,
 )
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
@@ -113,10 +114,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
 
     Runs :func:`detect_groups` and :func:`group_candidates`, then rolls each
     group's candidates out in one batched call, jointly with the other
-    groups, which head for their straight-line continuations. The desired
-    speed is the center's mean speed, floored at ``params.speed_floor``.
-    Returns a ``GroupPrediction`` per group; empty when no agent covers the
-    window.
+    groups of its reach component (:func:`reach_components`), which head for
+    their straight-line continuations. The desired speed is the center's
+    mean speed, floored at ``params.speed_floor``. Returns a
+    ``GroupPrediction`` per group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     cands = group_candidates(db, states, cfg)
@@ -128,6 +129,11 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                                group_cands[-1].destination,
                                max(mean_speed(center), params.speed_floor),
                                velocity_at(center, int(center.frames[-1]))))
+    comps = reach_components(np.array([g.pos for g in inits]).reshape(-1, 2),
+                             params.max_speed_for(np.array([g.speed for g in inits])),
+                             params.neighborhood_range,
+                             cfg.predict_time_steps * cfg.step_duration)
+    component = {gi: rows for rows in comps for gi in rows}
 
     out = []
     for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):
@@ -136,7 +142,7 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
             member_known, st.center_trajectory, st.member_offsets, mode, seed)
         trajs = predict_group_trajectory(
             init.pos, np.array([c.destination for c in group_cands]),
-            init.speed, scene, inits[:gi] + inits[gi + 1:],
+            init.speed, scene, [inits[k] for k in component[gi] if k != gi],
             cfg.predict_time_steps, params, cfg,
             initial_velocity=init.velocity, start_frame=endtime)
         rollouts = [

@@ -19,6 +19,7 @@ from crowdcast.core import (
     TooFewPointsError,
     _directions,
     natural_key,
+    near_pairs,
     parse_scene,
 )
 from crowdcast.pipeline import frame_span
@@ -165,6 +166,83 @@ class TestResample:
         out = cc.resample_trajectory(tr, 0.5)
         assert list(out.frames) == [1, 2, 3]
         assert np.allclose(out.positions[:, 0], [0.2, 0.7, 1.2])
+
+
+class TestNearPairs:
+    """``near_pairs`` against a brute-force pass over every pair: it must
+    yield each pair within ``bound`` in |dx| and |dy| (every pair with a
+    non-finite row), once, as i < j, in blocks of at most ``block``, and no
+    finite pair beyond two cells."""
+
+    @staticmethod
+    def check(points, bound, block):
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        blocks = list(near_pairs(points, bound, block))
+        assert all(0 < len(i) == len(j) <= block for i, j in blocks)
+        got = np.concatenate([np.column_stack(b) for b in blocks]) if blocks \
+            else np.empty((0, 2), dtype=np.intp)
+        assert np.all(got[:, 0] < got[:, 1])
+        found = set(map(tuple, got.tolist()))
+        assert len(found) == len(got)
+        n = len(points)
+        i, j = np.triu_indices(n, 1)
+        bad = ~np.isfinite(points).all(axis=1)
+        gap = np.abs(points[i] - points[j]).max(axis=1)
+        need = bad[i] | bad[j] | (gap <= bound)
+        assert set(zip(i[need].tolist(), j[need].tolist())) <= found
+        far = ~(bad[i] | bad[j]) & (gap > 2.000001 * bound
+                                    + 1e-15 * np.abs(points[~bad]).max(initial=0.0))
+        assert not found & set(zip(i[far].tolist(), j[far].tolist()))
+        return found
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_random_points(self, block):
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            n = int(rng.integers(0, 80))
+            scale = 10.0 ** rng.uniform(-2, 3)
+            self.check(rng.uniform(-scale, scale, (n, 2)), 10.0 ** rng.uniform(-1, 1),
+                       block)
+
+    @pytest.mark.parametrize("bound", [1e-9, 0.1, 1.2, 7.0])
+    @pytest.mark.parametrize("origin", [0.0, -3.7, 1e6, -9e8])
+    def test_lattice_at_the_bound(self, bound, origin):
+        # neighbours bound apart, up to the rounding of the coordinates
+        k = np.arange(-4, 5) * bound
+        self.check(origin + np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2),
+                   bound, 7)
+
+    @pytest.mark.parametrize("bound", [1e-9, 1e-6, 1.0, 1e3, 1e9])
+    def test_coordinates_at_the_scale(self, bound):
+        rng = np.random.default_rng(int(-np.log10(bound)) + 10)
+        for center in (SCALE, -SCALE, 9e8, -9e8, 1e8):
+            points = center + rng.integers(-3, 4, (40, 2)) * bound \
+                + rng.normal(0.0, bound * 0.1, (40, 2))
+            self.check(np.clip(points, -SCALE, SCALE), bound, 100)
+
+    def test_non_finite_rows_pair_with_every_row(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-20.0, 20.0, (30, 2))
+        points[[0, 7, 8]] = np.nan
+        points[12, 1] = np.nan
+        points[20, 0] = np.inf
+        found = self.check(points, 1.2, 7)
+        for r in (0, 7, 8, 12, 20):
+            assert sum(r in pair for pair in found) == 29
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_tiny_inputs(self, block):
+        assert self.check(np.empty((0, 2)), 1.0, block) == set()
+        assert self.check([[3.0, 4.0]], 1.0, block) == set()
+        assert self.check([[np.nan, 0.0]], 1.0, block) == set()
+        assert self.check([[0.0, 0.0], [1.0, -1.0]], 1.0, block) == {(0, 1)}
+        assert self.check([[0.0, 0.0], [5.0, 0.0]], 1.0, block) == set()
+        assert self.check([[0.0, 0.0], [np.nan, np.nan]], 1.0, block) == {(0, 1)}
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_every_point_in_one_cell(self, block):
+        points = np.random.default_rng(block).uniform(0.0, 0.5, (120, 2))
+        assert len(self.check(points, 1.0, block)) == 120 * 119 // 2
 
 
 class TestScene:

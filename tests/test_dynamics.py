@@ -400,6 +400,80 @@ class TestRolloutMatchesOracle:
                              params, cfg, np.array([cap, 0.0]))
 
 
+def _window_at_the_reach_bound(cfg, params):
+    """Tracks whose known window (frames 20..24) ends with groups at the
+    reach bound ± 1 µm along x and along y, a two-member group, a lone
+    group and two clusters far apart, all slower than the speed floor (so every speed cap
+    is the floor's); walkers over frames 0..15 fill the database."""
+    horizon = cfg.predict_time_steps * cfg.step_duration
+    cap = params.max_speed_for(0.0)
+    bound = params.neighborhood_range + (cap + cap) * horizon + dynamics._REACH_MARGIN
+    ends = {"a": ((0.0, 0.0), (0.0, 0.0)),
+            "b": ((bound - 1e-6, 0.0), (-0.25, 0.0)),             # linked to a
+            "c": ((bound - 1e-6, bound + 1e-6), (0.0, 0.2)),      # not to b
+            "d": ((bound - 1e-6, 2.0 * bound), (0.1, -0.2)),      # linked to c
+            "e": ((300.0, -400.0), (0.2, 0.0)),
+            "m1": ((-3.0, 2.0), (0.2, 0.1)), "m2": ((-3.0, 2.3), (0.2, 0.1))}
+    rng = np.random.default_rng(5)
+    for k, center in enumerate(((1000.0, 1000.0), (-5000.0, 300.0))):
+        for g in range(4 - k):
+            at = np.array(center) + rng.uniform(-4.0, 4.0, 2)
+            ends[f"k{k}.{g}"] = (at, 0.25 * (np.array(center) - at) / 4.0)
+    frames = np.arange(20, 25)
+    tracks = []
+    for name, (last, vel) in ends.items():
+        back = (24 - frames)[:, None] * np.asarray(vel) * STEP
+        tracks.append(cc.Trajectory.from_frame_grid(name, frames, np.asarray(last) - back,
+                                                    STEP))
+        walk = np.asarray(last) + rng.normal(0.0, 0.4, (16, 2)).cumsum(axis=0)
+        tracks.append(cc.Trajectory.from_frame_grid(f"h.{name}", np.arange(16), walk,
+                                                    STEP))
+    return tracks
+
+
+def test_window_components_equal_full_rollouts(monkeypatch):
+    """Each group's rollout in ``predict_at_endtime`` gets exactly the groups
+    of its reach component, as the dense test over every group of the window
+    finds it, and returns the bits of a rollout given every other group."""
+    from crowdcast import pipeline
+
+    cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
+                    min_overlap_frames=3)
+    params = ForceParams.from_config(cfg, substeps=2)
+    scene = cc.parse_scene("seg 1001 990 1001 1010")
+    tracks = _window_at_the_reach_bound(cfg, params)
+    calls = []
+
+    def spy(start, dest, speed, scene, others, steps, params, cfg, **kw):
+        out = predict_group_trajectory(start, dest, speed, scene, others, steps,
+                                       params, cfg, **kw)
+        calls.append((start, dest, speed, others, kw, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "predict_group_trajectory", spy)
+    preds = cc.predict_at_endtime(tracks, 24, cc.build_database(tracks, cfg, 24), cfg,
+                                  params, scene)
+    assert [p.members for p in preds][-1] == ("m1", "m2")
+    inits = [GroupInit(start, dest[-1], speed, kw["initial_velocity"])
+             for start, dest, speed, _, kw, _ in calls]
+    sizes = []
+    for g, (start, dest, speed, others, kw, out) in enumerate(calls):
+        rest = inits[:g] + inits[g + 1:]
+        pos = np.stack([start] + [o.pos for o in rest])
+        caps = params.max_speed_for(np.array([speed] + [o.speed for o in rest]))
+        keep, _ = dynamics._reach_component(pos, caps, params.neighborhood_range,
+                                            cfg.predict_time_steps * cfg.step_duration)
+        assert [o.pos.tolist() for o in others] == pos[keep[1:]].tolist()
+        sizes.append(len(keep))
+        full = predict_group_trajectory(start, dest, speed, scene, rest,
+                                        cfg.predict_time_steps, params, cfg, **kw)
+        for got, want in zip(out, full, strict=True):
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.frames.tobytes() == want.frames.tobytes()
+    # a, b and the pair; c and d; e alone; the two clusters
+    assert sizes == [3, 3, 2, 2, 1] + [4] * 4 + [3] * 3 + [3]
+
+
 class TestObstacleFieldMatchesOracle:
     """``SceneGeometry.obstacle_contacts`` and the obstacle terms of the
     force return the bits of the scalar per-point code in

@@ -141,6 +141,10 @@ class TestGroupEmotion:
     def test_empty_group_rejected(self, cfg):
         with pytest.raises(DataError):
             group_emotion([], 0, cfg)
+        empty = cc.Trajectory("e", np.empty(0, dtype=np.int64), np.empty(0),
+                              np.empty((0, 2)))
+        with pytest.raises(DataError, match="no points"):
+            make_group_state([empty], cfg)
 
     def test_score_beyond_exp_range_gives_zero(self):
         # one member still, one moving 1 m per 1 ms step: the speed term
@@ -177,6 +181,11 @@ def _gappy_track(rng, agent_id, first, n, start, scale=0.3):
     steps = rng.normal(0.0, scale, size=(n, 2))
     pos = np.asarray(start, dtype=np.float64) + np.cumsum(steps, axis=0)
     return cc.Trajectory.from_frame_grid(agent_id, frames[keep], pos[keep], STEP)
+
+
+# -1.5497 and -0.8611: b - a crosses a power of two, so it rounds, and
+# a + personal_distance rounds below b
+CUTOFF_ORIGINS = (0.0, 7.3, -1.5496659014108836, -0.8610632758893614, -1e3, 1e8, -9e8)
 
 
 class TestGraphMatchesOracle:
@@ -254,15 +263,14 @@ class TestGraphMatchesOracle:
                             line_track("r", 0, 12, (0.0, 0.3), (1.0, 0.0))], cfg)
         assert list(graph.edges) == [("q", "r")]
 
-    # -1.5497 and -0.8611: b - a crosses a power of two, so it rounds, and
-    # a + personal_distance rounds below b
-    @pytest.mark.parametrize("origin", [0.0, 7.3, -1.5496659014108836,
-                                        -0.8610632758893614, -1e3, 1e8, -9e8])
-    def test_last_frame_dx_at_the_cutoff(self, cfg, origin):
-        # shared-window pairs standing still on one line in x: a, and b at
-        # the largest float whose distance from a is within the personal
-        # distance, or one float either side. The sweep must not drop the
-        # first two before scoring.
+    @pytest.mark.parametrize(
+        "origin, axis", [(o, axis) for axis in (0, 1) for o in CUTOFF_ORIGINS],
+        ids=[f"{o!r}{'-y' * axis}" for axis in (0, 1) for o in CUTOFF_ORIGINS])
+    def test_last_frame_dx_at_the_cutoff(self, cfg, origin, axis):
+        # shared-window pairs standing still on one line along the axis: a,
+        # and b at the largest float whose distance from a is within the
+        # personal distance, or one float either side. The cell list must
+        # not drop the first two before scoring.
         pd = cfg.personal_distance
         a = origin
         b = a + pd
@@ -273,8 +281,9 @@ class TestGraphMatchesOracle:
         tracks = []
         for y, name, bx in ((0.0, "lo", np.nextafter(b, -np.inf)), (5.0, "at", b),
                             (10.0, "hi", np.nextafter(b, np.inf))):
-            tracks.append(_still_track(f"{name}.a", 0, 12, (a, y)))
-            tracks.append(_still_track(f"{name}.b", 0, 12, (bx, y)))
+            for end, along in (("a", a), ("b", bx)):
+                point = (along, y) if axis == 0 else (y, along)
+                tracks.append(_still_track(f"{name}.{end}", 0, 12, point))
         graph = self.check(tracks, cfg)
         assert graph.level("lo.a", "lo.b") == graph.level("at.a", "at.b") == 0.5
         assert graph.level("hi.a", "hi.b") == 0.0
@@ -340,6 +349,53 @@ def test_graph_cost_follows_nearby_pairs(cfg):
     graph = build_intimacy_graph(tracks, cfg)
     assert time.perf_counter() - t0 < 10.0
     assert len(graph.nodes) == n and graph.edges == {}
+
+
+def _line_of_agents(n, axis, frames):
+    """``n`` shared-window agents 2 m apart in a line along the axis,
+    each drifting 0.1 m per frame across it."""
+    out = []
+    for i in range(n):
+        pos = np.empty((len(frames), 2))
+        pos[:, axis] = 2.0 * i
+        pos[:, 1 - axis] = 0.1 * frames
+        out.append(cc.Trajectory(f"w{i:05d}", frames, frames * STEP, pos))
+    return out
+
+
+def test_grouping_cost_does_not_depend_on_the_axis(cfg):
+    # the broad phase is a 2-D cell list: a line along y costs what the
+    # same line along x does, where a sweep over x alone scores every pair
+    frames = np.arange(cfg.known_time_steps)
+    took = {}
+    for axis in (0, 1):
+        tracks = _line_of_agents(4000, axis, frames)
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            known, states = cc.detect_groups(tracks, int(frames[-1]), cfg)
+            runs.append(time.perf_counter() - t0)
+            assert len(states) == 4000
+        took[axis] = sorted(runs)[1]
+    assert took[1] < 2.0 * took[0], took
+
+
+def test_window_reach_cost_follows_nearby_groups():
+    # 2,000 singletons 100 m apart, none within reach of another: each
+    # rollout simulates its own group alone, where a reach matrix over
+    # every group per rollout costs O(G³) per window
+    cfg = cc.Config(known_time_steps=5, predict_time_steps=2, k_candidates=1)
+    params = cc.ForceParams.from_config(cfg, substeps=1)
+    frames = np.arange(5)
+    tracks = [cc.Trajectory.from_frame_grid(
+        f"s{i:04d}", frames, np.column_stack([np.full(5, 100.0 * (i % 50)),
+                                              100.0 * (i // 50) + 0.5 * frames]),
+        STEP) for i in range(2000)]
+    db = cc.build_database(tracks, cfg, 4)
+    t0 = time.perf_counter()
+    out = cc.predict_at_endtime(tracks, 4, db, cfg, params, cc.SceneGeometry.empty())
+    assert time.perf_counter() - t0 < 10.0
+    assert len(out) == 2000
 
 
 def _still_track(agent_id, first, n, start):
