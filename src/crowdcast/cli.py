@@ -27,7 +27,7 @@ from .core import (
     parse_scene,
     read_canonical_csv,
 )
-from .dynamics import ForceParams
+from .dynamics import MODES, ForceParams
 from .evaluate import Window, run_experiment
 from .ingest import Homography, ParseError, parse_obsmat, to_canonical
 from .pipeline import (
@@ -41,9 +41,7 @@ from .plotting import render_svg
 _CONFIG_FIELDS = {f.name: f.type for f in fields(Config)}
 _FORCE_FIELDS = {f.name: f.type for f in fields(ForceParams)
                  if f.name not in ("mass", "radius", "neighborhood_range")}
-_INT_FIELDS = {"known_time_steps", "predict_time_steps", "k_candidates",
-               "min_overlap_frames", "substeps"}
-_MODES = ("rigid", "seeded-jitter")
+_INT_FIELDS = {f.name for f in fields(Config) + fields(ForceParams) if f.type == "int"}
 
 _FLAG_HELP = {
     "known_time_steps": "length of the known window in steps",
@@ -109,7 +107,7 @@ def _parse_config_file(path: str) -> dict:
         elif key == "seed":
             out[key] = int(value)
         elif key == "mode":
-            if value not in _MODES:
+            if value not in MODES:
                 raise ValueError(f"{path}:{lineno}: unknown mode {value!r}")
             out[key] = value
         else:
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="canonical CSV to search (default: the input's "
                         "frames before the known window)")
     p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
-    p.add_argument("--mode", choices=_MODES,
+    p.add_argument("--mode", choices=MODES,
                    help="member deviation policy (rigid)")
     p.add_argument("--plot", metavar="FILE.svg",
                    help="also render the prediction to this SVG file")
@@ -427,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int,
                    help="stride between auto endtimes (predict_time_steps)")
     p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
-    p.add_argument("--mode", choices=_MODES,
+    p.add_argument("--mode", choices=MODES,
                    help="member deviation policy (rigid)")
     p.set_defaults(func=cmd_eval)
 

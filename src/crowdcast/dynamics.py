@@ -6,20 +6,21 @@ groups and by the nearest points of scene obstacles. Member trajectories are
 recovered from a predicted group trajectory by rigid translation plus a
 deviation term scaled by one minus the group emotion.
 
-A rollout simulates only the groups that can reach the subject. Groups i
-and j are joined in the reach graph when, at the start,
+A rollout simulates every group it is given, with pair forces only along
+the edges of the reach graph. Groups i and j are joined in that graph when,
+at the start,
 
     |p_i - p_j| < neighborhood_range + (vmax_i + vmax_j) * horizon + margin
 
-with vmax the speed cap and horizon the rolled-out time. No group moves
-faster than its cap, so two groups without an edge stay at least
-``neighborhood_range`` apart for the whole horizon, where the pair force is
-exactly 0.0 and no coincidence nudge can fire. Groups outside the subject's
-connected component therefore exert exactly zero force on it, directly or
-through a chain, and dropping them changes no bit of its trajectory. Inside
-the component, pair forces are evaluated only along the graph's edges, and
-the margin (``_REACH_MARGIN``) absorbs rounding and nudges. A window finds
-the components once (:func:`reach_components`) and hands each rollout its own.
+with vmax the speed cap and horizon the rolled-out time
+(:func:`reach_edges`). No group moves faster than its cap, so two groups
+without an edge stay at least ``neighborhood_range`` apart for the whole
+horizon, where the pair force is exactly 0.0 and no coincidence nudge can
+fire; the margin (``_REACH_MARGIN``) absorbs rounding and nudges. A group
+with no chain of edges to the subject therefore adds no force term to it,
+directly or through others: passing it along costs time but changes no bit
+of the subject's trajectory. A window labels the graph's components once
+and hands each rollout its own.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Config, DataError, SceneGeometry, Trajectory, check_scale,
-                   connected_components, near_pairs, velocity_at)
+from .core import (Config, DataError, SceneGeometry, TooFewPointsError, Trajectory,
+                   check_scale, near_pairs, velocity_at)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -93,12 +94,12 @@ class ForceParams:
 class SimState:
     """Mutable simulation arrays, one row per simulated body.
 
-    ``pairs`` is a (P, 2) array of the ordered (i, j) body pairs whose
+    ``rows`` and ``cols`` are the (P,) ordered (i, j) body pairs whose
     repulsion is evaluated, sorted by i, then j. Bodies that share no pair
-    must never come within ``neighborhood_range`` of each other. ``rows``
-    and ``cols`` are its two columns and ``bins`` the (2P,) flat indices of
-    each pair's x and y force term in an (n, 2) array. These four never
-    change during a rollout: they are read-only and shared by every copy.
+    must never come within ``neighborhood_range`` of each other. ``bins``
+    holds the (2P,) flat indices of each pair's x and y force term in an
+    (n, 2) array. These three never change during a rollout: they are
+    read-only and shared by every copy.
     """
 
     positions: np.ndarray
@@ -107,7 +108,6 @@ class SimState:
     desired_speeds: np.ndarray
     max_speeds: np.ndarray
     arrived: np.ndarray
-    pairs: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     bins: np.ndarray
@@ -115,8 +115,8 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(self.positions.copy(), self.velocities.copy(),
                         self.destinations.copy(), self.desired_speeds.copy(),
-                        self.max_speeds.copy(), self.arrived.copy(), self.pairs,
-                        self.rows, self.cols, self.bins)
+                        self.max_speeds.copy(), self.arrived.copy(), self.rows,
+                        self.cols, self.bins)
 
 
 def _length(v: np.ndarray) -> np.ndarray:
@@ -132,7 +132,8 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     """Assemble a SimState from (n, 2) arrays, deriving per-body speed caps
     and clamping the initial velocities to them.
 
-    ``pairs`` defaults to every ordered pair of distinct bodies.
+    ``pairs`` is a (P, 2) array of the (i, j) body pairs of
+    :class:`SimState`; it defaults to every ordered pair of distinct bodies.
     """
     spd = np.asarray(desired_speeds, dtype=np.float64).reshape(-1).copy()
     n = len(spd)
@@ -151,12 +152,11 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     vel[arrived] = 0.0
     if pairs is None:
         pairs = np.argwhere(~np.eye(n, dtype=bool))
-    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    rows, cols = pairs[:, 0].copy(), pairs[:, 1].copy()
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
     bins = (2 * rows[:, None] + np.arange(2)).ravel()
-    for a in (pairs, rows, cols, bins):
+    for a in (rows, cols, bins):
         a.setflags(write=False)
-    return SimState(pos, vel, dest, spd, caps, arrived, pairs, rows, cols, bins)
+    return SimState(pos, vel, dest, spd, caps, arrived, rows, cols, bins)
 
 
 def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
@@ -290,39 +290,19 @@ class GroupInit:
     velocity: np.ndarray | None = None
 
 
-def _initial_velocity(pos, dest, velocity, speed: float) -> np.ndarray:
-    if velocity is not None:
-        return np.asarray(velocity, dtype=np.float64)
-    to_dest = np.asarray(dest, dtype=np.float64) - np.asarray(pos, dtype=np.float64)
-    dist = float(np.linalg.norm(to_dest))
-    if dist < _COINCIDENT:
-        return np.zeros(2)
-    return to_dest / dist * speed
-
-
-def _linked(delta, cap_sum, reach: float, horizon: float) -> np.ndarray:
-    """The reach-graph edge test, on start differences and speed cap sums."""
-    return _length(delta) < reach + cap_sum * horizon + _REACH_MARGIN
-
-
-def _reach_component(pos: np.ndarray, caps: np.ndarray, reach: float,
-                     horizon: float) -> tuple:
-    """Group 0's connected component of the reach graph, as ascending row
-    indices, and the graph's adjacency restricted to it."""
-    adj = _linked(pos[:, None] - pos[None], caps[:, None] + caps[None], reach, horizon)
-    np.fill_diagonal(adj, False)
-    keep = np.array(connected_components(len(pos), [np.nonzero(np.triu(adj))])[0])
-    return keep, adj[np.ix_(keep, keep)]
-
-
-def reach_components(pos: np.ndarray, caps: np.ndarray, reach: float,
-                     horizon: float) -> list:
-    """The reach-graph components of the (G, 2) starts ``pos`` with speed
-    caps ``caps``: the edge test on the :func:`near_pairs` of the longest edge."""
+def reach_edges(pos: np.ndarray, caps: np.ndarray, reach: float,
+                horizon: float) -> tuple:
+    """The reach-graph edges of the (G, 2) starts ``pos`` with speed caps
+    ``caps``, as (i, j) index arrays with i < j: the edge test of the module
+    docstring on the :func:`near_pairs` of the longest possible edge."""
     bound = reach + 2.0 * float(caps.max(initial=0.0)) * horizon + _REACH_MARGIN
-    edges = ((i[e], j[e]) for i, j in near_pairs(pos, bound, 1 << 16)
-             for e in [_linked(pos[i] - pos[j], caps[i] + caps[j], reach, horizon)])
-    return connected_components(len(pos), edges)
+    ii, jj = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for i, j in near_pairs(pos, bound, 1 << 16):
+        edge = _length(pos[i] - pos[j]) < reach + (caps[i] + caps[j]) * horizon \
+            + _REACH_MARGIN
+        ii.append(i[edge])
+        jj.append(j[edge])
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
@@ -331,15 +311,16 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
                              start_frame: int = 0) -> list:
     """Roll the subject group from ``start`` toward each candidate
     destination in ``dest``, a (C, 2) array, for ``steps`` output steps,
-    simulating ``others`` (``GroupInit``) jointly.
+    simulating every group of ``others`` (``GroupInit``) jointly.
 
     Each candidate is an independent simulation; all C advance together as
-    C blocks of one flat state, one body per group of the subject's reach
-    component (see the module docstring), with pairs only inside a block.
-    The subject's desired speed is floored at ``params.speed_floor``, so a
-    briefly stationary group still makes progress. Returns one trajectory
-    per candidate, each with one position per step on frames
-    ``start_frame + 1 .. start_frame + steps``.
+    C blocks of one flat state, one body per group, with pairs only inside a
+    block and only along the reach edges (see the module docstring). Others
+    with no chain of edges to the subject cost time but change no bit of
+    the result. The subject's desired speed is floored at
+    ``params.speed_floor``, so a briefly stationary group still makes
+    progress. Returns one trajectory per candidate, each with one position
+    per step on frames ``start_frame + 1 .. start_frame + steps``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -352,24 +333,31 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     starts = np.stack([start] + [np.asarray(g.pos, dtype=np.float64) for g in others])
     if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(speeds))):
         raise DataError("non-finite simulation input")
-    keep, adj = _reach_component(starts, params.max_speed_for(speeds),
-                                 params.neighborhood_range, steps * cfg.step_duration)
+    i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
+                       steps * cfg.step_duration)
 
-    n_cand, k = len(dests), len(keep)
-    vel = np.empty((n_cand, k, 2))
+    n_cand, k = len(dests), len(starts)
     dst = np.empty((n_cand, k, 2))
     dst[:, 0] = dests
-    for c, d in enumerate(dests):
-        vel[c, 0] = _initial_velocity(start, d, initial_velocity, speeds[0])
-    for r, i in enumerate(keep[1:], start=1):
-        g = others[i - 1]
-        dst[:, r] = g.dest
-        vel[:, r] = _initial_velocity(g.pos, g.dest, g.velocity, speeds[i])
-    # block c holds rows c*k .. c*k + k - 1; offsetting the component's
-    # pairs by c*k keeps the list sorted by row, then column
-    pairs = (np.argwhere(adj) + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)
-    state = make_sim_state(np.tile(starts[keep], (n_cand, 1)), vel, dst,
-                           np.tile(speeds[keep], n_cand), params, pairs)
+    dst[:, 1:] = np.reshape([g.dest for g in others], (-1, 2))
+    # a body without a given velocity starts at its desired speed, aimed at
+    # its destination, or at rest when it is already there
+    to = dst - starts
+    dist = np.sqrt(np.vecdot(to, to))
+    vel = np.zeros_like(to)
+    np.divide(to, dist[..., None], out=vel, where=~(dist < _COINCIDENT)[..., None])
+    vel *= speeds[:, None]
+    given = [initial_velocity] + [g.velocity for g in others]
+    has = np.array([v is not None for v in given])
+    vel[:, has] = np.reshape([v for v in given if v is not None], (-1, 2))
+    # each edge in both directions, sorted by row, then column; block c holds
+    # rows c*k .. c*k + k - 1, so offsetting by c*k keeps that order
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    pairs = (np.column_stack([rows[order], cols[order]])
+             + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)
+    state = make_sim_state(np.tile(starts, (n_cand, 1)), vel, dst,
+                           np.tile(speeds, n_cand), params, pairs)
 
     subject = k * np.arange(n_cand)
     points = np.empty((n_cand, steps, 2))
@@ -379,6 +367,10 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     times = frames * cfg.step_duration
     return [Trajectory("predicted", frames, times, p) for p in points]
+
+
+# the member reconstruction modes of ReconstructionPolicy
+MODES = ("rigid", "seeded-jitter")
 
 
 @dataclass(frozen=True)
@@ -395,7 +387,7 @@ class ReconstructionPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("rigid", "seeded-jitter"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown reconstruction mode {self.mode!r}")
 
     @classmethod
@@ -434,10 +426,11 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
 
     Each member's standard position is the group position plus its fixed
     offset; the deviation term, scaled by ``1 − emotion``, is added on top.
-    At emotion 1 the members translate rigidly with the group.
+    At emotion 1 the members translate rigidly with the group; at 0, which
+    a long chained group's cohesion rounds to, the deviation is unscaled.
     """
-    if not 0.0 < emotion <= 1.0:
-        raise DataError(f"emotion must be in (0, 1], got {emotion}")
+    if not 0.0 <= emotion <= 1.0:
+        raise DataError(f"emotion must be in [0, 1], got {emotion}")
     if set(offsets) != set(policy.residuals):
         raise DataError("member offsets and residual patterns disagree")
     steps = len(group_traj)
@@ -456,6 +449,8 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
 def constant_velocity_baseline(traj: Trajectory, steps: int, cfg: Config,
                                start_frame: int | None = None) -> Trajectory:
     """Straight-line extrapolation of a track at its final velocity."""
+    if len(traj) == 0:
+        raise TooFewPointsError(f"agent {traj.agent_id!r} has no point to extrapolate")
     if start_frame is None:
         start_frame = int(traj.frames[-1])
     vel = velocity_at(traj, int(traj.frames[-1])) if len(traj) >= 2 else np.zeros(2)

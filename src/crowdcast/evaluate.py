@@ -173,12 +173,12 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
     Per window, the database is ``build_database(tracks, cfg,
     endtime=window.endtime)``: each track's points before the known window,
     so nothing of the window or its horizon is searched. Each group's own
-    members are excluded from its query. Agents covering
-    the whole known window are simulated; those also covering the whole
-    horizon are scored. An agent with any frame at or before the window's
-    last horizon frame counts toward the window's total; total minus
-    evaluated is reported as skipped. Windows with nothing to evaluate
-    yield NaN rows rather than failing.
+    members are excluded from its query. Agents covering the whole known
+    window are simulated; those also covering the whole horizon are scored.
+    An agent with any frame at or before the window's last horizon frame
+    counts toward the window's total (an empty track never does); total
+    minus evaluated is reported as skipped. Windows with nothing to
+    evaluate yield NaN rows rather than failing.
     """
     rows = []
     records = []
@@ -186,7 +186,7 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
     steps = cfg.predict_time_steps
     for window in windows:
         horizon_last = window.horizon_last(cfg)
-        total = sum(1 for tr in tracks if tr.frames[0] <= horizon_last)
+        total = sum(1 for tr in tracks if len(tr) and tr.frames[0] <= horizon_last)
         db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, SceneGeometry, Trajectory, TrajectoryDatabase, velocity_at
+from .core import (Config, SceneGeometry, Trajectory, TrajectoryDatabase,
+                   connected_components, velocity_at)
 from .dynamics import (
     ForceParams,
     GroupInit,
     ReconstructionPolicy,
     predict_group_trajectory,
-    reach_components,
+    reach_edges,
     reconstruct_members,
 )
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
@@ -114,10 +115,11 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
 
     Runs :func:`detect_groups` and :func:`group_candidates`, then rolls each
     group's candidates out in one batched call, jointly with the other
-    groups of its reach component (:func:`reach_components`), which head for
-    their straight-line continuations. The desired speed is the center's
-    mean speed, floored at ``params.speed_floor``. Returns a
-    ``GroupPrediction`` per group; empty when no agent covers the window.
+    groups of its reach component, labelled once for the window
+    (:func:`reach_edges`), which head for their straight-line continuations.
+    The desired speed is the center's mean speed, floored at
+    ``params.speed_floor``. Returns a ``GroupPrediction`` per group; empty
+    when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     cands = group_candidates(db, states, cfg)
@@ -129,11 +131,12 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                                group_cands[-1].destination,
                                max(mean_speed(center), params.speed_floor),
                                velocity_at(center, int(center.frames[-1]))))
-    comps = reach_components(np.array([g.pos for g in inits]).reshape(-1, 2),
-                             params.max_speed_for(np.array([g.speed for g in inits])),
-                             params.neighborhood_range,
-                             cfg.predict_time_steps * cfg.step_duration)
-    component = {gi: rows for rows in comps for gi in rows}
+    edges = reach_edges(np.array([g.pos for g in inits]).reshape(-1, 2),
+                        params.max_speed_for(np.array([g.speed for g in inits])),
+                        params.neighborhood_range,
+                        cfg.predict_time_steps * cfg.step_duration)
+    component = {gi: rows for rows in connected_components(len(inits), [edges])
+                 for gi in rows}
 
     out = []
     for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     STATIONARY_NORM,
     Config,
+    TooFewPointsError,
     Trajectory,
     TrajectoryDatabase,
     average_direction,
@@ -94,6 +95,8 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
 def query_pose(traj: Trajectory) -> QueryPose:
     """Query pose of a track: last position and the average movement
     direction at the final step."""
+    if len(traj) == 0:
+        raise TooFewPointsError(f"agent {traj.agent_id!r} has no point to query")
     direction = (average_direction(traj, len(traj)) if len(traj) >= 2
                  else np.zeros(2))
     return QueryPose(traj.agent_id, traj.positions[-1].copy(), direction)
@@ -103,19 +106,18 @@ def linear_continuation(traj: Trajectory, cfg: Config) -> np.ndarray:
     """Destination from continuing the track in a straight line.
 
     The last position is pushed along the normalized average movement
-    direction at the current speed for the whole prediction horizon. A
-    stationary track stays where it is.
+    direction (the :func:`query_pose`) at the current speed for the whole
+    prediction horizon. A stationary track stays where it is.
     """
-    last = traj.positions[-1].copy()
+    pose = query_pose(traj)
     if len(traj) < 2:
-        return last
-    direction = average_direction(traj, len(traj))
-    norm = float(np.linalg.norm(direction))
+        return pose.pos
+    norm = float(np.linalg.norm(pose.direction))
     speed = float(np.linalg.norm(velocity_at(traj, int(traj.frames[-1]))))
     if norm < STATIONARY_NORM or speed < STATIONARY_NORM:
-        return last
+        return pose.pos
     horizon = cfg.predict_time_steps * cfg.step_duration
-    return last + (direction / norm) * speed * horizon
+    return pose.pos + (pose.direction / norm) * speed * horizon
 
 
 def candidate_destinations(db: TrajectoryDatabase, traj: Trajectory, cfg: Config,

@@ -181,6 +181,17 @@ class TestGroups:
         assert [r["size"] for r in records] == [720]
         assert records[0]["emotion"] == 0.0
 
+    def test_huge_chained_group_predicts_and_evaluates(self, tmp_path, capsys):
+        # the same group's emotion of 0.0 is a valid reconstruction input:
+        # its members' deviations enter unscaled
+        self._chain_groups(tmp_path, capsys, 720)
+        path = str(tmp_path / "chain.csv")
+        flags = ["--known-time-steps", "2", "--min-overlap-frames", "2",
+                 "--out", str(tmp_path)]
+        assert cli.main(["predict", path, "--endtime", "1"] + flags) == 0
+        assert cli.main(["eval", path, "--endtimes", "1"] + flags) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_5000_agent_chain_is_cheap(self, tmp_path, capsys):
         # cost probe: 5,000 agents still form one chained group, with the
         # same emotion, in bounded time (about 2.3 s on a 2-core host, nearly

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -24,6 +25,27 @@ from crowdcast.dynamics import (
 from conftest import STEP, line_track
 import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
+
+
+def dense_reach_adjacency(pos, caps, reach, horizon):
+    """The reach graph by its definition: the edge test of the dynamics
+    module docstring on every pair of rows, as a dense (G, G) matrix."""
+    d = pos[:, None] - pos[None]
+    adj = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) \
+        < reach + (caps[:, None] + caps[None]) * horizon + dynamics._REACH_MARGIN
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def dense_reach_component(pos, caps, reach, horizon):
+    """Row 0's connected component of the dense reach graph, ascending."""
+    adj = dense_reach_adjacency(pos, caps, reach, horizon)
+    seen = np.arange(len(pos)) == 0
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return np.flatnonzero(seen)
 
 
 @pytest.fixture
@@ -105,7 +127,7 @@ class TestStep:
                                [[5.0, 0.0], [-5.0, 0.0]], [1.0, 1.0], params, pairs)
         assert pairs.flags.writeable
         sibling = step(state, cc.SceneGeometry.empty(), params, cfg.step_duration)
-        for name in ("pairs", "rows", "cols", "bins"):
+        for name in ("rows", "cols", "bins"):
             assert getattr(sibling, name) is getattr(state, name)
             with pytest.raises(ValueError):
                 getattr(sibling, name)[0] = 0
@@ -219,9 +241,13 @@ class TestReconstruction:
     def test_emotion_bounds_enforced(self):
         group = self._center()
         policy = ReconstructionPolicy("rigid", {"a": np.zeros((2, 2))})
-        for bad in (0.0, -0.2, 1.2):
+        for bad in (math.nan, -0.2, 1.2):
             with pytest.raises(DataError):
                 reconstruct_members(group, {"a": np.zeros(2)}, bad, policy)
+        # a long chained group's emotion rounds to 0: the deviation is unscaled
+        policy = ReconstructionPolicy("rigid", {"a": np.tile([0.2, -0.1], (8, 1))})
+        out = reconstruct_members(group, {"a": np.zeros(2)}, 0.0, policy)
+        assert np.array_equal(out["a"].positions, group.positions + [0.2, -0.1])
 
     def test_member_mismatch_rejected(self):
         group = self._center()
@@ -326,6 +352,17 @@ class TestRolloutMatchesOracle:
             self._assert_matches(start, dests, speed, scene, others, 12,
                                  params, cfg, vel0)
 
+    def test_aimed_initial_velocities(self, cfg, params, scene):
+        # with no velocity given, a body starts at its desired speed aimed at
+        # its destination; the aim's length has the bits of the oracle's
+        # np.linalg.norm, which a plain sqrt(x*x + y*y) misses in about 8%
+        # of rows (the 8 substeps keep a 1-ulp start difference visible)
+        rng = np.random.default_rng(11)
+        others = [GroupInit(rng.uniform(-8.0, 8.0, 2), rng.uniform(-50.0, 50.0, 2),
+                            float(rng.uniform(0.5, 2.0))) for _ in range(5)]
+        dests = rng.uniform(-50.0, 50.0, (200, 2))
+        self._assert_matches(np.zeros(2), dests, 1.3, scene, others, 1, params, cfg)
+
     def test_cluster_and_coincident_starts(self, cfg, params, scene):
         start = np.array([0.0, 0.0])
         others = [GroupInit(np.array([0.8, 0.1]), np.array([-9.0, 0.0]), 1.2),
@@ -380,7 +417,7 @@ class TestRolloutMatchesOracle:
         assert mid_step >= 3 * len(dests) and in_nudge >= len(dests)
 
     def test_reach_bound_edge(self, cfg, params, scene):
-        from crowdcast.dynamics import _REACH_MARGIN, _reach_component
+        from crowdcast.dynamics import _REACH_MARGIN
 
         steps = 10
         horizon = steps * cfg.step_duration
@@ -392,8 +429,8 @@ class TestRolloutMatchesOracle:
                            np.array([-cap, 0.0]))
         outside = GroupInit(np.array([0.0, bound + 1e-6]), np.array([0.0, -50.0]), 1.0,
                             np.array([0.0, -cap]))
-        keep, _ = _reach_component(np.stack([start, inside.pos, outside.pos]),
-                                   np.full(3, cap), params.neighborhood_range, horizon)
+        keep = dense_reach_component(np.stack([start, inside.pos, outside.pos]),
+                                     np.full(3, cap), params.neighborhood_range, horizon)
         assert keep.tolist() == [0, 1]
         dests = np.array([[50.0, 0.0], [0.0, 50.0]])
         self._assert_matches(start, dests, 1.0, scene, [inside, outside], steps,
@@ -461,8 +498,8 @@ def test_window_components_equal_full_rollouts(monkeypatch):
         rest = inits[:g] + inits[g + 1:]
         pos = np.stack([start] + [o.pos for o in rest])
         caps = params.max_speed_for(np.array([speed] + [o.speed for o in rest]))
-        keep, _ = dynamics._reach_component(pos, caps, params.neighborhood_range,
-                                            cfg.predict_time_steps * cfg.step_duration)
+        keep = dense_reach_component(pos, caps, params.neighborhood_range,
+                                     cfg.predict_time_steps * cfg.step_duration)
         assert [o.pos.tolist() for o in others] == pos[keep[1:]].tolist()
         sizes.append(len(keep))
         full = predict_group_trajectory(start, dest, speed, scene, rest,
@@ -472,6 +509,72 @@ def test_window_components_equal_full_rollouts(monkeypatch):
             assert got.frames.tobytes() == want.frames.tobytes()
     # a, b and the pair; c and d; e alone; the two clusters
     assert sizes == [3, 3, 2, 2, 1] + [4] * 4 + [3] * 3 + [3]
+
+
+class TestReachEdgesMatchDense:
+    """``reach_edges`` returns, as i < j pairs, exactly the edges of the
+    dense test over every pair of rows."""
+
+    REACH, HORIZON = 10.0, 4.0
+
+    def check(self, pos, caps):
+        pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+        caps = np.asarray(caps, dtype=np.float64)
+        i, j = dynamics.reach_edges(pos, caps, self.REACH, self.HORIZON)
+        assert i.dtype == j.dtype == np.intp and np.all(i < j)
+        got = sorted(zip(i.tolist(), j.tolist()))
+        adj = dense_reach_adjacency(pos, caps, self.REACH, self.HORIZON)
+        assert got == [tuple(e) for e in np.argwhere(np.triu(adj)).tolist()]
+        return len(got)
+
+    def bound(self, cap_sum):
+        return self.REACH + cap_sum * self.HORIZON + dynamics._REACH_MARGIN
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        pos = rng.uniform(-150.0, 150.0, (n, 2))
+        pos[: n // 4] = pos[0] + rng.normal(0.0, 3.0, (n // 4, 2))   # a cluster
+        assert self.check(pos, rng.uniform(0.6, 4.0, n)) > n // 4
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)],
+                             ids=["x", "y", "diagonal"])
+    @pytest.mark.parametrize("origin", [0.0, 1e9 - 500.0, -1e9 + 500.0],
+                             ids=["origin", "plus-1e9", "minus-1e9"])
+    def test_at_the_bound(self, axis, origin):
+        cap = 1.7
+        unit = np.array(axis)
+        base = np.array([origin, -origin])
+        for d, edges in ((self.bound(2 * cap) - 1e-6, 1), (self.bound(2 * cap) + 1e-6, 0)):
+            n = self.check([base, base + d * unit], [cap, cap])
+            if origin == 0.0:
+                assert n == edges
+
+    def test_exactly_at_the_bound_is_no_edge(self):
+        # sqrt(x*x) == |x|, so these two pairs lie exactly at the bound
+        b = self.bound(2 * 0.5)
+        assert self.check([(0.0, 0.0), (b, 0.0), (b, b)], [0.5] * 3) == 0
+
+    def test_near_scale_limit(self):
+        rng = np.random.default_rng(3)
+        pos = np.vstack([1e9 - rng.uniform(0.0, 60.0, (50, 2)),
+                         -1e9 + rng.uniform(0.0, 60.0, (50, 2)),
+                         [[1e9, -1e9], [-1e9, 1e9]]])
+        assert self.check(pos, np.full(len(pos), 0.6)) > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_inputs(self, n):
+        assert self.check(np.zeros((n, 2)), np.full(n, 0.6)) == n * (n - 1) // 2
+
+    def test_unequal_caps(self):
+        # the broad phase reaches as far as the largest cap allows; an edge
+        # between two slow groups needs their own, shorter bound
+        slow, fast = 0.6, 5.0
+        between = 0.5 * (self.bound(2 * slow) + self.bound(slow + fast))
+        pos = [(0.0, 0.0), (between, 0.0), (0.0, between), (-100.0, 0.0)]
+        caps = [slow, slow, fast, fast]
+        assert self.check(pos, caps) == 1
 
 
 class TestObstacleFieldMatchesOracle:

@@ -18,6 +18,7 @@ from crowdcast.evaluate import (
     min_over_candidates,
     run_experiment,
 )
+from crowdcast.retrieval import query_pose
 
 from conftest import STEP, benchmark_tracks, line_track
 
@@ -201,6 +202,33 @@ class TestRunExperiment:
         assert [r.endtime for r in report.rows] == [90, 99]
         table = report.text_table()
         assert "Endtime= 90" in table and "Endtime= 99" in table
+
+
+@pytest.mark.parametrize("call", ["run_experiment", "constant_velocity_baseline",
+                                  "linear_continuation", "query_pose",
+                                  "candidate_destinations"])
+def test_empty_track(call):
+    # a track with no point counts toward no window's total; a query on it
+    # names the agent instead of failing on its missing last point
+    cfg = replace(cc.Config(), k_candidates=1)
+    empty = Trajectory("ghost", np.zeros(0, dtype=np.int64), np.zeros(0),
+                       np.zeros((0, 2)))
+    if call == "run_experiment":
+        tracks = benchmark_tracks(2)
+        params = ForceParams.from_config(cfg, substeps=1)
+        runs = [run_experiment(t, cc.SceneGeometry.empty(), [Window(99)], cfg, params)
+                for t in (tracks, tracks + [empty])]
+        assert runs[1].rows == runs[0].rows and runs[0].rows[0].n_skipped == 2
+        return
+    queries = {
+        "constant_velocity_baseline": lambda: cc.constant_velocity_baseline(empty, 5, cfg),
+        "linear_continuation": lambda: cc.linear_continuation(empty, cfg),
+        "query_pose": lambda: query_pose(empty),
+        "candidate_destinations": lambda: cc.candidate_destinations(
+            cc.build_database(benchmark_tracks(2), cfg, 50), empty, cfg),
+    }
+    with pytest.raises(cc.TooFewPointsError, match="'ghost'"):
+        queries[call]()
 
 
 def test_beats_baseline_counts_ties_as_wins():

@@ -381,21 +381,24 @@ def test_grouping_cost_does_not_depend_on_the_axis(cfg):
 
 
 def test_window_reach_cost_follows_nearby_groups():
-    # 2,000 singletons 100 m apart, none within reach of another: each
-    # rollout simulates its own group alone, where a reach matrix over
-    # every group per rollout costs O(G³) per window
+    # singletons on a 50-column lattice. 100 m apart, none is within reach
+    # of another, and each rollout simulates its own group alone. 12 m
+    # apart, all of them chain into one reach component, and each rollout
+    # simulates all of them with pairs only between neighbours. A reach
+    # matrix over every group per rollout costs O(G³) per window
     cfg = cc.Config(known_time_steps=5, predict_time_steps=2, k_candidates=1)
     params = cc.ForceParams.from_config(cfg, substeps=1)
     frames = np.arange(5)
-    tracks = [cc.Trajectory.from_frame_grid(
-        f"s{i:04d}", frames, np.column_stack([np.full(5, 100.0 * (i % 50)),
-                                              100.0 * (i // 50) + 0.5 * frames]),
-        STEP) for i in range(2000)]
-    db = cc.build_database(tracks, cfg, 4)
-    t0 = time.perf_counter()
-    out = cc.predict_at_endtime(tracks, 4, db, cfg, params, cc.SceneGeometry.empty())
-    assert time.perf_counter() - t0 < 10.0
-    assert len(out) == 2000
+    for n, spacing, budget in ((2000, 100.0, 10.0), (1000, 12.0, 20.0)):
+        tracks = [cc.Trajectory.from_frame_grid(
+            f"s{i:04d}", frames, np.column_stack([np.full(5, spacing * (i % 50)),
+                                                  spacing * (i // 50) + 0.5 * frames]),
+            STEP) for i in range(n)]
+        db = cc.build_database(tracks, cfg, 4)
+        t0 = time.perf_counter()
+        out = cc.predict_at_endtime(tracks, 4, db, cfg, params, cc.SceneGeometry.empty())
+        assert time.perf_counter() - t0 < budget, (n, spacing)
+        assert len(out) == n
 
 
 def _still_track(agent_id, first, n, start):
