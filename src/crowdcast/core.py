@@ -418,10 +418,12 @@ class SceneGeometry:
             cross = (ab[lo:hi, :, 0] * pa[lo:hi, :, 1]
                      - ab[lo:hi, :, 1] * pa[lo:hi, :, 0])
             counted = ~(np.abs(cross) < 1e-15)
-            left = (counted & (cross > 0)).any(axis=0)
-            right = (counted & ~(cross > 0)).any(axis=0)
+            turn = cross > 0
+            left = (counted & turn).any(axis=0)
+            right = (counted & ~turn).any(axis=0)
             near[r] = q[first, cols]
-            dist[r] = np.where(left != right, -d[first, cols], d[first, cols])
+            nearest = d[first, cols]
+            dist[r] = np.where(left != right, -nearest, nearest)
         return near, dist
 
 
@@ -579,6 +581,98 @@ def read_canonical_csv(data, step_duration: float) -> list:
 # ---------------------------------------------------------------------------
 # historical-track database
 
+# samples per occupied cell that the sample grid aims at
+_CELL_SAMPLES = 4
+
+
+class SampleGrid:
+    """A uniform grid over sample positions, for best-match search by
+    bounds (Bentley & Friedman, ACM Computing Surveys 11, 1979): the sample
+    indices sorted by cell, so the samples of a square of cells are one run
+    per column.
+
+    The side comes from the samples: at the density of their bounding box,
+    then rescaled so the occupied cells hold about ``_CELL_SAMPLES`` each,
+    but never under 1/(4√n) of the larger extent. So a row or column has at
+    most about 4√n cells and the cell key ``cx · rows + cy`` is an exact
+    float. A sample with a non-finite coordinate lies in no cell: only the
+    square that covers the whole grid holds it.
+    """
+
+    def __init__(self, positions: np.ndarray):
+        x, y = positions.T
+        good = np.isfinite(x) & np.isfinite(y)
+        gx, gy = (x, y) if good.all() else (x[good], y[good])
+        n = len(gx)
+        self.origin = np.array([gx.min(), gy.min()]) if n else np.zeros(2)
+        w, h = (gx.max() - self.origin[0], gy.max() - self.origin[1]) if n else (0.0, 0.0)
+        wide = float(max(w, h))
+        self.side = 1.0
+        if wide > 0.0:
+            side = max(math.sqrt(w * h * _CELL_SAMPLES / n), wide * _CELL_SAMPLES / n)
+            cx, cy = self._cells(gx, gy, side)
+            # at this side the bounding box has at most 3n/_CELL_SAMPLES + 1 cells
+            key = (cx * (cy.max() + 1.0) + cy).astype(np.intp)
+            occupied = np.count_nonzero(np.bincount(key))
+            self.side = max(side * math.sqrt(_CELL_SAMPLES * occupied / n),
+                            wide / (4.0 * math.sqrt(n)))
+        cx, cy = self._cells(gx, gy, self.side)
+        self.last = np.array([cx.max(initial=0.0), cy.max(initial=0.0)])
+        self.rows = self.last[1] + 1.0
+        key = np.full(len(x), np.inf)
+        key[good] = cx * self.rows + cy
+        self.order = np.argsort(key)
+        self.keys = key[self.order]
+        # the coordinates' magnitude, for the rounding slack of ``clearance``
+        self.magnitude = float(np.abs(self.origin).max()) + wide
+
+    def _cells(self, x, y, side) -> tuple:
+        return np.floor((x - self.origin[0]) / side), np.floor((y - self.origin[1]) / side)
+
+    def cell_of(self, point) -> np.ndarray:
+        """The (cx, cy) cell of a point, as floats; NaN or ±inf when a
+        coordinate is not finite."""
+        return np.floor((np.asarray(point, dtype=np.float64) - self.origin) / self.side)
+
+    def square(self, cell: np.ndarray, h: float) -> tuple:
+        """The indices of the samples in the cells within ``h`` of ``cell``
+        in both coordinates, and whether that square covers the whole grid,
+        in which case they are every sample. A cell with a NaN coordinate
+        covers the whole grid."""
+        lo, hi = cell - h, cell + h
+        if not ((lo > 0.0).any() or (hi < self.last).any()):
+            return np.arange(len(self.order)), True
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, self.last)
+        if (lo > hi).any():     # a far cell's rounding left the square short
+            return self.order[:0], False
+        cols = np.arange(lo[0], hi[0] + 1.0) * self.rows
+        first = self.keys.searchsorted(cols + lo[1])
+        count = self.keys.searchsorted(cols + hi[1], "right") - first
+        runs = np.repeat(first - np.cumsum(count) + count, count)
+        return self.order[runs + np.arange(len(runs))], False
+
+    def clearance(self, point: np.ndarray, cell: np.ndarray, h: float) -> float:
+        """A lower bound on the distance from ``point`` to every finite
+        sample outside ``square(cell, h)``: the distance to the nearest
+        edge of the square with grid cells beyond it, less a slack above
+        the rounding of cell keys and edges at the coordinates'
+        magnitude."""
+        near = np.where(cell - h > 0.0,
+                        point - (self.origin + (cell - h) * self.side), np.inf)
+        far = np.where(cell + h < self.last,
+                       self.origin + (cell + h + 1.0) * self.side - point, np.inf)
+        edge = float(min(near.min(), far.min()))
+        slack = 1e-12 * (self.magnitude + float(np.abs(point).max()) + (h + 1.0) * self.side)
+        return max(edge - slack, 0.0)
+
+    def reach(self, cell: np.ndarray) -> float:
+        """How many cells ``cell`` lies outside the grid, in the coordinate
+        where it lies farthest out (at most 0 inside it, inf when not
+        finite)."""
+        out = np.maximum(-cell, cell - self.last).max()
+        return float(out) if np.isfinite(out) else math.inf
+
+
 class TrajectoryDatabase:
     """Historical track samples as read-only arrays, one row per sample.
 
@@ -589,10 +683,10 @@ class TrajectoryDatabase:
     that track. ``agent_codes`` index ``agent_ids``, which lists the source
     agents in natural order, so comparing codes compares ids. A track's
     samples are contiguous, in ascending step, and tracks of three or more
-    stored points keep their input order; ``track_starts`` holds the index
-    of each track's first sample. ``direction_norms`` are the directions'
-    lengths and ``moving`` the indices of the samples whose length is at
-    least ``STATIONARY_NORM``.
+    stored points keep their input order. ``direction_norms`` are the
+    directions' lengths. ``grid``, the :class:`SampleGrid` of the sample
+    positions, is built on first use, so a database that is never queried
+    never pays for it.
     """
 
     def __init__(self, tracks: list, lengths: list):
@@ -615,15 +709,16 @@ class TrajectoryDatabase:
             [np.empty((0, 2))] + [tr.directions[2:n] for tr, n in kept])
         self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
         self.direction_norms = np.sqrt(np.vecdot(self.directions, self.directions))
-        self.moving = np.flatnonzero(self.direction_norms >= STATIONARY_NORM)
-        self.track_starts = np.flatnonzero(self.steps == 3)  # first sample: step 3
         for arr in (self.agent_codes, self.steps, self.positions, self.directions,
-                    self.destinations, self.direction_norms, self.moving,
-                    self.track_starts):
+                    self.destinations, self.direction_norms):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def grid(self) -> SampleGrid:
+        return SampleGrid(self.positions)
 
     def codes_of(self, agent_ids) -> np.ndarray:
         """Agent codes of those ``agent_ids`` that have samples here."""

@@ -241,7 +241,8 @@ def _nudge_coincident(state: SimState, marked: np.ndarray) -> None:
 
 def step(state: SimState, scene: SceneGeometry, params: ForceParams,
          dt: float) -> SimState:
-    """Advance every body by one output step of length ``dt``.
+    """Advance every body by one output step of length ``dt``, returning a
+    new state; ``state`` is left as it was.
 
     The step is integrated as ``params.substeps`` semi-implicit Euler
     substeps: velocity from the force, clamped to the body's speed cap,
@@ -254,27 +255,39 @@ def step(state: SimState, scene: SceneGeometry, params: ForceParams,
     if dt <= 0:
         raise ValueError("dt must be positive")
     sim = state.copy()
+    _advance(sim, scene, params, dt, 1, np.empty(0, np.intp))
+    return sim
+
+
+def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float,
+             steps: int, watch: np.ndarray) -> np.ndarray:
+    """Advance ``sim`` in place by ``steps`` output steps of length ``dt``,
+    as :func:`step` does one. Returns the positions of the rows ``watch``
+    after each step, a (len(watch), steps, 2) array."""
+    out = np.empty((len(watch), steps, 2))
     h = dt / params.substeps
     active = ~sim.arrived
     moving = active[:, None]
-    for _ in range(params.substeps):
-        forces, nudge = _forces(sim, scene, params, h)
-        np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
-               where=moving)
-        norms = _length(sim.velocities)
-        over = active & (norms > sim.max_speeds)
-        if over.any():
-            sim.velocities[over] *= (sim.max_speeds[over] / norms[over])[:, None]
-        np.add(sim.positions, sim.velocities * h, out=sim.positions, where=moving)
-        if nudge is not None:
-            _nudge_coincident(sim, nudge)
-        newly = active & (_length(sim.positions - sim.destinations) <= params.radius)
-        if newly.any():
-            sim.arrived |= newly
-            sim.velocities[newly] = 0.0
-            active = ~sim.arrived
-            moving = active[:, None]
-    return sim
+    for s in range(steps):
+        for _ in range(params.substeps):
+            forces, nudge = _forces(sim, scene, params, h)
+            np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
+                   where=moving)
+            norms = _length(sim.velocities)
+            over = active & (norms > sim.max_speeds)
+            if over.any():
+                sim.velocities[over] *= (sim.max_speeds[over] / norms[over])[:, None]
+            np.add(sim.positions, sim.velocities * h, out=sim.positions, where=moving)
+            if nudge is not None:
+                _nudge_coincident(sim, nudge)
+            newly = active & (_length(sim.positions - sim.destinations) <= params.radius)
+            if newly.any():
+                sim.arrived |= newly
+                sim.velocities[newly] = 0.0
+                active = ~sim.arrived
+                moving = active[:, None]
+        out[:, s] = sim.positions[watch]
+    return out
 
 
 @dataclass(frozen=True)
@@ -359,11 +372,8 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     state = make_sim_state(np.tile(starts, (n_cand, 1)), vel, dst,
                            np.tile(speeds, n_cand), params, pairs)
 
-    subject = k * np.arange(n_cand)
-    points = np.empty((n_cand, steps, 2))
-    for s in range(steps):
-        state = step(state, scene, params, cfg.step_duration)
-        points[:, s] = state.positions[subject]
+    points = _advance(state, scene, params, cfg.step_duration, steps,
+                      k * np.arange(n_cand))
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     times = frames * cfg.step_duration
     return [Trajectory("predicted", frames, times, p) for p in points]

@@ -1,15 +1,16 @@
 """Destination candidates retrieved from the historical track database.
 
 A query pose (current position plus average movement direction) is scored
-against every stored sample. Each stored track keeps its best sample, and
-only these track minima are ranked: the destinations of the best ones, one
-per historical agent, become candidate destinations. A straight-line
-continuation of the query track is always appended as the final candidate so
-the set never depends entirely on the database.
+against the stored samples near it, found through the database's grid:
+the destinations of the best-scoring samples, one per historical agent,
+become candidate destinations. A straight-line continuation of the query
+track is always appended as the final candidate so the set never depends
+entirely on the database.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,40 +57,88 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
                   k: int | None = None, exclude=()) -> list:
     """The ``k`` best-matching historical agents, one sample each.
 
-    Every sample is scored: its distance to the query over the neighborhood
+    A sample's score is its distance to the query over the neighborhood
     range, plus ``direction_weight * (1 - cos)`` between the average
     movement directions. Samples heading against the query (negative
     cosine) are rejected; a stationary query or sample drops the direction
-    term. Each stored track keeps its lowest score at its lowest step; the
-    query's own agent and ``exclude`` are then dropped, and only these track
-    minima are sorted, by score, then id (natural order), then step, so
-    each agent keeps its best one. Returns ``(score, sample index)`` pairs.
+    term. The query's own agent and ``exclude`` are dropped, each agent
+    keeps its best sample by score, then step, and the agents are ranked by
+    that score, then id (natural order). Returns ``(score, sample index)``
+    pairs.
+
+    The search is exact but reads only the samples near the query: it ranks
+    the samples of a growing square of ``db.grid`` cells around the query
+    position, until every sample outside the square must score strictly
+    above the k-th best agent. A sample at distance d that is not rejected
+    scores at least ``d / neighborhood_range + min(0, direction_weight)``,
+    because ``1 - cos`` lies in [0, 1]; the test subtracts a rounding slack.
+    The last square, if it comes to that, is the whole database.
     """
     if k is None:
         k = cfg.k_candidates
     if len(db) == 0 or k <= 0:
         return []
-    offset = pose.pos - db.positions
-    score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
+    grid = db.grid
+    excluded = np.zeros(len(db.agent_ids), dtype=bool)
+    excluded[db.codes_of([pose.agent_id, *exclude])] = True
     qn = float(np.sqrt(np.vecdot(pose.direction, pose.direction)))
+    least = min(0.0, cfg.direction_weight)
+    cell = grid.cell_of(pose.pos)
+    h = max(grid.reach(cell), 1.0)
+    while True:
+        ids, whole = grid.square(cell, h)
+        scores, best = _rank(db, pose, qn, cfg, ids, excluded, k)
+        if whole:
+            break
+        if len(best) < k:
+            h = 2.0 * h + 1.0
+            continue
+        kth = float(scores[k - 1])
+        d = grid.clearance(pose.pos, cell, h) / cfg.neighborhood_range
+        if d + least - 1e-12 * (d + abs(least)) > kth:
+            break
+        # toward the square that clears the k-th score (one cell more for
+        # the slack), at least one ring and at most doubling at a time:
+        # the k-th score falls as the square grows. Where a ring more no
+        # longer changes a huge h, the next square is the whole grid
+        need = float(np.floor((kth - least) * cfg.neighborhood_range / grid.side)) + 2.0
+        grown = max(h + 1.0, min(need, 2.0 * h + 1.0))
+        h = grown if grown > h else math.inf
+    return [(float(s), int(i)) for s, i in zip(scores, best)]
+
+
+def _rank(db: TrajectoryDatabase, pose: QueryPose, qn: float, cfg: Config,
+          ids: np.ndarray, excluded: np.ndarray, k: int) -> tuple:
+    """Score the samples ``ids`` and rank their agents, leaving out the
+    ``excluded`` agent codes: the scores and sample indices of the ``k``
+    best agents' best samples (lowest score, then step, then index),
+    ordered by score, then agent code."""
+    offset = pose.pos - db.positions.take(ids, axis=0)
+    score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
     if qn >= STATIONARY_NORM:
-        moving = db.moving
-        # ``take`` gathers the rows several times faster than ``[moving]``
-        cos = np.vecdot(db.directions.take(moving, axis=0), pose.direction) / (
-            qn * db.direction_norms[moving])
+        norms = db.direction_norms[ids]
+        moving = np.flatnonzero(norms >= STATIONARY_NORM)
+        cos = np.vecdot(db.directions.take(ids[moving], axis=0), pose.direction) / (
+            qn * norms[moving])
         score[moving] += cfg.direction_weight * (1.0 - cos)
-        # a rejected sample scores NaN: fmin passes over it and no minimum
-        # equals it
+        # a rejected sample scores NaN and is never ranked
         score[moving[~(cos >= 0.0)]] = np.nan
-    starts, n = db.track_starts, len(db)
-    low = np.repeat(np.fmin.reduceat(score, starts), np.diff(starts, append=n))
-    # each track's first, so lowest-step, sample at its minimum; n if none
-    best = np.minimum.reduceat(np.where(score == low, np.arange(n), n), starts)
-    best = best[best < n]
-    best = best[~np.isin(db.agent_codes[best], db.codes_of([pose.agent_id, *exclude]))]
-    best = best[np.lexsort((db.steps[best], db.agent_codes[best], score[best]))]
-    _, first = np.unique(db.agent_codes[best], return_index=True)
-    return [(float(score[i]), int(i)) for i in best[np.sort(first)[:k]]]
+    codes = db.agent_codes[ids]
+    keep = np.flatnonzero(~(np.isnan(score) | excluded[codes]))
+    # only samples up to a score that k agents reach can be among the k
+    # best: the p lowest for the least p = k, 4k, 16k, ... whose samples
+    # hold k agents
+    kept, p = score[keep], k
+    while p < len(keep):
+        below = keep[kept <= np.partition(kept, p - 1)[p - 1]]
+        if len(np.unique(codes[below])) >= k:
+            keep = below
+            break
+        p *= 4
+    keep = keep[np.lexsort((ids[keep], db.steps[ids[keep]], codes[keep], score[keep]))]
+    _, first = np.unique(codes[keep], return_index=True)
+    best = keep[np.sort(first)[:k]]
+    return score[best], ids[best]
 
 
 def query_pose(traj: Trajectory) -> QueryPose:

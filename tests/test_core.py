@@ -353,7 +353,7 @@ class TestDatabase:
         assert db.agent_codes.tolist() == [3, 3, 1, 1, 0, 0, 2, 2]
         assert db.codes_of(["b9", "nobody", "a"]).tolist() == [1, 0]
 
-    def test_track_starts_norms_and_moving(self, cfg):
+    def test_sample_steps_and_norms(self, cfg):
         tracks = [line_track("b", 0, 5, (0, 0), (1, 0)),
                   line_track("a", 0, 2, (0, 0), (1, 0)),
                   line_track("a", 3, 4, (1, 1), (0, 0)),
@@ -361,12 +361,12 @@ class TestDatabase:
         db = cc.build_database(tracks, cfg)
         # the two-point track holds no sample; each other track's samples
         # are contiguous, in ascending step
-        assert db.track_starts.tolist() == [0, 3, 5]
         assert db.steps.tolist() == [3, 4, 5, 3, 4, 3]
+        assert db.agent_codes.tolist() == [1, 1, 1, 0, 0, 2]
         assert db.direction_norms.tobytes() == np.sqrt(
             np.vecdot(db.directions, db.directions)).tobytes()
         # the stationary track's directions are exactly zero
-        assert db.moving.tolist() == [0, 1, 2, 5]
+        assert db.direction_norms.tolist()[3:5] == [0.0, 0.0]
 
     def test_gap_rejected(self, cfg):
         tr = cc.Trajectory.from_frame_grid(
@@ -426,7 +426,7 @@ def clip_then_build(tracks: list, cfg, endtime: int):
 
 
 DATABASE_ARRAYS = ("agent_codes", "steps", "positions", "directions", "destinations",
-                   "direction_norms", "moving", "track_starts")
+                   "direction_norms")
 
 
 def assert_same_database(got, want):

@@ -136,6 +136,25 @@ class TestStep:
             with pytest.raises(ValueError):
                 getattr(scene, name)[0] = 0
 
+    def test_input_state_unchanged(self, cfg, params):
+        # a coincident pair, an arrived body, one body that arrives during
+        # the step and one clamped to its cap, between obstacles: step
+        # returns a new state and leaves every array of its input as it was
+        scene = cc.parse_scene("seg 0 -3 8 -3\npoly 6 2 7 2 7 3 6 3")
+        state = make_sim_state([[1.0, 1.0], [1.0, 1.0], [4.0, 0.0], [0.0, -2.0],
+                                [5.0, 1.5]],
+                               [[0.0, 0.0], [0.0, 0.0], [9.0, 0.0], [0.5, 0.0],
+                                [0.0, 0.0]],
+                               [[5.0, 1.0], [-3.0, 1.0], [4.1, 0.0], [0.35, -2.0],
+                                [9.0, 1.5]],
+                               [1.0, 1.0, 1.0, 1.0, 1.0], params)
+        before = {name: getattr(state, name).copy() for name in vars(state)}
+        out = step(state, scene, params, cfg.step_duration)
+        for name, value in before.items():
+            assert getattr(state, name).tobytes() == value.tobytes(), name
+        assert out.arrived.tolist() == [False, False, True, True, False]
+        assert not np.array_equal(out.positions, state.positions)
+
     def test_bad_dt_rejected(self, params, scene):
         state = make_sim_state([[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]],
                                [1.0], params)

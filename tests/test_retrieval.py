@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from crowdcast.retrieval import (
     query_similar,
 )
 
-from conftest import STEP, line_track
+from conftest import STEP, line_track, random_track
 from retrieval_oracle import scan_similar
 
 
@@ -178,6 +180,177 @@ def test_query_equals_scan_oracle(tracks, agent, pos, direction, exclude, k):
     pose = QueryPose(agent, np.array(pos, float) * LATTICE, np.array(direction))
     assert (query_similar(db, pose, cfg, k=k, exclude=exclude)
             == scan_similar(db, pose, cfg, k=k, exclude=exclude))
+
+
+def _walks(seed, n_tracks=80, scale=20.0, offset=(0.0, 0.0)):
+    """Random-walk tracks of 3-30 points around ``offset``; the ids come
+    from a pool of 30, so an agent often holds several tracks."""
+    rng = np.random.default_rng(seed)
+    tracks = [random_track(rng, f"h{i % 30}", n=int(rng.integers(3, 31)), scale=scale)
+              for i in range(n_tracks)]
+    return [cc.Trajectory(tr.agent_id, tr.frames, tr.times, tr.positions + offset)
+            for tr in tracks]
+
+
+def _poses(rng, count, center, spread):
+    """Queries around ``center``, heading every way, one of them still."""
+    return [QueryPose("q", np.asarray(center) + rng.uniform(-spread, spread, 2),
+                      rng.normal(0.0, 1.0, 2) if i else np.zeros(2))
+            for i in range(count)]
+
+
+def _line_database(cfg, offset=0.0):
+    """64 samples on the x axis, in a grid that the database picks with
+    side 1 m from 0 m: one per track, each a three-point track heading +x,
+    so every direction term is exactly 0. Agents at x = 1.75 (e), 2 (b),
+    3 (c), 4 (d), 4.5 (g) and 5 (a), the rest filler at 0 and 32, on cell
+    edges."""
+    at = {"a": 5.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 1.75, "g": 4.5}
+    at.update({f"f{i:02d}": 0.0 if i % 2 else 32.0 for i in range(58)})
+    tracks = [cc.Trajectory.from_frame_grid(
+        aid, np.arange(3), np.array([[x - 2.0, 0.0], [x - 1.0, 0.0], [x, 0.0]]) + offset,
+        STEP) for aid, x in at.items()]
+    return cc.build_database(tracks, cfg)
+
+
+class TestGridIndexMatchesScan:
+    """The grid search returns exactly what the one-sample-at-a-time scan
+    returns, scores bit for bit, wherever the query and the samples lie."""
+
+    @staticmethod
+    def _check(db, cfg, poses, ks=(1, 3, 5, 40), exclude=()):
+        for pose in poses:
+            for k in ks:
+                assert (query_similar(db, pose, cfg, k=k, exclude=exclude)
+                        == scan_similar(db, pose, cfg, k=k, exclude=exclude)), (pose, k)
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, 1.0])
+    def test_direction_weights(self, weight):
+        cfg = cc.Config(direction_weight=weight)
+        db = cc.build_database(_walks(31), cfg)
+        self._check(db, cfg, _poses(np.random.default_rng(32), 12, (0.0, 0.0), 25.0))
+
+    @pytest.mark.parametrize("weight", [-1.0, 1.0])
+    def test_query_far_from_every_sample(self, weight):
+        cfg = cc.Config(direction_weight=weight)
+        db = cc.build_database(_walks(33), cfg)
+        far = [QueryPose("q", np.array(c) * 1e6, np.array(d))
+               for c in ((1, 0), (-1, 1), (0, -1), (1, 1))
+               for d in ((1.0, 0.0), (0.0, 0.0), (-1.0, 0.5))]
+        self._check(db, cfg, far)
+
+    def test_far_query_beyond_a_tiny_database(self, cfg):
+        # 10,000 samples within about a nanometre, so a query 1e5 m or more
+        # away has a cell index past 2**53, where one cell more no longer
+        # changes a float and the rounding slack spans many cells
+        rng = np.random.default_rng(42)
+        tracks = [cc.Trajectory.from_frame_grid(
+            f"t{i}", np.arange(102),
+            np.column_stack([np.arange(102) * 1e-12 + i * 1e-11, rng.uniform(0, 1e-11, 102)]),
+            STEP) for i in range(100)]
+        db = cc.build_database(tracks, cfg)
+        assert 1e5 / db.grid.side > 2.0 ** 53
+        self._check(db, cfg, [QueryPose("q", np.array(q), np.array([1.0, 0.0]))
+                              for q in ((1e6, 0.0), (-1e7, 3e-12), (1e8, 1e8), (3e5, -2e5))],
+                    ks=(1, 5))
+
+    def test_exclusions_remove_every_nearby_agent(self, cfg):
+        db = cc.build_database(_walks(34), cfg)
+        rng = np.random.default_rng(35)
+        for pose in _poses(rng, 8, (0.0, 0.0), 10.0):
+            near = np.sqrt(np.vecdot(db.positions - pose.pos, db.positions - pose.pos)) < 8.0
+            exclude = sorted({db.agent_ids[c] for c in db.agent_codes[near]})
+            assert exclude
+            self._check(db, cfg, [pose], exclude=exclude)
+
+    def test_fewer_agents_than_k(self, cfg):
+        tracks = [tr for tr in _walks(36, n_tracks=12) if tr.agent_id in ("h1", "h4", "h7")]
+        db = cc.build_database(tracks, cfg)
+        assert len(db.agent_ids) == 3
+        self._check(db, cfg, _poses(np.random.default_rng(37), 8, (0.0, 0.0), 30.0),
+                    ks=(2, 3, 5))
+
+    @pytest.mark.parametrize("offset", [(1e9 - 25.0, -1e9 + 25.0), (-1e9 + 25.0, 1e9 - 25.0)])
+    def test_coordinates_near_the_scale_limit(self, cfg, offset):
+        db = cc.build_database(_walks(38, offset=np.array(offset)), cfg)
+        self._check(db, cfg, _poses(np.random.default_rng(39), 10, offset, 25.0))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9 - 40.0, -1e9 + 8.0])
+    def test_tie_exactly_at_the_stop_bound(self, cfg, offset):
+        # from (3.5, 0), the middle of cell 3, the first square (cells 2-4)
+        # ends 1.5 m away each side: b at x = 2 lies in it and a at x = 5
+        # just outside it, both 1.5 m away, so both score exactly the
+        # bound 0.15. With c, d and g excluded, a must win on its id; a
+        # search that stopped at the bound would return b
+        db = _line_database(cfg, offset)
+        assert db.grid.side == 1.0 and db.grid.origin.tolist() == [offset, offset]
+        pose = QueryPose("q", np.array([3.5, 0.0]) + offset, np.array([1.0, 0.0]))
+        exclude = ("c", "d", "g")
+        hits = query_similar(db, pose, cfg, k=1, exclude=exclude)
+        assert _agents(db, hits) == ["a"] and hits[0][0] == 0.15
+        self._check(db, cfg, [pose], ks=(1, 2, 3), exclude=exclude)
+
+    def test_nearest_edge_bounds_the_square(self, cfg):
+        # from (3.1, 0) the first square (cells 2-4) ends 1.1 m away on the
+        # left and 1.9 m on the right. Its 4th best agent, g at x = 4.5, is
+        # 1.4 m away, so e at x = 1.75, 1.35 m away beyond the left edge,
+        # must still be found
+        db = _line_database(cfg)
+        pose = QueryPose("q", np.array([3.1, 0.0]), np.array([1.0, 0.0]))
+        assert _agents(db, query_similar(db, pose, cfg, k=4)) == ["c", "d", "b", "e"]
+        self._check(db, cfg, [pose], ks=(3, 4, 5))
+
+    def test_samples_and_queries_on_cell_edges(self, cfg):
+        db = _line_database(cfg)
+        assert db.grid.side == 1.0
+        poses = [QueryPose("q", np.array([x, y]), np.array(d))
+                 for x in [*np.arange(-1.0, 7.0, 0.5), 31.5, 32.0, 33.0] for y in (0.0, 0.5, -1.0)
+                 for d in ((1.0, 0.0), (0.0, 0.0))]
+        for exclude in ((), ("c", "d"), ("a", "b", "c", "d", "e", "g")):
+            self._check(db, cfg, poses, ks=(1, 3, 5), exclude=exclude)
+
+    def test_non_finite_samples_never_ranked(self, cfg):
+        tracks = _walks(40, n_tracks=30)
+        bad = [cc.Trajectory.from_frame_grid(
+            f"bad{i}", np.arange(3), np.array([[0.0, 0.0], [1.0, 0.0], p]), STEP)
+            for i, p in enumerate(([np.nan, 0.0], [0.0, np.nan]))]
+        clean, dirty = cc.build_database(tracks, cfg), cc.build_database(tracks + bad, cfg)
+        for pose in _poses(np.random.default_rng(41), 8, (0.0, 0.0), 20.0):
+            for k in (1, 5, 60):
+                want = [(s, clean.steps[i], clean.agent_ids[clean.agent_codes[i]])
+                        for s, i in query_similar(clean, pose, cfg, k=k)]
+                got = [(s, dirty.steps[i], dirty.agent_ids[dirty.agent_codes[i]])
+                       for s, i in query_similar(dirty, pose, cfg, k=k)]
+                assert got == want
+
+
+def test_query_cost_follows_nearby_samples():
+    # 1.16M samples: 11,600 random walks of 102 points over 100 m x 100 m.
+    # A query whose k best lie nearby ranks the samples of a few grid
+    # cells, where scoring every sample takes about 100 ns each, 117 ms in
+    # all. A query 1e6 m away ends in the whole database and still returns
+    cfg = cc.Config()
+    rng = np.random.default_rng(7)
+    walks = rng.uniform(0.0, 100.0, (11_600, 1, 2)) \
+        + np.cumsum(rng.normal(0.0, 0.3, (11_600, 102, 2)), axis=1)
+    walks = 100.0 - np.abs(100.0 - np.mod(walks, 200.0))   # reflected into the square
+    frames = np.arange(102)
+    db = cc.build_database([cc.Trajectory.from_frame_grid(f"w{i}", frames, w, STEP)
+                            for i, w in enumerate(walks)], cfg)
+    assert len(db) == 1_160_000
+    db.grid   # built on the first query; timed apart from the queries
+    took = []
+    for x, y in ((50.0, 50.0), (20.0, 70.0), (85.0, 10.0)):
+        pose = QueryPose("q", np.array([x, y]), np.array([1.0, 0.5]))
+        t0 = time.perf_counter()
+        hits = query_similar(db, pose, cfg)
+        took.append(time.perf_counter() - t0)
+        assert len(hits) == cfg.k_candidates and hits[-1][0] < 0.5
+    assert sorted(took)[1] < 5e-3, took
+    pose = QueryPose("q", np.array([1e6, 1e6]), np.array([1.0, 0.5]))
+    t0 = time.perf_counter()
+    assert len(query_similar(db, pose, cfg)) == cfg.k_candidates
+    assert time.perf_counter() - t0 < 10.0
 
 
 class TestLinearContinuation:
