@@ -127,9 +127,9 @@ class Trajectory:
             raise DataError(f"positions must be (N, 2), got {positions.shape}")
         if not (len(frames) == len(times) == len(positions)):
             raise DataError("frames, times, positions must have equal length")
-        if not np.all(frames[1:] > frames[:-1]):
+        if not (frames[1:] > frames[:-1]).all():
             raise DataError(f"frames of agent {self.agent_id!r} must strictly increase")
-        if not np.all(times[1:] > times[:-1]):
+        if not (times[1:] > times[:-1]).all():
             # velocities divide by time steps; huge frame numbers can round
             # two frames to one time
             raise DataError(f"times of agent {self.agent_id!r} must strictly increase")
@@ -285,9 +285,18 @@ def near_pairs(points: np.ndarray, bound: float, block: int):
     by cell (cx, cy), a row meets its partners in two runs, the rest of its
     column up to cy + 1 and column cx + 1 from cy − 1 to cy + 1, expanded
     lazily, so memory is O(n + block). The cell side absorbs the rounding
-    of ``p / side`` at the points' magnitude."""
+    of ``p / side`` at the points' magnitude. When the finite rows span at
+    most two cells on each axis, the cell list pairs every row with every
+    other, and the blocks hold every pair in row order instead."""
     bad = ~np.isfinite(points).all(axis=1)
-    side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(points[~bad]).max(initial=0.0))
+    good = points[~bad]
+    side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(good).max(initial=0.0))
+    # floor(p / side) is monotone in p, so these are the extreme cells
+    span = (np.floor(good.max(axis=0, initial=-np.inf) / side)
+            - np.floor(good.min(axis=0, initial=np.inf) / side))
+    if (span <= 1.0).all():
+        yield from _all_pairs(len(points), block)
+        return
     cx, cy = np.floor(np.where(bad[:, None], 0.0, points) / side).T
     # (cx, cy) sorts as one complex key, which cannot overflow; a row with a
     # non-finite coordinate sorts first and runs to the end
@@ -307,6 +316,17 @@ def near_pairs(points: np.ndarray, bound: float, block: int):
         o = t - ends[k] + counts[k]
         a, b = order[k], order[np.where(o < first[k], s1[k] + o, s2[k] + o - first[k])]
         yield np.minimum(a, b), np.maximum(a, b)
+
+
+def _all_pairs(n: int, block: int):
+    """Every (i, j) pair of ``n`` rows with i < j, in row-major order, in
+    blocks of at most ``block``; memory is O(n + block)."""
+    r = np.arange(n)
+    rows = max(1, block // max(n, 1))
+    for lo in range(0, n, rows):
+        i, j = np.nonzero(r[lo:lo + rows, None] < r)
+        for s in range(0, len(i), block):
+            yield i[s:s + block] + lo, j[s:s + block]
 
 
 def connected_components(n: int, edges) -> list:

@@ -96,10 +96,12 @@ class SimState:
 
     ``rows`` and ``cols`` are the (P,) ordered (i, j) body pairs whose
     repulsion is evaluated, sorted by i, then j. Bodies that share no pair
-    must never come within ``neighborhood_range`` of each other. ``bins``
-    holds the (2P,) flat indices of each pair's x and y force term in an
-    (n, 2) array. These three never change during a rollout: they are
-    read-only and shared by every copy.
+    must never come within ``neighborhood_range`` of each other. ``ends``
+    is the (2P,) ``rows`` then ``cols``, of which those two are views, so
+    one ``take`` gathers both ends of every pair. ``bins`` holds the (2P,)
+    flat indices of each pair's x and y force term in an (n, 2) array.
+    These four never change during a rollout: they are read-only and
+    shared by every copy.
     """
 
     positions: np.ndarray
@@ -110,20 +112,21 @@ class SimState:
     arrived: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    ends: np.ndarray
     bins: np.ndarray
 
     def copy(self) -> "SimState":
         return SimState(self.positions.copy(), self.velocities.copy(),
                         self.destinations.copy(), self.desired_speeds.copy(),
                         self.max_speeds.copy(), self.arrived.copy(), self.rows,
-                        self.cols, self.bins)
+                        self.cols, self.ends, self.bins)
 
 
 def _length(v: np.ndarray) -> np.ndarray:
     """Length of each 2-vector along the last axis, with the bits of
     ``np.linalg.norm(v, axis=-1)``."""
-    x, y = v[..., 0], v[..., 1]
-    return np.sqrt(x * x + y * y)
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1])
 
 
 def make_sim_state(positions, velocities, destinations, desired_speeds,
@@ -135,28 +138,30 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     ``pairs`` is a (P, 2) array of the (i, j) body pairs of
     :class:`SimState`; it defaults to every ordered pair of distinct bodies.
     """
-    spd = np.asarray(desired_speeds, dtype=np.float64).reshape(-1).copy()
+    spd = np.array(desired_speeds, dtype=np.float64).reshape(-1)
     n = len(spd)
-    pos, vel, dest = (np.asarray(a, dtype=np.float64).reshape(-1, 2).copy()
+    pos, vel, dest = (np.array(a, dtype=np.float64).reshape(-1, 2)
                       for a in (positions, velocities, destinations))
     if any(len(a) != n for a in (pos, vel, dest)):
         raise DataError("simulation arrays disagree on group count")
-    if not all(np.all(np.isfinite(a)) for a in (pos, vel, dest, spd)):
+    if not all(np.isfinite(a).all() for a in (pos, vel, dest, spd)):
         raise DataError("non-finite simulation input")
     caps = params.max_speed_for(spd)
     norms = _length(vel)
     over = norms > caps
-    if np.any(over):
+    if np.count_nonzero(over):
         vel[over] *= (caps[over] / norms[over])[:, None]
     arrived = _length(pos - dest) <= params.radius
-    vel[arrived] = 0.0
+    if np.count_nonzero(arrived):
+        vel[arrived] = 0.0
     if pairs is None:
         pairs = np.argwhere(~np.eye(n, dtype=bool))
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.ravel()
+    ends.setflags(write=False)
+    rows, cols = ends.reshape(2, -1)
     bins = (2 * rows[:, None] + np.arange(2)).ravel()
-    for a in (rows, cols, bins):
-        a.setflags(write=False)
-    return SimState(pos, vel, dest, spd, caps, arrived, rows, cols, bins)
+    bins.setflags(write=False)
+    return SimState(pos, vel, dest, spd, caps, arrived, rows, cols, ends, bins)
 
 
 def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
@@ -167,43 +172,55 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     nudge, or None when no pair is coincident. The desired speed is damped
     to ``dist / h`` close to the destination so the drive term cannot
     overshoot it in one substep. Arrived bodies feel no force but still
-    repel others.
+    repel others. Each mask below is skipped where it would select every
+    row, which leaves every bit as it was.
     """
     pos = state.positions
-    active = ~state.arrived
+    arrived = state.arrived
+    n_arrived = np.count_nonzero(arrived)
 
     to_dest = state.destinations - pos
     dist = _length(to_dest)
     far = dist > _COINCIDENT
     speed = np.minimum(state.desired_speeds, dist / h)
-    v_des = np.where(far[:, None],
-                     to_dest / np.where(far, dist, 1.0)[:, None] * speed[:, None],
-                     0.0)
+    if np.count_nonzero(far) == len(far):
+        v_des = to_dest / dist[:, None] * speed[:, None]
+    else:
+        v_des = np.where(far[:, None],
+                         to_dest / np.where(far, dist, 1.0)[:, None] * speed[:, None],
+                         0.0)
     forces = params.mass * (v_des - state.velocities) / params.relaxation_time
 
-    rows = state.rows
+    n_pairs = len(state.rows)
     nudge = None
-    if len(rows):
-        delta = pos[rows] - pos[state.cols]
+    if n_pairs:
+        ends = pos.take(state.ends, axis=0)
+        delta = ends[:n_pairs] - ends[n_pairs:]
         d = _length(delta)
         pair = (d < params.neighborhood_range) & (d >= _COINCIDENT)
-        if pair.any():
-            exponent = np.minimum((2.0 * params.radius - d) / params.repulsion_range,
+        in_range = np.count_nonzero(pair)
+        if in_range:
+            near, dn, bins = delta, d, state.bins
+            if in_range < n_pairs:
+                keep = np.flatnonzero(pair)
+                near, dn = delta.take(keep, axis=0), d.take(keep)
+                bins = bins.reshape(-1, 2).take(keep, axis=0).ravel()
+            exponent = np.minimum((2.0 * params.radius - dn) / params.repulsion_range,
                                   _EXP_CAP)
-            mag = np.where(pair, params.repulsion_strength * np.exp(exponent), 0.0)
-            unit = np.zeros(delta.shape)
-            np.divide(delta, d[:, None], out=unit, where=pair[:, None])
-            terms = mag[:, None] * unit
+            terms = (params.repulsion_strength * np.exp(exponent))[:, None] \
+                * (near / dn[:, None])
             # bincount adds the terms into zeroed bins in input order, so each
             # row sums in ascending j, as a dense sum over the full pair
-            # matrix does; the pairs left out would add exactly 0.0 there
-            forces += np.bincount(state.bins, terms.ravel(),
-                                  forces.size).reshape(forces.shape)
+            # matrix does. A pair out of range adds exactly +0.0 there, and a
+            # sum that starts at +0.0 never holds -0.0, so leaving it out
+            # changes no bit.
+            forces += np.bincount(bins, terms.ravel(), forces.size).reshape(forces.shape)
         coincident = d < _COINCIDENT
-        if coincident.any():
+        if np.count_nonzero(coincident):
             nudge = np.zeros(len(pos), dtype=bool)
-            nudge[rows[coincident]] = True
-            nudge &= active
+            nudge[state.rows[coincident]] = True
+            if n_arrived:
+                nudge &= ~arrived
 
     # the (O, M) terms of every obstacle at once, then added one obstacle at
     # a time, in scene order, as a per-body sum would add them; a body at a
@@ -212,15 +229,23 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
         point, signed_d = scene.obstacle_contacts(pos)
         away = pos - point
         away_len = np.sqrt(np.vecdot(away, away))
-        use = (active & ~(away_len < _COINCIDENT))[..., None]
-        np.divide(away, away_len[..., None], out=away, where=use)
+        use = ~(away_len < _COINCIDENT)
+        if n_arrived:
+            use &= ~arrived
+        if np.count_nonzero(use) == use.size:
+            away /= away_len[..., None]
+            masks = [True] * len(use)
+        else:
+            masks = use[..., None]
+            np.divide(away, away_len[..., None], out=away, where=masks)
         away = np.where(signed_d[..., None] < 0.0, -away, away)
         exponent = np.minimum(
             (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
         terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
-        for term, mask in zip(terms, use):
+        for term, mask in zip(terms, masks):
             np.add(forces, term, out=forces, where=mask)
-    forces[state.arrived] = 0.0
+    if n_arrived:
+        forces[arrived] = 0.0
     return forces, nudge
 
 
@@ -266,27 +291,37 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     after each step, a (len(watch), steps, 2) array."""
     out = np.empty((len(watch), steps, 2))
     h = dt / params.substeps
+    pos, vel, caps = sim.positions, sim.velocities, sim.max_speeds
+    # until a body arrives every row moves, and ``where=True`` is the
+    # unmasked ufunc, bit for bit the same as a mask selecting every row
+    n_arrived = np.count_nonzero(sim.arrived)
     active = ~sim.arrived
-    moving = active[:, None]
+    moving = active[:, None] if n_arrived else True
     for s in range(steps):
         for _ in range(params.substeps):
             forces, nudge = _forces(sim, scene, params, h)
-            np.add(sim.velocities, forces / params.mass * h, out=sim.velocities,
-                   where=moving)
-            norms = _length(sim.velocities)
-            over = active & (norms > sim.max_speeds)
-            if over.any():
-                sim.velocities[over] *= (sim.max_speeds[over] / norms[over])[:, None]
-            np.add(sim.positions, sim.velocities * h, out=sim.positions, where=moving)
+            forces /= params.mass
+            forces *= h
+            np.add(vel, forces, out=vel, where=moving)
+            norms = _length(vel)
+            over = norms > caps
+            if n_arrived:
+                over &= active
+            if np.count_nonzero(over):
+                vel[over] *= (caps[over] / norms[over])[:, None]
+            np.add(pos, vel * h, out=pos, where=moving)
             if nudge is not None:
                 _nudge_coincident(sim, nudge)
-            newly = active & (_length(sim.positions - sim.destinations) <= params.radius)
-            if newly.any():
+            newly = _length(pos - sim.destinations) <= params.radius
+            if n_arrived:
+                newly &= active
+            if np.count_nonzero(newly):
                 sim.arrived |= newly
-                sim.velocities[newly] = 0.0
+                vel[newly] = 0.0
+                n_arrived = np.count_nonzero(sim.arrived)
                 active = ~sim.arrived
                 moving = active[:, None]
-        out[:, s] = sim.positions[watch]
+        out[:, s] = pos.take(watch, axis=0)
     return out
 
 
@@ -311,8 +346,8 @@ def reach_edges(pos: np.ndarray, caps: np.ndarray, reach: float,
     bound = reach + 2.0 * float(caps.max(initial=0.0)) * horizon + _REACH_MARGIN
     ii, jj = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for i, j in near_pairs(pos, bound, 1 << 16):
-        edge = _length(pos[i] - pos[j]) < reach + (caps[i] + caps[j]) * horizon \
-            + _REACH_MARGIN
+        edge = _length(pos.take(i, axis=0) - pos.take(j, axis=0)) \
+            < reach + (caps[i] + caps[j]) * horizon + _REACH_MARGIN
         ii.append(i[edge])
         jj.append(j[edge])
     return np.concatenate(ii), np.concatenate(jj)
@@ -343,8 +378,8 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     dests = np.asarray(dest, dtype=np.float64).reshape(-1, 2)
     others = list(others)
     speeds = np.maximum([speed] + [g.speed for g in others], params.speed_floor)
-    starts = np.stack([start] + [np.asarray(g.pos, dtype=np.float64) for g in others])
-    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(speeds))):
+    starts = np.array([start] + [g.pos for g in others], dtype=np.float64)
+    if not (np.isfinite(starts).all() and np.isfinite(speeds).all()):
         raise DataError("non-finite simulation input")
     i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
                        steps * cfg.step_duration)
@@ -357,8 +392,12 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     # its destination, or at rest when it is already there
     to = dst - starts
     dist = np.sqrt(np.vecdot(to, to))
-    vel = np.zeros_like(to)
-    np.divide(to, dist[..., None], out=vel, where=~(dist < _COINCIDENT)[..., None])
+    there = dist < _COINCIDENT
+    if np.count_nonzero(there):
+        vel = np.zeros_like(to)
+        np.divide(to, dist[..., None], out=vel, where=~there[..., None])
+    else:
+        vel = to / dist[..., None]
     vel *= speeds[:, None]
     given = [initial_velocity] + [g.velocity for g in others]
     has = np.array([v is not None for v in given])
@@ -369,8 +408,8 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     order = np.lexsort((cols, rows))
     pairs = (np.column_stack([rows[order], cols[order]])
              + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)
-    state = make_sim_state(np.tile(starts, (n_cand, 1)), vel, dst,
-                           np.tile(speeds, n_cand), params, pairs)
+    state = make_sim_state(np.broadcast_to(starts, dst.shape), vel, dst,
+                           np.broadcast_to(speeds, dst.shape[:2]), params, pairs)
 
     points = _advance(state, scene, params, cfg.step_duration, steps,
                       k * np.arange(n_cand))

@@ -21,6 +21,9 @@ from .core import SCALE, Config, DataError, Trajectory, resample_trajectory, wri
 # threshold gets a little slack against frame-rate rounding
 _GAP_TOL = 1e-3
 
+# lines per array pass of parse_obsmat: bounds the token lists held at once
+_PARSE_BLOCK = 4096
+
 
 class ParseError(ValueError):
     """Malformed annotation input; carries the 1-based source line number."""
@@ -122,9 +125,49 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
             raise DataError(f"bad column map {column_map!r}, expected e.g. 0,1,2,4")
         if len(override) != 4:
             raise DataError("column map needs exactly 4 indices: frame,id,x,y")
+    lines = data.splitlines()
+    blocks = [np.empty((0, 4))]
+    for lo in range(0, len(lines), _PARSE_BLOCK):
+        block = lines[lo:lo + _PARSE_BLOCK]
+        rows = _parse_block(block, override)
+        blocks.append(rows if rows is not None else _parse_lines(block, override, lo))
+    return np.concatenate(blocks)
+
+
+def _parse_block(lines: list, override: tuple | None) -> np.ndarray | None:
+    """The rows of ``lines`` in one array pass, or None when the block has
+    no row, rows of several widths, a column out of range or any value the
+    line walk would reject. Casting object-dtype tokens to float calls
+    Python's ``float`` on each, so no token passes that ``float`` refuses."""
+    toks = [t for t in map(str.split, lines) if t and t[0][0] not in "#%"]
+    widths = set(map(len, toks))
+    if len(widths) != 1:
+        return None
+    (width,) = widths
+    cols = override or ((0, 1, 2, 4) if width >= 8 else (0, 1, 2, 3) if width == 4 else ())
+    if not (cols and all(0 <= c < width for c in cols)):
+        return None
+    try:
+        vals = np.array(toks, dtype=object)[:, list(cols)].astype(np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    whole = np.rint(vals[:, :2])
+    if not ((np.abs(vals[:, :2] - whole) <= 1e-6).all() and (whole[:, 0] >= 0.0).all()):
+        return None
+    # + 0.0 turns the -0.0 of a frame or id just below zero into the 0.0
+    # that int(round(...)) gives
+    vals[:, :2] = whole + 0.0
+    return vals
+
+
+def _parse_lines(lines: list, override: tuple | None, offset: int) -> np.ndarray:
+    """The rows of ``lines`` one line at a time, raising ``ParseError`` at
+    the first bad line; ``offset`` is the number of lines before them."""
     rows = []
     isfinite = math.isfinite
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=offset + 1):
         line = raw.strip()
         if not line or line.startswith(("#", "%")):
             continue

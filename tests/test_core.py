@@ -245,6 +245,76 @@ class TestNearPairs:
         assert len(self.check(points, 1.0, block)) == 120 * 119 // 2
 
 
+class TestNearPairsWithinTwoCells:
+    """When the finite rows span at most two cells on each axis,
+    ``near_pairs`` yields every pair without the cell list. Either way its
+    pairs are exactly the brute-force cell relation: a non-finite row, or
+    cells at most one apart on both axes, with the cells and the side
+    ``near_pairs`` defines."""
+
+    @staticmethod
+    def cell_pairs(points, bound):
+        bad = ~np.isfinite(points).all(axis=1)
+        side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(points[~bad]).max(initial=0.0))
+        cells = np.floor(np.where(bad[:, None], 0.0, points) / side)
+        i, j = np.triu_indices(len(points), 1)
+        near = bad[i] | bad[j] | (np.abs(cells[i] - cells[j]) <= 1.0).all(axis=1)
+        return set(zip(i[near].tolist(), j[near].tolist())), side
+
+    def check(self, points, bound, block):
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        found = TestNearPairs.check(points, bound, block)
+        assert found == self.cell_pairs(points, bound)[0]
+        return found
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0 - 1e-12, 2.0,
+                                       2.0 + 1e-12])
+    @pytest.mark.parametrize("origin", [0.0, -0.5, 7.3, 1e8])
+    @pytest.mark.parametrize("axes", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                             ids=["x", "y", "both"])
+    def test_extents_at_one_and_two_sides(self, scale, origin, axes):
+        bound = 1.3
+        _, side = self.cell_pairs(np.array([[origin, origin]]), bound)
+        for start in (origin, origin + 0.5 * side):
+            base = np.array([start, -start])
+            far = base + scale * side * np.array(axes)
+            mid = base + np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)) \
+                * (far - base)
+            self.check(np.vstack([base, far, mid]), bound, 7)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_non_finite_rows(self, block):
+        rng = np.random.default_rng(block)
+        points = rng.uniform(0.0, 0.9, (12, 2))
+        points[[2, 9]] = np.nan
+        points[4, 0] = -np.inf
+        assert len(self.check(points, 1.0, block)) == 12 * 11 // 2
+        assert len(self.check(np.full((5, 2), np.nan), 1.0, block)) == 10
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_tiny_inputs(self, block):
+        for n in (0, 1, 2):
+            assert len(self.check(np.zeros((n, 2)), 1.0, block)) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n, block", [(40, 7), (40, 39), (40, 780), (300, 1000),
+                                          (20, 1)])
+    def test_more_pairs_than_one_block(self, n, block):
+        points = np.random.default_rng(n).uniform(-0.5, 0.5, (n, 2))
+        blocks = list(near_pairs(points, 1.0, block))
+        assert len(blocks) >= n * (n - 1) // 2 // block
+        assert len(self.check(points, 1.0, block)) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_spans(self, seed):
+        # spans from well inside one cell to a few cells, so both the
+        # shortcut and the cell list run
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = int(rng.integers(0, 30))
+            points = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-1, 1, 2)
+            self.check(points, 1.0, int(rng.integers(1, 50)))
+
+
 class TestScene:
     def test_parse_and_contacts(self):
         scene = parse_scene("# walls\nseg 0 0 4 0\npoly 10 0 12 0 12 2 10 2\n")

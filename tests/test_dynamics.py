@@ -127,7 +127,7 @@ class TestStep:
                                [[5.0, 0.0], [-5.0, 0.0]], [1.0, 1.0], params, pairs)
         assert pairs.flags.writeable
         sibling = step(state, cc.SceneGeometry.empty(), params, cfg.step_duration)
-        for name in ("rows", "cols", "bins"):
+        for name in ("rows", "cols", "ends", "bins"):
             assert getattr(sibling, name) is getattr(state, name)
             with pytest.raises(ValueError):
                 getattr(sibling, name)[0] = 0
@@ -434,6 +434,84 @@ class TestRolloutMatchesOracle:
                     mid_step += s % params.substeps != params.substeps - 1
                     in_nudge += nudged
         assert mid_step >= 3 * len(dests) and in_nudge >= len(dests)
+
+    def test_substep_fast_paths_bit_equal_per_step(self, cfg, monkeypatch):
+        """Every state the integrator reaches equals the oracle's, step by
+        step, through the unmasked updates before the first arrival and the
+        masked ones after it: the bodies arrive at different steps, a
+        coincident pair is nudged, bodies are clamped to their caps before
+        and after the first arrival, obstacles are present, and one body
+        has no partner in range while the others do."""
+        params = ForceParams.from_config(cfg, substeps=4)
+        scene = cc.parse_scene("seg 0 -3 8 -3\npoly 6 2 7 2 7 3 6 3")
+        pos = np.array([[0.0, 0.0], [0.25, 0.05],         # clamped at once
+                        [-5.0, 5.0], [-5.0, 5.0],         # nudged twins
+                        [40.0, 40.0],                     # alone, arrives first
+                        [5.0, -2.7], [6.5, 1.7],          # beside the obstacles
+                        [20.0, 0.0], [16.0, 0.05]])       # the fast one pushes
+        dest = np.array([[2.5, 0.0], [0.2, 8.0], [-9.0, 5.0], [-1.0, 5.0],
+                         [40.5, 40.0], [9.0, -2.7], [6.5, 6.0], [30.0, 0.0],
+                         [30.0, 0.05]])
+        vel = np.array([[1.0, 0.0], [0.0, 1.2], [0.0, 0.0], [0.0, 0.0], [0.3, 0.0],
+                        [1.0, 0.0], [0.0, 1.0], [0.3, 0.0], [2.0, 0.0]])
+        speeds = np.array([1.0, 1.2, 0.9, 1.1, 0.5, 1.0, 1.0, 0.3, 2.0])
+        h = cfg.step_duration / params.substeps
+        seen = []       # per substep: arrived, nudged, clamped, rows with a partner
+        forces = dynamics._forces
+
+        def spy(state, *args):
+            out, nudge = forces(state, *args)
+            v = state.velocities + out / params.mass * h
+            over = ~state.arrived & (np.linalg.norm(v, axis=1) > state.max_speeds)
+            d = np.linalg.norm(state.positions[:, None] - state.positions[None], axis=2)
+            np.fill_diagonal(d, np.inf)
+            seen.append((int(state.arrived.sum()), nudge is not None, bool(over.any()),
+                         int((d < params.neighborhood_range).any(axis=1).sum())))
+            return out, nudge
+
+        monkeypatch.setattr(dynamics, "_forces", spy)
+        state = make_sim_state(pos, vel, dest, speeds, params)
+        ref = rollout_oracle.make_sim_state(pos, vel, dest, speeds, params)
+        for _ in range(24):
+            state = step(state, scene, params, cfg.step_duration)
+            ref = rollout_oracle.step(ref, scene, params, cfg.step_duration)
+            for name in ("positions", "velocities", "arrived"):
+                assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        arrived, nudged, clamped, partnered = zip(*seen)
+        assert 0 in arrived and len(set(arrived)) >= 5 and not state.arrived.all()
+        assert any(n for a, n in zip(arrived, nudged) if a == 0)
+        assert {a > 0 for a, c in zip(arrived, clamped) if c} == {False, True}
+        assert set(partnered) == {len(pos) - 1}
+
+        # the same bodies as one rollout of the subject with three candidates
+        others = [GroupInit(p, q, float(s), v)
+                  for p, q, s, v in zip(pos[1:], dest[1:], speeds[1:], vel[1:])]
+        self._assert_matches(pos[0], np.array([dest[0], [-6.0, -6.0], [3.0, 9.0]]),
+                             speeds[0], scene, others, 24, params, cfg, vel[0])
+
+    def test_step_when_every_body_has_arrived(self, cfg, params):
+        # masked updates keep each arrived body's bits, -0.0 included, where
+        # an unmasked add of a zero velocity would turn -0.0 into +0.0; one
+        # body sits exactly on its destination, and the twins are not nudged
+        scene = cc.parse_scene("seg 0 -3 8 -3\npoly 6 2 7 2 7 3 6 3")
+        pos = np.array([[-0.0, 1.0], [2.0, -0.0], [5.0, 5.0], [5.0, 5.0], [6.5, 2.5]])
+        dest = pos + np.array([[0.1, 0.0], [0.0, -0.2], [0.0, 0.0], [0.1, 0.1],
+                               [-0.1, 0.05]])
+        args = (pos, np.ones((5, 2)), dest, np.full(5, 1.0), params)
+        state = make_sim_state(*args)
+        assert state.arrived.all()
+        h = cfg.step_duration / params.substeps
+        forces, nudge = dynamics._forces(state, scene, params, h)
+        ref_forces, _ = rollout_oracle._forces(rollout_oracle.make_sim_state(*args),
+                                               scene, params, h)
+        assert forces.tobytes() == ref_forces.tobytes() and not nudge.any()
+        out = step(state, scene, params, cfg.step_duration)
+        ref = rollout_oracle.step(rollout_oracle.make_sim_state(*args), scene, params,
+                                  cfg.step_duration)
+        for name in ("positions", "velocities", "arrived"):
+            assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert out.positions.tobytes() == pos.tobytes()
+        assert np.signbit(out.positions[0, 0]) and np.signbit(out.positions[1, 1])
 
     def test_reach_bound_edge(self, cfg, params, scene):
         from crowdcast.dynamics import _REACH_MARGIN

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import crowdcast as cc
 import ingest_oracle
+from crowdcast import ingest
 from crowdcast.core import DataError, Trajectory, resample_trajectory
 from crowdcast.ingest import (
     Homography,
@@ -72,6 +73,87 @@ class TestParseObsmat:
     def test_non_finite_field_reports_line(self, row):
         with pytest.raises(ParseError, match="line 2"):
             parse_obsmat(b"0 1 1.0 1.0\n" + row + b"\n")
+
+
+class TestParseArrayPass:
+    """``parse_obsmat`` parses blocks of lines in one array pass and walks
+    a block's lines only when that pass refuses it; the array pass accepts
+    exactly what the line walk accepts, with the same bits."""
+
+    # tokens Python's float accepts, rejects, or turns non-finite, where
+    # other parsers differ: underscores, non-ASCII digits, hex, Fortran
+    # exponents, NUL characters (which numpy's unicode arrays drop)
+    TOKENS = ["1_0", "1__0", "_1", "1_", "1e1_0", "١٢", "١.٥", "１２", "𝟙", "²", "ⅷ",
+              "0x10", "0x1p3", "1d5", "1D5", "1e400", "-1e400", "1e-400", "4.9e-324",
+              "inf", "-Infinity", "nan", "NaN", "nan(1)", "+1.5", ".5", "5.", "-0",
+              "-0.0000003", "0.0000003", "2.0000004", "2.000002", "1.5e", "e5", "--1",
+              "1,5", "0b1", "1j", "True", "1\x00", "\x001", "1\x002", "7"]
+
+    @staticmethod
+    def walk(text, override=None):
+        lines = text.splitlines()
+        try:
+            return ingest._parse_lines(lines, override, 0), None
+        except ParseError as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_tokens_as_the_line_walk(self, column):
+        for tok in self.TOKENS:
+            row = ["3", "1", "2.5", "-1.5"]
+            row[column] = tok
+            text = "0 1 1.0 2.0\n" + " ".join(row) + "\n"
+            want, error = self.walk(text)
+            got = ingest._parse_block(text.splitlines(), None)
+            if error is not None:
+                assert got is None, tok
+                with pytest.raises(ParseError) as exc:
+                    parse_obsmat(text)
+                assert str(exc.value) == error
+            else:
+                assert got.tobytes() == want.tobytes(), tok
+                assert parse_obsmat(text).tobytes() == want.tobytes(), tok
+
+    def test_accepted_tokens_take_the_array_pass(self):
+        text = "1_0 ١٢ １２ 𝟙\n-0 -0.0000003 1e-400 -0\n0.0000003 7 4.9e-324 -1e-400\n"
+        got = ingest._parse_block(text.splitlines(), None)
+        assert got is not None
+        assert got.tobytes() == self.walk(text)[0].tobytes()
+        assert not np.signbit(got[:, :2]).any() and np.signbit(got[2, 3])
+
+    def test_blocks_of_many_lines(self):
+        rng = np.random.default_rng(3)
+        n = 3 * ingest._PARSE_BLOCK + 17
+        frames, ids = rng.integers(0, 10_000, n), rng.integers(-50, 50, n)
+        xy = rng.normal(0.0, 30.0, (n, 2))
+        lines = [f"{f} {i} {x!r} 0 {y!r} 0 0 0"
+                 for f, i, (x, y) in zip(frames, ids, xy.tolist())]
+        lines[5] = "% a comment"
+        lines[ingest._PARSE_BLOCK + 3] = "   "
+        lines[2 * ingest._PARSE_BLOCK - 1] = f"{frames[0]} {ids[0]} 1.0 2.0"   # 4 columns
+        text = "\n".join(lines) + "\n"
+        want, error = self.walk(text)
+        assert error is None and len(want) == n - 2
+        assert parse_obsmat(text.encode()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_first_bad_line_of_a_later_block(self, where):
+        block = ingest._PARSE_BLOCK
+        lines = [f"{k} 1 1.0 2.0" for k in range(3 * block)]
+        bad = block * where + 7
+        lines[bad] = f"{bad} 1 oops 2.0"
+        lines[bad + 40] = "-3 1 1.0 1.0"
+        with pytest.raises(ParseError, match=f"^line {bad + 1}: malformed numeric field 'oops'$"):
+            parse_obsmat("\n".join(lines))
+
+    def test_column_map_outside_the_row(self):
+        # the line walk indexes from the end for a negative column and
+        # reports a column past the end; the array pass leaves both to it
+        text = "0 7 4.5 3.5\n1 7 4.6 3.4\n"
+        assert parse_obsmat(text, column_map="0,1,-1,-2").tobytes() == \
+            self.walk(text, (0, 1, -1, -2))[0].tobytes()
+        with pytest.raises(ParseError, match="line 1: column 4 missing in 4-column row"):
+            parse_obsmat(text, column_map="0,1,2,4")
 
 
 class TestHomography:
