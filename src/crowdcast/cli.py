@@ -1,10 +1,11 @@
 """Command line interface: ingest, groups, destinations, predict, eval, plot.
 
-Every subcommand accepts the shared parameter flags plus ``--config`` (a
-``key = value`` text file), with explicit flags taking precedence over the
-file and the file over built-in defaults. The fully resolved configuration
-is written to ``run_config.txt`` in the output directory, in the same
-format, so a run can be reproduced from its own output.
+``_PARAMS`` is the one list of run parameters. A ``--config`` file (``key =
+value`` lines) may set each, every subcommand has a flag for each (``--mode``
+only ``predict`` and ``eval``), and ``run_config.txt`` in the output
+directory records each in the file's format, so a run can be reproduced from
+its own output. Explicit flags take precedence over the file and the file
+over the defaults.
 
 Exit codes: 0 success, 2 usage or validation error (including annotation
 parse errors), 3 data error in otherwise well-formed input.
@@ -16,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .core import (
@@ -27,9 +28,9 @@ from .core import (
     parse_scene,
     read_canonical_csv,
 )
-from .dynamics import MODES, ForceParams
+from .dynamics import FROM_CONFIG, MODES, ForceParams
 from .evaluate import Window, run_experiment
-from .ingest import Homography, ParseError, parse_obsmat, to_canonical
+from .ingest import Homography, parse_obsmat, to_canonical
 from .pipeline import (
     detect_groups,
     group_candidates,
@@ -38,10 +39,19 @@ from .pipeline import (
 )
 from .plotting import render_svg
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(Config)}
-_FORCE_FIELDS = {f.name: f.type for f in fields(ForceParams)
-                 if f.name not in ("mass", "radius", "neighborhood_range")}
-_INT_FIELDS = {f.name for f in fields(Config) + fields(ForceParams) if f.type == "int"}
+
+def _mode(value: str) -> str:
+    if value not in MODES:
+        raise ValueError(f"unknown mode {value!r}")
+    return value
+
+
+# the run parameters, name -> (type, default): the Config fields, the
+# ForceParams fields not copied from Config, then the seed and the mode
+_PARAMS = {f.name: (int if f.type == "int" else float, f.default)
+           for f in fields(Config) + tuple(f for f in fields(ForceParams)
+                                           if f.name not in FROM_CONFIG)}
+_PARAMS.update(seed=(int, 0), mode=(_mode, "rigid"))
 
 _FLAG_HELP = {
     "known_time_steps": "length of the known window in steps",
@@ -66,27 +76,21 @@ _FLAG_HELP = {
 }
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     run = common.add_argument_group("run options")
     run.add_argument("--config", metavar="FILE",
                      help="key = value parameter file, overridden by flags")
     run.add_argument("--seed", type=int, metavar="N",
-                     help="RNG seed for the seeded-jitter policy (default 0)")
+                     help="RNG seed for the seeded-jitter policy "
+                          f"(default {_PARAMS['seed'][1]})")
     run.add_argument("--out", metavar="DIR", default=".",
                      help="output directory (default: current directory)")
-    group = common.add_argument_group(
-        "parameters (defaults in parentheses)")
-    defaults = {**{f.name: f.default for f in fields(Config)},
-                **{f.name: f.default for f in fields(ForceParams)}}
-    for name in list(_CONFIG_FIELDS) + list(_FORCE_FIELDS):
-        kind = int if name in _INT_FIELDS else float
-        group.add_argument(_flag(name), dest=name, type=kind, metavar="X",
-                           help=f"{_FLAG_HELP[name]} ({defaults[name]!r})")
+    group = common.add_argument_group("parameters (defaults in parentheses)")
+    for name, text in _FLAG_HELP.items():
+        kind, default = _PARAMS[name]
+        group.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                           metavar="X", help=f"{text} ({default!r})")
     return common
 
 
@@ -100,44 +104,27 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_FIELDS:
-            out[key] = int(value)
-        elif key in _CONFIG_FIELDS or key in _FORCE_FIELDS:
-            out[key] = float(value)
-        elif key == "seed":
-            out[key] = int(value)
-        elif key == "mode":
-            if value not in MODES:
-                raise ValueError(f"{path}:{lineno}: unknown mode {value!r}")
-            out[key] = value
-        else:
+        if key not in _PARAMS:
             raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+        try:
+            out[key] = _PARAMS[key][0](value)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
     return out
 
 
 def _resolve(args) -> tuple:
-    """Merge defaults, config file, and flags into Config/ForceParams."""
-    merged = {}
+    """Merge defaults, config file, and flags into Config, ForceParams, seed, mode."""
+    merged = {name: default for name, (_, default) in _PARAMS.items()}
     if args.config:
         merged.update(_parse_config_file(args.config))
-    for name in list(_CONFIG_FIELDS) + list(_FORCE_FIELDS):
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        merged["mode"] = mode
-    seed = merged.pop("seed", 0)
-    mode = merged.pop("mode", "rigid")
+    merged.update({name: getattr(args, name) for name in _PARAMS
+                   if getattr(args, name, None) is not None})
+    seed, mode = merged.pop("seed"), merged.pop("mode")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    cfg_kwargs = {k: v for k, v in merged.items() if k in _CONFIG_FIELDS}
-    force_kwargs = {k: v for k, v in merged.items() if k in _FORCE_FIELDS}
-    cfg = Config(**cfg_kwargs)
-    params = ForceParams.from_config(cfg, **force_kwargs)
-    return cfg, params, seed, mode
+    cfg = Config(**{f.name: merged.pop(f.name) for f in fields(Config)})
+    return cfg, ForceParams.from_config(cfg, **merged), seed, mode
 
 
 def _write_outputs(args, run: tuple, files: dict, **extra) -> Path:
@@ -145,19 +132,13 @@ def _write_outputs(args, run: tuple, files: dict, **extra) -> Path:
     ``run_config.txt``: the resolved ``run`` from :func:`_resolve`, headed
     by the subcommand, its input and ``extra``."""
     cfg, params, seed, mode = run
-    lines = ["# resolved run configuration; pass back via --config to reproduce"]
     header = {"subcommand": args.command, "input": args.input, **extra}
-    for key, value in header.items():
-        lines.append(f"# {key}: {value}")
-    values = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-    values.update({name: getattr(params, name) for name in _FORCE_FIELDS})
-    values["seed"] = seed
-    values["mode"] = mode
-    for key in sorted(values):
-        value = values[key]
-        # the mode is a bare word, numbers round-trip through repr
-        rendered = value if isinstance(value, str) else repr(value)
-        lines.append(f"{key} = {rendered}")
+    values = {**asdict(params), **asdict(cfg), "seed": seed, "mode": mode}
+    lines = ["# resolved run configuration; pass back via --config to reproduce",
+             *(f"# {key}: {value}" for key, value in header.items()),
+             # the mode is a bare word, numbers round-trip through repr
+             *(f"{key} = {v if isinstance(v, str) else repr(v)}"
+               for key, v in sorted((key, values[key]) for key in _PARAMS))]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in {**files, "run_config.txt": "\n".join(lines) + "\n"}.items():
@@ -178,7 +159,7 @@ def _load_tracks(path: str, cfg: Config) -> list:
 
 
 def _load_scene(args) -> SceneGeometry:
-    if getattr(args, "scene", None):
+    if args.scene:
         return parse_scene(_read_bytes(args.scene).decode("utf-8"))
     return SceneGeometry.empty()
 
@@ -212,8 +193,7 @@ def cmd_ingest(args) -> int:
         homography = Homography.from_text(_read_bytes(args.homography).decode())
     rows = parse_obsmat(data, column_map=args.columns)
     csv_bytes, summary = to_canonical(rows, homography, args.fps, run[0])
-    out_dir = _write_outputs(args, run, {"canonical.csv": csv_bytes},
-                             fps=args.fps)
+    out_dir = _write_outputs(args, run, {"canonical.csv": csv_bytes}, fps=args.fps)
     print(summary.describe())
     print(f"wrote {out_dir / 'canonical.csv'}")
     return 0
@@ -282,8 +262,7 @@ def cmd_predict(args) -> int:
     preds = predict_at_endtime(tracks, args.endtime, db, cfg, params, scene,
                                mode=mode, seed=seed)
     if not preds:
-        print(f"warning: no complete group at endtime {args.endtime}",
-              file=sys.stderr)
+        print(f"warning: no complete group at endtime {args.endtime}", file=sys.stderr)
     text = _jsonl([{
         "endtime": args.endtime,
         "members": list(pred.members),
@@ -365,8 +344,24 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
+    # arguments shared by several subcommands, each defined once
+    canonical = _parent("input", help="canonical CSV")
+    endtime = _parent("--endtime", type=int, required=True,
+                      help="last frame of the known window")
+    database = _parent("--database", metavar="FILE",
+                       help="canonical CSV to search (default: the input's "
+                            "frames before the known window)")
+    scene = _parent("--scene", metavar="FILE", help="obstacle geometry file")
+    mode = _parent("--mode", choices=MODES,
+                   help=f"member deviation policy ({_PARAMS['mode'][1]})")
     parser = argparse.ArgumentParser(
         prog="crowdcast",
         description="Group-aware pedestrian trajectory prediction: detect "
@@ -385,74 +380,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column override as 'frame,id,x,y' indices")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("groups", parents=[common],
+    p = sub.add_parser("groups", parents=[common, canonical, endtime],
                        help="detect groups over the known window")
-    p.add_argument("input", help="canonical CSV")
-    p.add_argument("--endtime", type=int, required=True,
-                   help="last frame of the known window")
     p.set_defaults(func=cmd_groups)
 
-    p = sub.add_parser("destinations", parents=[common],
+    p = sub.add_parser("destinations", parents=[common, canonical, endtime, database],
                        help="retrieve candidate destinations per group")
-    p.add_argument("input", help="canonical CSV")
-    p.add_argument("--endtime", type=int, required=True,
-                   help="last frame of the known window")
-    p.add_argument("--database", metavar="FILE",
-                   help="canonical CSV to search (default: the input's "
-                        "frames before the known window)")
     p.set_defaults(func=cmd_destinations)
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict",
+                       parents=[common, canonical, endtime, database, scene, mode],
                        help="predict member trajectories at an endtime")
-    p.add_argument("input", help="canonical CSV")
-    p.add_argument("--endtime", type=int, required=True,
-                   help="last frame of the known window")
-    p.add_argument("--database", metavar="FILE",
-                   help="canonical CSV to search (default: the input's "
-                        "frames before the known window)")
-    p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
-    p.add_argument("--mode", choices=MODES,
-                   help="member deviation policy (rigid)")
     p.add_argument("--plot", metavar="FILE.svg",
                    help="also render the prediction to this SVG file")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, canonical, scene, mode],
                        help="run the windowed experiment and report metrics")
-    p.add_argument("input", help="canonical CSV")
     p.add_argument("--endtimes", metavar="A,B,...",
                    help="explicit endtime list (default: auto-stride)")
     p.add_argument("--stride", type=int,
                    help="stride between auto endtimes (predict_time_steps)")
-    p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
-    p.add_argument("--mode", choices=MODES,
-                   help="member deviation policy (rigid)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("plot", parents=[common],
+    p = sub.add_parser("plot", parents=[common, canonical, scene],
                        help="render tracks and obstacles to SVG")
-    p.add_argument("input", help="canonical CSV")
     p.add_argument("--endtime", type=int,
                    help="split tracks into known/future at this frame")
-    p.add_argument("--scene", metavar="FILE", help="obstacle geometry file")
     p.set_defaults(func=cmd_plot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, DataError) else 2
 
 
 if __name__ == "__main__":

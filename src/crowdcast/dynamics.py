@@ -50,6 +50,11 @@ _NUDGE = 1e-6
 # nudges per group per rollout.
 _REACH_MARGIN = 1e-3
 
+# the ForceParams fields that ForceParams.from_config copies from Config,
+# each mapped to its Config field
+FROM_CONFIG = {"mass": "person_mass", "radius": "person_radius",
+               "neighborhood_range": "neighborhood_range"}
+
 
 @dataclass(frozen=True)
 class ForceParams:
@@ -80,10 +85,8 @@ class ForceParams:
 
     @classmethod
     def from_config(cls, cfg: Config, **overrides) -> "ForceParams":
-        base = dict(mass=cfg.person_mass, radius=cfg.person_radius,
-                    neighborhood_range=cfg.neighborhood_range)
-        base.update(overrides)
-        return cls(**base)
+        base = {name: getattr(cfg, source) for name, source in FROM_CONFIG.items()}
+        return cls(**{**base, **overrides})
 
     def max_speed_for(self, desired_speed):
         """Speed cap for a desired speed, or elementwise for an array."""

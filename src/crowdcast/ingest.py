@@ -110,8 +110,9 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
     Two layouts are recognized by column count: the 8-or-more column
     observation-matrix convention (frame, id, x, ., y, ...) where position
     columns are 2 and 4, and the plain 4-column (frame, id, x, y) layout.
-    ``column_map`` overrides the detection with four comma-separated column
-    indices for frame, id, x, y. The result is an (N, 4) float array of
+    ``column_map`` overrides the detection with four comma-separated
+    non-negative column indices for frame, id, x, y; any other map raises
+    ``ValueError``. The result is an (N, 4) float array of
     (frame, id, x, y) rows in file order, never reordered or deduplicated
     here; frame and id hold integers.
     """
@@ -122,9 +123,10 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
         try:
             override = tuple(int(c) for c in column_map.split(","))
         except ValueError:
-            raise DataError(f"bad column map {column_map!r}, expected e.g. 0,1,2,4")
-        if len(override) != 4:
-            raise DataError("column map needs exactly 4 indices: frame,id,x,y")
+            override = ()
+        if len(override) != 4 or min(override) < 0:
+            raise ValueError(f"bad column map {column_map!r}: need 4 non-negative "
+                             f"indices frame,id,x,y, e.g. 0,1,2,4")
     lines = data.splitlines()
     blocks = [np.empty((0, 4))]
     for lo in range(0, len(lines), _PARSE_BLOCK):
@@ -145,7 +147,7 @@ def _parse_block(lines: list, override: tuple | None) -> np.ndarray | None:
         return None
     (width,) = widths
     cols = override or ((0, 1, 2, 4) if width >= 8 else (0, 1, 2, 3) if width == 4 else ())
-    if not (cols and all(0 <= c < width for c in cols)):
+    if not (cols and max(cols) < width):
         return None
     try:
         vals = np.array(toks, dtype=object)[:, list(cols)].astype(np.float64)
@@ -182,12 +184,12 @@ def _parse_lines(lines: list, override: tuple | None, offset: int) -> np.ndarray
             raise ParseError(lineno, f"expected 4 or >= 8 columns, got {len(toks)}")
         if max(cols) >= len(toks):
             raise ParseError(lineno, f"column {max(cols)} missing in {len(toks)}-column row")
-        try:
-            vals = [float(toks[c]) for c in cols]
-        except ValueError:
-            bad = next(toks[c] for c in cols
-                       if not _is_number(toks[c]))
-            raise ParseError(lineno, f"malformed numeric field {bad!r}") from None
+        vals = []
+        for c in cols:
+            try:
+                vals.append(float(toks[c]))
+            except ValueError:
+                raise ParseError(lineno, f"malformed numeric field {toks[c]!r}") from None
         frame_f, id_f, x, y = vals
         if not (isfinite(x) and isfinite(y) and isfinite(frame_f) and isfinite(id_f)):
             raise ParseError(lineno, "numeric fields must be finite")
@@ -199,14 +201,6 @@ def _parse_lines(lines: list, override: tuple | None, offset: int) -> np.ndarray
             raise ParseError(lineno, f"negative frame {frame}")
         rows.append((frame, agent, x, y))
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
 
 
 def to_canonical(rows: np.ndarray, homography: Homography, source_fps: float,

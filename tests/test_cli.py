@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from crowdcast import cli
-from crowdcast.core import read_canonical_csv, write_canonical_csv
+from crowdcast.core import Config, read_canonical_csv, write_canonical_csv
+from crowdcast.dynamics import FROM_CONFIG, ForceParams
 
 from conftest import STEP, benchmark_tracks, line_track
 
@@ -81,6 +83,15 @@ class TestIngest:
                                     cfg.step_duration)
         assert [tr.agent_id for tr in tracks] == ["7"]
         assert (out / "run_config.txt").is_file()
+
+    def test_bad_column_map_is_usage_error(self, tmp_path, capsys):
+        raw = _write_obsmat(tmp_path / "raw.txt")
+        out = tmp_path / "run"
+        for columns in ["0,1,2", "a,b,c,d", "0,1,-1,2"]:
+            rc = cli.main(["ingest", str(raw), "--columns", columns, "--out", str(out)])
+            assert rc == 2, columns
+            assert "bad column map" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         raw = _write_obsmat(tmp_path / "raw.txt", bad_line=3)
@@ -491,6 +502,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err and "not convex" in err
 
+    @pytest.mark.parametrize("key,value", [("k_candidates", "five"),
+                                           ("step_duration", "abc"),
+                                           ("seed", "1.5"),
+                                           ("mode", "sideways")])
+    def test_config_value_its_type_refuses(self, tmp_path, capsys, tracks_csv,
+                                           key, value):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"# one bad value\n{key} = {value}\n")
+        rc = cli.main(["eval", str(tracks_csv), "--endtimes", "99",
+                       "--config", str(cfg_file), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: {key}: ")
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys, tracks_csv):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("wibble = 3\n")
@@ -514,3 +539,41 @@ class TestPlot:
         assert 'class="known"' in svg
         assert 'class="groundtruth"' in svg
         assert 'class="obstacle"' in svg
+
+
+class TestRunParameters:
+    """Every run parameter reaches ``run_config.txt``, ``--config`` and
+    ``--help`` of every subcommand."""
+
+    # the Config fields, the ForceParams fields not copied from Config, the
+    # seed and the member deviation mode
+    NAMES = ({f.name for f in fields(Config)}
+             | {f.name for f in fields(ForceParams)} - FROM_CONFIG.keys()
+             | {"seed", "mode"})
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"], ["groups", "--endtime", "99"],
+        ["destinations", "--endtime", "99"], ["predict", "--endtime", "99"],
+        ["eval", "--endtimes", "99"], ["plot"]])
+    def test_every_parameter_reaches_every_surface(self, tmp_path, capsys,
+                                                   tracks_csv, command):
+        assert set(cli._PARAMS) == self.NAMES
+        name = command[0]
+        data = _write_obsmat(tmp_path / "raw.txt") if name == "ingest" else tracks_csv
+        argv = [name, str(data), *command[1:], "--substeps", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+        written = (tmp_path / "a" / "run_config.txt").read_text()
+        settings = [line for line in written.splitlines() if not line.startswith("#")]
+        assert {line.split(" = ")[0] for line in settings} == self.NAMES
+        # the file is accepted back as --config and resolves to the same run
+        assert cli.main(argv + ["--config", str(tmp_path / "a" / "run_config.txt"),
+                                "--out", str(tmp_path / "b")]) == 0
+        again = (tmp_path / "b" / "run_config.txt").read_text()
+        assert [line for line in again.splitlines() if not line.startswith("#")] == settings
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main([name, "--help"])
+        shown = set(capsys.readouterr().out.split())
+        for key in self.NAMES - {"mode"}:
+            assert "--" + key.replace("_", "-") in shown, key
+        assert ("--mode" in shown) == (name in ("predict", "eval"))

@@ -65,8 +65,12 @@ class TestParseObsmat:
             parse_obsmat(b"-3 1 1.0 1.0\n")
 
     def test_bad_column_map(self):
-        with pytest.raises(DataError):
-            parse_obsmat(b"0 1 1.0 1.0\n", column_map="0,1,2")
+        # a wrong count, a non-integer or a negative index is a usage
+        # error, not bad data
+        for column_map in ["0,1,2", "0,1,2,3,4", "a,b,c,d", "0,1,2,", "0,1,2,-1"]:
+            with pytest.raises(ValueError, match="bad column map") as exc:
+                parse_obsmat(b"0 1 1.0 1.0\n", column_map=column_map)
+            assert not isinstance(exc.value, DataError), column_map
 
     @pytest.mark.parametrize("row", [b"1 1 nan 1.0", b"1 1 1.0 -inf",
                                      b"inf 1 1.0 1.0", b"1 nan 1.0 1.0"])
@@ -147,11 +151,11 @@ class TestParseArrayPass:
             parse_obsmat("\n".join(lines))
 
     def test_column_map_outside_the_row(self):
-        # the line walk indexes from the end for a negative column and
-        # reports a column past the end; the array pass leaves both to it
+        # a negative column is refused before any line is read; the line
+        # walk reports a column past the end, the array pass leaves it to it
         text = "0 7 4.5 3.5\n1 7 4.6 3.4\n"
-        assert parse_obsmat(text, column_map="0,1,-1,-2").tobytes() == \
-            self.walk(text, (0, 1, -1, -2))[0].tobytes()
+        with pytest.raises(ValueError, match="non-negative"):
+            parse_obsmat(text, column_map="0,1,-1,-2")
         with pytest.raises(ParseError, match="line 1: column 4 missing in 4-column row"):
             parse_obsmat(text, column_map="0,1,2,4")
 
