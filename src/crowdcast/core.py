@@ -285,18 +285,9 @@ def near_pairs(points: np.ndarray, bound: float, block: int):
     by cell (cx, cy), a row meets its partners in two runs, the rest of its
     column up to cy + 1 and column cx + 1 from cy − 1 to cy + 1, expanded
     lazily, so memory is O(n + block). The cell side absorbs the rounding
-    of ``p / side`` at the points' magnitude. When the finite rows span at
-    most two cells on each axis, the cell list pairs every row with every
-    other, and the blocks hold every pair in row order instead."""
+    of ``p / side`` at the points' magnitude."""
     bad = ~np.isfinite(points).all(axis=1)
-    good = points[~bad]
-    side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(good).max(initial=0.0))
-    # floor(p / side) is monotone in p, so these are the extreme cells
-    span = (np.floor(good.max(axis=0, initial=-np.inf) / side)
-            - np.floor(good.min(axis=0, initial=np.inf) / side))
-    if (span <= 1.0).all():
-        yield from _all_pairs(len(points), block)
-        return
+    side = bound * (1.0 + 1e-9) + 4.5e-16 * float(np.abs(points[~bad]).max(initial=0.0))
     cx, cy = np.floor(np.where(bad[:, None], 0.0, points) / side).T
     # (cx, cy) sorts as one complex key, which cannot overflow; a row with a
     # non-finite coordinate sorts first and runs to the end
@@ -316,17 +307,6 @@ def near_pairs(points: np.ndarray, bound: float, block: int):
         o = t - ends[k] + counts[k]
         a, b = order[k], order[np.where(o < first[k], s1[k] + o, s2[k] + o - first[k])]
         yield np.minimum(a, b), np.maximum(a, b)
-
-
-def _all_pairs(n: int, block: int):
-    """Every (i, j) pair of ``n`` rows with i < j, in row-major order, in
-    blocks of at most ``block``; memory is O(n + block)."""
-    r = np.arange(n)
-    rows = max(1, block // max(n, 1))
-    for lo in range(0, n, rows):
-        i, j = np.nonzero(r[lo:lo + rows, None] < r)
-        for s in range(0, len(i), block):
-            yield i[s:s + block] + lo, j[s:s + block]
 
 
 def connected_components(n: int, edges) -> list:

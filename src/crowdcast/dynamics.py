@@ -19,8 +19,8 @@ horizon, where the pair force is exactly 0.0 and no coincidence nudge can
 fire; the margin (``_REACH_MARGIN``) absorbs rounding and nudges. A group
 with no chain of edges to the subject therefore adds no force term to it,
 directly or through others: passing it along costs time but changes no bit
-of the subject's trajectory. A window labels the graph's components once
-and hands each rollout its own.
+of the subject's trajectory. A window builds the graph once, labels its
+components, and hands each rollout its own component's groups and edges.
 """
 
 from __future__ import annotations
@@ -359,16 +359,20 @@ def reach_edges(pos: np.ndarray, caps: np.ndarray, reach: float,
 def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
                              others: list, steps: int, params: ForceParams,
                              cfg: Config, initial_velocity=None,
-                             start_frame: int = 0) -> list:
+                             start_frame: int = 0, *, edges) -> list:
     """Roll the subject group from ``start`` toward each candidate
     destination in ``dest``, a (C, 2) array, for ``steps`` output steps,
     simulating every group of ``others`` (``GroupInit``) jointly.
 
-    Each candidate is an independent simulation; all C advance together as
-    C blocks of one flat state, one body per group, with pairs only inside a
-    block and only along the reach edges (see the module docstring). Others
-    with no chain of edges to the subject cost time but change no bit of
-    the result. The subject's desired speed is floored at
+    ``edges`` is an (i, j) pair of index arrays over the rollout's groups,
+    row 0 the subject and row r the ``others[r - 1]``: the only pairs whose
+    repulsion is evaluated. Every pair left out must stay at least
+    ``neighborhood_range`` apart for the whole horizon, which the
+    :func:`reach_edges` of the groups' starts, speed caps and horizon
+    guarantee (see the module docstring). Each candidate is an independent
+    simulation; all C advance together as C blocks of one flat state, one
+    body per group, with pairs only inside a block and only along
+    ``edges``. The subject's desired speed is floored at
     ``params.speed_floor``, so a briefly stationary group still makes
     progress. Returns one trajectory per candidate, each with one position
     per step on frames ``start_frame + 1 .. start_frame + steps``.
@@ -384,8 +388,6 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     starts = np.array([start] + [g.pos for g in others], dtype=np.float64)
     if not (np.isfinite(starts).all() and np.isfinite(speeds).all()):
         raise DataError("non-finite simulation input")
-    i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
-                       steps * cfg.step_duration)
 
     n_cand, k = len(dests), len(starts)
     dst = np.empty((n_cand, k, 2))
@@ -407,7 +409,7 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     vel[:, has] = np.reshape([v for v in given if v is not None], (-1, 2))
     # each edge in both directions, sorted by row, then column; block c holds
     # rows c*k .. c*k + k - 1, so offsetting by c*k keeps that order
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    rows, cols = np.concatenate([edges, edges[::-1]], axis=1)
     order = np.lexsort((cols, rows))
     pairs = (np.column_stack([rows[order], cols[order]])
              + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)

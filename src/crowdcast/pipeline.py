@@ -115,8 +115,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
 
     Runs :func:`detect_groups` and :func:`group_candidates`, then rolls each
     group's candidates out in one batched call, jointly with the other
-    groups of its reach component, labelled once for the window
-    (:func:`reach_edges`), which head for their straight-line continuations.
+    groups of its reach component, which head for their straight-line
+    continuations. The window's reach graph (:func:`reach_edges`) is built
+    and labelled once; each rollout gets its component's cut of those
+    edges.
     The desired speed is the center's mean speed, floored at
     ``params.speed_floor``. Returns a ``GroupPrediction`` per group; empty
     when no agent covers the window.
@@ -131,23 +133,36 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                                group_cands[-1].destination,
                                max(mean_speed(center), params.speed_floor),
                                velocity_at(center, int(center.frames[-1]))))
-    edges = reach_edges(np.array([g.pos for g in inits]).reshape(-1, 2),
-                        params.max_speed_for(np.array([g.speed for g in inits])),
-                        params.neighborhood_range,
-                        cfg.predict_time_steps * cfg.step_duration)
-    component = {gi: rows for rows in connected_components(len(inits), [edges])
-                 for gi in rows}
+    i, j = reach_edges(np.array([g.pos for g in inits]).reshape(-1, 2),
+                       params.max_speed_for(np.array([g.speed for g in inits])),
+                       params.neighborhood_range,
+                       cfg.predict_time_steps * cfg.step_duration)
+    components = connected_components(len(inits), [(i, j)])
+    label, place = np.empty((2, len(inits)), dtype=np.intp)
+    for c, rows in enumerate(components):
+        label[rows] = c
+        place[rows] = np.arange(len(rows))
+    # the (2, E) edges sorted by component, so each component's are one
+    # slice, as places in its ascending row list
+    by = np.argsort(label[i], kind="stable")
+    cut = np.searchsorted(label[i[by]], np.arange(len(components) + 1))
+    ends = place[np.stack([i, j])[:, by]]
 
     out = []
     for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):
         member_known = tuple(by_id[m] for m in st.members)
         policy = ReconstructionPolicy.from_known_window(
             member_known, st.center_trajectory, st.member_offsets, mode, seed)
+        # the rollout's row 0 is the group, then the rest of its component
+        # in window order: a place before the group's moves up by one
+        comp, p = label[gi], place[gi]
+        e = ends[:, cut[comp]:cut[comp + 1]]
         trajs = predict_group_trajectory(
             init.pos, np.array([c.destination for c in group_cands]),
-            init.speed, scene, [inits[k] for k in component[gi] if k != gi],
+            init.speed, scene, [inits[k] for k in components[comp] if k != gi],
             cfg.predict_time_steps, params, cfg,
-            initial_velocity=init.velocity, start_frame=endtime)
+            initial_velocity=init.velocity, start_frame=endtime,
+            edges=np.where(e == p, 0, e + (e < p)))
         rollouts = [
             CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
                              reconstruct_members(traj, st.member_offsets,

@@ -87,7 +87,7 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
     h = max(grid.reach(cell), 1.0)
     while True:
         ids, whole = grid.square(cell, h)
-        scores, best = _rank(db, pose, qn, cfg, ids, excluded, k)
+        scores, best = _rank(db, pose, qn, cfg, ids, whole, excluded, k)
         if whole:
             break
         if len(best) < k:
@@ -108,22 +108,23 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
 
 
 def _rank(db: TrajectoryDatabase, pose: QueryPose, qn: float, cfg: Config,
-          ids: np.ndarray, excluded: np.ndarray, k: int) -> tuple:
+          ids: np.ndarray, whole: bool, excluded: np.ndarray, k: int) -> tuple:
     """Score the samples ``ids`` and rank their agents, leaving out the
     ``excluded`` agent codes: the scores and sample indices of the ``k``
     best agents' best samples (lowest score, then step, then index),
-    ordered by score, then agent code."""
-    offset = pose.pos - db.positions.take(ids, axis=0)
+    ordered by score, then agent code. ``whole`` says ``ids`` is every
+    sample in order, whose columns are then read in place."""
+    columns = db.positions, db.direction_norms, db.agent_codes
+    pos, norms, codes = columns if whole else (a.take(ids, axis=0) for a in columns)
+    offset = pose.pos - pos
     score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
     if qn >= STATIONARY_NORM:
-        norms = db.direction_norms[ids]
         moving = np.flatnonzero(norms >= STATIONARY_NORM)
         cos = np.vecdot(db.directions.take(ids[moving], axis=0), pose.direction) / (
             qn * norms[moving])
         score[moving] += cfg.direction_weight * (1.0 - cos)
         # a rejected sample scores NaN and is never ranked
         score[moving[~(cos >= 0.0)]] = np.nan
-    codes = db.agent_codes[ids]
     keep = np.flatnonzero(~(np.isnan(score) | excluded[codes]))
     # only samples up to a score that k agents reach can be among the k
     # best: the p lowest for the least p = k, 4k, 16k, ... whose samples

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crowdcast import Config, Trajectory
+from crowdcast.dynamics import reach_edges
 
 STEP = 0.3999
 
@@ -25,6 +26,17 @@ def line_track(agent_id: str, first_frame: int, n: int, start, velocity,
     pos = np.asarray(start, dtype=np.float64)[None, :] \
         + k[:, None] * np.asarray(velocity, dtype=np.float64)[None, :] * step_duration
     return Trajectory.from_frame_grid(agent_id, frames, pos, step_duration)
+
+
+def rollout_edges(start, speed, others, steps, params, cfg) -> tuple:
+    """The reach edges of a rollout's groups, the subject at ``start`` as
+    row 0 and ``others`` after it: the ``edges`` that
+    ``predict_at_endtime`` cuts from its window's reach graph for that
+    rollout."""
+    speeds = np.maximum([speed] + [g.speed for g in others], params.speed_floor)
+    starts = np.array([start] + [g.pos for g in others], dtype=np.float64)
+    return reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
+                       steps * cfg.step_duration)
 
 
 def random_track(rng: np.random.Generator, agent_id: str,

@@ -246,11 +246,11 @@ class TestNearPairs:
 
 
 class TestNearPairsWithinTwoCells:
-    """When the finite rows span at most two cells on each axis,
-    ``near_pairs`` yields every pair without the cell list. Either way its
-    pairs are exactly the brute-force cell relation: a non-finite row, or
-    cells at most one apart on both axes, with the cells and the side
-    ``near_pairs`` defines."""
+    """Points whose finite rows span at most two cells on each axis, where
+    the cell list pairs every row with every other, and spans just beyond.
+    Either way ``near_pairs``' pairs are exactly the brute-force cell
+    relation: a non-finite row, or cells at most one apart on both axes,
+    with the cells and the side ``near_pairs`` defines."""
 
     @staticmethod
     def cell_pairs(points, bound):
@@ -306,8 +306,8 @@ class TestNearPairsWithinTwoCells:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spans(self, seed):
-        # spans from well inside one cell to a few cells, so both the
-        # shortcut and the cell list run
+        # spans from well inside one cell to a few cells, so the cell list
+        # meets both every pair and pairs it must leave out
         rng = np.random.default_rng(seed)
         for _ in range(30):
             n = int(rng.integers(0, 30))

@@ -22,7 +22,7 @@ from crowdcast.dynamics import (
     step,
 )
 
-from conftest import STEP, line_track
+from conftest import STEP, line_track, rollout_edges
 import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
 
@@ -181,15 +181,18 @@ class TestPredictGroupTrajectory:
                                  bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
         t0 = time.perf_counter()
         trajs = predict_group_trajectory((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0,
-                                         scene, [], 5, params, cfg)
+                                         scene, [], 5, params, cfg,
+                                         edges=rollout_edges((0.0, 0.0), 1.0, [], 5,
+                                                             params, cfg))
         assert time.perf_counter() - t0 < 2.0
         assert all(np.all(np.isfinite(t.positions)) for t in trajs)
 
     def test_rotation_equivariance(self, cfg, params):
         scene = cc.parse_scene("seg 2 -4 2 4")
         others = [GroupInit(np.array([6.0, 1.0]), np.array([-2.0, 1.0]), 0.9)]
-        [base] = predict_group_trajectory((0.0, 0.2), [(6.0, 0.0)], 1.1, scene,
-                                          others, 20, params, cfg)
+        [base] = predict_group_trajectory(
+            (0.0, 0.2), [(6.0, 0.0)], 1.1, scene, others, 20, params, cfg,
+            edges=rollout_edges((0.0, 0.2), 1.1, others, 20, params, cfg))
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         rot = np.array([[c, -s], [s, c]])
         scene_r = cc.SceneGeometry(
@@ -197,37 +200,45 @@ class TestPredictGroupTrajectory:
             polygons=(), bounds=np.array([[-20.0, -20.0], [20.0, 20.0]]))
         others_r = [GroupInit(rot @ np.array([6.0, 1.0]),
                               rot @ np.array([-2.0, 1.0]), 0.9)]
-        [rotated] = predict_group_trajectory(rot @ np.array([0.0, 0.2]),
-                                             [rot @ np.array([6.0, 0.0])], 1.1,
-                                             scene_r, others_r, 20, params, cfg)
+        start_r = rot @ np.array([0.0, 0.2])
+        [rotated] = predict_group_trajectory(
+            start_r, [rot @ np.array([6.0, 0.0])], 1.1, scene_r, others_r, 20, params,
+            cfg, edges=rollout_edges(start_r, 1.1, others_r, 20, params, cfg))
         assert np.max(np.abs(rotated.positions - base.positions @ rot.T)) < 1e-6
 
     def test_zero_speed_uses_floor(self, cfg, params, scene):
-        [traj] = predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 0.0, scene,
-                                          [], 10, params, cfg)
+        [traj] = predict_group_trajectory(
+            (0.0, 0.0), [(5.0, 0.0)], 0.0, scene, [], 10, params, cfg,
+            edges=rollout_edges((0.0, 0.0), 0.0, [], 10, params, cfg))
         assert traj.positions[-1, 0] >= 0.2
 
     def test_start_frame_controls_grid(self, cfg, params, scene):
-        [traj] = predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 1.0, scene,
-                                          [], 5, params, cfg, start_frame=100)
+        [traj] = predict_group_trajectory(
+            (0.0, 0.0), [(5.0, 0.0)], 1.0, scene, [], 5, params, cfg, start_frame=100,
+            edges=rollout_edges((0.0, 0.0), 1.0, [], 5, params, cfg))
         assert list(traj.frames) == [101, 102, 103, 104, 105]
         assert traj.times[0] == pytest.approx(101 * cfg.step_duration)
 
     def test_bad_steps_rejected(self, cfg, params, scene):
         with pytest.raises(ValueError):
             predict_group_trajectory((0.0, 0.0), [(1.0, 0.0)], 1.0, scene, [],
-                                     0, params, cfg)
+                                     0, params, cfg,
+                                     edges=rollout_edges((0.0, 0.0), 1.0, [], 0,
+                                                         params, cfg))
 
     def test_non_finite_group_rejected_before_pruning(self, cfg, params, scene):
         far = GroupInit(np.array([1e4, np.nan]), np.array([0.0, 0.0]), 1.0)
         with pytest.raises(DataError):
             predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 1.0, scene,
-                                     [far], 5, params, cfg)
+                                     [far], 5, params, cfg,
+                                     edges=rollout_edges((0.0, 0.0), 1.0, [far], 5,
+                                                         params, cfg))
 
     def test_substep_free_integration_still_arrives(self, cfg, scene):
         coarse = ForceParams.from_config(cfg, substeps=1)
-        [traj] = predict_group_trajectory((0.0, 0.0), [(6.0, 0.0)], 1.0, scene,
-                                          [], 30, coarse, cfg)
+        [traj] = predict_group_trajectory(
+            (0.0, 0.0), [(6.0, 0.0)], 1.0, scene, [], 30, coarse, cfg,
+            edges=rollout_edges((0.0, 0.0), 1.0, [], 30, coarse, cfg))
         assert np.linalg.norm(traj.positions[-1] - [6.0, 0.0]) <= 0.5
 
 
@@ -325,9 +336,9 @@ class TestRolloutMatchesOracle:
 
     def _assert_matches(self, start, dests, speed, scene, others, steps,
                         params, cfg, initial_velocity=None):
-        trajs = predict_group_trajectory(start, dests, speed, scene, others,
-                                         steps, params, cfg, initial_velocity,
-                                         start_frame=7)
+        trajs = predict_group_trajectory(
+            start, dests, speed, scene, others, steps, params, cfg, initial_velocity,
+            start_frame=7, edges=rollout_edges(start, speed, others, steps, params, cfg))
         assert len(trajs) == len(dests)
         for dest, traj in zip(dests, trajs):
             ref = oracle_rollout(start, dest, speed, scene, others, steps,
@@ -565,10 +576,17 @@ def _window_at_the_reach_bound(cfg, params):
     return tracks
 
 
+def _unordered_pairs(edges):
+    i, j = (np.asarray(e) for e in edges)
+    return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+
+
 def test_window_components_equal_full_rollouts(monkeypatch):
-    """Each group's rollout in ``predict_at_endtime`` gets exactly the groups
-    of its reach component, as the dense test over every group of the window
-    finds it, and returns the bits of a rollout given every other group."""
+    """``predict_at_endtime`` builds one reach graph per window. Each
+    group's rollout gets exactly the groups of its reach component, as the
+    dense test over every group of the window finds it, and as its edges
+    exactly the reach edges among them, and returns the bits of a rollout
+    given every other group."""
     from crowdcast import pipeline
 
     cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
@@ -577,6 +595,7 @@ def test_window_components_equal_full_rollouts(monkeypatch):
     scene = cc.parse_scene("seg 1001 990 1001 1010")
     tracks = _window_at_the_reach_bound(cfg, params)
     calls = []
+    graphs = []
 
     def spy(start, dest, speed, scene, others, steps, params, cfg, **kw):
         out = predict_group_trajectory(start, dest, speed, scene, others, steps,
@@ -584,14 +603,23 @@ def test_window_components_equal_full_rollouts(monkeypatch):
         calls.append((start, dest, speed, others, kw, out))
         return out
 
+    def graph_spy(*args):
+        graphs.append(args)
+        return dynamics.reach_edges(*args)
+
     monkeypatch.setattr(pipeline, "predict_group_trajectory", spy)
+    monkeypatch.setattr(pipeline, "reach_edges", graph_spy)
     preds = cc.predict_at_endtime(tracks, 24, cc.build_database(tracks, cfg, 24), cfg,
                                   params, scene)
     assert [p.members for p in preds][-1] == ("m1", "m2")
+    assert len(graphs) == 1
     inits = [GroupInit(start, dest[-1], speed, kw["initial_velocity"])
              for start, dest, speed, _, kw, _ in calls]
     sizes = []
     for g, (start, dest, speed, others, kw, out) in enumerate(calls):
+        edges = kw.pop("edges")
+        assert _unordered_pairs(edges) == _unordered_pairs(
+            rollout_edges(start, speed, others, cfg.predict_time_steps, params, cfg))
         rest = inits[:g] + inits[g + 1:]
         pos = np.stack([start] + [o.pos for o in rest])
         caps = params.max_speed_for(np.array([speed] + [o.speed for o in rest]))
@@ -599,8 +627,10 @@ def test_window_components_equal_full_rollouts(monkeypatch):
                                      cfg.predict_time_steps * cfg.step_duration)
         assert [o.pos.tolist() for o in others] == pos[keep[1:]].tolist()
         sizes.append(len(keep))
-        full = predict_group_trajectory(start, dest, speed, scene, rest,
-                                        cfg.predict_time_steps, params, cfg, **kw)
+        full = predict_group_trajectory(
+            start, dest, speed, scene, rest, cfg.predict_time_steps, params, cfg,
+            edges=rollout_edges(start, speed, rest, cfg.predict_time_steps, params, cfg),
+            **kw)
         for got, want in zip(out, full, strict=True):
             assert got.positions.tobytes() == want.positions.tobytes()
             assert got.frames.tobytes() == want.frames.tobytes()

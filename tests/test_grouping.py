@@ -380,25 +380,38 @@ def test_grouping_cost_does_not_depend_on_the_axis(cfg):
     assert took[1] < 2.0 * took[0], took
 
 
-def test_window_reach_cost_follows_nearby_groups():
+def test_window_reach_cost_follows_nearby_groups(monkeypatch):
     # singletons on a 50-column lattice. 100 m apart, none is within reach
     # of another, and each rollout simulates its own group alone. 12 m
     # apart, all of them chain into one reach component, and each rollout
     # simulates all of them with pairs only between neighbours. A reach
-    # matrix over every group per rollout costs O(G³) per window
+    # matrix over every group per rollout costs O(G³) per window, and a
+    # broad phase per rollout O(G²): the window runs the broad phase once
+    from crowdcast import dynamics
+
     cfg = cc.Config(known_time_steps=5, predict_time_steps=2, k_candidates=1)
     params = cc.ForceParams.from_config(cfg, substeps=1)
     frames = np.arange(5)
+    broad_phases = []
+    near_pairs = dynamics.near_pairs
+
+    def spy(*args):
+        broad_phases.append(args)
+        return near_pairs(*args)
+
+    monkeypatch.setattr(dynamics, "near_pairs", spy)
     for n, spacing, budget in ((2000, 100.0, 10.0), (1000, 12.0, 20.0)):
         tracks = [cc.Trajectory.from_frame_grid(
             f"s{i:04d}", frames, np.column_stack([np.full(5, spacing * (i % 50)),
                                                   spacing * (i // 50) + 0.5 * frames]),
             STEP) for i in range(n)]
         db = cc.build_database(tracks, cfg, 4)
+        broad_phases.clear()
         t0 = time.perf_counter()
         out = cc.predict_at_endtime(tracks, 4, db, cfg, params, cc.SceneGeometry.empty())
         assert time.perf_counter() - t0 < budget, (n, spacing)
         assert len(out) == n
+        assert len(broad_phases) == 1, (n, spacing)
 
 
 def _still_track(agent_id, first, n, start):
