@@ -11,6 +11,7 @@ from .core import (
     DataError,
     SceneGeometry,
     TooFewPointsError,
+    Tracks,
     Trajectory,
     TrajectoryDatabase,
     average_direction,
@@ -84,6 +85,7 @@ __all__ = [
     "SceneGeometry",
     "SimState",
     "TooFewPointsError",
+    "Tracks",
     "Trajectory",
     "TrajectoryDatabase",
     "Window",

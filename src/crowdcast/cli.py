@@ -24,6 +24,7 @@ from .core import (
     Config,
     DataError,
     SceneGeometry,
+    Tracks,
     build_database,
     parse_scene,
     read_canonical_csv,
@@ -154,7 +155,7 @@ def _read_bytes(path: str) -> bytes:
     return p.read_bytes()
 
 
-def _load_tracks(path: str, cfg: Config) -> list:
+def _load_tracks(path: str, cfg: Config) -> Tracks:
     return read_canonical_csv(_read_bytes(path), cfg.step_duration)
 
 

@@ -8,6 +8,14 @@ trajectories may carry arbitrary timestamps.
 Everything here is immutable after construction and safe to share between
 workers. The database is build-once, read-many.
 
+A run's tracks are one :class:`Tracks`: an immutable tuple of trajectories
+that holds one columnar table of all their rows, built once.
+:func:`read_canonical_csv` returns one, its trajectories views of the
+table. The functions that take a run's tracks (:func:`build_database`,
+``pipeline.known_window_tracks``, ``evaluate.run_experiment``) accept a
+list too and convert it at entry with :meth:`Tracks.of`, once per call, so
+a window's cut, database and head count are numpy over the table.
+
 One scale rule holds where input enters: every coordinate read (canonical
 CSV, scene vertices, annotation points after the homography) lies within
 ±S, S = ``SCALE`` = 1e9 m, and every float parameter of ``Config`` and
@@ -155,12 +163,19 @@ class Trajectory:
         increasing frames and times strictly increases too, and a view of a
         read-only array is read-only.
         """
-        out = object.__new__(Trajectory)
         rows = slice(start, stop)
-        for name, value in (("agent_id", self.agent_id if agent_id is None else agent_id),
-                            ("frames", self.frames[rows]), ("times", self.times[rows]),
-                            ("positions", self.positions[rows])):
-            object.__setattr__(out, name, value)
+        return Trajectory.trusted(self.agent_id if agent_id is None else agent_id,
+                                  self.frames[rows], self.times[rows],
+                                  self.positions[rows])
+
+    @classmethod
+    def trusted(cls, agent_id: str, frames, times, positions) -> "Trajectory":
+        """A trajectory of arrays that already keep its invariants: int64
+        frames and float64 times, both strictly increasing, and (N, 2)
+        float64 positions, all read-only. Nothing is copied or checked."""
+        out = object.__new__(cls)
+        vars(out).update(agent_id=agent_id, frames=frames, times=times,
+                         positions=positions)
         return out
 
     def index_of_frame(self, frame: int) -> int:
@@ -232,6 +247,100 @@ def _directions(positions: np.ndarray) -> np.ndarray:
     before = np.concatenate([d[:1], np.cumsum(d[:-1], axis=0)])  # d_0 is 0
     i = np.arange(len(d), dtype=np.float64)[:, None]
     return (i * d - before) / np.maximum(i, 1.0)
+
+
+class Tracks(tuple):
+    """The tracks of a run: an immutable tuple of trajectories that carries
+    one columnar table of them (Abadi, Boncz & Harizopoulos, "Column-oriented
+    database systems", PVLDB 2(2), 2009).
+
+    ``frames``, ``times`` and ``positions`` hold every track's rows end to
+    end, in tuple order; track t owns rows ``starts[t]`` .. ``starts[t] +
+    lengths[t] - 1``, and ``owners[r]`` is the track owning row r.
+    ``agent_ids`` lists the distinct ids in ``(natural_key(id), id)`` order
+    and ``codes[t]`` is track t's place in it, so comparing codes compares
+    ids. ``directions`` is each track's :func:`_directions`, end to end, and
+    ``direction_norms`` their lengths. The table is built once; the ids,
+    codes and directions on first use. A window's cut and database are then
+    numpy over the table, with no Python per track.
+    """
+
+    def __new__(cls, tracks=()):
+        tracks = tuple(tracks)
+        return cls._of_table(
+            tracks,
+            np.concatenate([np.empty(0, np.int64)] + [tr.frames for tr in tracks]),
+            np.concatenate([np.empty(0)] + [tr.times for tr in tracks]),
+            np.concatenate([np.empty((0, 2))] + [tr.positions for tr in tracks]),
+            np.array([len(tr) for tr in tracks], dtype=np.int64))
+
+    @classmethod
+    def _of_table(cls, tracks: tuple, frames, times, positions, lengths) -> "Tracks":
+        self = super().__new__(cls, tracks)
+        starts = np.cumsum(lengths) - lengths
+        owners = np.repeat(np.arange(len(tracks)), lengths)
+        for name, arr in (("frames", frames), ("times", times),
+                          ("positions", positions), ("starts", starts),
+                          ("lengths", lengths), ("owners", owners)):
+            arr.setflags(write=False)
+            vars(self)[name] = arr
+        return self
+
+    @classmethod
+    def of(cls, tracks) -> "Tracks":
+        """``tracks`` itself when it is a ``Tracks``, else a ``Tracks`` of
+        its trajectories: every function that takes a run's tracks converts
+        them here, once per call."""
+        return tracks if isinstance(tracks, cls) else cls(tracks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tracks are immutable")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def agent_ids(self) -> tuple:
+        return tuple(sorted({tr.agent_id for tr in self},
+                            key=lambda a: (natural_key(a), a)))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        code = {aid: c for c, aid in enumerate(self.agent_ids)}
+        out = np.array([code[tr.agent_id] for tr in self], dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        out = np.concatenate([np.empty((0, 2))] + [
+            _directions(self.positions[s:s + n])
+            for s, n in zip(self.starts.tolist(), self.lengths.tolist()) if n])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def direction_norms(self) -> np.ndarray:
+        """The lengths of ``directions``: each row on its own, so a gather
+        of these equals the lengths of the gathered rows, bit for bit."""
+        out = np.sqrt(np.vecdot(self.directions, self.directions))
+        out.setflags(write=False)
+        return out
+
+    def count_before(self, frame) -> np.ndarray:
+        """Per track, how many of its frames lie before ``frame``: its first
+        rows, as frames strictly increase. An empty track counts 0."""
+        return np.bincount(self.owners[self.frames < frame], minlength=len(self))
+
+    def covering(self, first: int, steps: int) -> tuple:
+        """The tracks holding every frame ``first`` .. ``first + steps - 1``,
+        ascending, and the row of ``first`` within each: a track holds them
+        when the frame ``steps - 1`` rows after its first one not before
+        ``first`` is the last of them."""
+        n = self.count_before(first)
+        t = np.flatnonzero(self.lengths - n >= steps)
+        if t.size:      # else ``steps`` need not fit in int64
+            t = t[self.frames[self.starts[t] + n[t] + (steps - 1)] == first + steps - 1]
+        return t, n[t]
 
 
 def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
@@ -538,15 +647,18 @@ def write_canonical_csv(tracks: list) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_canonical_csv(data, step_duration: float) -> list:
-    """Parse canonical CSV bytes or text into trajectories on the step grid.
-    Every coordinate must lie within ±``SCALE`` m."""
+def read_canonical_csv(data, step_duration: float) -> Tracks:
+    """Parse canonical CSV bytes or text into trajectories on the step grid,
+    in natural agent order, as :class:`Tracks` whose trajectories are
+    views of its table. Every coordinate must lie within ±``SCALE`` m."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = data.splitlines()
     if not lines or lines[0].strip() != CANONICAL_HEADER:
         raise DataError(f"canonical CSV must start with header {CANONICAL_HEADER!r}")
-    per_agent: dict = {}
+    agents: dict = {}      # id -> index, in order of first appearance
+    huge: dict = {}        # index -> the agent's largest frame beyond int64
+    codes, frames, points = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -564,18 +676,45 @@ def read_canonical_csv(data, step_duration: float) -> list:
         if not (abs(x) <= SCALE and abs(y) <= SCALE):
             raise DataError(f"CSV line {lineno}: coordinates must be finite "
                             f"and within ±{SCALE:g} m")
-        per_agent.setdefault(parts[1], []).append((frame, x, y))
-    tracks = []
-    for agent_id in sorted(per_agent, key=natural_key):
-        rows = sorted(per_agent[agent_id])
-        if rows[-1][0] > _MAX_FRAME:
-            raise DataError(f"agent {agent_id!r}: frame {rows[-1][0]} is out of range")
-        frames = np.array([r[0] for r in rows], dtype=np.int64)
-        if len(np.unique(frames)) != len(frames):
-            raise DataError(f"agent {agent_id!r} has duplicate frames")
-        positions = np.array([[r[1], r[2]] for r in rows])
-        tracks.append(Trajectory.from_frame_grid(agent_id, frames, positions, step_duration))
-    return tracks
+        code = agents.setdefault(parts[1], len(agents))
+        if frame > _MAX_FRAME:
+            huge[code] = max(frame, huge.get(code, frame))
+            frame = _MAX_FRAME      # a stand-in: this agent is rejected below
+        codes.append(code)
+        frames.append(frame)
+        points.append(x)
+        points.append(y)
+    names = list(agents)
+    order = sorted(range(len(names)), key=lambda a: natural_key(names[a]))
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    code = rank[np.array(codes, dtype=np.int64)]
+    frames = np.array(frames, dtype=np.int64)
+    rows = np.lexsort((frames, code))
+    code, frames = code[rows], frames[rows]
+    positions = np.array(points, dtype=np.float64).reshape(-1, 2)[rows]
+    times = frames * step_duration
+    # the first agent in natural order with a fault names it: a frame out
+    # of range, else a duplicate frame, else two frames rounded to one time
+    same = code[1:] == code[:-1]
+    dup = same & (frames[1:] == frames[:-1])
+    close = same & ~(times[1:] > times[:-1])
+    faults = np.concatenate([rank[list(huge)], code[1:][close]])
+    if faults.size:
+        a = order[int(faults.min())]
+        if a in huge:
+            raise DataError(f"agent {names[a]!r}: frame {huge[a]} is out of range")
+        if rank[a] in code[1:][dup]:
+            raise DataError(f"agent {names[a]!r} has duplicate frames")
+        raise DataError(f"times of agent {names[a]!r} must strictly increase")
+    lengths = np.bincount(code, minlength=len(names))
+    for arr in (frames, times, positions):
+        arr.setflags(write=False)
+    bounds = np.cumsum(lengths).tolist()
+    return Tracks._of_table(
+        tuple(Trajectory.trusted(names[a], frames[lo:hi], times[lo:hi], positions[lo:hi])
+              for a, lo, hi in zip(order, [0] + bounds[:-1], bounds)),
+        frames, times, positions, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +815,8 @@ class SampleGrid:
 class TrajectoryDatabase:
     """Historical track samples as read-only arrays, one row per sample.
 
-    The database stores the first ``lengths[t]`` points of each track t.
+    The database stores the first ``lengths[t]`` points of each track t of
+    ``tracks``, a :class:`Tracks`, gathered from its table.
     Every stored point with at least two earlier points is a sample, stored
     as its position, its un-normalized average movement direction, the last
     stored point of its track (the destination) and its 1-based ``step`` in
@@ -689,26 +829,25 @@ class TrajectoryDatabase:
     never pays for it.
     """
 
-    def __init__(self, tracks: list, lengths: list):
-        kept = [(tr, n) for tr, n in zip(tracks, lengths) if n >= 3]
-        self.agent_ids = tuple(sorted({tr.agent_id for tr, _ in kept},
-                                      key=lambda a: (natural_key(a), a)))
+    def __init__(self, tracks: Tracks, lengths: np.ndarray):
+        # samples: rows 2 .. n - 1 of each track, gathered from the table
+        kept = lengths >= 3
+        count = np.where(kept, lengths - 2, 0)
+        track = np.repeat(np.arange(len(tracks)), count)
+        ends = np.cumsum(count)
+        index = np.arange(len(track)) - np.repeat(ends - count, count) + 2
+        rows = tracks.starts[track] + index
+        # codes renumbered to the stored agents, still in natural order
+        stored = np.unique(tracks.codes[kept])
+        self.agent_ids = tuple(tracks.agent_ids[c] for c in stored.tolist())
         self._codes = {aid: c for c, aid in enumerate(self.agent_ids)}
-        lengths = np.array([n for _, n in kept], dtype=np.int64)
-        points = np.concatenate([np.empty((0, 2))]
-                                + [tr.positions[:n] for tr, n in kept])
-        ends = np.cumsum(lengths)
-        # per point: index within its track
-        index = np.arange(len(points)) - np.repeat(ends - lengths, lengths)
-        sample = index >= 2
-        codes = np.array([self._codes[tr.agent_id] for tr, _ in kept], dtype=np.int64)
-        self.agent_codes = np.repeat(codes, lengths)[sample]
-        self.steps = index[sample] + 1
-        self.positions = points[sample]
-        self.directions = np.concatenate(
-            [np.empty((0, 2))] + [tr.directions[2:n] for tr, n in kept])
-        self.destinations = points[np.repeat(ends - 1, lengths)[sample]]
-        self.direction_norms = np.sqrt(np.vecdot(self.directions, self.directions))
+        self.agent_codes = stored.searchsorted(tracks.codes)[track]
+        self.steps = index + 1
+        self.positions = tracks.positions.take(rows, axis=0)
+        self.directions = tracks.directions.take(rows, axis=0)
+        self.destinations = tracks.positions.take((tracks.starts + lengths - 1)[track],
+                                                  axis=0)
+        self.direction_norms = tracks.direction_norms.take(rows)
         for arr in (self.agent_codes, self.steps, self.positions, self.directions,
                     self.destinations, self.direction_norms):
             arr.setflags(write=False)
@@ -726,7 +865,7 @@ class TrajectoryDatabase:
                         dtype=np.int64)
 
 
-def build_database(tracks: list, cfg: Config, endtime: int | None = None
+def build_database(tracks, cfg: Config, endtime: int | None = None
                    ) -> TrajectoryDatabase:
     """Index resampled historical tracks for destination retrieval.
 
@@ -735,18 +874,19 @@ def build_database(tracks: list, cfg: Config, endtime: int | None = None
     frame, ``endtime - cfg.known_time_steps + 1``, a prefix of the track, so
     no window's present or future is searched. Tracks must lie on the
     shared step grid over the points stored: a gap among them raises
-    ``DataError``, a gap after them does not. A track or prefix under three
-    points holds no sample, so it is neither stored nor checked. An empty
-    input yields an empty database whose every query misses.
+    ``DataError`` naming the first such track, a gap after them does not. A
+    track or prefix under three points holds no sample, so it is neither
+    stored nor checked. An empty input yields an empty database whose every
+    query misses. ``tracks`` is converted once by :meth:`Tracks.of`.
     """
-    if endtime is None:
-        lengths = [len(tr) for tr in tracks]
-    else:
-        first = endtime - cfg.known_time_steps + 1
-        lengths = [int(np.searchsorted(tr.frames, first)) for tr in tracks]
-    for tr, n in zip(tracks, lengths):
-        # strictly increasing frames are consecutive when they span n - 1
-        if n >= 3 and int(tr.frames[n - 1]) - int(tr.frames[0]) != n - 1:
-            raise DataError(
-                f"agent {tr.agent_id!r} is not resampled to the step grid")
+    tracks = Tracks.of(tracks)
+    lengths = (tracks.lengths if endtime is None
+               else tracks.count_before(endtime - cfg.known_time_steps + 1))
+    # strictly increasing frames are consecutive when they span n - 1
+    t = np.flatnonzero(lengths >= 3)
+    first = tracks.starts[t]
+    gap = tracks.frames[first + lengths[t] - 1] - tracks.frames[first] != lengths[t] - 1
+    if gap.any():
+        raise DataError(f"agent {tracks[int(t[gap.argmax()])].agent_id!r} "
+                        f"is not resampled to the step grid")
     return TrajectoryDatabase(tracks, lengths)

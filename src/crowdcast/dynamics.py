@@ -419,8 +419,12 @@ def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
     points = _advance(state, scene, params, cfg.step_duration, steps,
                       k * np.arange(n_cand))
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
-    times = frames * cfg.step_duration
-    return [Trajectory("predicted", frames, times, p) for p in points]
+    # the candidates share frames and times: checked once, with the first
+    out = [Trajectory("predicted", frames, frames * cfg.step_duration, p)
+           for p in points[:1]]
+    points.setflags(write=False)
+    return out + [Trajectory.trusted("predicted", out[0].frames, out[0].times, p)
+                  for p in points[1:]]
 
 
 # the member reconstruction modes of ReconstructionPolicy

@@ -17,11 +17,12 @@ from .core import (
     Config,
     DataError,
     SceneGeometry,
+    Tracks,
     Trajectory,
     build_database,
 )
 from .dynamics import ForceParams, constant_velocity_baseline
-from .pipeline import frame_span, predict_at_endtime
+from .pipeline import predict_at_endtime
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class MetricReport:
         return ("\n".join(out) + "\n").encode()
 
 
-def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
+def run_experiment(tracks, scene: SceneGeometry, windows: list,
                    cfg: Config, params: ForceParams, mode: str = "rigid",
                    seed: int = 0) -> MetricReport:
     """Run the full predictor over a list of windows and score it.
@@ -178,24 +179,28 @@ def run_experiment(tracks: list, scene: SceneGeometry, windows: list,
     An agent with any frame at or before the window's last horizon frame
     counts toward the window's total (an empty track never does); total
     minus evaluated is reported as skipped. Windows with nothing to
-    evaluate yield NaN rows rather than failing.
+    evaluate yield NaN rows rather than failing. ``tracks`` is converted
+    once by :meth:`Tracks.of`, so every window slices one table.
     """
+    tracks = Tracks.of(tracks)
     rows = []
     records = []
-    by_id = {tr.agent_id: tr for tr in tracks}
+    by_id = {tr.agent_id: t for t, tr in enumerate(tracks)}
     steps = cfg.predict_time_steps
     for window in windows:
-        horizon_last = window.horizon_last(cfg)
-        total = sum(1 for tr in tracks if len(tr) and tr.frames[0] <= horizon_last)
+        total = int(np.count_nonzero(tracks.count_before(window.horizon_last(cfg) + 1)))
         db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
+        # the row of the horizon's first frame, in each track covering it
+        truth = dict(zip(*(a.tolist() for a in tracks.covering(window.endtime + 1, steps))))
         win_records = []
         for pred in preds:
             for member, known in zip(pred.members, pred.known):
-                gt = frame_span(by_id[member], window.endtime + 1, steps)
-                if gt is None:
+                t = by_id[member]
+                if t not in truth:
                     continue
+                gt = tracks[t].span(truth[t], truth[t] + steps)
                 cand_trajs = [c.member_trajectories[member]
                               for c in pred.candidates]
                 min_ade, min_fde, (ai, fi) = min_over_candidates(cand_trajs, gt)

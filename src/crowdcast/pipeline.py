@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Config, SceneGeometry, Trajectory, TrajectoryDatabase,
+from .core import (Config, SceneGeometry, Tracks, Trajectory, TrajectoryDatabase,
                    connected_components, velocity_at)
 from .dynamics import (
     ForceParams,
@@ -55,23 +55,14 @@ class GroupPrediction:
     known: tuple  # the members' known-window tracks, in ``members`` order
 
 
-def frame_span(tr: Trajectory, first: int, steps: int) -> Trajectory | None:
-    """``tr`` over frames ``first`` .. ``first + steps - 1``, or None unless
-    it holds every one of them: frames strictly increase, so it does when
-    the frame ``steps - 1`` places after the first is the last. The result
-    is a :meth:`Trajectory.span` of ``tr``: read-only views, no copy."""
-    i = int(np.searchsorted(tr.frames, first))
-    if i + steps > len(tr) or tr.frames[i + steps - 1] != first + steps - 1:
-        return None
-    return tr.span(i, i + steps)
-
-
-def known_window_tracks(tracks: list, endtime: int, cfg: Config) -> list:
+def known_window_tracks(tracks, endtime: int, cfg: Config) -> list:
     """Tracks restricted to the known window, keeping only agents present at
-    every frame of it (:func:`frame_span`)."""
+    every frame of it, in input order: :meth:`Trajectory.span` views, no
+    copy. ``tracks`` is converted once by :meth:`Tracks.of`."""
+    tracks = Tracks.of(tracks)
     steps = cfg.known_time_steps
-    spans = (frame_span(tr, endtime - steps + 1, steps) for tr in tracks)
-    return [span for span in spans if span is not None]
+    hits, rows = tracks.covering(endtime - steps + 1, steps)
+    return [tracks[t].span(i, i + steps) for t, i in zip(hits.tolist(), rows.tolist())]
 
 
 def mean_speed(traj: Trajectory) -> float:

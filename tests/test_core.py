@@ -22,9 +22,10 @@ from crowdcast.core import (
     near_pairs,
     parse_scene,
 )
-from crowdcast.pipeline import frame_span
+from crowdcast.pipeline import known_window_tracks
 
 from conftest import STEP, line_track, random_track
+from window_oracle import frame_span, known_window_spans
 
 CONFIG_FLOATS = ["person_radius", "step_duration", "neighborhood_range",
                  "person_mass", "intimate_distance", "personal_distance",
@@ -550,6 +551,22 @@ def test_window_database_equals_clip_then_build(tracks, known):
         assert_same_database(cc.build_database(tracks, cfg, endtime=endtime), want)
 
 
+def empty_track(agent_id: str):
+    return cc.Trajectory.from_frame_grid(agent_id, [], np.empty((0, 2)), STEP)
+
+
+def test_window_database_with_empty_tracks():
+    # empty tracks first, between and last store nothing and move no other
+    # track's rows
+    cfg = cc.Config(known_time_steps=2)
+    tracks = [empty_track("e0"), line_track("b", 0, 8, (0, 0), (1, 0)),
+              empty_track("e1"), empty_track("e2"),
+              line_track("c", 3, 6, (0, 1), (0, 1)), empty_track("e3")]
+    for endtime in range(-2, 12):
+        assert_same_database(cc.build_database(tracks, cfg, endtime=endtime),
+                             clip_then_build(tracks, cfg, endtime))
+
+
 @pytest.mark.parametrize("precomputed", [False, True])
 def test_window_database_ignores_the_window_and_after(precomputed):
     # moving or appending points at or after the known window's first frame
@@ -602,6 +619,76 @@ def test_frame_span_keeps_exactly_the_covering_tracks(tracks, steps):
             else:
                 assert_same_track(got, cc.Trajectory(
                     tr.agent_id, tr.frames[keep], tr.times[keep], tr.positions[keep]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tracks=window_tracks(), known=st.integers(2, 5))
+@example(tracks=[empty_track("a"), line_track("b", 0, 6, (0, 0), (1, 0)),
+                 empty_track("c")], known=2)
+@example(tracks=[line_track("a", 0, 4, (0, 0), (1, 0)),
+                 line_track("a", 2, 5, (1, 1), (0, 1)),
+                 line_track("10", 1, 3, (2, 0), (1, 1))], known=3)
+def test_known_window_tracks_equal_the_per_track_cut(tracks, known):
+    # the cut on the table keeps the tracks, order and rows that one
+    # searchsorted per track keeps
+    cfg = cc.Config(known_time_steps=known)
+    table = cc.Tracks(tracks)
+    last = max((int(tr.frames[-1]) for tr in tracks if len(tr)), default=0)
+    for endtime in range(-2, last + known + 3):
+        got = known_window_tracks(table, endtime, cfg)
+        want = known_window_spans(tracks, endtime, cfg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_track(a, b)
+
+
+class TestTracks:
+    def test_table_of_the_tracks(self):
+        tracks = [line_track("b10", 2, 3, (0, 0), (1, 0)), empty_track("a"),
+                  line_track("b9", 0, 2, (5, 5), (0, 1))]
+        table = cc.Tracks(tracks)
+        assert list(table) == tracks
+        assert table.starts.tolist() == [0, 3, 3] and table.lengths.tolist() == [3, 0, 2]
+        assert table.frames.tolist() == [2, 3, 4, 0, 1]
+        assert table.agent_ids == ("a", "b9", "b10") and table.codes.tolist() == [2, 0, 1]
+        assert table.count_before(3).tolist() == [1, 0, 2]
+        assert table.owners.tolist() == [0, 0, 0, 2, 2]
+        assert [a.tolist() for a in table.covering(0, 2)] == [[2], [0]]
+        assert [a.tolist() for a in table.covering(0, 10**20)] == [[], []]
+        assert table.directions.tobytes() == np.concatenate(
+            [tr.directions for tr in tracks if len(tr)]).tobytes()
+
+    def test_immutable_and_converted_once(self):
+        table = cc.Tracks([line_track("a", 0, 3, (0, 0), (1, 0))])
+        assert cc.Tracks.of(table) is table
+        assert isinstance(cc.Tracks.of(list(table)), cc.Tracks)
+        with pytest.raises(AttributeError):
+            table.frames = None
+        with pytest.raises(ValueError):
+            table.positions[0, 0] = 1.0
+
+    def test_read_tracks_are_views_of_the_table(self):
+        data = b"frame,agent_id,x,y\n4,b,1.0,2.0\n0,a10,0.0,0.0\n3,b,0.5,0.5\n1,a10,1.0,0.0\n"
+        table = cc.read_canonical_csv(data, STEP)
+        assert [tr.agent_id for tr in table] == ["a10", "b"]
+        assert table.frames.tolist() == [0, 1, 3, 4]
+        assert all(np.shares_memory(tr.positions, table.positions) for tr in table)
+        assert table[1].positions.tolist() == [[0.5, 0.5], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("rows, message", [
+        # the first agent in natural order with a fault is named
+        (["0,b,0,0", "1,b,0,0", "5,a,0,0", "5,a,1,1"], "agent 'a' has duplicate"),
+        (["5,a2,0,0", "99999999999999999999,a10,0,0", "5,a2,1,1"],
+         "agent 'a2' has duplicate"),
+        (["99999999999999999999,a2,0,0", "5,a10,0,0", "5,a10,1,1"],
+         "agent 'a2': frame 99999999999999999999 is out of range"),
+        ([f"{2**63 - 2},c,0,0", f"{2**63 - 1},c,0,0", "5,d,0,0", "5,d,1,1"],
+         "times of agent 'c'"),
+    ])
+    def test_first_faulty_agent_named(self, rows, message):
+        data = ("frame,agent_id,x,y\n" + "\n".join(rows) + "\n").encode()
+        with pytest.raises(DataError, match=message):
+            cc.read_canonical_csv(data, STEP)
 
 
 def test_database_arrays_are_read_only(cfg):
@@ -704,10 +791,18 @@ ERRSTATE_SITES = {
 }
 
 
-# places in src/ that build a Trajectory without running __post_init__ (an
-# object made by __new__ skips __init__): only a span of a checked track,
-# whose rows need no second check
-UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span")}
+# places in src/ that call __new__ (an object made by __new__ skips
+# __init__): the tuple of a Tracks, and Trajectory.trusted, which builds a
+# Trajectory without the checks of __post_init__
+NEW_SITES = {("core.py", "Tracks._of_table"), ("core.py", "Trajectory.trusted")}
+
+# the callers of Trajectory.trusted, each on rows already checked once: a
+# span of a checked track, the tracks of the table that read_canonical_csv
+# checks whole, and rollout candidates sharing the first one's frames and
+# times
+UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span"),
+                              ("core.py", "read_canonical_csv"),
+                              ("dynamics.py", "predict_group_trajectory")}
 
 
 def _attribute_sites(path: Path, attrs: tuple) -> list:
@@ -744,6 +839,9 @@ def test_trajectory_checks_skipped_only_by_span():
     """Every other Trajectory in src/ is built through the checked
     constructor."""
     sites = _src_sites(("__new__",))
+    assert sorted(set(sites)) == sorted(NEW_SITES)
+    assert len(sites) == len(NEW_SITES)
+    sites = _src_sites(("trusted",))
     assert sorted(set(sites)) == sorted(UNCHECKED_TRAJECTORY_SITES)
     assert len(sites) == len(UNCHECKED_TRAJECTORY_SITES)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crowdcast as cc
+from crowdcast import core
 from crowdcast.core import DataError, Trajectory
 from crowdcast.dynamics import ForceParams
 from crowdcast.evaluate import (
@@ -264,3 +265,33 @@ def test_jitter_mode_is_seed_deterministic():
     assert [r.min_ade for r in one.agents] == [r.min_ade for r in two.agents]
     assert one.rows[0].n_agents == 2
     assert [r.min_ade for r in one.agents] != [r.min_ade for r in other.agents]
+
+
+def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
+    # a run's tracks keep one table, so 20 windows compute each track's
+    # directions once in all; every other call is one group's query pose
+    calls = []
+    original = core._directions
+    monkeypatch.setattr(core, "_directions",
+                        lambda positions: calls.append(1) or original(positions))
+    tracks = cc.Tracks(benchmark_tracks(3))
+    params = ForceParams.from_config(cfg, substeps=1)
+    report = run_experiment(tracks, cc.SceneGeometry.empty(),
+                            [Window(e) for e in range(60, 80)], cfg, params)
+    groups = sum(r.n_groups for r in report.rows)
+    assert len(report.rows) == 20 and groups >= 20
+    assert len(calls) == len(tracks) + groups
+
+
+def test_experiment_on_read_tracks_equals_on_a_list(cfg):
+    # the table read_canonical_csv builds and the one a list is converted
+    # to give the same records and the same CSV
+    tracks = cc.read_canonical_csv(cc.write_canonical_csv(benchmark_tracks(6)),
+                                   cfg.step_duration)
+    params = ForceParams.from_config(cfg, substeps=1)
+    windows = [Window(e) for e in (40, 64, 75, 99, 129)]
+    runs = [run_experiment(t, cc.SceneGeometry.empty(), windows, cfg, params)
+            for t in (tracks, list(tracks))]
+    assert isinstance(tracks, cc.Tracks) and len(runs[0].agents) > 0
+    assert runs[0].agents == runs[1].agents
+    assert runs[0].csv_bytes() == runs[1].csv_bytes()

@@ -244,7 +244,7 @@ class TestToCanonical:
         rows = _rows(9, [0], [1.0], [1.0])
         csv_bytes, summary = to_canonical(rows, IDENTITY, 2.5, cfg)
         assert summary.n_dropped == 1 and summary.n_tracks == 0
-        assert cc.read_canonical_csv(csv_bytes, cfg.step_duration) == []
+        assert list(cc.read_canonical_csv(csv_bytes, cfg.step_duration)) == []
 
     def test_homography_applied(self, cfg):
         rows = _rows(1, range(4), [0.4 * f for f in range(4)], [1.0] * 4)
