@@ -638,28 +638,100 @@ def write_canonical_csv(tracks: list) -> bytes:
     for traj in sorted(tracks, key=lambda tr: natural_key(tr.agent_id)):
         if not np.all(np.isfinite(traj.positions)):
             raise DataError(f"agent {traj.agent_id!r}: non-finite coordinate")
-        for i in range(len(traj)):
-            f = int(traj.frames[i])
-            if f < 0:
-                raise DataError(f"agent {traj.agent_id!r}: negative frame {f}")
-            x, y = traj.positions[i]
-            lines.append(f"{f},{traj.agent_id},{float(x)!r},{float(y)!r}")
+        frames = traj.frames.tolist()
+        # frames strictly increase: if any is negative, the first is
+        if frames and frames[0] < 0:
+            raise DataError(f"agent {traj.agent_id!r}: negative frame {frames[0]}")
+        aid = traj.agent_id
+        lines += [f"{f},{aid},{x!r},{y!r}"
+                  for f, (x, y) in zip(frames, traj.positions.tolist())]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# one canonical CSV row for numpy's text reader: frame, id, x, y
+_CSV_ROW = np.dtype([("frame", np.int64), ("agent_id", object), ("xy", np.float64, (2,))])
 
 
 def read_canonical_csv(data, step_duration: float) -> Tracks:
     """Parse canonical CSV bytes or text into trajectories on the step grid,
     in natural agent order, as :class:`Tracks` whose trajectories are
-    views of its table. Every coordinate must lie within ±``SCALE`` m."""
+    views of its table. Every coordinate must lie within ±``SCALE`` m.
+
+    The body is read in one pass of numpy's C text reader; a body that
+    pass refuses, or whose values are out of range, is read again one line
+    at a time, which accepts what ``int`` and ``float`` accept and names
+    the first bad line."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = data.splitlines()
     if not lines or lines[0].strip() != CANONICAL_HEADER:
         raise DataError(f"canonical CSV must start with header {CANONICAL_HEADER!r}")
+    body = lines[1:]
+    # a body of empty lines holds no row, and numpy's reader warns on it
+    table = _csv_table(body) if any(body) else None
+    if table is None:
+        ids, frames, points, huge = _csv_lines(body)
+    else:
+        ids, frames, points, huge = (table["agent_id"].tolist(), table["frame"],
+                                     table["xy"], {})
     agents: dict = {}      # id -> index, in order of first appearance
-    huge: dict = {}        # index -> the agent's largest frame beyond int64
-    codes, frames, points = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    codes = [agents.setdefault(a, len(agents)) for a in ids]
+    names = list(agents)
+    order = sorted(range(len(names)), key=lambda a: natural_key(names[a]))
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    code = rank[np.array(codes, dtype=np.int64)]
+    rows = np.lexsort((frames, code))
+    code, frames = code[rows], frames[rows]
+    positions = points[rows]
+    times = frames * step_duration
+    # the first agent in natural order with a fault names it: a frame out
+    # of range, else a duplicate frame, else two frames rounded to one time
+    same = code[1:] == code[:-1]
+    dup = same & (frames[1:] == frames[:-1])
+    close = same & ~(times[1:] > times[:-1])
+    faults = np.concatenate([rank[[agents[a] for a in huge]], code[1:][close]])
+    if faults.size:
+        a = order[int(faults.min())]
+        if names[a] in huge:
+            raise DataError(f"agent {names[a]!r}: frame {huge[names[a]]} is out of range")
+        if rank[a] in code[1:][dup]:
+            raise DataError(f"agent {names[a]!r} has duplicate frames")
+        raise DataError(f"times of agent {names[a]!r} must strictly increase")
+    lengths = np.bincount(code, minlength=len(names))
+    for arr in (frames, times, positions):
+        arr.setflags(write=False)
+    bounds = np.cumsum(lengths).tolist()
+    return Tracks._of_table(
+        tuple(Trajectory.trusted(names[a], frames[lo:hi], times[lo:hi], positions[lo:hi])
+              for a, lo, hi in zip(order, [0] + bounds[:-1], bounds)),
+        frames, times, positions, lengths)
+
+
+def _csv_table(body: list):
+    """The rows of the CSV body ``body`` (its lines) as one ``_CSV_ROW``
+    array, or None when numpy's reader refuses a line (a field count other
+    than 4, a token it cannot convert, a frame beyond int64, a blank line
+    of spaces) or a frame is negative or a coordinate beyond ±``SCALE``.
+    What the reader accepts, ``int`` and ``float`` accept with the same
+    value, and ids are kept verbatim."""
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW)
+    except ValueError:
+        return None
+    if not ((table["frame"] >= 0).all() and (np.abs(table["xy"]) <= SCALE).all()):
+        return None
+    return table
+
+
+def _csv_lines(body: list) -> tuple:
+    """The ids, int64 frames and (N, 2) positions of the rows of the CSV
+    body ``body`` one line at a time, raising ``DataError`` at the first
+    bad line, and each agent's largest frame beyond int64 (its rows carry
+    ``_MAX_FRAME`` instead); blank lines are skipped."""
+    ids, frames, points = [], [], []
+    huge: dict = {}
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -676,45 +748,15 @@ def read_canonical_csv(data, step_duration: float) -> Tracks:
         if not (abs(x) <= SCALE and abs(y) <= SCALE):
             raise DataError(f"CSV line {lineno}: coordinates must be finite "
                             f"and within ±{SCALE:g} m")
-        code = agents.setdefault(parts[1], len(agents))
         if frame > _MAX_FRAME:
-            huge[code] = max(frame, huge.get(code, frame))
-            frame = _MAX_FRAME      # a stand-in: this agent is rejected below
-        codes.append(code)
+            huge[parts[1]] = max(frame, huge.get(parts[1], frame))
+            frame = _MAX_FRAME      # a stand-in: this agent is rejected later
+        ids.append(parts[1])
         frames.append(frame)
         points.append(x)
         points.append(y)
-    names = list(agents)
-    order = sorted(range(len(names)), key=lambda a: natural_key(names[a]))
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[order] = np.arange(len(names))
-    code = rank[np.array(codes, dtype=np.int64)]
-    frames = np.array(frames, dtype=np.int64)
-    rows = np.lexsort((frames, code))
-    code, frames = code[rows], frames[rows]
-    positions = np.array(points, dtype=np.float64).reshape(-1, 2)[rows]
-    times = frames * step_duration
-    # the first agent in natural order with a fault names it: a frame out
-    # of range, else a duplicate frame, else two frames rounded to one time
-    same = code[1:] == code[:-1]
-    dup = same & (frames[1:] == frames[:-1])
-    close = same & ~(times[1:] > times[:-1])
-    faults = np.concatenate([rank[list(huge)], code[1:][close]])
-    if faults.size:
-        a = order[int(faults.min())]
-        if a in huge:
-            raise DataError(f"agent {names[a]!r}: frame {huge[a]} is out of range")
-        if rank[a] in code[1:][dup]:
-            raise DataError(f"agent {names[a]!r} has duplicate frames")
-        raise DataError(f"times of agent {names[a]!r} must strictly increase")
-    lengths = np.bincount(code, minlength=len(names))
-    for arr in (frames, times, positions):
-        arr.setflags(write=False)
-    bounds = np.cumsum(lengths).tolist()
-    return Tracks._of_table(
-        tuple(Trajectory.trusted(names[a], frames[lo:hi], times[lo:hi], positions[lo:hi])
-              for a, lo, hi in zip(order, [0] + bounds[:-1], bounds)),
-        frames, times, positions, lengths)
+    return (ids, np.array(frames, dtype=np.int64),
+            np.array(points, dtype=np.float64).reshape(-1, 2), huge)
 
 
 # ---------------------------------------------------------------------------

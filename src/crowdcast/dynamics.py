@@ -499,8 +499,12 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
         dev = _deviations(policy, agent_id, steps, rng)
         points = group_traj.positions + np.asarray(offsets[agent_id]) \
             + (1.0 - emotion) * dev
-        out[agent_id] = Trajectory(agent_id, group_traj.frames,
-                                   group_traj.times, points)
+        if points.shape != group_traj.positions.shape:
+            raise DataError(f"offset of member {agent_id!r} must be one (x, y) point")
+        points.setflags(write=False)
+        # the group's frames and times were checked when it was built
+        out[agent_id] = Trajectory.trusted(agent_id, group_traj.frames,
+                                           group_traj.times, points)
     return out
 
 

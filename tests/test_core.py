@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdcast as cc
+from crowdcast import core
 from crowdcast.core import (
     SCALE,
     DataError,
@@ -24,6 +25,7 @@ from crowdcast.core import (
 )
 from crowdcast.pipeline import known_window_tracks
 
+import test_ingest
 from conftest import STEP, line_track, random_track
 from window_oracle import frame_span, known_window_spans
 
@@ -383,6 +385,118 @@ class TestCanonicalCsv:
     def test_header_required(self):
         with pytest.raises(DataError):
             cc.read_canonical_csv(b"0,1,0.0,0.0\n", STEP)
+
+
+class TestCsvArrayPass:
+    """``read_canonical_csv`` reads the body in one pass of numpy's C text
+    reader and walks its lines only when that pass refuses it; the pass
+    accepts only what the line walk accepts, with the same bits, and every
+    message comes from the line walk."""
+
+    # the float tokens of the raw-annotation battery, plus what Python's
+    # int accepts around a frame: spaces, a plus sign, a negative zero
+    TOKENS = test_ingest.TestParseArrayPass.TOKENS + [" 7", "7 ", "+7", "-0"]
+    # ids are kept verbatim: spaces, comment and quote characters, NUL; a
+    # quote does not hide a comma
+    IDS = ["a b", " a", "a ", " ", "#", "a#b", "# a", '"a"', "'a'", '"a,', "a\x00",
+           "\x00", "\x00a", ""]
+
+    @staticmethod
+    def outcome(text):
+        """The table's bits and ids, or the message of the DataError."""
+        try:
+            table = cc.read_canonical_csv(text, STEP)
+        except DataError as exc:
+            return str(exc)
+        return ([tr.agent_id for tr in table], table.lengths.tolist(),
+                [(a.dtype.str, a.shape, a.tobytes())
+                 for a in (table.frames, table.times, table.positions)])
+
+    def walked(self, text, monkeypatch):
+        """The outcome of the line walk alone."""
+        with monkeypatch.context() as m:
+            m.setattr(core, "_csv_table", lambda body: None)
+            return self.outcome(text)
+
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_tokens_as_the_line_walk(self, column, monkeypatch):
+        for tok in self.TOKENS:
+            row = ["3", "a", "2.5", "-1.5"]
+            row[column] = tok
+            text = "frame,agent_id,x,y\n100,a,1.0,2.0\n" + ",".join(row) + "\n"
+            assert self.outcome(text) == self.walked(text, monkeypatch), tok
+
+    def test_ids_kept_verbatim(self, monkeypatch):
+        for aid in self.IDS:
+            text = f"frame,agent_id,x,y\n0,{aid},1.0,2.0\n1,b,0,0\n1,{aid},1.5,2.5\n"
+            got = self.outcome(text)
+            assert got == self.walked(text, monkeypatch), aid
+            if isinstance(got, list):
+                assert aid in got[0]
+
+    def test_plain_file_takes_the_array_pass(self, monkeypatch):
+        data = cc.write_canonical_csv(
+            [line_track(f"p{k}", k, 5, (k, -k), (0.5, 0.25)) for k in range(12)])
+        want = self.walked(data, monkeypatch)
+        calls = []
+        array_pass = core._csv_table
+
+        def spy(body):
+            calls.append(len(body))
+            return array_pass(body)
+
+        def no_walk(body):
+            raise AssertionError("line walk taken")
+
+        monkeypatch.setattr(core, "_csv_table", spy)
+        monkeypatch.setattr(core, "_csv_lines", no_walk)
+        assert self.outcome(data) == want and calls == [60]
+        table = cc.read_canonical_csv(data, STEP)
+        assert all(a.flags.c_contiguous and not a.flags.writeable
+                   for a in (table.frames, table.times, table.positions))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n\r\n"])
+    def test_empty_body_skips_the_array_pass(self, body, monkeypatch):
+        def no_array_pass(body):
+            raise AssertionError("array pass taken")
+
+        monkeypatch.setattr(core, "_csv_table", no_array_pass)
+        table = cc.read_canonical_csv("frame,agent_id,x,y\n" + body, STEP)
+        assert len(table) == 0 and table.positions.shape == (0, 2)
+
+    def test_blank_lines_of_spaces_are_walked(self):
+        table = cc.read_canonical_csv("frame,agent_id,x,y\n  \n0,a,1,2\n\t\n", STEP)
+        assert table.frames.tolist() == [0] and table.positions.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("rows, message", [
+        # a line the walk rejects is named before any agent's fault
+        (["0,a,0,0", "0,a,1,1", "1,b,0,0", "-3,b,0,0"], "^CSV line 5: negative frame -3$"),
+        (["0,a,0,0", "0,a,1,1", "1,b,0,0", "2,b,0,1e10"], "^CSV line 5: coordinates"),
+        (["0,a,0,0", "0,a,1,1", "1,b,0,0", "2,b,0,0,0"],
+         "^CSV line 5: expected 4 fields, got 5$"),
+        # else the first faulty agent in natural order
+        (["0,b,0,0", "1,b,0,0", "99999999999999999999,b,0,0", "5,a,0,0", "5,a,1,1"],
+         "^agent 'a' has duplicate frames$"),
+        (["0,a,0,0", "1,a,0,0", "99999999999999999999,a,0,0", "5,b,0,0", "5,b,1,1"],
+         "^agent 'a': frame 99999999999999999999 is out of range$"),
+        (["0,b10,0,0", "0,b10,1,1", "3,b9,0,0", "3,b9,1,1"], "^agent 'b9' has duplicate"),
+        # ids of one natural key keep their order of first appearance
+        (["0,a1,0,0", "0,a1,1,1", "3,a01,0,0", "3,a01,1,1"], "^agent 'a1' has duplicate"),
+        (["3,a01,0,0", "3,a01,1,1", "0,a1,0,0", "0,a1,1,1"], "^agent 'a01' has duplicate"),
+    ])
+    def test_first_fault_named(self, rows, message, monkeypatch):
+        lines = [f"{k},c,0,0" for k in range(40)] + rows
+        text = "frame,agent_id,x,y\n" + "\n".join(lines) + "\n"
+        message = message.replace("line 5", f"line {len(lines) + 1}")
+        with pytest.raises(DataError, match=message):
+            cc.read_canonical_csv(text, STEP)
+        assert self.outcome(text) == self.walked(text, monkeypatch)
+
+    def test_tied_ids_take_either_pass_alike(self, monkeypatch):
+        text = "frame,agent_id,x,y\n0,a01,0,0\n0,a1,1,1\n1,a01,2,2\n"
+        got = self.outcome(text)
+        assert got == self.walked(text, monkeypatch)
+        assert got[0] == ["a01", "a1"] and got[1] == [2, 1]
 
 
 class TestDatabase:
@@ -798,11 +912,12 @@ NEW_SITES = {("core.py", "Tracks._of_table"), ("core.py", "Trajectory.trusted")}
 
 # the callers of Trajectory.trusted, each on rows already checked once: a
 # span of a checked track, the tracks of the table that read_canonical_csv
-# checks whole, and rollout candidates sharing the first one's frames and
-# times
+# checks whole, rollout candidates sharing the first one's frames and times,
+# and reconstructed members sharing their group trajectory's
 UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span"),
                               ("core.py", "read_canonical_csv"),
-                              ("dynamics.py", "predict_group_trajectory")}
+                              ("dynamics.py", "predict_group_trajectory"),
+                              ("dynamics.py", "reconstruct_members")}
 
 
 def _attribute_sites(path: Path, attrs: tuple) -> list:

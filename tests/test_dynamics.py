@@ -260,6 +260,28 @@ class TestReconstruction:
         assert np.allclose(out["b"].positions,
                            group.positions + [0.0, 0.4], atol=1e-12)
 
+    def test_members_are_read_only_and_equal_the_checked_construction(self):
+        group = self._center()
+        offsets = {"a": np.zeros(2), "b": np.array([0.0, 0.4])}
+        residuals = {"a": np.array([[0.2, 0.0], [-0.1, 0.3]]), "b": np.zeros((4, 2))}
+        out = reconstruct_members(group, offsets, 0.25,
+                                  ReconstructionPolicy("rigid", residuals))
+        for m, tr in out.items():
+            dev = np.tile(residuals[m], (4, 1))[:len(group)]
+            checked = cc.Trajectory(m, group.frames, group.times,
+                                    group.positions + offsets[m] + 0.75 * dev)
+            assert tr.frames is group.frames and tr.times is group.times
+            for name in ("frames", "times", "positions"):
+                got, want = getattr(tr, name), getattr(checked, name)
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        # an offset that is not one point is refused, as the checked
+        # construction refused the positions it broadcast to
+        with pytest.raises(DataError, match="offset of member 'a'"):
+            reconstruct_members(group, {"a": np.zeros((3, 1, 2)), "b": np.zeros(2)},
+                                0.25, ReconstructionPolicy("rigid", residuals))
+
     def test_residual_pattern_tiles(self):
         group = self._center(5)
         pattern = np.array([[0.1, 0.0], [-0.1, 0.0]])
