@@ -351,36 +351,70 @@ def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
     are copied bit-for-bit (which makes resampling idempotent); everything
     else is linearly interpolated between its neighbors. A range that does not
     start or end on the grid is trimmed to the interior grid points, so the
-    result can have fewer than 2 points.
+    result can have fewer than 2 points. This is :func:`resample_parts` on one
+    part.
     """
     if step_duration <= 0:
         raise ValueError("step_duration must be > 0")
     if len(traj) < 2:
         raise TooFewPointsError(
             f"agent {traj.agent_id!r} needs >= 2 points to resample")
-    times = traj.times
-    n = len(times)
-    k0 = math.ceil(float(times[0]) / step_duration - _GRID_EPS)
-    k1 = math.floor(float(times[-1]) / step_duration + _GRID_EPS)
-    frames = np.arange(k0, k1 + 1, dtype=np.int64)
-    t = frames * step_duration
-    j = np.searchsorted(times, t)
-    here, prev = np.minimum(j, n - 1), np.maximum(j - 1, 0)
-    tol = _GRID_EPS * np.maximum(1.0, np.abs(t))
-    at_j = (j < n) & (np.abs(times[here] - t) <= tol)
-    at_prev = (j > 0) & (np.abs(times[prev] - t) <= tol)
-    # snap to sample j before j - 1, hold the end points, else interpolate
-    copy = at_j | at_prev | (j == 0) | (j >= n)
-    src = np.where(at_j | (j == 0), here, prev)
-    lo = np.clip(j - 1, 0, n - 2)
-    # finite neighbors can interpolate to a non-finite point; the canonical
-    # writer rejects it as a data error
+    frames, times, positions, _ = resample_parts(traj.times, traj.positions,
+                                                 np.array([len(traj)]), step_duration)
+    return Trajectory(traj.agent_id, frames, times, positions)
+
+
+def resample_parts(times: np.ndarray, positions: np.ndarray, lengths: np.ndarray,
+                   step_duration: float) -> tuple:
+    """:func:`resample_trajectory` of many parts in one pass.
+
+    ``times`` and the (N, 2) ``positions`` hold the parts one after another,
+    ``lengths`` their sizes, each at least 2, with times strictly increasing
+    within a part. Returns the grid frames (int64), their times ``frames *
+    step_duration`` and (M, 2) positions, the parts again one after another,
+    and each part's grid point count, which may be 0. Every output point has
+    the bits a resample of its part alone gives it.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # a time far beyond the grid's int64 frames can overflow the division;
+    # finite neighbors can interpolate to a non-finite point, which the
+    # canonical writer rejects as a data error
     with np.errstate(over="ignore", invalid="ignore"):
+        k0 = np.ceil(times[starts] / step_duration - _GRID_EPS)
+        k1 = np.floor(times[ends - 1] / step_duration + _GRID_EPS)
+        if not (np.abs(np.concatenate([k0, k1])) < 2.0**63).all():
+            raise OverflowError("grid frame beyond int64")
+        k0, k1 = k0.astype(np.int64), k1.astype(np.int64)
+        counts = np.maximum(k1 - k0 + 1, 0)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        frames = np.repeat(k0, counts) + (np.arange(len(first)) - first)
+        t = frames * step_duration
+        j = _search_parts(times, lengths, t, counts)
+        start, end = np.repeat(starts, counts), np.repeat(ends, counts)
+        here, prev = np.minimum(j, end - 1), np.maximum(j - 1, start)
+        tol = _GRID_EPS * np.maximum(1.0, np.abs(t))
+        at_j = (j < end) & (np.abs(times[here] - t) <= tol)
+        at_prev = (j > start) & (np.abs(times[prev] - t) <= tol)
+        # snap to sample j before j - 1, hold the end points, else interpolate
+        copy = at_j | at_prev | (j == start) | (j >= end)
+        src = np.where(at_j | (j == start), here, prev)
+        lo = np.clip(j - 1, start, end - 2)
         w = (t - times[lo]) / (times[lo + 1] - times[lo])
-        between = traj.positions[lo] + w[:, None] * (traj.positions[lo + 1]
-                                                     - traj.positions[lo])
-    positions = np.where(copy[:, None], traj.positions[src], between)
-    return Trajectory.from_frame_grid(traj.agent_id, frames, positions, step_duration)
+        between = positions[lo] + w[:, None] * (positions[lo + 1] - positions[lo])
+    return frames, t, np.where(copy[:, None], positions[src], between), counts
+
+
+def _search_parts(times: np.ndarray, lengths: np.ndarray, t: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
+    """For each of the grid times ``t``, parts of ``counts`` points, the
+    index of the first of ``times``, parts of ``lengths`` samples, that is
+    in its part and not before it: one search over (part, time) keys, which
+    complex numbers order lexicographically."""
+    keys, grid_keys = np.empty(len(times), complex), np.empty(len(t), complex)
+    keys.real, keys.imag = np.repeat(np.arange(len(lengths)), lengths), times
+    grid_keys.real, grid_keys.imag = np.repeat(np.arange(len(lengths)), counts), t
+    return np.searchsorted(keys, grid_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Parses the whitespace-separated annotation matrices shipped with the common
 public pedestrian datasets into one (N, 4) array of (frame, id, x, y) rows,
-maps each agent's points to meters with one stacked homography product, cuts
-the track at long gaps, resamples every part onto the shared step grid in one
-pass, and emits the canonical ``frame,agent_id,x,y`` CSV. Agents and parts are
-handled in order, so of several faults the first is the one reported.
+each block of lines in one pass of numpy's C text reader. Then, in array
+passes over the whole file: maps every point to meters with one homography
+product per file, checks every agent for faults at once, cuts the tracks at
+long gaps, resamples every part onto the shared step grid in one pass, and
+emits the canonical ``frame,agent_id,x,y`` CSV. Of several faults the first
+agent's, in id order, is the one reported.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCALE, Config, DataError, Trajectory, resample_trajectory, write_canonical_csv
+from .core import SCALE, Config, DataError, Trajectory, resample_parts, write_canonical_csv
 
 # a single missing annotation step must interpolate, not split, so the gap
 # threshold gets a little slack against frame-rate rounding
 _GAP_TOL = 1e-3
 
-# lines per array pass of parse_obsmat: bounds the token lists held at once
+# lines per C-reader pass of parse_obsmat: a block the reader refuses is
+# walked again line by line, so one odd line costs at most a block's walk
 _PARSE_BLOCK = 4096
 
 
@@ -78,14 +81,21 @@ def apply_homography(h: Homography, points: np.ndarray) -> np.ndarray:
     a product per point would. A point that overflows comes out non-finite,
     and :func:`to_canonical` rejects it as a data error.
     """
-    ones = np.ones((len(points), 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, v, w = np.matmul(h.matrix, np.hstack([points, ones])[:, :, None])[:, :, 0].T
-        far = np.flatnonzero(np.abs(w) < 1e-12)
-        if far.size:
-            x, y = points[far[0]]
-            raise DataError(f"point ({float(x)}, {float(y)}) maps to infinity")
-        return np.column_stack([u / w, v / w])
+    mapped, far = _homography_product(h, points)
+    if far.any():
+        x, y = points[np.argmax(far)]
+        raise DataError(f"point ({float(x)}, {float(y)}) maps to infinity")
+    return mapped
+
+
+def _homography_product(h: Homography, points: np.ndarray) -> tuple:
+    """The (N, 2) ``points`` mapped by one stacked product, and the mask of
+    those at infinity (``|w| < 1e-12``), whose mapped rows mean nothing."""
+    uvw = np.ones((len(points), 3, 1))
+    uvw[:, :2, 0] = points
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        uvw = np.matmul(h.matrix, uvw)[:, :, 0]
+        return uvw[:, :2] / uvw[:, 2:], np.abs(uvw[:, 2]) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,22 +147,27 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
 
 
 def _parse_block(lines: list, override: tuple | None) -> np.ndarray | None:
-    """The rows of ``lines`` in one array pass, or None when the block has
-    no row, rows of several widths, a column out of range or any value the
-    line walk would reject. Casting object-dtype tokens to float calls
-    Python's ``float`` on each, so no token passes that ``float`` refuses."""
-    toks = [t for t in map(str.split, lines) if t and t[0][0] not in "#%"]
-    widths = set(map(len, toks))
-    if len(widths) != 1:
-        return None
-    (width,) = widths
-    cols = override or ((0, 1, 2, 4) if width >= 8 else (0, 1, 2, 3) if width == 4 else ())
-    if not (cols and max(cols) < width):
-        return None
+    """The rows of ``lines`` in one pass of numpy's C text reader, or None
+    when the reader refuses the block (a token it cannot convert, rows of
+    several widths when no column map is given, a mapped column past a
+    row's end) or a row has an unknown width or a value the line walk
+    rejects. The reader gives every token it accepts the double Python's
+    ``float`` gives it; it refuses underscores and non-ASCII digits, which
+    ``float`` accepts, so those blocks are walked."""
+    # the line walk's rule: blank lines and whole-line comments hold no row
+    # (the empty prefix of a blank line is in "#%" too)
+    body = [line for line in lines if line.strip()[:1] not in "#%"]
+    if not body:
+        return np.empty((0, 4))
     try:
-        vals = np.array(toks, dtype=object)[:, list(cols)].astype(np.float64)
+        vals = np.loadtxt(body, comments=None, ndmin=2, usecols=override)
     except ValueError:
         return None
+    if override is None:
+        width = vals.shape[1]
+        if width != 4 and width < 8:
+            return None
+        vals = vals[:, [0, 1, 2, 3 if width == 4 else 4]]
     if not np.isfinite(vals).all():
         return None
     whole = np.rint(vals[:, :2])
@@ -212,47 +227,104 @@ def to_canonical(rows: np.ndarray, homography: Homography, source_fps: float,
     longer than two steps splits a track; the later parts get ``#2``, ``#3``
     suffixes on the agent id. Tracks that end up shorter than 2 grid points
     are dropped and counted. Every point must map within ±``SCALE`` m.
+
+    Of several faulty agents the first in id order is reported, with the
+    first of its faults in this order: a duplicate frame, a time beyond the
+    float range, a point at infinity, a point beyond ±``SCALE`` m, and two
+    times, source or grid, that round to one.
     """
     if not (source_fps > 0 and math.isfinite(source_fps)):
         raise ValueError("source_fps must be positive and finite")
-    rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
-    agent_ids, starts = np.unique(rows[:, 1], return_index=True)
-    tracks = []
-    n_dropped = n_split = 0
+    # the passes' arrays are freed before the CSV text is built
+    tracks, summary = _canonical_tracks(rows, homography, source_fps, cfg)
+    return write_canonical_csv(tracks), summary
+
+
+def _canonical_tracks(rows: np.ndarray, homography: Homography, source_fps: float,
+                      cfg: Config) -> tuple:
+    """The tracks of :func:`to_canonical`, each part of an agent's track
+    resampled, and its summary."""
+    # the product comes first, while little else is held, and each fault
+    # mask lives only in _first_fault: the passes' high-water mark stays low
+    points, far = _homography_product(homography, rows[:, 2:])
+    order = np.lexsort((rows[:, 0], rows[:, 1]))
+    points = points[order]
+    agent_ids, starts, owner, sizes = np.unique(rows[order, 1], return_index=True,
+                                                return_inverse=True, return_counts=True)
+    with np.errstate(over="ignore"):
+        times = rows[order, 0] / source_fps
+    found = _first_fault(rows[order, 0], times, points, far[order], owner,
+                         starts + sizes - 1)
+    # every agent before the first faulty one is cut at its gaps and
+    # resampled; one whose grid times round together comes first
+    clean = len(rows) if found is None else int(starts[found[0]])
+    agent, t = owner[:clean], times[:clean]
     gap_limit = 2.0 * cfg.step_duration * (1.0 + _GAP_TOL)
-    for agent, block in zip(agent_ids, np.split(rows, starts[1:])):
-        agent_id = int(agent)
-        frames = block[:, 0]
-        if np.any(np.diff(frames) == 0):
-            raise DataError(f"agent {agent_id} has duplicate frames in the source")
-        with np.errstate(over="ignore"):
-            times = frames / source_fps
-        if not np.isfinite(times[-1]):
-            frame = int(frames[np.flatnonzero(~np.isfinite(times))[0]])
-            raise DataError(f"agent {agent_id}: frame {frame} at {source_fps} fps "
-                            f"overflows the time axis")
-        points = apply_homography(homography, block[:, 2:])
-        beyond = np.flatnonzero(~np.all(np.abs(points) <= SCALE, axis=1))
-        if beyond.size:
-            x, y = block[beyond[0], 2:]
-            raise DataError(f"agent {agent_id}: point ({x}, {y}) maps beyond ±{SCALE:g} m")
-        cuts = np.flatnonzero(np.diff(times) > gap_limit) + 1
-        part = 0
-        for seg_times, seg_points in zip(np.split(times, cuts), np.split(points, cuts)):
-            if len(seg_times) < 2:
-                n_dropped += 1
-                continue
-            raw = Trajectory(str(agent_id), np.arange(len(seg_times)), seg_times, seg_points)
-            res = resample_trajectory(raw, cfg.step_duration)
-            if len(res) < 2:
-                n_dropped += 1
-                continue
-            part += 1
-            name = str(agent_id) if part == 1 else f"{agent_id}#{part}"
-            if part > 1:
-                n_split += 1
-            tracks.append(Trajectory(name, res.frames, res.times, res.positions))
-    csv_bytes = write_canonical_csv(tracks)
-    summary = IngestSummary(n_rows=len(rows), n_source_agents=len(agent_ids),
-                            n_tracks=len(tracks), n_dropped=n_dropped, n_split=n_split)
-    return csv_bytes, summary
+    new_part = np.ones(clean, dtype=bool)
+    new_part[1:] = (agent[1:] != agent[:-1]) | (np.diff(t) > gap_limit)
+    part_starts = np.flatnonzero(new_part)
+    lengths = np.diff(np.append(part_starts, clean))
+    long = lengths >= 2
+    points = points[:clean]
+    if not long.all():      # else every row is resampled, with no copy
+        take = np.repeat(long, lengths)
+        t, points = t[take], points[take]
+    grid_frames, grid_times, grid_points, counts = resample_parts(
+        t, points, lengths[long], cfg.step_duration)
+    part_agent = agent[part_starts[long]]
+    grid_part = np.repeat(np.arange(len(counts)), counts)
+    collide = (grid_part[1:] == grid_part[:-1]) & ~(grid_times[1:] > grid_times[:-1])
+    if collide.any():
+        found = (part_agent[grid_part[np.argmax(collide)]], 4, 0)
+    if found is not None:
+        a, kind, i = found
+        raise DataError(_fault_message(kind, int(agent_ids[a]), rows[order[i]], source_fps))
+    # parts of 2 or more grid points are tracks, numbered within their agent
+    kept = counts >= 2
+    kept_agent = part_agent[kept]
+    number = np.arange(len(kept_agent)) - np.searchsorted(kept_agent, kept_agent) + 1
+    ends = np.cumsum(counts)
+    for arr in (grid_frames, grid_times, grid_points):
+        arr.setflags(write=False)
+    tracks = [Trajectory.trusted(f"{a}#{k}" if k > 1 else str(a), grid_frames[lo:hi],
+                                 grid_times[lo:hi], grid_points[lo:hi])
+              for a, k, lo, hi in zip(map(int, agent_ids[kept_agent].tolist()),
+                                      number.tolist(), (ends - counts)[kept].tolist(),
+                                      ends[kept].tolist())]
+    return tracks, IngestSummary(n_rows=len(rows), n_source_agents=len(agent_ids),
+                                 n_tracks=len(tracks),
+                                 n_dropped=int((~long).sum() + (~kept).sum()),
+                                 n_split=int((number > 1).sum()))
+
+
+def _first_fault(frames: np.ndarray, times: np.ndarray, points: np.ndarray,
+                 far: np.ndarray, owner: np.ndarray, last: np.ndarray) -> tuple | None:
+    """(agent, fault kind, row) of the first faulty agent of the rows
+    sorted by agent and frame, with the first of its faults in the order
+    of :func:`to_canonical`, or None. ``owner`` holds each row's agent and
+    ``last`` each agent's last row; an agent's time overflows when its last
+    one does, and its first row that does is named."""
+    same = owner[1:] == owner[:-1]      # rows i and i + 1 are one agent's
+    faults = [np.append(False, same & (frames[1:] == frames[:-1])),
+              ~np.isfinite(times) & ~np.isfinite(times[last])[owner],
+              far,
+              ~(np.abs(points) <= SCALE).all(axis=1),
+              np.append(False, same & ~(times[1:] > times[:-1]))]
+    # rows are in agent order, so a fault's first row is in its first agent
+    return min([(owner[np.argmax(mask)], kind, int(np.argmax(mask)))
+                for kind, mask in enumerate(faults) if mask.any()], default=None)
+
+
+def _fault_message(kind: int, agent_id: int, row: np.ndarray, source_fps: float) -> str:
+    """The message of fault ``kind`` of :func:`_first_fault` for agent
+    ``agent_id``, whose first faulty source row is ``row``."""
+    frame, _, x, y = row
+    if kind == 0:
+        return f"agent {agent_id} has duplicate frames in the source"
+    if kind == 1:
+        return f"agent {agent_id}: frame {int(frame)} at {source_fps} fps overflows the time axis"
+    if kind == 2:
+        return f"point ({float(x)}, {float(y)}) maps to infinity"
+    if kind == 3:
+        return f"agent {agent_id}: point ({x}, {y}) maps beyond ±{SCALE:g} m"
+    return f"times of agent {str(agent_id)!r} must strictly increase"

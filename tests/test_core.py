@@ -898,10 +898,10 @@ class TestScaleContract:
 # np.errstate sites allowed in src/: each guards arithmetic on input before
 # the scale check, or input its own tests feed unbounded
 ERRSTATE_SITES = {
-    ("core.py", "resample_trajectory"),
+    ("core.py", "resample_parts"),
     ("ingest.py", "Homography.__post_init__"),
-    ("ingest.py", "apply_homography"),
-    ("ingest.py", "to_canonical"),
+    ("ingest.py", "_homography_product"),
+    ("ingest.py", "_canonical_tracks"),
 }
 
 
@@ -913,11 +913,13 @@ NEW_SITES = {("core.py", "Tracks._of_table"), ("core.py", "Trajectory.trusted")}
 # the callers of Trajectory.trusted, each on rows already checked once: a
 # span of a checked track, the tracks of the table that read_canonical_csv
 # checks whole, rollout candidates sharing the first one's frames and times,
-# and reconstructed members sharing their group trajectory's
+# and reconstructed members sharing their group trajectory's;
+# ingest's tracks are slices of one resample whose grid times it checks
 UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span"),
                               ("core.py", "read_canonical_csv"),
                               ("dynamics.py", "predict_group_trajectory"),
-                              ("dynamics.py", "reconstruct_members")}
+                              ("dynamics.py", "reconstruct_members"),
+                              ("ingest.py", "_canonical_tracks")}
 
 
 def _attribute_sites(path: Path, attrs: tuple) -> list:

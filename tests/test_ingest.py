@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import crowdcast as cc
 import ingest_oracle
 from crowdcast import ingest
-from crowdcast.core import DataError, Trajectory, resample_trajectory
+from crowdcast.core import DataError, Trajectory, resample_parts, resample_trajectory
 from crowdcast.ingest import (
     Homography,
     ParseError,
@@ -80,9 +82,10 @@ class TestParseObsmat:
 
 
 class TestParseArrayPass:
-    """``parse_obsmat`` parses blocks of lines in one array pass and walks
-    a block's lines only when that pass refuses it; the array pass accepts
-    exactly what the line walk accepts, with the same bits."""
+    """``parse_obsmat`` parses each block of lines in one pass of numpy's C
+    text reader and walks a block's lines only when that pass refuses it;
+    the pass returns the walk's bits or None, never other bits, and the
+    walk alone raises ``ParseError``."""
 
     # tokens Python's float accepts, rejects, or turns non-finite, where
     # other parsers differ: underscores, non-ASCII digits, hex, Fortran
@@ -93,6 +96,10 @@ class TestParseArrayPass:
               "-0.0000003", "0.0000003", "2.0000004", "2.000002", "1.5e", "e5", "--1",
               "1,5", "0b1", "1j", "True", "1\x00", "\x001", "1\x002", "7"]
 
+    # str.split separators: the first five also end a line for splitlines
+    SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\x1f", "\xa0", "\u1680", "\u2003",
+                  "\u3000", "\t \u2003"]
+
     @staticmethod
     def walk(text, override=None):
         lines = text.splitlines()
@@ -101,29 +108,66 @@ class TestParseArrayPass:
         except ParseError as exc:
             return None, str(exc)
 
+    def assert_as_the_walk(self, text, override=None, column_map=None):
+        """``parse_obsmat`` gives the walk's bits or raises its message, and
+        the C pass gives them too or refuses; returns the C pass's rows."""
+        want, error = self.walk(text, override)
+        got = ingest._parse_block(text.splitlines(), override)
+        if error is not None:
+            assert got is None, text
+            with pytest.raises(ParseError) as exc:
+                parse_obsmat(text, column_map=column_map)
+            assert str(exc.value) == error
+        else:
+            assert got is None or got.tobytes() == want.tobytes(), text
+            assert parse_obsmat(text, column_map=column_map).tobytes() == want.tobytes(), text
+        return got
+
     @pytest.mark.parametrize("column", range(4))
     def test_tokens_as_the_line_walk(self, column):
         for tok in self.TOKENS:
             row = ["3", "1", "2.5", "-1.5"]
             row[column] = tok
-            text = "0 1 1.0 2.0\n" + " ".join(row) + "\n"
-            want, error = self.walk(text)
-            got = ingest._parse_block(text.splitlines(), None)
-            if error is not None:
-                assert got is None, tok
-                with pytest.raises(ParseError) as exc:
-                    parse_obsmat(text)
-                assert str(exc.value) == error
-            else:
-                assert got.tobytes() == want.tobytes(), tok
-                assert parse_obsmat(text).tobytes() == want.tobytes(), tok
+            self.assert_as_the_walk("0 1 1.0 2.0\n" + " ".join(row) + "\n")
+            # an 8-column row reads column 4 and never column 3
+            row = ["3", "1", "2.5", "9", "-1.5", "0", "0", "0"]
+            row[(0, 1, 2, 4)[column]] = tok
+            self.assert_as_the_walk("0 1 1.0 0 2.0 0 0 0\n" + " ".join(row) + "\n")
+            row[3] = tok
+            self.assert_as_the_walk(" ".join(row) + "\n", (0, 1, 2, 4), "0,1,2,4")
 
-    def test_accepted_tokens_take_the_array_pass(self):
-        text = "1_0 ١٢ １２ 𝟙\n-0 -0.0000003 1e-400 -0\n0.0000003 7 4.9e-324 -1e-400\n"
-        got = ingest._parse_block(text.splitlines(), None)
+    def test_exotic_tokens_refused_by_the_c_pass_parse_as_the_walk(self):
+        # Python's float reads underscores and non-ASCII digits; the C pass
+        # refuses them, so their block is walked
+        for tok in ["1_0", "1e1_0", "١٢", "１２", "𝟙"]:
+            text = f"0 1 1.0 2.0\n{tok} 1 2.5 -1.5\n4 {tok} {tok} {tok}\n"
+            assert ingest._parse_block(text.splitlines(), None) is None, tok
+            assert parse_obsmat(text).tobytes() == self.walk(text)[0].tobytes(), tok
+        text = "-0 -0.0000003 1e-400 -0\n0.0000003 7 4.9e-324 -1e-400\n"
+        got = self.assert_as_the_walk(text)
         assert got is not None
-        assert got.tobytes() == self.walk(text)[0].tobytes()
-        assert not np.signbit(got[:, :2]).any() and np.signbit(got[2, 3])
+        assert not np.signbit(got[:, :2]).any() and np.signbit(got[1, 3])
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_separators_as_the_line_walk(self, sep):
+        rows = ["0 1 1.5 2.5", "1 1 1.5 0 2.5 0 0 0", "  2 1 1.5 2.5", "3 1 1.5 2.5  "]
+        for row in rows:
+            text = row.replace(" ", sep) + "\n" + row.replace(" ", sep + sep) + "\n"
+            got = self.assert_as_the_walk(text)
+            # a separator that does not end a line takes the C pass
+            assert (got is not None) == (len(text.splitlines()) == 2), repr(sep)
+
+    @pytest.mark.parametrize("lines", [[""], ["", ""], ["   "], [" \t", "\xa0"], ["# c"],
+                                       ["% c", "  # c", ""]])
+    def test_blocks_without_rows(self, lines):
+        # numpy's reader warns on a block with no data; the C pass is not
+        # run on one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.assert_as_the_walk("\n".join(lines) + "\n")
+            assert got is not None and got.shape == (0, 4)
+            text = "\n".join(lines * ingest._PARSE_BLOCK + ["0 1 1.0 2.0"])
+            assert parse_obsmat(text).tolist() == [[0.0, 1.0, 1.0, 2.0]]
 
     def test_blocks_of_many_lines(self):
         rng = np.random.default_rng(3)
@@ -152,12 +196,24 @@ class TestParseArrayPass:
 
     def test_column_map_outside_the_row(self):
         # a negative column is refused before any line is read; the line
-        # walk reports a column past the end, the array pass leaves it to it
+        # walk reports a column past the end, the C pass leaves it to it
         text = "0 7 4.5 3.5\n1 7 4.6 3.4\n"
         with pytest.raises(ValueError, match="non-negative"):
             parse_obsmat(text, column_map="0,1,-1,-2")
         with pytest.raises(ParseError, match="line 1: column 4 missing in 4-column row"):
             parse_obsmat(text, column_map="0,1,2,4")
+        # rows of several widths are read when every mapped column exists
+        text = "0 7 4.5 3.5 9\n1 7 4.6 3.4\n2 7 4.7 3.3 x y\n"
+        assert self.assert_as_the_walk(text, (0, 1, 3, 2), "0,1,3,2") is not None
+        self.assert_as_the_walk(text + "3 7 4.8\n", (0, 1, 3, 2), "0,1,3,2")
+        self.assert_as_the_walk(text, (0, 0, 1, 1), "0,0,1,1")
+
+    def test_mixed_widths_without_a_map(self):
+        for text in ["0 1 1.0 2.0\n1 1 1.0 0 2.0 0 0 0\n",
+                     "0 1 1.0 0 2.0 0 0 0\n1 1 1.0 0 2.0 0 0 0 0\n",
+                     "0 1 1.0 0 2.0 0 0 0\n1 1 1.0 0 2.0\n", "0 1 1.0\n", "0 1 1 1 1 1\n",
+                     "0 1 1.0 2.0 # x\n", "0 1 1.0 0 2.0 0 0 0 # x\n"]:
+            self.assert_as_the_walk(text)
 
 
 class TestHomography:
@@ -281,19 +337,48 @@ class TestToCanonical:
         assert "1 source agents" in text and "1 tracks" in text
 
 
+class TestWorkCounts:
+    """Ingest works in whole-file passes: the C reader for every block of a
+    plain file, one homography product and one resample for all agents."""
+
+    def test_plain_file_never_walks(self, monkeypatch):
+        n = 3 * ingest._PARSE_BLOCK + 17
+        text = "".join(f"{k} {k % 97} {0.5 * k!r} 0 {-0.25 * k!r} 0 0 0\n" for k in range(n))
+        want = ingest._parse_lines(text.splitlines(), None, 0)
+        walks = []
+        monkeypatch.setattr(ingest, "_parse_lines", lambda *args: walks.append(args))
+        assert parse_obsmat(text).tobytes() == want.tobytes()
+        assert walks == []
+
+    def test_one_product_and_one_resample_for_all_agents(self, monkeypatch, cfg):
+        calls = []
+        for name in ("_homography_product", "resample_parts"):
+            def counted(*args, real=getattr(ingest, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(ingest, name, counted)
+        # 300 agents of 12 frames, every third one split by a gap
+        rows = np.vstack([_rows(a, [f + 9 * (f > 5 and a % 3 == 0) for f in range(12)],
+                                np.arange(12) * 0.3 + a, np.full(12, 0.5 * a))
+                          for a in range(300)])
+        h = Homography.from_text("0.021 0.0009 -0.4  -0.0006 0.026 -0.2  0.00002 0.00004 1")
+        got = to_canonical(rows, h, 2.5, cfg)
+        assert sorted(calls) == ["_homography_product", "resample_parts"]
+        assert got[1].n_tracks == 400 and got[1].n_split == 100
+        assert got == ingest_oracle.to_canonical(rows, h, 2.5, cfg)
+
+
 STEPS = st.sampled_from([0.3999, 0.4, 0.1, 1.0 / 3.0, 2.5])
 COORDS = st.one_of(st.floats(-100.0, 100.0),
                    st.floats(allow_nan=False, allow_infinity=False))
 
 
-@st.composite
-def raw_track(draw) -> tuple:
-    """Samples on the grid, within about 1e-9 of it (either side of the
-    snap tolerance), or between grid points, so ranges often start or end
-    off the grid; coordinates up to the largest finite floats."""
-    step = draw(STEPS)
+def draw_times(draw, step: float, first: int = 0) -> np.ndarray:
+    """Sorted distinct times on the grid, within about 1e-9 of it (either
+    side of the snap tolerance), or between grid points, at grid indices
+    -3 .. 20, so ranges often start or end off the grid and two samples
+    often share a grid point; then shifted by ``first`` steps."""
     times = []
-    # grid indices in a small range, so two samples often share a grid point
     for k in draw(st.lists(st.integers(-3, 20), min_size=2, max_size=12)):
         t = k * step
         kind = draw(st.sampled_from(["on", "near", "off"]))
@@ -301,8 +386,16 @@ def raw_track(draw) -> tuple:
             t += draw(st.floats(-1.5e-9, 1.5e-9)) * max(1.0, abs(t))
         elif kind == "off":
             t += draw(st.floats(-0.49, 0.49)) * step
-        times.append(t)
-    times = np.unique(times)
+        times.append(first * step + t)
+    return np.unique(times)
+
+
+@st.composite
+def raw_track(draw) -> tuple:
+    """Times from :func:`draw_times`; coordinates up to the largest finite
+    floats."""
+    step = draw(STEPS)
+    times = draw_times(draw, step)
     assume(len(times) >= 2)
     points = np.array(draw(st.lists(COORDS, min_size=2 * len(times),
                                     max_size=2 * len(times)))).reshape(-1, 2)
@@ -318,6 +411,125 @@ def test_resample_bit_equal_to_oracle(case):
     assert got.frames.tobytes() == want.frames.tobytes()
     assert got.times.tobytes() == want.times.tobytes()
     assert got.positions.tobytes() == want.positions.tobytes()
+
+
+# first grid indices of a part: small, beyond 2**50 where grid times are
+# coarse, and beyond 2**53 where two grid frames round to one time
+FIRST_INDICES = st.sampled_from([0, 0, 7, 2**40, 2**50, 2**52, 2**53 + 8])
+
+
+@st.composite
+def raw_parts(draw) -> tuple:
+    """A step and parts of :func:`draw_times` on it, one after another,
+    each at its own first grid index; some lie between two grid points,
+    so their grid is empty."""
+    step = draw(STEPS)
+    parts = []
+    for first in draw(st.lists(FIRST_INDICES, min_size=1, max_size=5)):
+        if draw(st.booleans()):
+            times = draw_times(draw, step, first)
+        else:
+            times = (first + np.sort(draw(st.lists(st.floats(0.01, 0.99), min_size=2,
+                                                    max_size=4, unique=True)))) * step
+        assume(len(np.unique(times)) == len(times) >= 2)
+        points = np.array(draw(st.lists(COORDS, min_size=2 * len(times),
+                                        max_size=2 * len(times)))).reshape(-1, 2)
+        parts.append(Trajectory("a", np.arange(len(times)), times, points))
+    return step, parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=raw_parts())
+def test_resample_parts_bit_equal_to_oracle(case):
+    """Each part of one ``resample_parts`` pass is bit-equal to its own
+    scalar resample; where that resample refuses grid times that round
+    together, so do the part's times."""
+    step, parts = case
+    frames, times, points, counts = resample_parts(
+        np.concatenate([tr.times for tr in parts]),
+        np.concatenate([tr.positions for tr in parts]),
+        np.array([len(tr) for tr in parts]), step)
+    assert len(frames) == len(times) == len(points) == counts.sum()
+    ends = np.cumsum(counts)
+    for tr, lo, hi in zip(parts, ends - counts, ends):
+        try:
+            want = ingest_oracle.resample_trajectory(tr, step)
+        except DataError:
+            assert not (times[lo + 1:hi] > times[lo:hi - 1]).all()
+            continue
+        assert frames[lo:hi].tobytes() == want.frames.tobytes()
+        assert times[lo:hi].tobytes() == want.times.tobytes()
+        assert points[lo:hi].tobytes() == want.positions.tobytes()
+
+
+@pytest.mark.parametrize("times", [[1e300, 2e300], [4e18, 4e18 + 1024.0]])
+def test_grid_frames_beyond_int64_overflow(times):
+    # the grid frame of 1e300 s overflows the division, 1e19 overflows int64
+    traj = Trajectory("a", [0, 1], times, [[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(OverflowError, match="int64"):
+        resample_trajectory(traj, 0.4)
+
+
+# w = x + 1 for the last: a point with x = -1 maps to infinity
+HOMOGRAPHIES = [Homography.identity(), Homography.from_text("2 0 0  0 2 0  0 0 1"),
+                Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 1.0]]))]
+# 1 / 0.3999 fps puts frames on the grid; at 1e-300 fps a frame past 179
+# overflows the time axis
+SOURCE_FPS = st.sampled_from([2.5, 10.0, 1.0 / 0.3999, 3.0, 1e-300])
+# a planted fault per agent, most agents none: a repeated frame; huge
+# frames, where frames 0.4 s apart round to one time (2**51 s at 2.5 fps),
+# frame numbers round together (beyond 2**53) or times overflow (at 1e-300
+# fps); two frames whose times differ but whose grid times round to one
+# (at 2.5 fps); a point x = -1, at infinity under the third homography; a
+# point beyond ±1e9 m, at once or once doubled
+PLANTS = st.sampled_from(["none"] * 6 + ["dup", "huge", "grid", "far", "beyond"])
+HUGE_FRAMES = st.sampled_from([200.0, 2.0**51 * 2.5, 2.0**51 * 2.5 + 1, 2.0**53, 2.0**60,
+                               1e300])
+
+
+@st.composite
+def annotation_rows(draw) -> tuple:
+    """Shuffled rows as ``parse_obsmat`` returns them (integer frames and
+    ids, finite coordinates) with planted faults, a homography and a frame
+    rate. Strides of 3 and 7 frames often cut a track, leaving short parts."""
+    blocks = []
+    for agent in draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True)):
+        plant = draw(PLANTS)
+        strides = draw(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 7]), max_size=12))
+        if plant == "dup":
+            strides.insert(draw(st.integers(0, len(strides))), 0)
+        first = draw(st.integers(0, 30)) + (draw(HUGE_FRAMES) if plant == "huge" else 0.0)
+        if plant == "grid":
+            strides, first = [1], 2.0**51 * 2.5 + 5 * draw(st.integers(1, 6))
+        frames = first + np.cumsum([0] + strides)
+        n = len(frames)
+        xs = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+        if plant in ("far", "beyond"):
+            xs[draw(st.integers(0, n - 1))] = (-1.0 if plant == "far" else
+                                               draw(st.sampled_from([5e8, 6e8, 2e9])))
+        ys = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+        blocks.append(np.column_stack([frames, np.full(n, float(agent)), xs, ys]))
+    rows = np.vstack(blocks)
+    order = draw(st.permutations(range(len(rows))))
+    return rows[order], draw(st.sampled_from(HOMOGRAPHIES)), draw(SOURCE_FPS)
+
+
+def _canonical_or_error(convert, rows, h, fps, cfg):
+    try:
+        return convert(rows, h, fps, cfg)
+    except DataError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=annotation_rows())
+def test_to_canonical_equal_to_oracle(case):
+    """The same CSV bytes and summary as one agent at a time, or the same
+    first data error."""
+    rows, h, fps = case
+    cfg = cc.Config()
+    assert (_canonical_or_error(to_canonical, rows, h, fps, cfg)
+            == _canonical_or_error(ingest_oracle.to_canonical, rows, h, fps, cfg))
 
 
 MATRIX_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.0, 2.0]),
