@@ -6,9 +6,8 @@ groups and by the nearest points of scene obstacles. Member trajectories are
 recovered from a predicted group trajectory by rigid translation plus a
 deviation term scaled by one minus the group emotion.
 
-A rollout simulates every group it is given, with pair forces only along
-the edges of the reach graph. Groups i and j are joined in that graph when,
-at the start,
+Pair forces act only along the edges of the reach graph. Groups i and j are
+joined in that graph when, at the start,
 
     |p_i - p_j| < neighborhood_range + (vmax_i + vmax_j) * horizon + margin
 
@@ -18,9 +17,17 @@ without an edge stay at least ``neighborhood_range`` apart for the whole
 horizon, where the pair force is exactly 0.0 and no coincidence nudge can
 fire; the margin (``_REACH_MARGIN``) absorbs rounding and nudges. A group
 with no chain of edges to the subject therefore adds no force term to it,
-directly or through others: passing it along costs time but changes no bit
-of the subject's trajectory. A window builds the graph once, labels its
-components, and hands each rollout its own component's groups and edges.
+directly or through others: leaving it out changes no bit of the subject's
+trajectory.
+
+A window builds the graph once and makes one :func:`predict_group_trajectory`
+call with every group as a subject. That call labels the graph's connected
+components and simulates each (subject, candidate) pair as one block: the
+subject heading to the candidate and the rest of its component heading to
+their own last candidates. Every block of the window is a slice of one flat
+body array, pairs never cross blocks, and the blocks advance together in
+chunks of whole subjects, so the fixed cost of each numpy call of a substep
+is paid once per chunk instead of once per group.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Config, DataError, SceneGeometry, TooFewPointsError, Trajectory,
-                   check_scale, near_pairs, velocity_at)
+                   check_scale, connected_components, near_pairs, velocity_at)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -229,19 +236,20 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     # a time, in scene order, as a per-body sum would add them; a body at a
     # contact point gets no term from that obstacle
     if not scene.is_empty:
+        # |signed_d| is the length of ``away`` bit for bit, and x / -l is
+        # -(x / l) exactly, so dividing by signed_d both normalises ``away``
+        # and turns it outward from inside a polygon
         point, signed_d = scene.obstacle_contacts(pos)
         away = pos - point
-        away_len = np.sqrt(np.vecdot(away, away))
-        use = ~(away_len < _COINCIDENT)
+        use = ~(np.abs(signed_d) < _COINCIDENT)
         if n_arrived:
             use &= ~arrived
         if np.count_nonzero(use) == use.size:
-            away /= away_len[..., None]
+            away /= signed_d[..., None]
             masks = [True] * len(use)
         else:
             masks = use[..., None]
-            np.divide(away, away_len[..., None], out=away, where=masks)
-        away = np.where(signed_d[..., None] < 0.0, -away, away)
+            np.divide(away, signed_d[..., None], out=away, where=masks)
         exponent = np.minimum(
             (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
         terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
@@ -356,75 +364,160 @@ def reach_edges(pos: np.ndarray, caps: np.ndarray, reach: float,
     return np.concatenate(ii), np.concatenate(jj)
 
 
-def predict_group_trajectory(start, dest, speed: float, scene: SceneGeometry,
+# the most bodies plus pair entries one chunk of a rollout simulates at once.
+# Subjects join a chunk in order while it stays within this; a subject whose
+# own blocks exceed it runs alone. Each chunk's state is built only when it
+# runs, so a dense window holds one chunk at a time.
+_CHUNK = 1 << 12
+
+
+def _chunks(costs: list):
+    """Runs of consecutive subject indices, each within ``_CHUNK`` by the
+    summed ``costs`` or a single subject."""
+    chunk, total = [], 0
+    for s, cost in enumerate(costs):
+        if chunk and total + cost > _CHUNK:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(s)
+        total += cost
+    if chunk:
+        yield chunk
+
+
+def _unit(to: np.ndarray) -> np.ndarray:
+    """Each 2-vector along the last axis scaled to length 1, or zero where it
+    is shorter than ``_COINCIDENT``."""
+    dist = np.sqrt(np.vecdot(to, to))
+    there = dist < _COINCIDENT
+    if np.count_nonzero(there):
+        out = np.zeros_like(to)
+        np.divide(to, dist[..., None], out=out, where=~there[..., None])
+        return out
+    return to / dist[..., None]
+
+
+def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
                              others: list, steps: int, params: ForceParams,
                              cfg: Config, initial_velocity=None,
                              start_frame: int = 0, *, edges) -> list:
-    """Roll the subject group from ``start`` toward each candidate
-    destination in ``dest``, a (C, 2) array, for ``steps`` output steps,
-    simulating every group of ``others`` (``GroupInit``) jointly.
+    """Roll each of S subject groups toward each of its candidate
+    destinations for ``steps`` output steps.
 
-    ``edges`` is an (i, j) pair of index arrays over the rollout's groups,
-    row 0 the subject and row r the ``others[r - 1]``: the only pairs whose
-    repulsion is evaluated. Every pair left out must stay at least
-    ``neighborhood_range`` apart for the whole horizon, which the
-    :func:`reach_edges` of the groups' starts, speed caps and horizon
+    Subject s starts at ``start[s]`` (an (S, 2) array) with desired speed
+    ``speed[s]`` and candidates ``dest[s]``, a (C_s, 2) array; its last
+    candidate is where it heads in every other subject's rollouts.
+    ``others`` are ``GroupInit`` bodies that are simulated but never
+    subjects: rows S onward. ``initial_velocity`` is an (S, 2) array, or
+    None to start each subject at its desired speed aimed at the candidate.
+
+    ``edges`` is an (i, j) pair of index arrays over all rows, the only
+    pairs whose repulsion is evaluated. Every pair left out must stay at
+    least ``neighborhood_range`` apart for the whole horizon, which the
+    :func:`reach_edges` of the rows' starts, speed caps and horizon
     guarantee (see the module docstring). Each candidate is an independent
-    simulation; all C advance together as C blocks of one flat state, one
-    body per group, with pairs only inside a block and only along
-    ``edges``. The subject's desired speed is floored at
+    simulation, block (s, c): subject s heads to ``dest[s][c]``, followed by
+    the rest of its connected component under ``edges`` in ascending row
+    order, with pairs only along ``edges``. Blocks advance together in
+    chunks of whole subjects (``_CHUNK``). Desired speeds are floored at
     ``params.speed_floor``, so a briefly stationary group still makes
-    progress. Returns one trajectory per candidate, each with one position
+    progress. Returns S lists of C_s trajectories, each with one position
     per step on frames ``start_frame + 1 .. start_frame + steps``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if speed < 0:
+    subjects = np.asarray(start, dtype=np.float64).reshape(-1, 2)
+    cands = [np.asarray(d, dtype=np.float64).reshape(-1, 2) for d in dest]
+    speed = np.asarray(speed, dtype=np.float64).reshape(-1)
+    n_sub = len(subjects)
+    if len(cands) != n_sub or len(speed) != n_sub:
+        raise DataError("subject arrays disagree on subject count")
+    if np.count_nonzero(speed < 0):
         raise ValueError("speed must be non-negative")
-    start = np.asarray(start, dtype=np.float64)
-    dests = np.asarray(dest, dtype=np.float64).reshape(-1, 2)
+    if not all(len(c) for c in cands):
+        raise DataError("every subject needs a candidate destination")
     others = list(others)
-    speeds = np.maximum([speed] + [g.speed for g in others], params.speed_floor)
-    starts = np.array([start] + [g.pos for g in others], dtype=np.float64)
-    if not (np.isfinite(starts).all() and np.isfinite(speeds).all()):
+    starts = np.concatenate([subjects, np.reshape([g.pos for g in others], (-1, 2))])
+    heads = np.concatenate([np.reshape([c[-1] for c in cands], (-1, 2)),
+                            np.reshape([g.dest for g in others], (-1, 2))])
+    speeds = np.maximum(np.concatenate([speed, [g.speed for g in others]]),
+                        params.speed_floor)
+    # every input is checked here, also of rows no subject's block holds
+    if not all(np.isfinite(a).all() for a in (starts, heads, speeds, *cands)):
         raise DataError("non-finite simulation input")
 
-    n_cand, k = len(dests), len(starts)
-    dst = np.empty((n_cand, k, 2))
-    dst[:, 0] = dests
-    dst[:, 1:] = np.reshape([g.dest for g in others], (-1, 2))
     # a body without a given velocity starts at its desired speed, aimed at
     # its destination, or at rest when it is already there
-    to = dst - starts
-    dist = np.sqrt(np.vecdot(to, to))
-    there = dist < _COINCIDENT
-    if np.count_nonzero(there):
-        vel = np.zeros_like(to)
-        np.divide(to, dist[..., None], out=vel, where=~there[..., None])
-    else:
-        vel = to / dist[..., None]
+    vel = _unit(heads - starts)
     vel *= speeds[:, None]
-    given = [initial_velocity] + [g.velocity for g in others]
-    has = np.array([v is not None for v in given])
-    vel[:, has] = np.reshape([v for v in given if v is not None], (-1, 2))
-    # each edge in both directions, sorted by row, then column; block c holds
-    # rows c*k .. c*k + k - 1, so offsetting by c*k keeps that order
-    rows, cols = np.concatenate([edges, edges[::-1]], axis=1)
-    order = np.lexsort((cols, rows))
-    pairs = (np.column_stack([rows[order], cols[order]])
-             + k * np.arange(n_cand)[:, None, None]).reshape(-1, 2)
-    state = make_sim_state(np.broadcast_to(starts, dst.shape), vel, dst,
-                           np.broadcast_to(speeds, dst.shape[:2]), params, pairs)
+    if initial_velocity is not None:
+        vel[:n_sub] = np.reshape(initial_velocity, (n_sub, 2))
+    given = np.array([g.velocity is not None for g in others], dtype=bool)
+    vel[n_sub:][given] = np.reshape([g.velocity for g in others if g.velocity is not None],
+                                    (-1, 2))
+    if not np.isfinite(vel).all():
+        raise DataError("non-finite simulation input")
 
-    points = _advance(state, scene, params, cfg.step_duration, steps,
-                      k * np.arange(n_cand))
+    # each component's rows ascending, and its edges as places in that list,
+    # sorted by component so that each component's are one slice
+    comps = connected_components(len(starts), [edges])
+    i, j = (np.asarray(e, dtype=np.intp) for e in edges)
+    label, place = np.empty((2, len(starts)), dtype=np.intp)
+    for c, rows in enumerate(comps):
+        label[rows] = c
+        place[rows] = np.arange(len(rows))
+    by = np.argsort(label[i], kind="stable")
+    cut = np.searchsorted(label[i[by]], np.arange(len(comps) + 1))
+    ends = place[np.stack([i, j])[:, by]]
+    # one block of a subject holds its component's bodies and each edge twice
+    block = np.array([len(rows) for rows in comps]) + 2 * np.diff(cut)
+    costs = [len(c) * int(block[label[s]]) for s, c in enumerate(cands)]
+
+    def state_of(chunk: list) -> tuple:
+        """The flat state of the chunk's blocks and each block's first row."""
+        body, pairs, leads, first = [], [], [], 0
+        for s in chunk:
+            comp, p = label[s], place[s]
+            rows = comps[comp]
+            rows = np.array([s] + rows[:p] + rows[p + 1:])
+            # block row 0 is the subject: a place before it moves up by one
+            e = ends[:, cut[comp]:cut[comp + 1]]
+            e = np.where(e == p, 0, e + (e < p))
+            # each edge in both directions, sorted by row, then column;
+            # offsetting every block by its first row keeps that order
+            r, c = np.concatenate([e, e[::-1]], axis=1)
+            order = np.lexsort((c, r))
+            n = len(cands[s])
+            leads.append(first + len(rows) * np.arange(n))
+            body.append(np.tile(rows, n))
+            pairs.append((np.column_stack([r[order], c[order]])
+                          + leads[-1][:, None, None]).reshape(-1, 2))
+            first += len(rows) * n
+        body, lead = np.concatenate(body), np.concatenate(leads)
+        dst, vel0 = heads[body], vel[body]
+        dst[lead] = np.concatenate([cands[s] for s in chunk])
+        if initial_velocity is None:
+            vel0[lead] = np.concatenate([_unit(cands[s] - subjects[s]) * speeds[s]
+                                         for s in chunk])
+        return make_sim_state(starts[body], vel0, dst, speeds[body], params,
+                              np.concatenate(pairs)), lead
+
+    points = []
+    for chunk in _chunks(costs):
+        state, lead = state_of(chunk)
+        points.append(_advance(state, scene, params, cfg.step_duration, steps, lead))
+        del state       # freed before the next chunk's state is built
+    if not points:
+        return []
+    points = np.concatenate(points)
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     # the candidates share frames and times: checked once, with the first
-    out = [Trajectory("predicted", frames, frames * cfg.step_duration, p)
-           for p in points[:1]]
+    first = Trajectory("predicted", frames, frames * cfg.step_duration, points[0])
     points.setflags(write=False)
-    return out + [Trajectory.trusted("predicted", out[0].frames, out[0].times, p)
-                  for p in points[1:]]
+    trajs = [first] + [Trajectory.trusted("predicted", first.frames, first.times, p)
+                       for p in points[1:]]
+    bounds = np.cumsum([0] + [len(c) for c in cands]).tolist()
+    return [trajs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # the member reconstruction modes of ReconstructionPolicy

@@ -5,8 +5,8 @@
 2. :func:`group_candidates` retrieves each group's candidate destinations
    from a historical database;
 3. :func:`predict_at_endtime` composes the two, rolls every group's
-   candidates out jointly with the other groups, and reconstructs member
-   trajectories.
+   candidates out in one call, jointly with the other groups, and
+   reconstructs member trajectories.
 
 The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
 the first, second and full stage; the experiment runner scores the last.
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Config, SceneGeometry, Tracks, Trajectory, TrajectoryDatabase,
-                   connected_components, velocity_at)
+                   velocity_at)
 from .dynamics import (
     ForceParams,
-    GroupInit,
     ReconstructionPolicy,
     predict_group_trajectory,
     reach_edges,
@@ -104,61 +103,41 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
                        mode: str = "rigid", seed: int = 0) -> list:
     """Predict every group present over the known window ending at ``endtime``.
 
-    Runs :func:`detect_groups` and :func:`group_candidates`, then rolls each
-    group's candidates out in one batched call, jointly with the other
-    groups of its reach component, which head for their straight-line
-    continuations. The window's reach graph (:func:`reach_edges`) is built
-    and labelled once; each rollout gets its component's cut of those
-    edges.
-    The desired speed is the center's mean speed, floored at
-    ``params.speed_floor``. Returns a ``GroupPrediction`` per group; empty
-    when no agent covers the window.
+    Runs :func:`detect_groups` and :func:`group_candidates`, then rolls
+    every group's candidates out in one :func:`predict_group_trajectory`
+    call with every group as a subject: each candidate is simulated jointly
+    with the other groups of its reach component, which head for their
+    straight-line continuations. The window's reach graph
+    (:func:`reach_edges`) is built once. The desired speed is the center's
+    mean speed, floored at ``params.speed_floor``. Returns a
+    ``GroupPrediction`` per group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     cands = group_candidates(db, states, cfg)
     by_id = {tr.agent_id: tr for tr in known}
-    inits = []
-    for st, group_cands in zip(states, cands):
-        center = st.center_trajectory
-        inits.append(GroupInit(center.positions[-1].copy(),
-                               group_cands[-1].destination,
-                               max(mean_speed(center), params.speed_floor),
-                               velocity_at(center, int(center.frames[-1]))))
-    i, j = reach_edges(np.array([g.pos for g in inits]).reshape(-1, 2),
-                       params.max_speed_for(np.array([g.speed for g in inits])),
-                       params.neighborhood_range,
-                       cfg.predict_time_steps * cfg.step_duration)
-    components = connected_components(len(inits), [(i, j)])
-    label, place = np.empty((2, len(inits)), dtype=np.intp)
-    for c, rows in enumerate(components):
-        label[rows] = c
-        place[rows] = np.arange(len(rows))
-    # the (2, E) edges sorted by component, so each component's are one
-    # slice, as places in its ascending row list
-    by = np.argsort(label[i], kind="stable")
-    cut = np.searchsorted(label[i[by]], np.arange(len(components) + 1))
-    ends = place[np.stack([i, j])[:, by]]
+    centers = [st.center_trajectory for st in states]
+    starts = np.reshape([c.positions[-1] for c in centers], (-1, 2))
+    speeds = [max(mean_speed(c), params.speed_floor) for c in centers]
+    edges = reach_edges(starts, params.max_speed_for(np.array(speeds)),
+                        params.neighborhood_range,
+                        cfg.predict_time_steps * cfg.step_duration)
+    trajs = predict_group_trajectory(
+        starts, [np.array([c.destination for c in group]) for group in cands],
+        np.array(speeds), scene, [], cfg.predict_time_steps, params, cfg,
+        initial_velocity=np.reshape([velocity_at(c, int(c.frames[-1])) for c in centers],
+                                    (-1, 2)),
+        start_frame=endtime, edges=edges)
 
     out = []
-    for gi, (st, group_cands, init) in enumerate(zip(states, cands, inits)):
+    for st, group_cands, speed, group_trajs in zip(states, cands, speeds, trajs):
         member_known = tuple(by_id[m] for m in st.members)
         policy = ReconstructionPolicy.from_known_window(
             member_known, st.center_trajectory, st.member_offsets, mode, seed)
-        # the rollout's row 0 is the group, then the rest of its component
-        # in window order: a place before the group's moves up by one
-        comp, p = label[gi], place[gi]
-        e = ends[:, cut[comp]:cut[comp + 1]]
-        trajs = predict_group_trajectory(
-            init.pos, np.array([c.destination for c in group_cands]),
-            init.speed, scene, [inits[k] for k in components[comp] if k != gi],
-            cfg.predict_time_steps, params, cfg,
-            initial_velocity=init.velocity, start_frame=endtime,
-            edges=np.where(e == p, 0, e + (e < p)))
         rollouts = [
             CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
                              reconstruct_members(traj, st.member_offsets,
                                                  st.emotion, policy))
-            for cand, traj in zip(group_cands, trajs)]
-        out.append(GroupPrediction(st.members, st.emotion, init.speed,
+            for cand, traj in zip(group_cands, group_trajs)]
+        out.append(GroupPrediction(st.members, st.emotion, speed,
                                    tuple(rollouts), member_known))
     return out

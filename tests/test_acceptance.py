@@ -17,7 +17,7 @@ from crowdcast.evaluate import Window, ade, fde, min_over_candidates, run_experi
 from crowdcast.grouping import group_emotion, pairwise_intimacy
 from crowdcast.retrieval import QueryPose, query_similar
 
-from conftest import STEP, benchmark_tracks, line_track, random_track, rollout_edges
+from conftest import STEP, benchmark_tracks, line_track, random_track, rollout_one
 from retrieval_oracle import scan_similar
 
 ZARA_ENV = "CROWDCAST_ZARA01"
@@ -153,10 +153,8 @@ def test_criterion_5_integrator_sanity(cfg):
 
     for dist in (1.0, 3.0, 6.0, 9.0, 11.5):
         assert dist <= 1.0 * horizon
-        [traj] = cc.predict_group_trajectory(
-            (0.0, 0.0), [(dist, 0.0)], 1.0, scene, [], cfg.predict_time_steps, params,
-            cfg, edges=rollout_edges((0.0, 0.0), 1.0, [], cfg.predict_time_steps,
-                                     params, cfg))
+        [traj] = rollout_one((0.0, 0.0), [(dist, 0.0)], 1.0, scene, [],
+                             cfg.predict_time_steps, params, cfg)
         err = float(np.linalg.norm(traj.positions[-1] - [dist, 0.0]))
         assert err <= 0.5, f"dist {dist}: arrival error {err:.3f}"
 

@@ -22,7 +22,7 @@ from crowdcast.dynamics import (
     step,
 )
 
-from conftest import STEP, line_track, rollout_edges
+from conftest import STEP, line_track, rollout_edges, rollout_one
 import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
 
@@ -180,19 +180,16 @@ class TestPredictGroupTrajectory:
         scene = cc.SceneGeometry(polygons=(ring,),
                                  bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
         t0 = time.perf_counter()
-        trajs = predict_group_trajectory((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0,
-                                         scene, [], 5, params, cfg,
-                                         edges=rollout_edges((0.0, 0.0), 1.0, [], 5,
-                                                             params, cfg))
+        trajs = rollout_one((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0, scene, [], 5,
+                            params, cfg)
         assert time.perf_counter() - t0 < 2.0
         assert all(np.all(np.isfinite(t.positions)) for t in trajs)
 
     def test_rotation_equivariance(self, cfg, params):
         scene = cc.parse_scene("seg 2 -4 2 4")
         others = [GroupInit(np.array([6.0, 1.0]), np.array([-2.0, 1.0]), 0.9)]
-        [base] = predict_group_trajectory(
-            (0.0, 0.2), [(6.0, 0.0)], 1.1, scene, others, 20, params, cfg,
-            edges=rollout_edges((0.0, 0.2), 1.1, others, 20, params, cfg))
+        [base] = rollout_one((0.0, 0.2), [(6.0, 0.0)], 1.1, scene, others, 20,
+                             params, cfg)
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         rot = np.array([[c, -s], [s, c]])
         scene_r = cc.SceneGeometry(
@@ -201,44 +198,37 @@ class TestPredictGroupTrajectory:
         others_r = [GroupInit(rot @ np.array([6.0, 1.0]),
                               rot @ np.array([-2.0, 1.0]), 0.9)]
         start_r = rot @ np.array([0.0, 0.2])
-        [rotated] = predict_group_trajectory(
-            start_r, [rot @ np.array([6.0, 0.0])], 1.1, scene_r, others_r, 20, params,
-            cfg, edges=rollout_edges(start_r, 1.1, others_r, 20, params, cfg))
+        [rotated] = rollout_one(start_r, [rot @ np.array([6.0, 0.0])], 1.1, scene_r,
+                                others_r, 20, params, cfg)
         assert np.max(np.abs(rotated.positions - base.positions @ rot.T)) < 1e-6
 
     def test_zero_speed_uses_floor(self, cfg, params, scene):
-        [traj] = predict_group_trajectory(
-            (0.0, 0.0), [(5.0, 0.0)], 0.0, scene, [], 10, params, cfg,
-            edges=rollout_edges((0.0, 0.0), 0.0, [], 10, params, cfg))
+        [traj] = rollout_one((0.0, 0.0), [(5.0, 0.0)], 0.0, scene, [], 10, params, cfg)
         assert traj.positions[-1, 0] >= 0.2
 
     def test_start_frame_controls_grid(self, cfg, params, scene):
-        [traj] = predict_group_trajectory(
-            (0.0, 0.0), [(5.0, 0.0)], 1.0, scene, [], 5, params, cfg, start_frame=100,
-            edges=rollout_edges((0.0, 0.0), 1.0, [], 5, params, cfg))
+        [traj] = rollout_one((0.0, 0.0), [(5.0, 0.0)], 1.0, scene, [], 5, params, cfg,
+                             start_frame=100)
         assert list(traj.frames) == [101, 102, 103, 104, 105]
         assert traj.times[0] == pytest.approx(101 * cfg.step_duration)
 
     def test_bad_steps_rejected(self, cfg, params, scene):
         with pytest.raises(ValueError):
-            predict_group_trajectory((0.0, 0.0), [(1.0, 0.0)], 1.0, scene, [],
-                                     0, params, cfg,
-                                     edges=rollout_edges((0.0, 0.0), 1.0, [], 0,
-                                                         params, cfg))
+            rollout_one((0.0, 0.0), [(1.0, 0.0)], 1.0, scene, [], 0, params, cfg)
 
     def test_non_finite_group_rejected_before_pruning(self, cfg, params, scene):
-        far = GroupInit(np.array([1e4, np.nan]), np.array([0.0, 0.0]), 1.0)
-        with pytest.raises(DataError):
-            predict_group_trajectory((0.0, 0.0), [(5.0, 0.0)], 1.0, scene,
-                                     [far], 5, params, cfg,
-                                     edges=rollout_edges((0.0, 0.0), 1.0, [far], 5,
-                                                         params, cfg))
+        # each far group shares no component with the subject, so no block
+        # simulates it; its input is still checked
+        for far in (GroupInit(np.array([1e4, np.nan]), np.array([0.0, 0.0]), 1.0),
+                    GroupInit(np.array([1e4, 0.0]), np.array([np.inf, 0.0]), 1.0),
+                    GroupInit(np.array([1e4, 0.0]), np.array([0.0, 0.0]), 1.0,
+                              np.array([np.nan, 0.0]))):
+            with pytest.raises(DataError, match="non-finite"):
+                rollout_one((0.0, 0.0), [(5.0, 0.0)], 1.0, scene, [far], 5, params, cfg)
 
     def test_substep_free_integration_still_arrives(self, cfg, scene):
         coarse = ForceParams.from_config(cfg, substeps=1)
-        [traj] = predict_group_trajectory(
-            (0.0, 0.0), [(6.0, 0.0)], 1.0, scene, [], 30, coarse, cfg,
-            edges=rollout_edges((0.0, 0.0), 1.0, [], 30, coarse, cfg))
+        [traj] = rollout_one((0.0, 0.0), [(6.0, 0.0)], 1.0, scene, [], 30, coarse, cfg)
         assert np.linalg.norm(traj.positions[-1] - [6.0, 0.0]) <= 0.5
 
 
@@ -358,9 +348,8 @@ class TestRolloutMatchesOracle:
 
     def _assert_matches(self, start, dests, speed, scene, others, steps,
                         params, cfg, initial_velocity=None):
-        trajs = predict_group_trajectory(
-            start, dests, speed, scene, others, steps, params, cfg, initial_velocity,
-            start_frame=7, edges=rollout_edges(start, speed, others, steps, params, cfg))
+        trajs = rollout_one(start, dests, speed, scene, others, steps, params, cfg,
+                            initial_velocity, start_frame=7)
         assert len(trajs) == len(dests)
         for dest, traj in zip(dests, trajs):
             ref = oracle_rollout(start, dest, speed, scene, others, steps,
@@ -567,6 +556,53 @@ class TestRolloutMatchesOracle:
                              params, cfg, np.array([cap, 0.0]))
 
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_several_subjects_beside_others(self, cfg, given):
+        """Four subjects and twelve others in one call: each subject's
+        candidates have the bits of the oracle given the other subjects,
+        heading to their last candidates, then the others."""
+        params = ForceParams.from_config(cfg, substeps=2)
+        scene = cc.parse_scene(self.SCENE)
+        rng = np.random.default_rng(21 + given)
+        subjects = [self._random_case(rng, 0) for _ in range(4)]
+        subjects[1] = (subjects[0][0] + 1.5,) + subjects[1][1:]
+        start = np.array([c[0] for c in subjects])
+        dest = [c[1] for c in subjects]
+        speed = np.array([c[2] for c in subjects])
+        vel = rng.uniform(-1.5, 1.5, (4, 2)) if given else None
+        others = self._random_case(rng, 12)[3]
+        as_others = [GroupInit(start[s], dest[s][-1], speed[s], None if vel is None else vel[s])
+                     for s in range(4)]
+        steps = 12
+        out = predict_group_trajectory(
+            start, dest, speed, scene, others, steps, params, cfg, vel, start_frame=7,
+            edges=rollout_edges(start[0], speed[0], as_others[1:] + others, steps,
+                                params, cfg))
+        assert [len(o) for o in out] == [len(d) for d in dest]
+        for s in range(4):
+            rest = as_others[:s] + as_others[s + 1:] + others
+            for d, traj in zip(dest[s], out[s]):
+                ref = oracle_rollout(start[s], d, speed[s], scene, rest, steps, params,
+                                     cfg, None if vel is None else vel[s], start_frame=7)
+                assert np.array_equal(traj.frames, ref.frames)
+                assert np.array_equal(traj.times, ref.times)
+                assert traj.positions.tobytes() == ref.positions.tobytes()
+
+    def test_subject_arrays_checked(self, cfg, params, scene):
+        edges = (np.empty(0, np.intp),) * 2
+        for start, dest, speed in (([(0.0, 0.0), (5.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
+                                   ([(0.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
+                                   ([(0.0, 0.0)], [np.empty((0, 2))], [1.0])):
+            with pytest.raises(DataError):
+                predict_group_trajectory(start, dest, speed, scene, [], 5, params, cfg,
+                                         edges=edges)
+        with pytest.raises(ValueError, match="non-negative"):
+            predict_group_trajectory([(0.0, 0.0)], [[(1.0, 0.0)]], [-1.0], scene, [], 5,
+                                     params, cfg, edges=edges)
+        assert predict_group_trajectory(np.empty((0, 2)), [], [], scene, [], 5, params,
+                                        cfg, edges=edges) == []
+
+
 def _window_at_the_reach_bound(cfg, params):
     """Tracks whose known window (frames 20..24) ends with groups at the
     reach bound ± 1 µm along x and along y, a two-member group, a lone
@@ -603,26 +639,31 @@ def _unordered_pairs(edges):
     return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
 
 
-def test_window_components_equal_full_rollouts(monkeypatch):
-    """``predict_at_endtime`` builds one reach graph per window. Each
-    group's rollout gets exactly the groups of its reach component, as the
-    dense test over every group of the window finds it, and as its edges
-    exactly the reach edges among them, and returns the bits of a rollout
-    given every other group."""
+def _spy_advance(monkeypatch) -> list:
+    """Patch ``dynamics._advance`` to record, per call, the state's bodies
+    plus pair entries and the number of rows it watches."""
+    advances = []
+    advance = dynamics._advance
+
+    def spy(sim, scene, params, dt, steps, watch):
+        advances.append((len(sim.positions) + len(sim.rows), len(watch)))
+        return advance(sim, scene, params, dt, steps, watch)
+
+    monkeypatch.setattr(dynamics, "_advance", spy)
+    return advances
+
+
+def _predict_window(monkeypatch, tracks, endtime, cfg, params, scene):
+    """``predict_at_endtime`` with spies: returns its predictions, the
+    ``reach_edges`` calls, the ``predict_group_trajectory`` calls as
+    (arguments, keywords, result), and the ``_spy_advance`` records."""
     from crowdcast import pipeline
 
-    cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
-                    min_overlap_frames=3)
-    params = ForceParams.from_config(cfg, substeps=2)
-    scene = cc.parse_scene("seg 1001 990 1001 1010")
-    tracks = _window_at_the_reach_bound(cfg, params)
-    calls = []
-    graphs = []
+    graphs, calls = [], []
 
-    def spy(start, dest, speed, scene, others, steps, params, cfg, **kw):
-        out = predict_group_trajectory(start, dest, speed, scene, others, steps,
-                                       params, cfg, **kw)
-        calls.append((start, dest, speed, others, kw, out))
+    def spy(*args, **kw):
+        out = predict_group_trajectory(*args, **kw)
+        calls.append((args, kw, out))
         return out
 
     def graph_spy(*args):
@@ -631,33 +672,137 @@ def test_window_components_equal_full_rollouts(monkeypatch):
 
     monkeypatch.setattr(pipeline, "predict_group_trajectory", spy)
     monkeypatch.setattr(pipeline, "reach_edges", graph_spy)
-    preds = cc.predict_at_endtime(tracks, 24, cc.build_database(tracks, cfg, 24), cfg,
-                                  params, scene)
+    advances = _spy_advance(monkeypatch)
+    preds = cc.predict_at_endtime(tracks, endtime, cc.build_database(tracks, cfg, endtime),
+                                  cfg, params, scene)
+    return preds, graphs, calls, advances
+
+
+def test_window_components_equal_full_rollouts(monkeypatch):
+    """``predict_at_endtime`` builds one reach graph per window and makes one
+    rollout call, with every group as a subject and the window's reach edges.
+    Each group's candidates have the bits of a one-subject call given every
+    other group; its component, as the dense test over every group of the
+    window finds it, has the size the tracks were built for."""
+    cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
+                    min_overlap_frames=3)
+    params = ForceParams.from_config(cfg, substeps=2)
+    scene = cc.parse_scene("seg 1001 990 1001 1010")
+    tracks = _window_at_the_reach_bound(cfg, params)
+    preds, graphs, calls, _ = _predict_window(monkeypatch, tracks, 24, cfg, params, scene)
     assert [p.members for p in preds][-1] == ("m1", "m2")
     assert len(graphs) == 1
-    inits = [GroupInit(start, dest[-1], speed, kw["initial_velocity"])
-             for start, dest, speed, _, kw, _ in calls]
+    [((start, dest, speed, _, others, steps, *_), kw, out)] = calls
+    assert others == [] and steps == cfg.predict_time_steps
+    assert len(start) == len(dest) == len(speed) == len(out) == len(preds)
+    vel = kw["initial_velocity"]
+    inits = [GroupInit(p, d[-1], s, v) for p, d, s, v in zip(start, dest, speed, vel)]
+    assert _unordered_pairs(kw["edges"]) == _unordered_pairs(
+        rollout_edges(start[0], speed[0], inits[1:], steps, params, cfg))
     sizes = []
-    for g, (start, dest, speed, others, kw, out) in enumerate(calls):
-        edges = kw.pop("edges")
-        assert _unordered_pairs(edges) == _unordered_pairs(
-            rollout_edges(start, speed, others, cfg.predict_time_steps, params, cfg))
+    for g, (pred, got) in enumerate(zip(preds, out)):
+        assert [c.group_trajectory for c in pred.candidates] == got
         rest = inits[:g] + inits[g + 1:]
-        pos = np.stack([start] + [o.pos for o in rest])
-        caps = params.max_speed_for(np.array([speed] + [o.speed for o in rest]))
-        keep = dense_reach_component(pos, caps, params.neighborhood_range,
-                                     cfg.predict_time_steps * cfg.step_duration)
-        assert [o.pos.tolist() for o in others] == pos[keep[1:]].tolist()
-        sizes.append(len(keep))
-        full = predict_group_trajectory(
-            start, dest, speed, scene, rest, cfg.predict_time_steps, params, cfg,
-            edges=rollout_edges(start, speed, rest, cfg.predict_time_steps, params, cfg),
-            **kw)
-        for got, want in zip(out, full, strict=True):
-            assert got.positions.tobytes() == want.positions.tobytes()
-            assert got.frames.tobytes() == want.frames.tobytes()
+        want = rollout_one(start[g], dest[g], speed[g], scene, rest, steps, params, cfg,
+                           vel[g], start_frame=24)
+        assert len(got) == len(want) == len(dest[g])
+        for a, b in zip(got, want):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert a.times.tobytes() == b.times.tobytes()
+        pos = np.stack([start[g]] + [o.pos for o in rest])
+        caps = params.max_speed_for(np.array([speed[g]] + [o.speed for o in rest]))
+        sizes.append(len(dense_reach_component(pos, caps, params.neighborhood_range,
+                                               steps * cfg.step_duration)))
     # a, b and the pair; c and d; e alone; the two clusters
     assert sizes == [3, 3, 2, 2, 1] + [4] * 4 + [3] * 3 + [3]
+
+
+class TestChunkedRollout:
+    """``predict_group_trajectory`` advances whole subjects' blocks in chunks
+    of at most ``_CHUNK`` bodies plus pair entries, or one subject."""
+
+    def test_chunk_budget_changes_no_bit(self, monkeypatch):
+        cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
+                        min_overlap_frames=3)
+        params = ForceParams.from_config(cfg, substeps=2)
+        scene = cc.parse_scene("seg 1001 990 1001 1010")
+        tracks = _window_at_the_reach_bound(cfg, params)
+        runs = {}
+        for budget in (1, 2**40):
+            monkeypatch.setattr(dynamics, "_CHUNK", budget)
+            preds, _, _, advances = _predict_window(monkeypatch, tracks, 24, cfg, params,
+                                                    scene)
+            runs[budget] = [c.group_trajectory.positions.tobytes()
+                            for p in preds for c in p.candidates]
+            assert len(advances) == (len(preds) if budget == 1 else 1)
+            assert sum(n for _, n in advances) == len(runs[budget])
+        assert runs[1] == runs[2**40]
+
+    def test_concourse_window_advances_once(self, monkeypatch):
+        """Three clusters of six lone walkers, 120 m apart, with six
+        candidates each: the shape of a ``concourse`` benchmark window. Its
+        108 blocks fit one chunk, so the window runs one ``_advance``."""
+        cfg = cc.Config()
+        params = ForceParams.from_config(cfg, substeps=1)
+        rng = np.random.default_rng(3)
+        tracks = []
+        for c in range(3):
+            for g in range(6):
+                at = np.array([120.0 * c + 6.0 * (g % 3), 6.0 * (g // 3)]) \
+                    + rng.uniform(-1.0, 1.0, 2)
+                vel = np.array([1.2, 0.0]) + rng.uniform(-0.1, 0.1, 2)
+                tracks.append(line_track(f"g{c}.{g}", 30, 30, at - 29 * vel * STEP, vel))
+                tracks.append(line_track(f"h{c}.{g}", 0, 25, at - 40 * vel * STEP, vel))
+        preds, _, _, advances = _predict_window(monkeypatch, tracks, 59, cfg, params,
+                                                cc.SceneGeometry.empty())
+        assert len(preds) == 18
+        assert {len(p.candidates) for p in preds} == {cfg.k_candidates + 1}
+        [(size, blocks)] = advances
+        assert blocks == 108 and size <= dynamics._CHUNK
+
+    def test_dense_window_chunks_stay_bounded(self, monkeypatch, cfg):
+        """A dense crowd of 40 subjects in one reach component, beside 30
+        far-apart lone ones: every chunk holds at most the budget or one
+        subject's blocks, every block runs once, and each subject's
+        candidates have the bits of a one-subject call given the others."""
+        params = ForceParams.from_config(cfg, substeps=1)
+        rng = np.random.default_rng(9)
+        start = np.concatenate([rng.uniform(-8.0, 8.0, (40, 2)),
+                                500.0 * np.arange(1, 31)[:, None] + np.zeros((30, 2))])
+        dest = [start[s] + rng.uniform(-20.0, 20.0, (int(rng.integers(1, 6)), 2))
+                for s in range(len(start))]
+        speed = rng.uniform(0.5, 1.5, len(start))
+        steps = 3
+        horizon = steps * cfg.step_duration
+        caps = params.max_speed_for(speed)
+        edges = dynamics.reach_edges(start, caps, params.neighborhood_range, horizon)
+        adj = dense_reach_adjacency(start, caps, params.neighborhood_range, horizon)
+        costs = []
+        for s in range(len(start)):
+            comp = dense_reach_component(np.roll(start, -s, axis=0),
+                                         np.roll(caps, -s), params.neighborhood_range,
+                                         horizon)
+            rows = (comp + s) % len(start)
+            costs.append(len(dest[s]) * (len(rows) + adj[np.ix_(rows, rows)].sum()))
+        assert len(set(costs[:40])) > 1 and max(costs) > dynamics._CHUNK
+
+        advances = _spy_advance(monkeypatch)
+        out = predict_group_trajectory(start, dest, speed, cc.SceneGeometry.empty(), [],
+                                       steps, params, cfg, edges=edges)
+        assert [len(o) for o in out] == [len(d) for d in dest]
+        sizes = [size for size, _ in advances]
+        assert max(sizes) <= max(dynamics._CHUNK, max(costs))
+        assert sum(sizes) == sum(costs)
+        assert sum(n for _, n in advances) == sum(len(d) for d in dest)
+        assert len(advances) < len(start)
+
+        inits = [GroupInit(p, d[-1], v) for p, d, v in zip(start, dest, speed)]
+        for s in range(len(start)):
+            want = rollout_one(start[s], dest[s], speed[s], cc.SceneGeometry.empty(),
+                               inits[:s] + inits[s + 1:], steps, params, cfg)
+            assert [t.positions.tobytes() for t in out[s]] \
+                == [t.positions.tobytes() for t in want]
 
 
 class TestReachEdgesMatchDense:
