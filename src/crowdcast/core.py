@@ -222,6 +222,14 @@ def velocity_at(traj: Trajectory, frame) -> np.ndarray:
     return (traj.positions[j1] - traj.positions[j1 - 1]) / dt[..., None]
 
 
+def final_velocity(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The velocity :func:`velocity_at` gives at the last frame of each
+    (..., N, 2) track of ``positions`` with (..., N) ``times``, N >= 2: the
+    backward difference over its last two rows, bit for bit."""
+    dt = times[..., -1] - times[..., -2]
+    return (positions[..., -1, :] - positions[..., -2, :]) / dt[..., None]
+
+
 def average_direction(traj: Trajectory, step: int) -> np.ndarray:
     """Mean displacement from all earlier points to the step-th point.
 

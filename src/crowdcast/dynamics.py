@@ -4,7 +4,9 @@ Groups are simulated as single bodies: each accelerates toward a desired
 velocity aimed at its destination and is repelled exponentially by nearby
 groups and by the nearest points of scene obstacles. Member trajectories are
 recovered from a predicted group trajectory by rigid translation plus a
-deviation term scaled by one minus the group emotion.
+deviation term scaled by one minus the group emotion: one (C, M, T, 2) pass
+over a group's C candidates (:func:`member_positions`), with each member's
+deviations drawn once and shared by every candidate.
 
 Pair forces act only along the edges of the reach graph. Groups i and j are
 joined in that graph when, at the start,
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Config, DataError, SceneGeometry, TooFewPointsError, Trajectory,
-                   check_scale, connected_components, near_pairs, velocity_at)
+                   check_scale, connected_components, final_velocity, near_pairs)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -571,6 +573,45 @@ def _deviations(policy: ReconstructionPolicy, agent_id: str, steps: int,
     return rng.normal(0.0, 1.0, size=(steps, 2)) * rms
 
 
+def member_positions(group_positions: np.ndarray, offsets: dict, emotion: float,
+                     policy: ReconstructionPolicy) -> np.ndarray:
+    """Every member's positions along each of C group trajectories.
+
+    ``group_positions`` is a (C, T, 2) stack of the group's candidate
+    trajectories. Returns a read-only (C, M, T, 2) array, the members in
+    ``sorted(offsets, key=str)`` order: group position plus the member's
+    offset plus ``1 − emotion`` times its deviation. Deviations belong to
+    the group, not the candidate, so they are drawn once, in member order,
+    from one generator seeded with ``policy.seed``, and broadcast over the
+    candidates.
+    """
+    if not 0.0 <= emotion <= 1.0:
+        raise DataError(f"emotion must be in [0, 1], got {emotion}")
+    if set(offsets) != set(policy.residuals):
+        raise DataError("member offsets and residual patterns disagree")
+    ids = sorted(offsets, key=str)
+    for agent_id in ids:
+        if np.shape(offsets[agent_id]) != (2,):
+            raise DataError(f"offset of member {agent_id!r} must be one (x, y) point")
+    steps = group_positions.shape[1]
+    # only seeded-jitter draws; creating a generator is not free
+    rng = np.random.default_rng(policy.seed) if policy.mode == "seeded-jitter" else None
+    dev = np.array([_deviations(policy, a, steps, rng) for a in ids]).reshape(len(ids), steps, 2)
+    off = np.array([offsets[a] for a in ids], dtype=np.float64).reshape(len(ids), 1, 2)
+    points = group_positions[:, None] + off + (1.0 - emotion) * dev
+    points.setflags(write=False)
+    return points
+
+
+def member_trajectories(group_traj: Trajectory, members, points: np.ndarray) -> dict:
+    """Each member's ``Trajectory`` along ``group_traj``: ``points`` is one
+    candidate's read-only (M, T, 2) slice of :func:`member_positions`, in
+    ``members`` order."""
+    # the group's frames and times were checked when it was built
+    return {m: Trajectory.trusted(m, group_traj.frames, group_traj.times, p)
+            for m, p in zip(members, points)}
+
+
 def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
                         policy: ReconstructionPolicy) -> dict:
     """Member trajectories from a group trajectory.
@@ -579,26 +620,18 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
     offset; the deviation term, scaled by ``1 − emotion``, is added on top.
     At emotion 1 the members translate rigidly with the group; at 0, which
     a long chained group's cohesion rounds to, the deviation is unscaled.
+    The one-candidate case of :func:`member_positions`.
     """
-    if not 0.0 <= emotion <= 1.0:
-        raise DataError(f"emotion must be in [0, 1], got {emotion}")
-    if set(offsets) != set(policy.residuals):
-        raise DataError("member offsets and residual patterns disagree")
-    steps = len(group_traj)
-    # only seeded-jitter draws; creating a generator is not free
-    rng = np.random.default_rng(policy.seed) if policy.mode == "seeded-jitter" else None
-    out = {}
-    for agent_id in sorted(offsets, key=str):
-        dev = _deviations(policy, agent_id, steps, rng)
-        points = group_traj.positions + np.asarray(offsets[agent_id]) \
-            + (1.0 - emotion) * dev
-        if points.shape != group_traj.positions.shape:
-            raise DataError(f"offset of member {agent_id!r} must be one (x, y) point")
-        points.setflags(write=False)
-        # the group's frames and times were checked when it was built
-        out[agent_id] = Trajectory.trusted(agent_id, group_traj.frames,
-                                           group_traj.times, points)
-    return out
+    [points] = member_positions(group_traj.positions[None], offsets, emotion, policy)
+    return member_trajectories(group_traj, sorted(offsets, key=str), points)
+
+
+def straight_lines(last: np.ndarray, vel: np.ndarray, steps: int,
+                   step_duration: float) -> np.ndarray:
+    """(..., steps, 2) positions 1 .. ``steps`` output steps on from each
+    (..., 2) point ``last`` at the constant velocity ``vel``."""
+    k = np.arange(1, steps + 1)
+    return last[..., None, :] + k[:, None] * vel[..., None, :] * step_duration
 
 
 def constant_velocity_baseline(traj: Trajectory, steps: int, cfg: Config,
@@ -608,8 +641,7 @@ def constant_velocity_baseline(traj: Trajectory, steps: int, cfg: Config,
         raise TooFewPointsError(f"agent {traj.agent_id!r} has no point to extrapolate")
     if start_frame is None:
         start_frame = int(traj.frames[-1])
-    vel = velocity_at(traj, int(traj.frames[-1])) if len(traj) >= 2 else np.zeros(2)
+    vel = final_velocity(traj.positions, traj.times) if len(traj) >= 2 else np.zeros(2)
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
-    offsets = (frames - start_frame)[:, None] * vel[None, :] * cfg.step_duration
-    points = traj.positions[-1][None, :] + offsets
-    return Trajectory(traj.agent_id, frames, frames * cfg.step_duration, points)
+    return Trajectory(traj.agent_id, frames, frames * cfg.step_duration,
+                      straight_lines(traj.positions[-1], vel, steps, cfg.step_duration))

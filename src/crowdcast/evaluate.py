@@ -2,8 +2,15 @@
 
 A window fixes an endtime; the preceding known steps are observed, the
 following steps are predicted and scored against ground truth with
-minimum-over-candidates average and final displacement errors. A constant
+minimum-over-candidates average and final displacement errors (the
+best-of-K protocol of Gupta et al., "Social GAN", CVPR 2018). A constant
 velocity extrapolation of each member is scored alongside as the baseline.
+
+A window is scored in one pass: its ground truth, its baseline inputs and
+every (agent, candidate) prediction are gathered into one stack of
+difference tracks, and :func:`displacement_errors` scores them all.
+:func:`ade`, :func:`fde` and :func:`min_over_candidates` are its one-case
+calls, with the same bits.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from .core import (
     Tracks,
     Trajectory,
     build_database,
+    final_velocity,
 )
-from .dynamics import ForceParams, constant_velocity_baseline
+from .dynamics import ForceParams, straight_lines
 from .pipeline import predict_at_endtime
 
 
@@ -77,10 +85,19 @@ def _check_aligned(pred: Trajectory, gt: Trajectory):
         raise DataError("trajectories cover different frames")
 
 
+def displacement_errors(d: np.ndarray) -> tuple:
+    """ADE and FDE of each (..., T, 2) stack of differences between a
+    prediction and its ground truth: the mean and the last of the per-step
+    distances. The FDE is ``sqrt(vecdot)``, which keeps the bits of the
+    one-point ``np.linalg.norm``; a norm over an axis need not."""
+    last = d[..., -1, :]
+    return np.linalg.norm(d, axis=-1).mean(axis=-1), np.sqrt(np.vecdot(last, last))
+
+
 def ade(pred: Trajectory, gt: Trajectory) -> float:
     """Mean Euclidean distance per step between two aligned tracks."""
     _check_aligned(pred, gt)
-    return float(np.mean(np.linalg.norm(pred.positions - gt.positions, axis=1)))
+    return float(displacement_errors(pred.positions - gt.positions)[0])
 
 
 def fde(pred: Trajectory, gt: Trajectory) -> float:
@@ -89,7 +106,14 @@ def fde(pred: Trajectory, gt: Trajectory) -> float:
         raise DataError("empty trajectory")
     if pred.frames[-1] != gt.frames[-1]:
         raise DataError("final frames differ")
-    return float(np.linalg.norm(pred.positions[-1] - gt.positions[-1]))
+    return float(displacement_errors(pred.positions[-1:] - gt.positions[-1:])[1])
+
+
+def _best(errors: np.ndarray) -> tuple:
+    """Per row of (..., K) errors, the minimum and its first place, as
+    ``np.argmin`` picks it."""
+    arg = errors.argmin(axis=-1)
+    return np.take_along_axis(errors, arg[..., None], axis=-1)[..., 0], arg
 
 
 def min_over_candidates(candidates: list, gt: Trajectory) -> tuple:
@@ -100,11 +124,11 @@ def min_over_candidates(candidates: list, gt: Trajectory) -> tuple:
     """
     if not candidates:
         raise DataError("no candidates to score")
-    ades = [ade(c, gt) for c in candidates]
-    fdes = [fde(c, gt) for c in candidates]
-    ai = int(np.argmin(ades))
-    fi = int(np.argmin(fdes))
-    return ades[ai], fdes[fi], (ai, fi)
+    for c in candidates:
+        _check_aligned(c, gt)
+    d = np.stack([c.positions for c in candidates]) - gt.positions
+    (min_ade, min_fde), (ai, fi) = _best(np.stack(displacement_errors(d)))
+    return float(min_ade), float(min_fde), (int(ai), int(fi))
 
 
 @dataclass(frozen=True)
@@ -186,30 +210,12 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
     rows = []
     records = []
     by_id = {tr.agent_id: t for t, tr in enumerate(tracks)}
-    steps = cfg.predict_time_steps
     for window in windows:
         total = int(np.count_nonzero(tracks.count_before(window.horizon_last(cfg) + 1)))
         db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
-        # the row of the horizon's first frame, in each track covering it
-        truth = dict(zip(*(a.tolist() for a in tracks.covering(window.endtime + 1, steps))))
-        win_records = []
-        for pred in preds:
-            for member, known in zip(pred.members, pred.known):
-                t = by_id[member]
-                if t not in truth:
-                    continue
-                gt = tracks[t].span(truth[t], truth[t] + steps)
-                cand_trajs = [c.member_trajectories[member]
-                              for c in pred.candidates]
-                min_ade, min_fde, (ai, fi) = min_over_candidates(cand_trajs, gt)
-                base = constant_velocity_baseline(known, steps, cfg,
-                                                  start_frame=window.endtime)
-                win_records.append(AgentRecord(
-                    window.endtime, member, len(pred.members), pred.emotion,
-                    min_ade, min_fde, ai, fi, ade(base, gt), fde(base, gt),
-                    len(cand_trajs)))
+        win_records = _score_window(tracks, by_id, preds, window.endtime, cfg)
         n_eval = len(win_records)
         if win_records:
             def mean(key):
@@ -224,3 +230,48 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
         rows.append(row)
         records.extend(win_records)
     return MetricReport(cfg.k_candidates + 1, tuple(rows), tuple(records))
+
+
+def _score_window(tracks: Tracks, by_id: dict, preds: list, endtime: int,
+                  cfg: Config) -> list:
+    """An ``AgentRecord`` for each member of ``preds`` that covers the
+    horizon, in ``preds`` and ``members`` order.
+
+    One :func:`displacement_errors` pass scores every (agent, candidate)
+    row of the groups' ``member_points`` and every constant-velocity
+    baseline against the agents' horizon rows of the table. A scored
+    agent's known window ends on the row before its horizon's first, so its
+    baseline extrapolates the two rows before that one.
+    """
+    steps = cfg.predict_time_steps
+    hits, first = tracks.covering(endtime + 1, steps)
+    truth = dict(zip(hits.tolist(), (tracks.starts[hits] + first).tolist()))
+    scored, starts, cands = [], [], []
+    for pred in preds:
+        for k, member in enumerate(pred.members):
+            row = truth.get(by_id[member])
+            if row is not None:
+                scored.append((pred, member))
+                starts.append(row)
+                cands.append(pred.member_points[:, k])
+    if not scored:
+        return []
+    # row i of the (agent, candidate) rows is candidate slot[i] of agent[i]
+    starts, counts = np.array(starts), np.array([len(c) for c in cands])
+    agent = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    gt = tracks.positions.take(starts[:, None] + np.arange(steps), axis=0)
+    known = starts[:, None] + np.array([-2, -1])
+    baseline = straight_lines(tracks.positions.take(starts - 1, axis=0),
+                              final_velocity(tracks.positions.take(known, axis=0),
+                                             tracks.times.take(known)),
+                              steps, cfg.step_duration)
+    errors = np.stack(displacement_errors(np.concatenate(
+        [np.concatenate(cands) - gt[agent], baseline - gt])))
+    table = np.full((2, len(counts), counts.max()), np.inf)
+    table[:, agent, slot] = errors[:, :len(agent)]
+    (min_ade, min_fde), (ai, fi) = _best(table)
+    return [AgentRecord(endtime, member, len(pred.members), pred.emotion, *vals)
+            for (pred, member), vals in zip(scored, zip(
+                min_ade.tolist(), min_fde.tolist(), ai.tolist(), fi.tolist(),
+                *errors[:, len(agent):].tolist(), counts.tolist()))]

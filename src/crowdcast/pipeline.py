@@ -6,7 +6,8 @@
    from a historical database;
 3. :func:`predict_at_endtime` composes the two, rolls every group's
    candidates out in one call, jointly with the other groups, and
-   reconstructs member trajectories.
+   reconstructs each group's members along all its candidates as one
+   (C, M, T, 2) array.
 
 The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
 the first, second and full stage; the experiment runner scores the last.
@@ -15,17 +16,19 @@ the first, second and full stage; the experiment runner scores the last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (Config, SceneGeometry, Tracks, Trajectory, TrajectoryDatabase,
-                   velocity_at)
+                   final_velocity)
 from .dynamics import (
     ForceParams,
     ReconstructionPolicy,
+    member_positions,
+    member_trajectories,
     predict_group_trajectory,
     reach_edges,
-    reconstruct_members,
 )
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
 from .retrieval import candidate_destinations
@@ -34,24 +37,33 @@ from .retrieval import candidate_destinations
 @dataclass(frozen=True)
 class CandidateRollout:
     """One rolled-out candidate: destination, where it came from, the group
-    trajectory driven to it, and the reconstructed member trajectories."""
+    trajectory driven to it, and the reconstructed members: their read-only
+    (M, T, 2) ``member_points`` in ``members`` order, as trajectories on
+    first use."""
 
     destination: np.ndarray
     provenance: str
     score: float | None
     group_trajectory: Trajectory
-    member_trajectories: dict
+    members: tuple
+    member_points: np.ndarray
+
+    @cached_property
+    def member_trajectories(self) -> dict:
+        return member_trajectories(self.group_trajectory, self.members, self.member_points)
 
 
 @dataclass(frozen=True)
 class GroupPrediction:
-    """All candidates for one group at one endtime."""
+    """All candidates for one group at one endtime. ``member_points`` is
+    the read-only (C, M, T, 2) array of every candidate's members, in
+    ``candidates`` and ``members`` order."""
 
     members: tuple
     emotion: float
     desired_speed: float
     candidates: tuple
-    known: tuple  # the members' known-window tracks, in ``members`` order
+    member_points: np.ndarray
 
 
 def known_window_tracks(tracks, endtime: int, cfg: Config) -> list:
@@ -62,15 +74,6 @@ def known_window_tracks(tracks, endtime: int, cfg: Config) -> list:
     steps = cfg.known_time_steps
     hits, rows = tracks.covering(endtime - steps + 1, steps)
     return [tracks[t].span(i, i + steps) for t, i in zip(hits.tolist(), rows.tolist())]
-
-
-def mean_speed(traj: Trajectory) -> float:
-    """Mean per-step speed along a track."""
-    if len(traj) < 2:
-        return 0.0
-    seg = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
-    dt = np.diff(traj.times)
-    return float(np.mean(seg / dt))
 
 
 def detect_groups(tracks: list, endtime: int, cfg: Config) -> tuple:
@@ -109,35 +112,41 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     with the other groups of its reach component, which head for their
     straight-line continuations. The window's reach graph
     (:func:`reach_edges`) is built once. The desired speed is the center's
-    mean speed, floored at ``params.speed_floor``. Returns a
+    mean speed, floored at ``params.speed_floor``, and the initial velocity
+    its last step's; both are one array pass over the centers, which all
+    cover the known window's frames. Each group's members along all its
+    candidates are one :func:`member_positions` array. Returns a
     ``GroupPrediction`` per group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     cands = group_candidates(db, states, cfg)
     by_id = {tr.agent_id: tr for tr in known}
-    centers = [st.center_trajectory for st in states]
-    starts = np.reshape([c.positions[-1] for c in centers], (-1, 2))
-    speeds = [max(mean_speed(c), params.speed_floor) for c in centers]
-    edges = reach_edges(starts, params.max_speed_for(np.array(speeds)),
+    # every center covers the known window's T frames: (G, T) stacks
+    pos = np.reshape([st.center_trajectory.positions for st in states],
+                     (len(states), cfg.known_time_steps, 2))
+    times = np.reshape([st.center_trajectory.times for st in states],
+                       (len(states), cfg.known_time_steps))
+    # each row's mean keeps the bits of the 1-D mean of its per-step speeds
+    speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)
+                         / np.diff(times, axis=1)).mean(axis=1), params.speed_floor)
+    edges = reach_edges(pos[:, -1], params.max_speed_for(speeds),
                         params.neighborhood_range,
                         cfg.predict_time_steps * cfg.step_duration)
     trajs = predict_group_trajectory(
-        starts, [np.array([c.destination for c in group]) for group in cands],
-        np.array(speeds), scene, [], cfg.predict_time_steps, params, cfg,
-        initial_velocity=np.reshape([velocity_at(c, int(c.frames[-1])) for c in centers],
-                                    (-1, 2)),
-        start_frame=endtime, edges=edges)
+        pos[:, -1], [np.array([c.destination for c in group]) for group in cands],
+        speeds, scene, [], cfg.predict_time_steps, params, cfg,
+        initial_velocity=final_velocity(pos, times), start_frame=endtime, edges=edges)
 
     out = []
-    for st, group_cands, speed, group_trajs in zip(states, cands, speeds, trajs):
-        member_known = tuple(by_id[m] for m in st.members)
+    for st, group_cands, speed, group_trajs in zip(states, cands, speeds.tolist(), trajs):
         policy = ReconstructionPolicy.from_known_window(
-            member_known, st.center_trajectory, st.member_offsets, mode, seed)
-        rollouts = [
+            [by_id[m] for m in st.members], st.center_trajectory, st.member_offsets,
+            mode, seed)
+        points = member_positions(np.stack([t.positions for t in group_trajs]),
+                                  st.member_offsets, st.emotion, policy)
+        rollouts = tuple(
             CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
-                             reconstruct_members(traj, st.member_offsets,
-                                                 st.emotion, policy))
-            for cand, traj in zip(group_cands, group_trajs)]
-        out.append(GroupPrediction(st.members, st.emotion, speed,
-                                   tuple(rollouts), member_known))
+                             st.members, p)
+            for cand, traj, p in zip(group_cands, group_trajs, points))
+        out.append(GroupPrediction(st.members, st.emotion, speed, rollouts, points))
     return out

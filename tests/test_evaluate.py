@@ -7,11 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast import core
 from crowdcast.core import DataError, Trajectory
-from crowdcast.dynamics import ForceParams
+from crowdcast.dynamics import (MODES, ForceParams, ReconstructionPolicy, member_positions,
+                                reconstruct_members)
 from crowdcast.evaluate import (
     Window,
     ade,
@@ -19,8 +22,10 @@ from crowdcast.evaluate import (
     min_over_candidates,
     run_experiment,
 )
+from crowdcast.pipeline import predict_at_endtime
 from crowdcast.retrieval import query_pose
 
+import evaluate_oracle
 from conftest import STEP, benchmark_tracks, line_track
 
 
@@ -295,3 +300,206 @@ def test_experiment_on_read_tracks_equals_on_a_list(cfg):
     assert isinstance(tracks, cc.Tracks) and len(runs[0].agents) > 0
     assert runs[0].agents == runs[1].agents
     assert runs[0].csv_bytes() == runs[1].csv_bytes()
+
+
+# -- the array passes against the per-call reference ------------------------
+
+def _random_window(rng: np.random.Generator) -> tuple:
+    """Tracks, endtime and config of one random window: clusters of one to
+    three agents walking together (so groups form, and single-member groups
+    too), each starting before or inside the known window and ending before,
+    inside or after the horizon, plus zero to three historical walkers that
+    end before the known window (none gives a group one candidate only)."""
+    known = int(rng.choice([2, 3, 5, 8]))
+    cfg = cc.Config(known_time_steps=known, predict_time_steps=int(rng.choice([1, 2, 5, 12])),
+                    k_candidates=int(rng.integers(1, 4)),
+                    min_overlap_frames=int(rng.integers(1, known + 1)))
+    endtime = known - 1 + int(rng.integers(0, 12))
+    horizon = endtime + cfg.predict_time_steps
+    tracks = []
+    for g in range(int(rng.integers(1, 5))):
+        center = rng.uniform(-12.0, 12.0, 2)
+        vel = rng.uniform(-1.5, 1.5, 2)
+        for m in range(int(rng.integers(1, 4))):
+            first = int(rng.integers(0, endtime - known + 2)) if rng.random() < 0.8 \
+                else int(rng.integers(endtime - known + 2, endtime + 2))
+            last = int(rng.integers(max(first, endtime - 1), horizon + 4))
+            frames = np.arange(first, last + 1)
+            pos = center + 0.3 * m * np.array([0.6, 0.8]) + frames[:, None] * vel * STEP \
+                + rng.normal(0.0, 0.03, (len(frames), 2))
+            tracks.append(_grid(f"g{g}m{m}", frames, pos))
+    for h in range(int(rng.integers(0, 4))):
+        last = int(rng.integers(2, max(endtime - known, 2) + 1))
+        frames = np.arange(0, last + 1)
+        pos = rng.uniform(-12.0, 12.0, 2) + frames[:, None] * rng.uniform(-1.5, 1.5, 2) * STEP
+        tracks.append(_grid(f"h{h}", frames, pos))
+    return tracks, endtime, cfg
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_trajectory(a: Trajectory, b: Trajectory) -> bool:
+    return a.agent_id == b.agent_id and all(
+        _same_bits(getattr(a, n), getattr(b, n)) for n in ("frames", "times", "positions"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES))
+def test_window_equals_per_call_oracle(seed, mode):
+    """Every group, candidate, member trajectory and ``AgentRecord`` of a
+    random window, baselines included, equals the per-call reference bit
+    for bit; so do the desired speeds and, through the group trajectories,
+    the initial velocities of the one array pass over the centers."""
+    tracks, endtime, cfg = _random_window(np.random.default_rng(seed))
+    params = ForceParams.from_config(cfg, substeps=2)
+    scene = cc.SceneGeometry.empty()
+    db = cc.build_database(tracks, cfg, endtime=endtime)
+    got = predict_at_endtime(tracks, endtime, db, cfg, params, scene, mode, seed % 7)
+    want = evaluate_oracle.predict_at_endtime(tracks, endtime, db, cfg, params, scene,
+                                              mode, seed % 7)
+    assert len(got) == len(want)
+    for pred, (members, emotion, speed, _, rollouts) in zip(got, want):
+        assert pred.members == members
+        assert repr((pred.emotion, pred.desired_speed)) == repr((emotion, speed))
+        n_c, n_m = len(rollouts), len(members)
+        assert pred.member_points.shape == (n_c, n_m, cfg.predict_time_steps, 2)
+        assert not pred.member_points.flags.writeable
+        for c, (dest, prov, score, traj, by_member) in zip(pred.candidates, rollouts):
+            assert _same_bits(c.destination, dest)
+            assert (c.provenance, repr(c.score)) == (prov, repr(score))
+            assert _same_trajectory(c.group_trajectory, traj)
+            assert list(c.member_trajectories) == list(by_member) == list(members)
+            for m, tr in c.member_trajectories.items():
+                assert _same_trajectory(tr, by_member[m])
+                assert not tr.positions.flags.writeable
+    windows = [Window(endtime), Window(endtime + 1)]
+    report = run_experiment(tracks, scene, windows, cfg, params, mode, seed % 7)
+    oracle = evaluate_oracle.run_experiment(tracks, scene, windows, cfg, params,
+                                            mode, seed % 7)
+    assert repr(report.agents) == repr(oracle.agents)
+    assert repr(report.rows) == repr(oracle.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES),
+       n_cand=st.integers(1, 4), steps=st.integers(1, 9), n_members=st.integers(1, 4))
+def test_member_positions_equal_per_candidate_oracle(seed, mode, n_cand, steps, n_members):
+    """One (C, M, T, 2) pass equals one reconstruction per candidate, also
+    for residual patterns that are empty or shorter than the horizon."""
+    rng = np.random.default_rng(seed)
+    frames = np.arange(7, 7 + steps)
+    group = np.cumsum(rng.normal(0.0, 0.4, (n_cand, steps, 2)), axis=1)
+    trajs = [_grid("group", frames, g) for g in group]
+    ids = [f"m{k}" for k in rng.permutation(n_members)]
+    offsets = {m: rng.normal(0.0, 0.5, 2) for m in ids}
+    residuals = {m: rng.normal(0.0, 0.2, (int(rng.integers(0, steps + 3)), 2)) for m in ids}
+    policy = ReconstructionPolicy(mode, residuals, seed=int(seed % 5))
+    emotion = float(rng.choice([0.0, 1.0, rng.uniform()]))
+    points = member_positions(group, offsets, emotion, policy)
+    assert points.shape == (n_cand, n_members, steps, 2) and not points.flags.writeable
+    for traj, cand in zip(trajs, points):
+        want = evaluate_oracle.reconstruct_members(traj, offsets, emotion, policy)
+        got = reconstruct_members(traj, offsets, emotion, policy)
+        assert list(got) == list(want) == sorted(ids)
+        for m, p in zip(sorted(ids), cand):
+            assert _same_bits(p, want[m].positions)
+            assert _same_trajectory(got[m], want[m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cand=st.integers(1, 6),
+       steps=st.sampled_from([1, 2, 3, 7, 8, 9, 30, 129, 300]),
+       scale=st.sampled_from([1e-6, 1.0, 1e3, 1e9]))
+def test_scores_equal_per_call_oracle(seed, n_cand, steps, scale):
+    """ADE, FDE, their minima and argmins, and the baseline equal the
+    per-call reference bit for bit, ties included."""
+    rng = np.random.default_rng(seed)
+    frames = np.arange(3, 3 + steps)
+    gt = _grid("gt", frames, rng.normal(0.0, scale, (steps, 2)))
+    cands = [_grid("c", frames, gt.positions + rng.normal(0.0, scale, (steps, 2)))
+             for _ in range(n_cand)]
+    cands += cands[:int(rng.integers(0, 2))]  # a tie for the minimum
+    for c in cands:
+        assert repr((ade(c, gt), fde(c, gt))) == \
+            repr((evaluate_oracle.ade(c, gt), evaluate_oracle.fde(c, gt)))
+    assert repr(min_over_candidates(cands, gt)) == \
+        repr(evaluate_oracle.min_over_candidates(cands, gt))
+    known = _grid("k", np.arange(-2, 3), rng.normal(0.0, scale, (5, 2)))
+    got = cc.constant_velocity_baseline(known, steps, cc.Config(), start_frame=2)
+    assert _same_trajectory(got, evaluate_oracle.constant_velocity_baseline(
+        known, steps, cc.Config(), 2))
+
+
+# -- nothing after the endtime reaches a prediction ----------------------------
+
+def _edit_after(tracks: list, frame: int, rng: np.random.Generator, edits: set) -> list:
+    """``tracks`` with rows after ``frame`` moved, tracks cut after it,
+    agents added that start after it and the order shuffled, as ``edits``
+    selects."""
+    out = []
+    for tr in tracks:
+        keep = len(tr)
+        if "cut" in edits and rng.random() < 0.5:
+            keep = int(np.searchsorted(tr.frames, frame + 1 + int(rng.integers(0, 3)),
+                                       side="left"))
+        frames, pos = tr.frames[:keep], tr.positions[:keep].copy()
+        if "move" in edits:
+            late = frames > frame
+            pos[late] += rng.normal(0.0, 3.0, (int(np.count_nonzero(late)), 2))
+        if len(frames):
+            out.append(_grid(tr.agent_id, frames, pos))
+    if "add" in edits:
+        for k in range(int(rng.integers(1, 6))):
+            frames = np.arange(frame + 1 + int(rng.integers(0, 4)), frame + 20)
+            out.append(_grid(f"late{k}", frames, rng.uniform(-12.0, 12.0, (len(frames), 2))))
+    if "shuffle" in edits:
+        out = [out[k] for k in rng.permutation(len(out))]
+    return out
+
+
+EDITS = st.sets(st.sampled_from(["move", "cut", "add", "shuffle"]), min_size=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES), edits=EDITS)
+def test_no_leak_from_after_the_endtime(seed, mode, edits):
+    """Editing everything after a window's endtime leaves its groups,
+    candidates, group trajectories and member trajectories bit-equal."""
+    rng = np.random.default_rng(seed)
+    tracks, endtime, cfg = _random_window(rng)
+    edited = _edit_after(tracks, endtime, rng, edits)
+    params = ForceParams.from_config(cfg, substeps=2)
+    scene = cc.SceneGeometry.empty()
+    got, want = (predict_at_endtime(t, endtime, cc.build_database(t, cfg, endtime=endtime),
+                                    cfg, params, scene, mode, 3)
+                 for t in (edited, tracks))
+    assert [(p.members, repr(p.emotion), repr(p.desired_speed)) for p in got] == \
+        [(p.members, repr(p.emotion), repr(p.desired_speed)) for p in want]
+    for pg, pw in zip(got, want):
+        assert [(c.provenance, repr(c.score)) for c in pg.candidates] == \
+            [(c.provenance, repr(c.score)) for c in pw.candidates]
+        assert _same_bits(pg.member_points, pw.member_points)
+        for cg, cw in zip(pg.candidates, pw.candidates):
+            assert _same_bits(cg.destination, cw.destination)
+            assert _same_trajectory(cg.group_trajectory, cw.group_trajectory)
+            assert all(_same_trajectory(cg.member_trajectories[m], cw.member_trajectories[m])
+                       for m in pg.members)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES), edits=EDITS)
+def test_no_leak_from_after_the_horizon(seed, mode, edits):
+    """Editing everything after a window's last horizon frame leaves its
+    records and its row equal."""
+    rng = np.random.default_rng(seed)
+    tracks, endtime, cfg = _random_window(rng)
+    window = Window(endtime)
+    edited = _edit_after(tracks, window.horizon_last(cfg), rng, edits)
+    params = ForceParams.from_config(cfg, substeps=2)
+    got, want = (run_experiment(t, cc.SceneGeometry.empty(), [window], cfg, params, mode, 3)
+                 for t in (edited, tracks))
+    assert repr(got.agents) == repr(want.agents)
+    assert repr(got.rows) == repr(want.rows)
