@@ -174,7 +174,7 @@ def _points(positions) -> list:
 
 
 def _candidate(c) -> dict:
-    """A candidate destination (``Candidate`` or ``CandidateRollout``)."""
+    """A retrieved candidate destination (``retrieval.Candidate``)."""
     return {"destination": _point(c.destination),
             "provenance": c.provenance,
             "score": None if c.score is None else float(c.score)}
@@ -248,8 +248,8 @@ def _prediction_layers(preds: list, known: list, tracks: list, endtime: int,
             future = tr.positions[(tr.frames > endtime) & (tr.frames <= horizon_last)]
             if len(future) >= 2:
                 layers.append(("groundtruth", future))
-        for c in pred.candidates:
-            layers.append(("predicted", c.group_trajectory.positions))
+        for c, traj in zip(pred.candidates, pred.group_trajectories):
+            layers.append(("predicted", traj.positions))
             layers.append(("destination", c.destination.reshape(1, 2)))
     return layers
 
@@ -271,10 +271,10 @@ def cmd_predict(args) -> int:
         "desired_speed": float(pred.desired_speed),
         "candidates": [{
             **_candidate(c),
-            "group_trajectory": _points(c.group_trajectory.positions),
-            "members": {m: _points(t.positions)
-                        for m, t in sorted(c.member_trajectories.items())},
-        } for c in pred.candidates],
+            "group_trajectory": _points(traj.positions),
+            "members": dict(zip(pred.members, map(_points, points))),
+        } for c, traj, points in zip(pred.candidates, pred.group_trajectories,
+                                     pred.member_points)],
     } for pred in preds])
     _write_outputs(args, run, {"predictions.jsonl": text},
                    endtime=args.endtime, scene=args.scene,

@@ -22,8 +22,8 @@ with no chain of edges to the subject therefore adds no force term to it,
 directly or through others: leaving it out changes no bit of the subject's
 trajectory.
 
-A window builds the graph once and makes one :func:`predict_group_trajectory`
-call with every group as a subject. That call labels the graph's connected
+A window makes one :func:`predict_group_trajectory` call with every group as
+a subject. That call builds the graph over its rows, labels its connected
 components and simulates each (subject, candidate) pair as one block: the
 subject heading to the candidate and the rest of its component heading to
 their own last candidates. Every block of the window is a slice of one flat
@@ -161,11 +161,9 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     caps = params.max_speed_for(spd)
     norms = _length(vel)
     over = norms > caps
-    if np.count_nonzero(over):
-        vel[over] *= (caps[over] / norms[over])[:, None]
+    vel[over] *= (caps[over] / norms[over])[:, None]
     arrived = _length(pos - dest) <= params.radius
-    if np.count_nonzero(arrived):
-        vel[arrived] = 0.0
+    vel[arrived] = 0.0
     if pairs is None:
         pairs = np.argwhere(~np.eye(n, dtype=bool))
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.ravel()
@@ -391,18 +389,15 @@ def _unit(to: np.ndarray) -> np.ndarray:
     """Each 2-vector along the last axis scaled to length 1, or zero where it
     is shorter than ``_COINCIDENT``."""
     dist = np.sqrt(np.vecdot(to, to))
-    there = dist < _COINCIDENT
-    if np.count_nonzero(there):
-        out = np.zeros_like(to)
-        np.divide(to, dist[..., None], out=out, where=~there[..., None])
-        return out
-    return to / dist[..., None]
+    out = np.zeros_like(to)
+    np.divide(to, dist[..., None], out=out, where=~(dist < _COINCIDENT)[..., None])
+    return out
 
 
 def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
                              others: list, steps: int, params: ForceParams,
                              cfg: Config, initial_velocity=None,
-                             start_frame: int = 0, *, edges) -> list:
+                             start_frame: int = 0) -> list:
     """Roll each of S subject groups toward each of its candidate
     destinations for ``steps`` output steps.
 
@@ -413,15 +408,14 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     subjects: rows S onward. ``initial_velocity`` is an (S, 2) array, or
     None to start each subject at its desired speed aimed at the candidate.
 
-    ``edges`` is an (i, j) pair of index arrays over all rows, the only
-    pairs whose repulsion is evaluated. Every pair left out must stay at
-    least ``neighborhood_range`` apart for the whole horizon, which the
-    :func:`reach_edges` of the rows' starts, speed caps and horizon
-    guarantee (see the module docstring). Each candidate is an independent
-    simulation, block (s, c): subject s heads to ``dest[s][c]``, followed by
-    the rest of its connected component under ``edges`` in ascending row
-    order, with pairs only along ``edges``. Blocks advance together in
-    chunks of whole subjects (``_CHUNK``). Desired speeds are floored at
+    The call builds its rows' reach graph once (:func:`reach_edges` of their
+    starts, the caps of their floored desired speeds and the ``steps``
+    horizon) and evaluates repulsion only along its edges: every pair left
+    out stays at least ``neighborhood_range`` apart for the whole horizon
+    (see the module docstring). Each candidate is an independent simulation,
+    block (s, c): subject s heads to ``dest[s][c]``, followed by the rest of
+    its connected component in ascending row order. Blocks advance together
+    in chunks of whole subjects (``_CHUNK``). Desired speeds are floored at
     ``params.speed_floor``, so a briefly stationary group still makes
     progress. Returns S lists of C_s trajectories, each with one position
     per step on frames ``start_frame + 1 .. start_frame + steps``.
@@ -462,8 +456,9 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
 
     # each component's rows ascending, and its edges as places in that list,
     # sorted by component so that each component's are one slice
-    comps = connected_components(len(starts), [edges])
-    i, j = (np.asarray(e, dtype=np.intp) for e in edges)
+    i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
+                       steps * cfg.step_duration)
+    comps = connected_components(len(starts), [(i, j)])
     label, place = np.empty((2, len(starts)), dtype=np.intp)
     for c, rows in enumerate(comps):
         label[rows] = c
@@ -603,15 +598,6 @@ def member_positions(group_positions: np.ndarray, offsets: dict, emotion: float,
     return points
 
 
-def member_trajectories(group_traj: Trajectory, members, points: np.ndarray) -> dict:
-    """Each member's ``Trajectory`` along ``group_traj``: ``points`` is one
-    candidate's read-only (M, T, 2) slice of :func:`member_positions`, in
-    ``members`` order."""
-    # the group's frames and times were checked when it was built
-    return {m: Trajectory.trusted(m, group_traj.frames, group_traj.times, p)
-            for m, p in zip(members, points)}
-
-
 def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
                         policy: ReconstructionPolicy) -> dict:
     """Member trajectories from a group trajectory.
@@ -623,7 +609,9 @@ def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
     The one-candidate case of :func:`member_positions`.
     """
     [points] = member_positions(group_traj.positions[None], offsets, emotion, policy)
-    return member_trajectories(group_traj, sorted(offsets, key=str), points)
+    # the group's frames and times were checked when it was built
+    return {m: Trajectory.trusted(m, group_traj.frames, group_traj.times, p)
+            for m, p in zip(sorted(offsets, key=str), points)}
 
 
 def straight_lines(last: np.ndarray, vel: np.ndarray, steps: int,

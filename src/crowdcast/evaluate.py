@@ -201,21 +201,22 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
     members are excluded from its query. Agents covering the whole known
     window are simulated; those also covering the whole horizon are scored.
     An agent with any frame at or before the window's last horizon frame
-    counts toward the window's total (an empty track never does); total
-    minus evaluated is reported as skipped. Windows with nothing to
-    evaluate yield NaN rows rather than failing. ``tracks`` is converted
-    once by :meth:`Tracks.of`, so every window slices one table.
+    counts toward the window's total once, however many tracks hold its id
+    (an empty track never counts); total minus evaluated is reported as
+    skipped. Windows with nothing to evaluate yield NaN rows rather than
+    failing. ``tracks`` is converted once by :meth:`Tracks.of`, so every
+    window slices one table.
     """
     tracks = Tracks.of(tracks)
     rows = []
     records = []
-    by_id = {tr.agent_id: t for t, tr in enumerate(tracks)}
     for window in windows:
-        total = int(np.count_nonzero(tracks.count_before(window.horizon_last(cfg) + 1)))
+        seen = tracks.count_before(window.horizon_last(cfg) + 1) > 0
+        total = len(np.unique(tracks.codes[seen]))
         db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params,
                                    scene, mode=mode, seed=seed)
-        win_records = _score_window(tracks, by_id, preds, window.endtime, cfg)
+        win_records = _score_window(tracks, preds, window.endtime, cfg)
         n_eval = len(win_records)
         if win_records:
             def mean(key):
@@ -232,37 +233,46 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
     return MetricReport(cfg.k_candidates + 1, tuple(rows), tuple(records))
 
 
-def _score_window(tracks: Tracks, by_id: dict, preds: list, endtime: int,
-                  cfg: Config) -> list:
+def _rows_from(tracks: Tracks, first: int, steps: int) -> dict:
+    """Agent id -> the table row of frame ``first`` in the last track with
+    that id holding every frame ``first`` .. ``first + steps - 1``."""
+    hits, rows = tracks.covering(first, steps)
+    return {tracks[t].agent_id: r
+            for t, r in zip(hits.tolist(), (tracks.starts[hits] + rows).tolist())}
+
+
+def _score_window(tracks: Tracks, preds: list, endtime: int, cfg: Config) -> list:
     """An ``AgentRecord`` for each member of ``preds`` that covers the
     horizon, in ``preds`` and ``members`` order.
 
     One :func:`displacement_errors` pass scores every (agent, candidate)
     row of the groups' ``member_points`` and every constant-velocity
-    baseline against the agents' horizon rows of the table. A scored
-    agent's known window ends on the row before its horizon's first, so its
-    baseline extrapolates the two rows before that one.
+    baseline against the agents' horizon rows of the table. An agent's rows
+    are found by its id, which may hold several tracks: its ground truth in
+    the track holding the horizon, its baseline's two rows (frames
+    ``endtime - 1`` and ``endtime``) in the track it was grouped from.
     """
-    steps = cfg.predict_time_steps
-    hits, first = tracks.covering(endtime + 1, steps)
-    truth = dict(zip(hits.tolist(), (tracks.starts[hits] + first).tolist()))
-    scored, starts, cands = [], [], []
+    steps, n_known = cfg.predict_time_steps, cfg.known_time_steps
+    truth = _rows_from(tracks, endtime + 1, steps)
+    # every member holds the known window
+    known_first = _rows_from(tracks, endtime - n_known + 1, n_known)
+    scored, rows, cands = [], [], []
     for pred in preds:
         for k, member in enumerate(pred.members):
-            row = truth.get(by_id[member])
+            row = truth.get(member)
             if row is not None:
                 scored.append((pred, member))
-                starts.append(row)
+                rows.append((row, known_first[member] + n_known - 1))
                 cands.append(pred.member_points[:, k])
     if not scored:
         return []
     # row i of the (agent, candidate) rows is candidate slot[i] of agent[i]
-    starts, counts = np.array(starts), np.array([len(c) for c in cands])
+    (starts, ends), counts = np.array(rows).T, np.array([len(c) for c in cands])
     agent = np.repeat(np.arange(len(counts)), counts)
     slot = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
     gt = tracks.positions.take(starts[:, None] + np.arange(steps), axis=0)
-    known = starts[:, None] + np.array([-2, -1])
-    baseline = straight_lines(tracks.positions.take(starts - 1, axis=0),
+    known = ends[:, None] + np.array([-1, 0])
+    baseline = straight_lines(tracks.positions.take(ends, axis=0),
                               final_velocity(tracks.positions.take(known, axis=0),
                                              tracks.times.take(known)),
                               steps, cfg.step_duration)

@@ -7,7 +7,8 @@
 3. :func:`predict_at_endtime` composes the two, rolls every group's
    candidates out in one call, jointly with the other groups, and
    reconstructs each group's members along all its candidates as one
-   (C, M, T, 2) array.
+   (C, M, T, 2) array. A ``GroupPrediction`` holds the retrieved
+   candidates, the rollout's group trajectories and that array.
 
 The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
 the first, second and full stage; the experiment runner scores the last.
@@ -16,53 +17,29 @@ the first, second and full stage; the experiment runner scores the last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import (Config, SceneGeometry, Tracks, Trajectory, TrajectoryDatabase,
-                   final_velocity)
-from .dynamics import (
-    ForceParams,
-    ReconstructionPolicy,
-    member_positions,
-    member_trajectories,
-    predict_group_trajectory,
-    reach_edges,
-)
+from .core import Config, SceneGeometry, Tracks, TrajectoryDatabase, final_velocity
+from .dynamics import (ForceParams, ReconstructionPolicy, member_positions,
+                       predict_group_trajectory)
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
 from .retrieval import candidate_destinations
 
 
 @dataclass(frozen=True)
-class CandidateRollout:
-    """One rolled-out candidate: destination, where it came from, the group
-    trajectory driven to it, and the reconstructed members: their read-only
-    (M, T, 2) ``member_points`` in ``members`` order, as trajectories on
-    first use."""
-
-    destination: np.ndarray
-    provenance: str
-    score: float | None
-    group_trajectory: Trajectory
-    members: tuple
-    member_points: np.ndarray
-
-    @cached_property
-    def member_trajectories(self) -> dict:
-        return member_trajectories(self.group_trajectory, self.members, self.member_points)
-
-
-@dataclass(frozen=True)
 class GroupPrediction:
-    """All candidates for one group at one endtime. ``member_points`` is
-    the read-only (C, M, T, 2) array of every candidate's members, in
-    ``candidates`` and ``members`` order."""
+    """All candidates for one group at one endtime: the retrieved
+    ``candidates`` (``retrieval.Candidate``, the straight line last), the
+    group trajectory driven to each, and ``member_points``, the read-only
+    (C, M, T, 2) array of every candidate's members, in ``candidates`` and
+    ``members`` order."""
 
     members: tuple
     emotion: float
     desired_speed: float
     candidates: tuple
+    group_trajectories: tuple
     member_points: np.ndarray
 
 
@@ -110,11 +87,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     every group's candidates out in one :func:`predict_group_trajectory`
     call with every group as a subject: each candidate is simulated jointly
     with the other groups of its reach component, which head for their
-    straight-line continuations. The window's reach graph
-    (:func:`reach_edges`) is built once. The desired speed is the center's
-    mean speed, floored at ``params.speed_floor``, and the initial velocity
-    its last step's; both are one array pass over the centers, which all
-    cover the known window's frames. Each group's members along all its
+    straight-line continuations. The desired speed is the center's mean
+    speed, floored at ``params.speed_floor``, and the initial velocity its
+    last step's; both are one array pass over the centers, which all cover
+    the known window's frames. Each group's members along all its
     candidates are one :func:`member_positions` array. Returns a
     ``GroupPrediction`` per group; empty when no agent covers the window.
     """
@@ -129,13 +105,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     # each row's mean keeps the bits of the 1-D mean of its per-step speeds
     speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)
                          / np.diff(times, axis=1)).mean(axis=1), params.speed_floor)
-    edges = reach_edges(pos[:, -1], params.max_speed_for(speeds),
-                        params.neighborhood_range,
-                        cfg.predict_time_steps * cfg.step_duration)
     trajs = predict_group_trajectory(
         pos[:, -1], [np.array([c.destination for c in group]) for group in cands],
         speeds, scene, [], cfg.predict_time_steps, params, cfg,
-        initial_velocity=final_velocity(pos, times), start_frame=endtime, edges=edges)
+        initial_velocity=final_velocity(pos, times), start_frame=endtime)
 
     out = []
     for st, group_cands, speed, group_trajs in zip(states, cands, speeds.tolist(), trajs):
@@ -144,9 +117,6 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
             mode, seed)
         points = member_positions(np.stack([t.positions for t in group_trajs]),
                                   st.member_offsets, st.emotion, policy)
-        rollouts = tuple(
-            CandidateRollout(cand.destination, cand.provenance, cand.score, traj,
-                             st.members, p)
-            for cand, traj, p in zip(group_cands, group_trajs, points))
-        out.append(GroupPrediction(st.members, st.emotion, speed, rollouts, points))
+        out.append(GroupPrediction(st.members, st.emotion, speed, tuple(group_cands),
+                                   tuple(group_trajs), points))
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crowdcast import Config, Trajectory
-from crowdcast.dynamics import predict_group_trajectory, reach_edges
+from crowdcast.dynamics import predict_group_trajectory
 
 STEP = 0.3999
 
@@ -28,25 +28,14 @@ def line_track(agent_id: str, first_frame: int, n: int, start, velocity,
     return Trajectory.from_frame_grid(agent_id, frames, pos, step_duration)
 
 
-def rollout_edges(start, speed, others, steps, params, cfg) -> tuple:
-    """The reach edges of a rollout's groups, the subject at ``start`` as
-    row 0 and ``others`` after it, as ``predict_at_endtime`` builds them
-    over its window's groups."""
-    speeds = np.maximum([speed] + [g.speed for g in others], params.speed_floor)
-    starts = np.array([start] + [g.pos for g in others], dtype=np.float64)
-    return reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
-                       steps * cfg.step_duration)
-
-
 def rollout_one(start, dest, speed, scene, others, steps, params, cfg,
                 initial_velocity=None, start_frame: int = 0) -> list:
     """The trajectories of one subject's candidates ``dest``: a
-    ``predict_group_trajectory`` call with one subject, ``others`` after it
-    and the edges of :func:`rollout_edges`."""
+    ``predict_group_trajectory`` call with one subject and ``others`` after
+    it."""
     [out] = predict_group_trajectory(
         [start], [dest], [speed], scene, others, steps, params, cfg,
-        None if initial_velocity is None else [initial_velocity], start_frame,
-        edges=rollout_edges(start, speed, others, steps, params, cfg))
+        None if initial_velocity is None else [initial_velocity], start_frame)
     return out
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from crowdcast.core import DataError, Trajectory, build_database, velocity_at
-from crowdcast.dynamics import ReconstructionPolicy, predict_group_trajectory, reach_edges
+from crowdcast.dynamics import ReconstructionPolicy, predict_group_trajectory
 from crowdcast.evaluate import AgentRecord, MetricReport, WindowRow
 from crowdcast.pipeline import detect_groups, group_candidates
 
@@ -107,15 +107,12 @@ def predict_at_endtime(tracks, endtime: int, db, cfg, params, scene,
     centers = [st.center_trajectory for st in states]
     starts = np.reshape([c.positions[-1] for c in centers], (-1, 2))
     speeds = [max(mean_speed(c), params.speed_floor) for c in centers]
-    edges = reach_edges(starts, params.max_speed_for(np.array(speeds)),
-                        params.neighborhood_range,
-                        cfg.predict_time_steps * cfg.step_duration)
     trajs = predict_group_trajectory(
         starts, [np.array([c.destination for c in group]) for group in cands],
         np.array(speeds), scene, [], cfg.predict_time_steps, params, cfg,
         initial_velocity=np.reshape([velocity_at(c, int(c.frames[-1])) for c in centers],
                                     (-1, 2)),
-        start_frame=endtime, edges=edges)
+        start_frame=endtime)
     out = []
     for st, group_cands, speed, group_trajs in zip(states, cands, speeds, trajs):
         member_known = tuple(by_id[m] for m in st.members)
@@ -135,7 +132,7 @@ def run_experiment(tracks, scene, windows: list, cfg, params, mode: str = "rigid
     steps = cfg.predict_time_steps
     for window in windows:
         last = window.horizon_last(cfg)
-        total = sum(1 for tr in tracks if len(tr) and tr.frames[0] <= last)
+        total = len({tr.agent_id for tr in tracks if len(tr) and tr.frames[0] <= last})
         db = build_database(tracks, cfg, endtime=window.endtime)
         preds = predict_at_endtime(tracks, window.endtime, db, cfg, params, scene,
                                    mode, seed)

@@ -914,12 +914,12 @@ NEW_SITES = {("core.py", "Tracks._of_table"), ("core.py", "Trajectory.trusted")}
 # span of a checked track, the tracks of the table that read_canonical_csv
 # checks whole, rollout candidates sharing the first one's frames and times,
 # and reconstructed members sharing their group trajectory's (built from
-# one candidate's slice of the member array);
+# the one-candidate member array);
 # ingest's tracks are slices of one resample whose grid times it checks
 UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span"),
                               ("core.py", "read_canonical_csv"),
                               ("dynamics.py", "predict_group_trajectory"),
-                              ("dynamics.py", "member_trajectories"),
+                              ("dynamics.py", "reconstruct_members"),
                               ("ingest.py", "_canonical_tracks")}
 
 

@@ -22,7 +22,7 @@ from crowdcast.dynamics import (
     step,
 )
 
-from conftest import STEP, line_track, rollout_edges, rollout_one
+from conftest import STEP, line_track, rollout_one
 import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
 
@@ -574,10 +574,8 @@ class TestRolloutMatchesOracle:
         as_others = [GroupInit(start[s], dest[s][-1], speed[s], None if vel is None else vel[s])
                      for s in range(4)]
         steps = 12
-        out = predict_group_trajectory(
-            start, dest, speed, scene, others, steps, params, cfg, vel, start_frame=7,
-            edges=rollout_edges(start[0], speed[0], as_others[1:] + others, steps,
-                                params, cfg))
+        out = predict_group_trajectory(start, dest, speed, scene, others, steps, params,
+                                       cfg, vel, start_frame=7)
         assert [len(o) for o in out] == [len(d) for d in dest]
         for s in range(4):
             rest = as_others[:s] + as_others[s + 1:] + others
@@ -589,18 +587,16 @@ class TestRolloutMatchesOracle:
                 assert traj.positions.tobytes() == ref.positions.tobytes()
 
     def test_subject_arrays_checked(self, cfg, params, scene):
-        edges = (np.empty(0, np.intp),) * 2
         for start, dest, speed in (([(0.0, 0.0), (5.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
                                    ([(0.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
                                    ([(0.0, 0.0)], [np.empty((0, 2))], [1.0])):
             with pytest.raises(DataError):
-                predict_group_trajectory(start, dest, speed, scene, [], 5, params, cfg,
-                                         edges=edges)
+                predict_group_trajectory(start, dest, speed, scene, [], 5, params, cfg)
         with pytest.raises(ValueError, match="non-negative"):
             predict_group_trajectory([(0.0, 0.0)], [[(1.0, 0.0)]], [-1.0], scene, [], 5,
-                                     params, cfg, edges=edges)
+                                     params, cfg)
         assert predict_group_trajectory(np.empty((0, 2)), [], [], scene, [], 5, params,
-                                        cfg, edges=edges) == []
+                                        cfg) == []
 
 
 def _window_at_the_reach_bound(cfg, params):
@@ -655,11 +651,13 @@ def _spy_advance(monkeypatch) -> list:
 
 def _predict_window(monkeypatch, tracks, endtime, cfg, params, scene):
     """``predict_at_endtime`` with spies: returns its predictions, the
-    ``reach_edges`` calls, the ``predict_group_trajectory`` calls as
-    (arguments, keywords, result), and the ``_spy_advance`` records."""
+    ``reach_edges`` calls as (arguments, result), the
+    ``predict_group_trajectory`` calls as (arguments, keywords, result), and
+    the ``_spy_advance`` records."""
     from crowdcast import pipeline
 
     graphs, calls = [], []
+    reach_edges = dynamics.reach_edges      # the spy calls the original
 
     def spy(*args, **kw):
         out = predict_group_trajectory(*args, **kw)
@@ -667,11 +665,12 @@ def _predict_window(monkeypatch, tracks, endtime, cfg, params, scene):
         return out
 
     def graph_spy(*args):
-        graphs.append(args)
-        return dynamics.reach_edges(*args)
+        out = reach_edges(*args)
+        graphs.append((args, out))
+        return out
 
     monkeypatch.setattr(pipeline, "predict_group_trajectory", spy)
-    monkeypatch.setattr(pipeline, "reach_edges", graph_spy)
+    monkeypatch.setattr(dynamics, "reach_edges", graph_spy)
     advances = _spy_advance(monkeypatch)
     preds = cc.predict_at_endtime(tracks, endtime, cc.build_database(tracks, cfg, endtime),
                                   cfg, params, scene)
@@ -679,11 +678,12 @@ def _predict_window(monkeypatch, tracks, endtime, cfg, params, scene):
 
 
 def test_window_components_equal_full_rollouts(monkeypatch):
-    """``predict_at_endtime`` builds one reach graph per window and makes one
-    rollout call, with every group as a subject and the window's reach edges.
-    Each group's candidates have the bits of a one-subject call given every
-    other group; its component, as the dense test over every group of the
-    window finds it, has the size the tracks were built for."""
+    """``predict_at_endtime`` makes one rollout call per window, with every
+    group as a subject, and that call builds one reach graph: the edges of
+    the dense test over every pair of the window's groups. Each group's
+    candidates have the bits of a one-subject call given every other group;
+    its component, as the dense test over every group of the window finds
+    it, has the size the tracks were built for."""
     cfg = cc.Config(known_time_steps=5, predict_time_steps=10, k_candidates=2,
                     min_overlap_frames=3)
     params = ForceParams.from_config(cfg, substeps=2)
@@ -691,17 +691,19 @@ def test_window_components_equal_full_rollouts(monkeypatch):
     tracks = _window_at_the_reach_bound(cfg, params)
     preds, graphs, calls, _ = _predict_window(monkeypatch, tracks, 24, cfg, params, scene)
     assert [p.members for p in preds][-1] == ("m1", "m2")
-    assert len(graphs) == 1
+    assert len(graphs) == len(calls) == 1
     [((start, dest, speed, _, others, steps, *_), kw, out)] = calls
+    [(_, edges)] = graphs
     assert others == [] and steps == cfg.predict_time_steps
     assert len(start) == len(dest) == len(speed) == len(out) == len(preds)
     vel = kw["initial_velocity"]
     inits = [GroupInit(p, d[-1], s, v) for p, d, s, v in zip(start, dest, speed, vel)]
-    assert _unordered_pairs(kw["edges"]) == _unordered_pairs(
-        rollout_edges(start[0], speed[0], inits[1:], steps, params, cfg))
+    adj = dense_reach_adjacency(start, params.max_speed_for(speed),
+                                params.neighborhood_range, steps * cfg.step_duration)
+    assert _unordered_pairs(edges) == [tuple(e) for e in np.argwhere(np.triu(adj)).tolist()]
     sizes = []
     for g, (pred, got) in enumerate(zip(preds, out)):
-        assert [c.group_trajectory for c in pred.candidates] == got
+        assert list(pred.group_trajectories) == got
         rest = inits[:g] + inits[g + 1:]
         want = rollout_one(start[g], dest[g], speed[g], scene, rest, steps, params, cfg,
                            vel[g], start_frame=24)
@@ -733,8 +735,8 @@ class TestChunkedRollout:
             monkeypatch.setattr(dynamics, "_CHUNK", budget)
             preds, _, _, advances = _predict_window(monkeypatch, tracks, 24, cfg, params,
                                                     scene)
-            runs[budget] = [c.group_trajectory.positions.tobytes()
-                            for p in preds for c in p.candidates]
+            runs[budget] = [t.positions.tobytes()
+                            for p in preds for t in p.group_trajectories]
             assert len(advances) == (len(preds) if budget == 1 else 1)
             assert sum(n for _, n in advances) == len(runs[budget])
         assert runs[1] == runs[2**40]
@@ -776,7 +778,6 @@ class TestChunkedRollout:
         steps = 3
         horizon = steps * cfg.step_duration
         caps = params.max_speed_for(speed)
-        edges = dynamics.reach_edges(start, caps, params.neighborhood_range, horizon)
         adj = dense_reach_adjacency(start, caps, params.neighborhood_range, horizon)
         costs = []
         for s in range(len(start)):
@@ -789,7 +790,7 @@ class TestChunkedRollout:
 
         advances = _spy_advance(monkeypatch)
         out = predict_group_trajectory(start, dest, speed, cc.SceneGeometry.empty(), [],
-                                       steps, params, cfg, edges=edges)
+                                       steps, params, cfg)
         assert [len(o) for o in out] == [len(d) for d in dest]
         sizes = [size for size, _ in advances]
         assert max(sizes) <= max(dynamics._CHUNK, max(costs))

@@ -23,7 +23,7 @@ from crowdcast.evaluate import (
     run_experiment,
 )
 from crowdcast.pipeline import predict_at_endtime
-from crowdcast.retrieval import query_pose
+from crowdcast.retrieval import Candidate, query_pose
 
 import evaluate_oracle
 from conftest import STEP, benchmark_tracks, line_track
@@ -367,20 +367,50 @@ def test_window_equals_per_call_oracle(seed, mode):
         n_c, n_m = len(rollouts), len(members)
         assert pred.member_points.shape == (n_c, n_m, cfg.predict_time_steps, 2)
         assert not pred.member_points.flags.writeable
-        for c, (dest, prov, score, traj, by_member) in zip(pred.candidates, rollouts):
+        assert len(pred.candidates) == len(pred.group_trajectories) == n_c
+        for c, traj, points, (dest, prov, score, want, by_member) in zip(
+                pred.candidates, pred.group_trajectories, pred.member_points, rollouts):
+            assert type(c) is Candidate
             assert _same_bits(c.destination, dest)
             assert (c.provenance, repr(c.score)) == (prov, repr(score))
-            assert _same_trajectory(c.group_trajectory, traj)
-            assert list(c.member_trajectories) == list(by_member) == list(members)
-            for m, tr in c.member_trajectories.items():
-                assert _same_trajectory(tr, by_member[m])
-                assert not tr.positions.flags.writeable
+            assert _same_trajectory(traj, want)
+            assert list(by_member) == list(members)
+            for p, tr in zip(points, by_member.values()):
+                assert _same_bits(p, tr.positions)
+                assert _same_bits(traj.frames, tr.frames) and _same_bits(traj.times, tr.times)
     windows = [Window(endtime), Window(endtime + 1)]
     report = run_experiment(tracks, scene, windows, cfg, params, mode, seed % 7)
     oracle = evaluate_oracle.run_experiment(tracks, scene, windows, cfg, params,
                                             mode, seed % 7)
     assert repr(report.agents) == repr(oracle.agents)
     assert repr(report.rows) == repr(oracle.rows)
+
+
+def test_agent_split_over_two_tracks_scores_in_any_order():
+    """Agent ``a`` walks one straight line held by two tracks with its id,
+    one up to the endtime and one over the horizon. Every order of the
+    input scores ``a`` from its own rows, as the per-call reference does:
+    the ground truth from the horizon track, a baseline that continues the
+    line, and each agent counted once toward the window's total."""
+    cfg = cc.Config(known_time_steps=10, predict_time_steps=10, k_candidates=2,
+                    min_overlap_frames=3)
+    params = ForceParams.from_config(cfg, substeps=2)
+    walk = line_track("a", 0, 30, (0.0, 0.0), (1.0, 0.0))
+    split = [_grid("a", walk.frames[:20], walk.positions[:20]),
+             _grid("a", walk.frames[20:], walk.positions[20:]),
+             line_track("b", 0, 40, (0.0, 30.0), (0.8, 0.3))]
+    history = [line_track(f"h{k}", 0, 10, (2.0 * k - 5.0, 3.0 * k), (1.0, 0.1 * k))
+               for k in range(4)]
+    rng = np.random.default_rng(4)
+    scene, windows = cc.SceneGeometry.empty(), [Window(19)]
+    for _ in range(6):
+        tracks = [(history + split)[i] for i in rng.permutation(7)]
+        report = run_experiment(tracks, scene, windows, cfg, params)
+        oracle = evaluate_oracle.run_experiment(tracks, scene, windows, cfg, params)
+        assert repr(report.agents) == repr(oracle.agents)
+        assert repr(report.rows) == repr(oracle.rows)
+        assert [(r.agent_id, r.baseline_ade) for r in report.agents][0] == ("a", 0.0)
+        assert (report.rows[0].n_agents, report.rows[0].n_skipped) == (2, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,7 +497,7 @@ EDITS = st.sets(st.sampled_from(["move", "cut", "add", "shuffle"]), min_size=1)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES), edits=EDITS)
 def test_no_leak_from_after_the_endtime(seed, mode, edits):
     """Editing everything after a window's endtime leaves its groups,
-    candidates, group trajectories and member trajectories bit-equal."""
+    candidates, group trajectories and member arrays bit-equal."""
     rng = np.random.default_rng(seed)
     tracks, endtime, cfg = _random_window(rng)
     edited = _edit_after(tracks, endtime, rng, edits)
@@ -484,9 +514,9 @@ def test_no_leak_from_after_the_endtime(seed, mode, edits):
         assert _same_bits(pg.member_points, pw.member_points)
         for cg, cw in zip(pg.candidates, pw.candidates):
             assert _same_bits(cg.destination, cw.destination)
-            assert _same_trajectory(cg.group_trajectory, cw.group_trajectory)
-            assert all(_same_trajectory(cg.member_trajectories[m], cw.member_trajectories[m])
-                       for m in pg.members)
+        assert len(pg.group_trajectories) == len(pw.group_trajectories)
+        assert all(_same_trajectory(tg, tw)
+                   for tg, tw in zip(pg.group_trajectories, pw.group_trajectories))
 
 
 @settings(max_examples=30, deadline=None)
