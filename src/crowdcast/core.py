@@ -230,6 +230,12 @@ def final_velocity(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (positions[..., -1, :] - positions[..., -2, :]) / dt[..., None]
 
 
+def final_direction(positions: np.ndarray) -> np.ndarray:
+    """The average direction at the last point of each (..., N, 2) track,
+    N >= 2: row N - 1 of its :func:`_directions`, bit for bit."""
+    return _directions(positions)[..., -1, :]
+
+
 def average_direction(traj: Trajectory, step: int) -> np.ndarray:
     """Mean displacement from all earlier points to the step-th point.
 
@@ -246,14 +252,17 @@ def average_direction(traj: Trajectory, step: int) -> np.ndarray:
 
 
 def _directions(positions: np.ndarray) -> np.ndarray:
-    """Average direction at every point of one track, from one sequential
-    prefix sum: row i is (i·d_i − (d_0 + … + d_{i−1})) / i with d = p − p_0,
-    the mean of p_i − p_k over k < i (row 0 is zero). Row i depends only on
-    points 0 .. i, the cost is linear in the length, and a translation that
-    keeps the coordinates exact leaves every row unchanged."""
-    d = positions - positions[0]
-    before = np.concatenate([d[:1], np.cumsum(d[:-1], axis=0)])  # d_0 is 0
-    i = np.arange(len(d), dtype=np.float64)[:, None]
+    """Average direction at every point of each (..., N, 2) track, N >= 1,
+    from one sequential prefix sum along the points: row i is
+    (i·d_i − (d_0 + … + d_{i−1})) / i with d = p − p_0, the mean of
+    p_i − p_k over k < i (row 0 is zero). Row i depends only on points
+    0 .. i, the cost is linear in the length, a translation that keeps the
+    coordinates exact leaves every row unchanged, and a stack of tracks
+    gives each track's rows bit for bit."""
+    d = positions - positions[..., :1, :]
+    before = np.concatenate([d[..., :1, :], np.cumsum(d[..., :-1, :], axis=-2)],
+                            axis=-2)  # d_0 is 0
+    i = np.arange(d.shape[-2], dtype=np.float64)[:, None]
     return (i * d - before) / np.maximum(i, 1.0)
 
 
@@ -852,48 +861,56 @@ class SampleGrid:
     def _cells(self, x, y, side) -> tuple:
         return np.floor((x - self.origin[0]) / side), np.floor((y - self.origin[1]) / side)
 
-    def cell_of(self, point) -> np.ndarray:
-        """The (cx, cy) cell of a point, as floats; NaN or ±inf when a
-        coordinate is not finite."""
-        return np.floor((np.asarray(point, dtype=np.float64) - self.origin) / self.side)
+    def cell_of(self, points) -> np.ndarray:
+        """The (cx, cy) cell of each (..., 2) point, as floats; NaN or ±inf
+        where a coordinate is not finite."""
+        return np.floor((np.asarray(points, dtype=np.float64) - self.origin) / self.side)
 
-    def square(self, cell: np.ndarray, h: float) -> tuple:
-        """The indices of the samples in the cells within ``h`` of ``cell``
-        in both coordinates, and whether that square covers the whole grid,
-        in which case they are every sample. A cell with a NaN coordinate
-        covers the whole grid."""
-        lo, hi = cell - h, cell + h
-        if not ((lo > 0.0).any() or (hi < self.last).any()):
-            return np.arange(len(self.order)), True
+    def squares(self, points: np.ndarray, cells: np.ndarray, h: np.ndarray) -> tuple:
+        """The squares of the cells within ``h[q]`` of each (Q, 2)
+        ``cells[q]`` in both coordinates, the cell of ``points[q]``.
+
+        Returns whether each square covers the whole grid, in which case it
+        holds every sample; for the others, each column's query and its run
+        of ``order``, its first position and its count, by query, then
+        column; and each square's clearance, a lower bound on the distance
+        from its point to every finite sample outside it: the distance to
+        the nearest edge of the square with grid cells beyond it, less a
+        slack above the rounding of cell keys and edges at the coordinates'
+        magnitude (inf for the whole grid). A cell with a NaN coordinate
+        covers the whole grid; a far cell's rounding can leave a square
+        short, with no column.
+        """
+        lo, hi = cells - h[:, None], cells + h[:, None]
+        inner, outer = lo > 0.0, hi < self.last     # edges with cells beyond
+        whole = ~(inner | outer).any(axis=1)
+        near = np.where(inner, points - (self.origin + lo * self.side), np.inf)
+        far = np.where(outer, self.origin + (hi + 1.0) * self.side - points, np.inf)
+        clear = np.minimum(near, far).min(axis=1)
+        slack = 1e-12 * (self.magnitude + np.abs(points).max(axis=1) + (h + 1.0) * self.side)
+        np.subtract(clear, slack, out=clear, where=~whole)    # h may be inf there
+        np.maximum(clear, 0.0, out=clear)
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, self.last)
-        if (lo > hi).any():     # a far cell's rounding left the square short
-            return self.order[:0], False
-        cols = np.arange(lo[0], hi[0] + 1.0) * self.rows
-        first = self.keys.searchsorted(cols + lo[1])
-        count = self.keys.searchsorted(cols + hi[1], "right") - first
-        runs = np.repeat(first - np.cumsum(count) + count, count)
-        return self.order[runs + np.arange(len(runs))], False
+        spans = np.where(whole | (lo > hi).any(axis=1), 0.0,
+                         hi[:, 0] - lo[:, 0] + 1.0).astype(np.intp)
+        owner = np.repeat(np.arange(len(spans)), spans)
+        cols = (np.arange(len(owner)) + np.repeat(lo[:, 0] - (spans.cumsum() - spans), spans)
+                ) * self.rows
+        first = self.keys.searchsorted(cols + lo[owner, 1])
+        count = self.keys.searchsorted(cols + hi[owner, 1], "right") - first
+        return whole, owner, first, count, clear
 
-    def clearance(self, point: np.ndarray, cell: np.ndarray, h: float) -> float:
-        """A lower bound on the distance from ``point`` to every finite
-        sample outside ``square(cell, h)``: the distance to the nearest
-        edge of the square with grid cells beyond it, less a slack above
-        the rounding of cell keys and edges at the coordinates'
-        magnitude."""
-        near = np.where(cell - h > 0.0,
-                        point - (self.origin + (cell - h) * self.side), np.inf)
-        far = np.where(cell + h < self.last,
-                       self.origin + (cell + h + 1.0) * self.side - point, np.inf)
-        edge = float(min(near.min(), far.min()))
-        slack = 1e-12 * (self.magnitude + float(np.abs(point).max()) + (h + 1.0) * self.side)
-        return max(edge - slack, 0.0)
+    def samples(self, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The sample indices of the runs of ``order`` that start at
+        ``first`` and hold ``count`` each, run after run."""
+        runs = np.repeat(first - count.cumsum() + count, count)
+        return self.order[runs + np.arange(len(runs))]
 
-    def reach(self, cell: np.ndarray) -> float:
-        """How many cells ``cell`` lies outside the grid, in the coordinate
-        where it lies farthest out (at most 0 inside it, inf when not
-        finite)."""
-        out = np.maximum(-cell, cell - self.last).max()
-        return float(out) if np.isfinite(out) else math.inf
+    def reach(self, cells: np.ndarray) -> np.ndarray:
+        """How many cells each (Q, 2) cell lies outside the grid, in the
+        coordinate where it lies farthest out (at most 0 inside it, NaN
+        when a coordinate is NaN)."""
+        return np.maximum(-cells, cells - self.last).max(axis=1)
 
 
 class TrajectoryDatabase:

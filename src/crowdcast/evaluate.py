@@ -233,12 +233,19 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
     return MetricReport(cfg.k_candidates + 1, tuple(rows), tuple(records))
 
 
-def _rows_from(tracks: Tracks, first: int, steps: int) -> dict:
+def _rows_from(tracks: Tracks, first: int, steps: int, unique: bool = False) -> dict:
     """Agent id -> the table row of frame ``first`` in the last track with
-    that id holding every frame ``first`` .. ``first + steps - 1``."""
+    that id holding every frame ``first`` .. ``first + steps - 1``. With
+    ``unique``, two such tracks with one id raise ``DataError`` naming it."""
     hits, rows = tracks.covering(first, steps)
-    return {tracks[t].agent_id: r
-            for t, r in zip(hits.tolist(), (tracks.starts[hits] + rows).tolist())}
+    out = {tracks[t].agent_id: r
+           for t, r in zip(hits.tolist(), (tracks.starts[hits] + rows).tolist())}
+    if unique and len(out) < len(hits):
+        ids = [tracks[t].agent_id for t in hits.tolist()]
+        twice = next(a for a in ids if ids.count(a) > 1)
+        raise DataError(f"agent {twice!r} has two tracks holding every frame "
+                        f"{first}..{first + steps - 1}")
+    return out
 
 
 def _score_window(tracks: Tracks, preds: list, endtime: int, cfg: Config) -> list:
@@ -250,10 +257,11 @@ def _score_window(tracks: Tracks, preds: list, endtime: int, cfg: Config) -> lis
     baseline against the agents' horizon rows of the table. An agent's rows
     are found by its id, which may hold several tracks: its ground truth in
     the track holding the horizon, its baseline's two rows (frames
-    ``endtime - 1`` and ``endtime``) in the track it was grouped from.
+    ``endtime - 1`` and ``endtime``) in the track it was grouped from. Two
+    tracks with one id that both hold the horizon raise ``DataError``.
     """
     steps, n_known = cfg.predict_time_steps, cfg.known_time_steps
-    truth = _rows_from(tracks, endtime + 1, steps)
+    truth = _rows_from(tracks, endtime + 1, steps, unique=True)
     # every member holds the known window
     known_first = _rows_from(tracks, endtime - n_known + 1, n_known)
     scored, rows, cands = [], [], []

@@ -24,7 +24,7 @@ from .core import Config, SceneGeometry, Tracks, TrajectoryDatabase, final_veloc
 from .dynamics import (ForceParams, ReconstructionPolicy, member_positions,
                        predict_group_trajectory)
 from .grouping import build_intimacy_graph, extract_groups, make_group_state
-from .retrieval import candidate_destinations
+from .retrieval import track_candidates
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,29 @@ def detect_groups(tracks: list, endtime: int, cfg: Config) -> tuple:
     return known, states
 
 
-def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config) -> list:
+def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config,
+                     centers: tuple | None = None) -> list:
     """Stage 2: each group's candidate destinations, in ``states`` order.
 
-    A group queries ``db`` with its center pose, its own members excluded;
-    its straight-line continuation is always its last candidate.
+    Every group queries ``db`` with its center pose, its own members
+    excluded, in one :func:`track_candidates` pass over the (G, T, 2)
+    stack of the centers, which all cover the known window's T frames
+    (``centers``, the stacked positions and times, when the caller holds
+    them). A group's straight-line continuation is always its last
+    candidate.
     """
-    return [candidate_destinations(db, st.center_trajectory, cfg, exclude=st.members)
-            for st in states]
+    pos, times = _center_stack(states, cfg) if centers is None else centers
+    return track_candidates(db, pos, times, [(st.center_trajectory.agent_id, *st.members)
+                                             for st in states], cfg)
+
+
+def _center_stack(states: list, cfg: Config) -> tuple:
+    """The (G, T, 2) positions and (G, T) times of the groups' centers."""
+    pos = np.reshape([st.center_trajectory.positions for st in states],
+                     (len(states), cfg.known_time_steps, 2))
+    times = np.reshape([st.center_trajectory.times for st in states],
+                       (len(states), cfg.known_time_steps))
+    return pos, times
 
 
 def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
@@ -89,19 +104,15 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     with the other groups of its reach component, which head for their
     straight-line continuations. The desired speed is the center's mean
     speed, floored at ``params.speed_floor``, and the initial velocity its
-    last step's; both are one array pass over the centers, which all cover
-    the known window's frames. Each group's members along all its
-    candidates are one :func:`member_positions` array. Returns a
-    ``GroupPrediction`` per group; empty when no agent covers the window.
+    last step's; both are one array pass over the centers' stack, which
+    retrieval shares. Each group's members along all its candidates are
+    one :func:`member_positions` array. Returns a ``GroupPrediction`` per
+    group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
-    cands = group_candidates(db, states, cfg)
+    pos, times = _center_stack(states, cfg)
+    cands = group_candidates(db, states, cfg, (pos, times))
     by_id = {tr.agent_id: tr for tr in known}
-    # every center covers the known window's T frames: (G, T) stacks
-    pos = np.reshape([st.center_trajectory.positions for st in states],
-                     (len(states), cfg.known_time_steps, 2))
-    times = np.reshape([st.center_trajectory.times for st in states],
-                       (len(states), cfg.known_time_steps))
     # each row's mean keeps the bits of the 1-D mean of its per-step speeds
     speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)
                          / np.diff(times, axis=1)).mean(axis=1), params.speed_floor)

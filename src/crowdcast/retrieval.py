@@ -6,11 +6,16 @@ the destinations of the best-scoring samples, one per historical agent,
 become candidate destinations. A straight-line continuation of the query
 track is always appended as the final candidate so the set never depends
 entirely on the database.
+
+Every query of a window is answered in one array pass:
+:func:`track_candidates` takes a (G, T, 2) stack of tracks and
+:func:`rank_queries` ranks all their poses at once. :func:`query_similar`,
+:func:`candidate_destinations`, :func:`query_pose` and
+:func:`linear_continuation` are their one-query calls, with the same bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,15 @@ from .core import (
     TooFewPointsError,
     Trajectory,
     TrajectoryDatabase,
-    average_direction,
-    velocity_at,
+    final_direction,
+    final_velocity,
 )
 
 LINEAR_PROVENANCE = "linear-continuation"
+
+# (query, sample) rows that one block of queries scores at once; a query
+# whose square holds more is a block of its own
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,103 +62,217 @@ class Candidate:
     score: float | None
 
 
-def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
-                  k: int | None = None, exclude=()) -> list:
-    """The ``k`` best-matching historical agents, one sample each.
+def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
+                 cfg: Config, k: int | None = None) -> tuple:
+    """The ``k`` best-matching historical agents of each query, one sample
+    each.
 
+    Query q is at ``positions[q]`` heading ``directions[q]`` (both (Q, 2));
+    the agents with the ids in ``excluded[q]`` are dropped from its ranking.
     A sample's score is its distance to the query over the neighborhood
     range, plus ``direction_weight * (1 - cos)`` between the average
     movement directions. Samples heading against the query (negative
     cosine) are rejected; a stationary query or sample drops the direction
-    term. The query's own agent and ``exclude`` are dropped, each agent
-    keeps its best sample by score, then step, and the agents are ranked by
-    that score, then id (natural order). Returns ``(score, sample index)``
-    pairs.
+    term. Each agent keeps its best sample by score, then step, and the
+    agents are ranked by that score, then id (natural order). Returns the
+    query, score and sample index of every hit, by query, then rank.
 
-    The search is exact but reads only the samples near the query: it ranks
-    the samples of a growing square of ``db.grid`` cells around the query
-    position, until every sample outside the square must score strictly
-    above the k-th best agent. A sample at distance d that is not rejected
-    scores at least ``d / neighborhood_range + min(0, direction_weight)``,
-    because ``1 - cos`` lies in [0, 1]; the test subtracts a rounding slack.
-    The last square, if it comes to that, is the whole database.
+    The search is exact but reads only the samples near each query: it
+    ranks the samples of a growing square of ``db.grid`` cells around the
+    query position, until every sample outside the square must score
+    strictly above the k-th best agent. A sample at distance d that is not
+    rejected scores at least ``d / neighborhood_range + min(0,
+    direction_weight)``, because ``1 - cos`` lies in [0, 1]; the test
+    subtracts a rounding slack. The last square, if it comes to that, is
+    the whole database. Every round ranks the squares of all the queries
+    still open at once, in blocks of about ``_BLOCK_ROWS`` rows, and only
+    the queries that fail the test go round again.
     """
     if k is None:
         k = cfg.k_candidates
-    if len(db) == 0 or k <= 0:
-        return []
-    grid = db.grid
-    excluded = np.zeros(len(db.agent_ids), dtype=bool)
-    excluded[db.codes_of([pose.agent_id, *exclude])] = True
-    qn = float(np.sqrt(np.vecdot(pose.direction, pose.direction)))
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 2)
+    if len(db) == 0 or k <= 0 or not len(positions):
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp)
+    grid, agents = db.grid, len(db.agent_ids)
+    # the excluded agents as sorted (query, code) keys
+    dropped = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        q * agents + db.codes_of(ids) for q, ids in enumerate(excluded)]))
+    norms = np.sqrt(np.vecdot(directions, directions))
     least = min(0.0, cfg.direction_weight)
-    cell = grid.cell_of(pose.pos)
-    h = max(grid.reach(cell), 1.0)
+    cells = grid.cell_of(positions)
+    cells[~np.isfinite(cells).all(axis=1)] = np.nan    # its square is the whole grid
+    h = np.fmax(grid.reach(cells), 1.0)
+    active = np.arange(len(positions))
+    hits = []
     while True:
-        ids, whole = grid.square(cell, h)
-        scores, best = _rank(db, pose, qn, cfg, ids, whole, excluded, k)
-        if whole:
+        whole, owner, first, count, clear = grid.squares(positions[active], cells, h)
+        rows = np.bincount(owner, count, minlength=len(active))
+        rows[whole] = len(db)
+        ranked = []
+        for a, b in _blocks(rows):
+            cols = slice(*owner.searchsorted((a, b)))
+            ids = grid.samples(first[cols], count[cols])
+            query = np.repeat(active[owner[cols]], count[cols])
+            if whole[a:b].any():
+                every = active[a:b][whole[a:b]]
+                if b - a == 1:      # the whole grid's columns, read in place
+                    query, ids = every[0], None
+                else:
+                    ids = np.concatenate([ids, np.tile(np.arange(len(db)), every.size)])
+                    query = np.concatenate([query, np.repeat(every, len(db))])
+            ranked.append(_rank(db, cfg, k, dropped, positions, directions, norms,
+                                query, ids))
+        q, score, index = ranked[0] if len(ranked) == 1 else (
+            np.concatenate(x) for x in zip(*ranked))
+        count = np.bincount(q, minlength=len(positions))[active]
+        full = (count >= k) & ~whole
+        kth = score[q.searchsorted(active[full]) + (k - 1)]
+        # a whole-grid square is done, and a full one once it clears its kth
+        d = clear[full] / cfg.neighborhood_range
+        done = whole
+        done[full] = d + least - 1e-12 * (d + abs(least)) > kth
+        if done.all():
+            hits.append((q, score, index))
             break
-        if len(best) < k:
-            h = 2.0 * h + 1.0
-            continue
-        kth = float(scores[k - 1])
-        d = grid.clearance(pose.pos, cell, h) / cfg.neighborhood_range
-        if d + least - 1e-12 * (d + abs(least)) > kth:
-            break
-        # toward the square that clears the k-th score (one cell more for
-        # the slack), at least one ring and at most doubling at a time:
-        # the k-th score falls as the square grows. Where a ring more no
-        # longer changes a huge h, the next square is the whole grid
-        need = float(np.floor((kth - least) * cfg.neighborhood_range / grid.side)) + 2.0
-        grown = max(h + 1.0, min(need, 2.0 * h + 1.0))
-        h = grown if grown > h else math.inf
-    return [(float(s), int(i)) for s, i in zip(scores, best)]
+        closed = np.zeros(len(positions), dtype=bool)
+        closed[active[done]] = True
+        last = closed[q]
+        hits.append((q[last], score[last], index[last]))
+        # a square short of k agents doubles. Else it grows toward the
+        # square that clears the k-th score (one cell more for the slack),
+        # at least one ring and at most doubling at a time: the k-th score
+        # falls as the square grows. Where a ring more no longer changes a
+        # huge h, the next square is the whole grid
+        grown = 2.0 * h + 1.0
+        need = np.floor((kth - least) * cfg.neighborhood_range / grid.side) + 2.0
+        grown[full] = np.maximum(h[full] + 1.0, np.minimum(need, grown[full]))
+        h = np.where(grown > h, grown, np.inf)[~done]
+        active, cells = active[~done], cells[~done]
+    if len(hits) == 1:
+        return hits[0]
+    q, score, index = (np.concatenate(a) for a in zip(*hits))
+    order = np.argsort(q, kind="stable")
+    return q[order], score[order], index[order]
 
 
-def _rank(db: TrajectoryDatabase, pose: QueryPose, qn: float, cfg: Config,
-          ids: np.ndarray, whole: bool, excluded: np.ndarray, k: int) -> tuple:
-    """Score the samples ``ids`` and rank their agents, leaving out the
-    ``excluded`` agent codes: the scores and sample indices of the ``k``
-    best agents' best samples (lowest score, then step, then index),
-    ordered by score, then agent code. ``whole`` says ``ids`` is every
-    sample in order, whose columns are then read in place."""
-    columns = db.positions, db.direction_norms, db.agent_codes
-    pos, norms, codes = columns if whole else (a.take(ids, axis=0) for a in columns)
-    offset = pose.pos - pos
+def _blocks(rows: np.ndarray) -> list:
+    """Consecutive ``[a, b)`` runs of queries, each holding at most
+    ``_BLOCK_ROWS`` of the queries' ``rows`` or one query that holds more."""
+    out, a, held = [], 0, 0
+    for j, r in enumerate(rows.tolist()):
+        if held and held + r > _BLOCK_ROWS:
+            out.append((a, j))
+            a, held = j, 0
+        held += r
+    out.append((a, len(rows)))
+    return out
+
+
+def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
+          positions: np.ndarray, directions: np.ndarray, norms: np.ndarray,
+          query, ids) -> tuple:
+    """Score the (``query[r]``, sample ``ids[r]``) rows of one block and
+    rank each query's agents, leaving out the ``dropped`` (query, code)
+    keys. Returns the query, score and sample index of each query's ``k``
+    best agents' best samples (lowest score, then step, then index), by
+    query, then score, then agent code. ``query`` is one index and ``ids``
+    None for one query whose square is the whole grid, whose columns are
+    then read in place."""
+    columns = db.positions, db.direction_norms, db.agent_codes, db.directions
+    if ids is None:
+        ids = np.arange(len(db))
+        p, sample_norms, codes, sample_directions = columns
+    else:
+        p, sample_norms, codes, sample_directions = (a.take(ids, axis=0) for a in columns)
+    offset = positions[query] - p
     score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
-    if qn >= STATIONARY_NORM:
-        moving = np.flatnonzero(norms >= STATIONARY_NORM)
-        cos = np.vecdot(db.directions.take(ids[moving], axis=0), pose.direction) / (
-            qn * norms[moving])
-        score[moving] += cfg.direction_weight * (1.0 - cos)
-        # a rejected sample scores NaN and is never ranked
-        score[moving[~(cos >= 0.0)]] = np.nan
-    keep = np.flatnonzero(~(np.isnan(score) | excluded[codes]))
-    # only samples up to a score that k agents reach can be among the k
-    # best: the p lowest for the least p = k, 4k, 16k, ... whose samples
-    # hold k agents
-    kept, p = score[keep], k
-    while p < len(keep):
-        below = keep[kept <= np.partition(kept, p - 1)[p - 1]]
-        if len(np.unique(codes[below])) >= k:
-            keep = below
-            break
-        p *= 4
-    keep = keep[np.lexsort((ids[keep], db.steps[ids[keep]], codes[keep], score[keep]))]
-    _, first = np.unique(codes[keep], return_index=True)
-    best = keep[np.sort(first)[:k]]
-    return score[best], ids[best]
+    qn = norms[query]
+    moving = (qn >= STATIONARY_NORM) & (sample_norms >= STATIONARY_NORM)
+    cos = np.vecdot(sample_directions, directions[query])
+    np.divide(cos, qn * sample_norms, out=cos, where=moving)
+    score += np.where(moving, cfg.direction_weight * (1.0 - cos), 0.0)
+    # a rejected sample scores NaN and is never ranked
+    score[moving & ~(cos >= 0.0)] = np.nan
+    q = query if np.ndim(query) else np.broadcast_to(query, score.shape)
+    key = query * len(db.agent_ids) + codes
+    out = np.isnan(score)
+    if dropped.size:
+        out |= dropped[np.minimum(dropped.searchsorted(key), dropped.size - 1)] == key
+    keep = (~out).nonzero()[0]
+    if len(score) > _BLOCK_ROWS:
+        # a block of one query (:func:`_blocks`): only samples up to a score
+        # that k agents reach can be among its k best, the p lowest for the
+        # least p = k, 4k, 16k, ... whose samples hold k agents
+        kept, p = score[keep], k
+        while p < len(keep):
+            below = keep[kept <= np.partition(kept, p - 1)[p - 1]]
+            if len(np.unique(codes[below])) >= k:
+                keep = below
+                break
+            p *= 4
+    # each (query, agent)'s best sample is the first of its key's run ...
+    keep = keep[np.lexsort((ids[keep], db.steps[ids[keep]], score[keep], key[keep]))]
+    run = key[keep]
+    first = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=first[1:])
+    best = keep[first]
+    # ... and each query keeps the first k of those by score, then code
+    best = best[np.lexsort((key[best], score[best], q[best]))]
+    qb = q[best]
+    best = best[np.arange(len(best)) - qb.searchsorted(qb) < k]
+    return q[best], score[best], ids[best]
+
+
+def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
+                  k: int | None = None, exclude=()) -> list:
+    """The ``k`` best-matching historical agents for one pose, its own
+    agent and ``exclude`` dropped, as ``(score, sample index)`` pairs: the
+    one-query call of :func:`rank_queries`."""
+    _, score, index = rank_queries(db, pose.pos, pose.direction,
+                                   [(pose.agent_id, *exclude)], cfg, k)
+    return list(zip(score.tolist(), index.tolist()))
+
+
+def _poses(positions: np.ndarray) -> tuple:
+    """Query positions and directions of (G, T, 2) tracks, T >= 1: the last
+    point and the average movement direction at it (zero for one point)."""
+    pos = positions[:, -1].copy()
+    if positions.shape[1] < 2:
+        return pos, np.zeros_like(pos)
+    return pos, final_direction(positions)
+
+
+def _continuations(positions: np.ndarray, times: np.ndarray, pos: np.ndarray,
+                   direction: np.ndarray, cfg: Config) -> np.ndarray:
+    """Destinations from continuing each (G, T, 2) track at (G, T) times in a
+    straight line: the last position pushed along the normalized average
+    movement direction at the final speed for the whole prediction
+    horizon. A stationary or one-point track stays where it is."""
+    out = pos.copy()
+    if positions.shape[1] < 2:
+        return out
+    v = final_velocity(positions, times)
+    norm, speed = np.sqrt(np.vecdot(direction, direction)), np.sqrt(np.vecdot(v, v))
+    moving = ~((norm < STATIONARY_NORM) | (speed < STATIONARY_NORM))
+    horizon = cfg.predict_time_steps * cfg.step_duration
+    out[moving] = pos[moving] + (direction[moving] / norm[moving, None]) \
+        * speed[moving, None] * horizon
+    return out
+
+
+def _stack(traj: Trajectory) -> tuple:
+    """One track as a (1, N, 2) and (1, N) stack; it needs a point."""
+    if len(traj) == 0:
+        raise TooFewPointsError(f"agent {traj.agent_id!r} has no point to query")
+    return traj.positions[None], traj.times[None]
 
 
 def query_pose(traj: Trajectory) -> QueryPose:
     """Query pose of a track: last position and the average movement
     direction at the final step."""
-    if len(traj) == 0:
-        raise TooFewPointsError(f"agent {traj.agent_id!r} has no point to query")
-    direction = (average_direction(traj, len(traj)) if len(traj) >= 2
-                 else np.zeros(2))
-    return QueryPose(traj.agent_id, traj.positions[-1].copy(), direction)
+    pos, direction = _poses(_stack(traj)[0])
+    return QueryPose(traj.agent_id, pos[0], direction[0])
 
 
 def linear_continuation(traj: Trajectory, cfg: Config) -> np.ndarray:
@@ -159,26 +282,35 @@ def linear_continuation(traj: Trajectory, cfg: Config) -> np.ndarray:
     direction (the :func:`query_pose`) at the current speed for the whole
     prediction horizon. A stationary track stays where it is.
     """
-    pose = query_pose(traj)
-    if len(traj) < 2:
-        return pose.pos
-    norm = float(np.linalg.norm(pose.direction))
-    speed = float(np.linalg.norm(velocity_at(traj, int(traj.frames[-1]))))
-    if norm < STATIONARY_NORM or speed < STATIONARY_NORM:
-        return pose.pos
-    horizon = cfg.predict_time_steps * cfg.step_duration
-    return pose.pos + (pose.direction / norm) * speed * horizon
+    positions, times = _stack(traj)
+    return _continuations(positions, times, *_poses(positions), cfg)[0]
+
+
+def track_candidates(db: TrajectoryDatabase, positions: np.ndarray, times: np.ndarray,
+                     excluded, cfg: Config) -> list:
+    """Candidate destinations for each of the (G, T, 2) tracks
+    ``positions`` at (G, T) ``times``, T >= 1: up to ``k_candidates``
+    retrieved from the database by one :func:`rank_queries` call over the
+    tracks' query poses, the agents with the ids in ``excluded[g]`` dropped,
+    plus the straight-line continuation, always last."""
+    pos, direction = _poses(positions)
+    lines = _continuations(positions, times, pos, direction, cfg)
+    q, score, index = rank_queries(db, pos, direction, excluded, cfg)
+    out = [[] for _ in range(len(pos))]
+    for g, dest, code, step, s in zip(q.tolist(), db.destinations.take(index, axis=0),
+                                      db.agent_codes[index].tolist(),
+                                      db.steps[index].tolist(), score.tolist()):
+        out[g].append(Candidate(dest, f"db:{db.agent_ids[code]}@step{step}", s))
+    for group, line in zip(out, lines):
+        group.append(Candidate(line, LINEAR_PROVENANCE, None))
+    return out
 
 
 def candidate_destinations(db: TrajectoryDatabase, traj: Trajectory, cfg: Config,
                            exclude=()) -> list:
     """Candidate destinations for a track: up to ``k_candidates`` retrieved
-    from the database plus the straight-line continuation, always last.
+    from the database, its own agent and ``exclude`` dropped, plus the
+    straight-line continuation, always last: the one-track call of
+    :func:`track_candidates`.
     """
-    hits = query_similar(db, query_pose(traj), cfg, exclude=exclude)
-    out = [Candidate(db.destinations[i].copy(),
-                     f"db:{db.agent_ids[db.agent_codes[i]]}@step{db.steps[i]}",
-                     score)
-           for score, i in hits]
-    out.append(Candidate(linear_continuation(traj, cfg), LINEAR_PROVENANCE, None))
-    return out
+    return track_candidates(db, *_stack(traj), [(traj.agent_id, *exclude)], cfg)[0]

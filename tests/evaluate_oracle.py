@@ -141,6 +141,9 @@ def run_experiment(tracks, scene, windows: list, cfg, params, mode: str = "rigid
         for tr in tracks:
             i = int(np.searchsorted(tr.frames, horizon[0]))
             if i + steps <= len(tr) and np.array_equal(tr.frames[i:i + steps], horizon):
+                if tr.agent_id in truth:
+                    raise DataError(f"agent {tr.agent_id!r} has two tracks holding "
+                                    f"the horizon")
                 truth[tr.agent_id] = tr.span(i, i + steps)
         win = []
         for members, emotion, _, known, rollouts in preds:

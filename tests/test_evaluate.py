@@ -274,7 +274,8 @@ def test_jitter_mode_is_seed_deterministic():
 
 def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
     # a run's tracks keep one table, so 20 windows compute each track's
-    # directions once in all; every other call is one group's query pose
+    # directions once in all; every other call is one window's query poses,
+    # all its groups at once (none in some windows)
     calls = []
     original = core._directions
     monkeypatch.setattr(core, "_directions",
@@ -285,7 +286,7 @@ def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
                             [Window(e) for e in range(60, 80)], cfg, params)
     groups = sum(r.n_groups for r in report.rows)
     assert len(report.rows) == 20 and groups >= 20
-    assert len(calls) == len(tracks) + groups
+    assert len(calls) == len(tracks) + len(report.rows)
 
 
 def test_experiment_on_read_tracks_equals_on_a_list(cfg):
@@ -411,6 +412,31 @@ def test_agent_split_over_two_tracks_scores_in_any_order():
         assert repr(report.rows) == repr(oracle.rows)
         assert [(r.agent_id, r.baseline_ade) for r in report.agents][0] == ("a", 0.0)
         assert (report.rows[0].n_agents, report.rows[0].n_skipped) == (2, 4)
+
+
+def test_two_tracks_of_one_agent_over_the_horizon_raise():
+    """Agent ``a`` walks frames 0-29 along y = 0 and a second ``a`` track
+    walks frames 15-34 along y = 40, so both hold the horizon of
+    ``Window(19)``: its ground truth is ambiguous, and every input order
+    raises in the product and in the per-call reference, naming ``a``. The
+    same agent split into adjacent tracks still scores."""
+    cfg = cc.Config(known_time_steps=10, predict_time_steps=10, k_candidates=2,
+                    min_overlap_frames=3)
+    params = ForceParams.from_config(cfg, substeps=2)
+    a = line_track("a", 0, 30, (0.0, 0.0), (1.0, 0.0))
+    a_far = line_track("a", 15, 20, (15.0, 40.0), (1.0, 0.0))
+    b = line_track("b", 0, 40, (0.0, 30.0), (0.8, 0.3))
+    history = [line_track(f"h{k}", 0, 10, (2.0 * k - 5.0, 3.0 * k), (1.0, 0.1 * k))
+               for k in range(4)]
+    scene, windows = cc.SceneGeometry.empty(), [Window(19)]
+    for tracks in ([a, a_far, b], [a_far, a, b]):
+        for run in (run_experiment, evaluate_oracle.run_experiment):
+            with pytest.raises(DataError, match="agent 'a' has two tracks"):
+                run(tracks + history, scene, windows, cfg, params)
+    split = [_grid("a", a.frames[:20], a.positions[:20]),
+             _grid("a", a.frames[20:], a.positions[20:]), b]
+    report = run_experiment(split + history, scene, windows, cfg, params)
+    assert [r.agent_id for r in report.agents] == ["a", "b"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdcast as cc
+from crowdcast import retrieval
+from crowdcast.pipeline import detect_groups, group_candidates
 from crowdcast.retrieval import (
     LINEAR_PROVENANCE,
     Candidate,
@@ -18,9 +20,10 @@ from crowdcast.retrieval import (
     linear_continuation,
     query_pose,
     query_similar,
+    rank_queries,
 )
 
-from conftest import STEP, line_track, random_track
+from conftest import STEP, benchmark_tracks, line_track, random_track
 from retrieval_oracle import scan_similar
 
 
@@ -180,6 +183,163 @@ def test_query_equals_scan_oracle(tracks, agent, pos, direction, exclude, k):
     pose = QueryPose(agent, np.array(pos, float) * LATTICE, np.array(direction))
     assert (query_similar(db, pose, cfg, k=k, exclude=exclude)
             == scan_similar(db, pose, cfg, k=k, exclude=exclude))
+
+
+def _lattice_database(cfg, tracks):
+    return cc.build_database(
+        [cc.Trajectory.from_frame_grid(aid, np.arange(first, first + len(points)),
+                                       np.array(points, float) * LATTICE, STEP)
+         for aid, first, points in tracks], cfg)
+
+
+# a query is at a lattice point, far out (1e6 m), or not finite; it heads
+# along a lattice step, stands still near the stationary norm, or its
+# direction is NaN
+QUERY_POINTS = st.one_of(
+    LATTICE_POINTS.map(lambda p: (p[0] * LATTICE, p[1] * LATTICE)),
+    st.tuples(st.sampled_from([1e6, -1e6, 3e5]), st.sampled_from([0.0, 1e6, -2e6])),
+    st.sampled_from([(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, np.inf)]))
+QUERIES = st.tuples(
+    st.sampled_from(AGENTS + ("q",)), QUERY_POINTS,
+    st.one_of(QUERY_DIRECTIONS, st.just((np.nan, 1.0))),
+    st.lists(st.sampled_from(AGENTS + ("absent", "copy3")), max_size=3))
+
+
+@st.composite
+def query_sets(draw):
+    """1-8 queries; some repeat an earlier one exactly."""
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        if queries and draw(st.integers(0, 3)) == 0:
+            queries.append(queries[draw(st.integers(0, len(queries) - 1))])
+        else:
+            queries.append(draw(QUERIES))
+    return queries
+
+
+def _one_query(db, cfg, agent, pos, direction, exclude, k):
+    """The scan's answer for one query: a NaN coordinate scores every
+    sample NaN, so nothing ranks; a NaN direction has no length at least
+    the stationary norm, so it counts as still."""
+    if np.isnan(pos).any():
+        return []
+    if np.isnan(direction).any():
+        direction = np.zeros(2)
+    return scan_similar(db, QueryPose(agent, pos, direction), cfg, k=k, exclude=exclude)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tracks=lattice_tracks(), queries=query_sets(), k=st.integers(1, 16))
+@example(tracks=[], queries=[("q", (0.0, 0.0), (1.0, 0.0), [])], k=3)
+def test_batch_equals_one_query_scans(tracks, queries, k):
+    """One ``rank_queries`` pass over a query set gives each query exactly
+    the one-query scan's hits, scores bit for bit, with duplicate, far and
+    non-finite queries mixed in, k above the agent count and empty
+    databases."""
+    cfg = cc.Config()
+    db = _lattice_database(cfg, tracks)
+    positions = np.array([p for _, p, _, _ in queries], dtype=float)
+    directions = np.array([d for _, _, d, _ in queries], dtype=float)
+    excluded = [(agent, *exclude) for agent, _, _, exclude in queries]
+    q, score, index = rank_queries(db, positions, directions, excluded, cfg, k)
+    assert np.array_equal(q, np.sort(q, kind="stable"))
+    for j, (agent, _, _, exclude) in enumerate(queries):
+        got = list(zip(score[q == j].tolist(), index[q == j].tolist()))
+        assert got == _one_query(db, cfg, agent, positions[j], directions[j], exclude, k)
+
+
+def test_group_candidates_equal_one_track_calls(cfg):
+    """A window's batched candidates equal one ``candidate_destinations``
+    call per group center, destinations and scores bit for bit."""
+    tracks = benchmark_tracks(12)
+    db = cc.build_database(tracks, cfg, endtime=99)
+    _, states = detect_groups(tracks, 99, cfg)
+    assert len(states) == 12
+    for batch, st_ in zip(group_candidates(db, states, cfg), states):
+        one = candidate_destinations(db, st_.center_trajectory, cfg, exclude=st_.members)
+        assert len(batch) == len(one) == cfg.k_candidates + 1
+        for b, o in zip(batch, one):
+            assert b.destination.tobytes() == o.destination.tobytes()
+            assert (b.provenance, repr(b.score)) == (o.provenance, repr(o.score))
+
+
+def _spy_rows(monkeypatch) -> list:
+    """Rows scored per block of :func:`retrieval._rank` calls."""
+    rows, original = [], retrieval._rank
+
+    def spy(db, *args):
+        ids = args[-1]
+        rows.append(len(db) if ids is None else len(ids))
+        return original(db, *args)
+
+    monkeypatch.setattr(retrieval, "_rank", spy)
+    return rows
+
+
+def _far_apart_groups(cfg, side):
+    """``side``² clusters 10 km apart: each has six local walkers of 30
+    points as its history and one group of two walking beside them over
+    frames 30-59."""
+    tracks = []
+    for i in range(side * side):
+        origin = np.array([i // side, i % side], float) * 1e4
+        tracks += [line_track(f"h{i}_{j}", 0, 30, origin + (0.0, 2.0 * j), (1.0, 0.1))
+                   for j in range(6)]
+        tracks += [line_track(f"g{i}_{j}", 30, 30, origin + (1.0, 5.0 + 0.5 * j), (1.0, 0.1))
+                   for j in range(2)]
+    return tracks
+
+
+def test_rows_scored_grow_linearly_with_far_apart_groups(monkeypatch, cfg):
+    # 4 and 16 groups, each over its own local history: the rows each
+    # query scores do not depend on how many other groups there are
+    counts = []
+    for side in (2, 4):
+        tracks = _far_apart_groups(cfg, side)
+        db = cc.build_database(tracks, cfg, endtime=59)
+        _, states = detect_groups(tracks, 59, cfg)
+        assert len(states) == side * side
+        rows = _spy_rows(monkeypatch)
+        group_candidates(db, states, cfg)
+        counts.append(sum(rows))
+    assert 0 < counts[1] <= 4 * 1.1 * counts[0], counts
+
+
+def _far_queries(cfg, n_tracks, count=6):
+    """A database of ``n_tracks`` random walks of 30 points (28 samples
+    each) within 25 m of the origin, and ``count`` queries 1e6 m or more
+    away."""
+    rng = np.random.default_rng(50)
+    db = cc.build_database([random_track(rng, f"h{i % 30}", 0, 30, scale=20.0)
+                            for i in range(n_tracks)], cfg)
+    far = np.array([[1e6, 0.0], [-1e6, 1e6], [0.0, -1e6], [1e6, 1e6], [3e6, -1e5],
+                    [-2e6, 0.0]])[:count]
+    return db, far, np.tile([1.0, 0.5], (count, 1)), [("q",)] * count
+
+
+def test_rows_scored_grow_linearly_with_the_database_for_far_queries(monkeypatch, cfg):
+    # queries 1e6 m away end in the whole database: their rows follow its
+    # size, N and 4N
+    counts = []
+    for n_tracks in (40, 160):
+        db, *query = _far_queries(cfg, n_tracks)
+        assert len(db) == 28 * n_tracks
+        rows = _spy_rows(monkeypatch)
+        rank_queries(db, *query, cfg)
+        counts.append(sum(rows))
+    assert 0 < counts[1] <= 4 * 1.1 * counts[0], counts
+
+
+def test_far_queries_score_in_blocks_within_the_row_budget(monkeypatch, cfg):
+    # six far queries end in the whole database of N samples each; with a
+    # budget of N rows they are scored one block at a time, never six at once
+    db, *query = _far_queries(cfg, 80)
+    want = rank_queries(db, *query, cfg)
+    monkeypatch.setattr(retrieval, "_BLOCK_ROWS", len(db))
+    rows = _spy_rows(monkeypatch)
+    got = rank_queries(db, *query, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert max(rows) <= len(db) < sum(rows), rows
 
 
 def _walks(seed, n_tracks=80, scale=20.0, offset=(0.0, 0.0)):
