@@ -230,12 +230,6 @@ def final_velocity(positions: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (positions[..., -1, :] - positions[..., -2, :]) / dt[..., None]
 
 
-def final_direction(positions: np.ndarray) -> np.ndarray:
-    """The average direction at the last point of each (..., N, 2) track,
-    N >= 2: row N - 1 of its :func:`_directions`, bit for bit."""
-    return _directions(positions)[..., -1, :]
-
-
 def average_direction(traj: Trajectory, step: int) -> np.ndarray:
     """Mean displacement from all earlier points to the step-th point.
 

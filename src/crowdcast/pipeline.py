@@ -68,18 +68,15 @@ def detect_groups(tracks: list, endtime: int, cfg: Config) -> tuple:
     return known, states
 
 
-def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config,
-                     centers: tuple | None = None) -> list:
+def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config) -> list:
     """Stage 2: each group's candidate destinations, in ``states`` order.
 
     Every group queries ``db`` with its center pose, its own members
     excluded, in one :func:`track_candidates` pass over the (G, T, 2)
-    stack of the centers, which all cover the known window's T frames
-    (``centers``, the stacked positions and times, when the caller holds
-    them). A group's straight-line continuation is always its last
-    candidate.
+    stack of the centers, which all cover the known window's T frames. A
+    group's straight-line continuation is always its last candidate.
     """
-    pos, times = _center_stack(states, cfg) if centers is None else centers
+    pos, times = _center_stack(states, cfg)
     return track_candidates(db, pos, times, [(st.center_trajectory.agent_id, *st.members)
                                              for st in states], cfg)
 
@@ -104,14 +101,14 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     with the other groups of its reach component, which head for their
     straight-line continuations. The desired speed is the center's mean
     speed, floored at ``params.speed_floor``, and the initial velocity its
-    last step's; both are one array pass over the centers' stack, which
-    retrieval shares. Each group's members along all its candidates are
-    one :func:`member_positions` array. Returns a ``GroupPrediction`` per
+    last step's; both are one array pass over the centers' stack. Each
+    group's members along all its candidates are one
+    :func:`member_positions` array. Returns a ``GroupPrediction`` per
     group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     pos, times = _center_stack(states, cfg)
-    cands = group_candidates(db, states, cfg, (pos, times))
+    cands = group_candidates(db, states, cfg)
     by_id = {tr.agent_id: tr for tr in known}
     # each row's mean keeps the bits of the 1-D mean of its per-step speeds
     speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)

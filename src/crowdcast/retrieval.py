@@ -26,7 +26,7 @@ from .core import (
     TooFewPointsError,
     Trajectory,
     TrajectoryDatabase,
-    final_direction,
+    _directions,
     final_velocity,
 )
 
@@ -200,10 +200,13 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
     if dropped.size:
         out |= dropped[np.minimum(dropped.searchsorted(key), dropped.size - 1)] == key
     keep = (~out).nonzero()[0]
-    if len(score) > _BLOCK_ROWS:
-        # a block of one query (:func:`_blocks`): only samples up to a score
-        # that k agents reach can be among its k best, the p lowest for the
-        # least p = k, 4k, 16k, ... whose samples hold k agents
+    if np.ndim(query) == 0 or len(score) > _BLOCK_ROWS:
+        # a block of one query, its whole grid or over the budget
+        # (:func:`_blocks`): only samples up to a score that k agents reach
+        # can be among its k best, the p lowest for the least p = k, 4k,
+        # 16k, ... whose samples hold k agents. Several queries' rows have
+        # no one such score, and one query's small square sorts faster
+        # than it prunes
         kept, p = score[keep], k
         while p < len(keep):
             below = keep[kept <= np.partition(kept, p - 1)[p - 1]]
@@ -236,11 +239,9 @@ def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
 
 def _poses(positions: np.ndarray) -> tuple:
     """Query positions and directions of (G, T, 2) tracks, T >= 1: the last
-    point and the average movement direction at it (zero for one point)."""
-    pos = positions[:, -1].copy()
-    if positions.shape[1] < 2:
-        return pos, np.zeros_like(pos)
-    return pos, final_direction(positions)
+    point and the average movement direction at it (zero for one finite
+    point)."""
+    return positions[:, -1].copy(), _directions(positions)[:, -1]
 
 
 def _continuations(positions: np.ndarray, times: np.ndarray, pos: np.ndarray,

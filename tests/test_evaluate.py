@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crowdcast as cc
-from crowdcast import core
+from crowdcast import core, retrieval
 from crowdcast.core import DataError, Trajectory
 from crowdcast.dynamics import (MODES, ForceParams, ReconstructionPolicy, member_positions,
                                 reconstruct_members)
@@ -278,8 +278,9 @@ def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
     # all its groups at once (none in some windows)
     calls = []
     original = core._directions
-    monkeypatch.setattr(core, "_directions",
-                        lambda positions: calls.append(1) or original(positions))
+    for module in (core, retrieval):
+        monkeypatch.setattr(module, "_directions",
+                            lambda positions: calls.append(1) or original(positions))
     tracks = cc.Tracks(benchmark_tracks(3))
     params = ForceParams.from_config(cfg, substeps=1)
     report = run_experiment(tracks, cc.SceneGeometry.empty(),

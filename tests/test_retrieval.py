@@ -552,3 +552,20 @@ class TestCandidateDestinations:
         pose = query_pose(tr)
         assert np.array_equal(pose.pos, tr.positions[-1])
         assert pose.direction[0] > 0 and abs(pose.direction[1]) < 1e-12
+
+    def test_one_point_track(self, cfg):
+        # no movement yet: a still pose, a continuation that stays put, and
+        # the database ranked without the direction term
+        db = _db_from_lines(cfg, [(f"h{i}", 0, 15, (0.0, 2.0 * i), (1.0, 0.0))
+                                  for i in range(8)])
+        tr = line_track("a", 0, 1, (0.5, 0.1), (1.0, 0.0))
+        pose = query_pose(tr)
+        assert np.array_equal(pose.pos, tr.positions[-1])
+        assert np.array_equal(pose.direction, np.zeros(2))
+        assert np.array_equal(linear_continuation(tr, cfg), tr.positions[-1])
+        cands = candidate_destinations(db, tr, cfg)
+        assert cands[-1].provenance == LINEAR_PROVENANCE
+        assert np.array_equal(cands[-1].destination, tr.positions[-1])
+        assert ([(c.score, c.provenance) for c in cands[:-1]]
+                == [(s, f"db:{db.agent_ids[db.agent_codes[i]]}@step{db.steps[i]}")
+                    for s, i in scan_similar(db, pose, cfg)])
