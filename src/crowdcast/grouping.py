@@ -173,10 +173,21 @@ def _gather(members: list) -> tuple:
     positions = np.concatenate([tr.positions for tr in members])
     times = np.concatenate([tr.times for tr in members])
     stack = positions[rows]
-    name = "group[" + ",".join(sorted(tr.agent_id for tr in members)) + "]"
-    # the sum over members divided by n is what stack.mean(axis=0) computes
-    center = Trajectory(name, common, times[rows[0]], stack.sum(axis=0) / n)
+    # the sum over members divided by n is what stack.mean(axis=0) computes;
+    # the common frames and the first member's times there are a subset of
+    # one checked track's, so they strictly increase
+    center = _center([tr.agent_id for tr in members], common, times[rows[0]],
+                     stack.sum(axis=0) / n)
     return center, stack, np.maximum(rows - 1, starts), positions, times
+
+
+def _center(ids, frames, times, positions) -> Trajectory:
+    """The center track of the members ``ids``, named after them sorted,
+    from arrays that keep the :class:`Trajectory` invariants; they are made
+    read-only, and nothing is copied or checked."""
+    for arr in (frames, times, positions):
+        arr.setflags(write=False)
+    return Trajectory.trusted("group[" + ",".join(sorted(ids)) + "]", frames, times, positions)
 
 
 def group_center_trajectory(members: list) -> Trajectory:
@@ -295,3 +306,66 @@ def make_group_state(members: list, cfg: Config) -> GroupState:
     offsets = dict(zip((tr.agent_id for tr in members), stack[:, -1] - center.positions[-1]))
     return GroupState(tuple(sorted(tr.agent_id for tr in members)), center,
                       emotion, offsets)
+
+
+def window_group_states(known: list, groups: list) -> list:
+    """:func:`make_group_state` of each group of a known window, bit for
+    bit, in one array pass per group size.
+
+    Every track of ``known`` holds the same frames, the window's T; each of
+    ``groups`` lists member ids among theirs, and its rows follow that
+    order, which fixes the order of the sums. The tracks are stacked once
+    into (N, T, 2) positions and (N, T) times. The B groups of one size
+    n >= 2 gather their (B, n, T, 2) members: the centers are the sum over
+    members divided by n, the offsets each member's last position minus its
+    center's. Their velocities at the trailing w = ``min(EMOTION_WINDOW_FRAMES,
+    T)`` frames, by the :func:`velocity_at` rule within the window, go to
+    one :func:`_emotions` call as B * w frames of n members. A singleton's
+    center is a :meth:`Trajectory.span` of its track, with emotion 1.
+    States are returned in ``groups`` order.
+    """
+    if not groups:
+        return []
+    frames = known[0].frames
+    steps = len(frames)
+    # frames strictly increase within a track, so none runs across two
+    # copies of the first track's: N copies in N tracks are one track each
+    held = np.concatenate([tr.frames for tr in known])
+    if len(held) != len(known) * steps or (held.reshape(-1, steps) != frames).any():
+        raise DataError("known-window tracks must hold the same frames")
+    positions = np.concatenate([tr.positions for tr in known]).reshape(-1, steps, 2)
+    times = np.concatenate([tr.times for tr in known]).reshape(-1, steps)
+    index = {tr.agent_id: k for k, tr in enumerate(known)}
+    by_size = {}
+    for g, members in enumerate(groups):
+        by_size.setdefault(len(members), []).append(g)
+    # the rows where each trailing frame's velocity difference ends: the
+    # backward one, or the forward one from the window's first row
+    w = min(EMOTION_WINDOW_FRAMES, steps)
+    end = np.maximum(np.arange(steps - w, steps), 1)[:, None]
+    states = [None] * len(groups)
+    for n, which in by_size.items():
+        rows = np.array([[index[m] for m in groups[g]] for g in which], dtype=np.intp)
+        stack = positions[rows]
+        if n == 1:
+            centers = [known[k].span(0, steps, f"group[{known[k].agent_id}]")
+                       for k in rows[:, 0].tolist()]
+            center_pos = stack[:, 0]
+            emotions = [1.0] * len(which)
+        else:
+            center_pos = stack.sum(axis=1) / n
+            centers = [_center(groups[g], frames, t, p)
+                       for g, t, p in zip(which, times[rows[:, 0]], center_pos)]
+            # (B, 1, n) rows against (w, 1) ends gather (B, w, n), so the
+            # (B * w, n, 2) velocities are contiguous
+            member = rows[:, None, :]
+            dt = times[member, end] - times[member, end - 1]
+            vels = (positions[member, end] - positions[member, end - 1]) / dt[..., None]
+            values = np.reshape(_emotions(vels.reshape(-1, n, 2)), (-1, w))
+            # each row's bits of np.mean over its w values
+            emotions = (np.add.reduce(values, axis=1) / w).tolist()
+        offsets = stack[:, :, -1] - center_pos[:, None, -1]
+        for g, center, emotion, offset in zip(which, centers, emotions, offsets):
+            states[g] = GroupState(tuple(sorted(groups[g])), center, emotion,
+                                   dict(zip(groups[g], offset)))
+    return states

@@ -1,7 +1,8 @@
 """End-to-end prediction at a single endtime, as a chain of stages.
 
 1. :func:`detect_groups` cuts the known window and divides its agents into
-   groups, each with its center track, emotion and member offsets;
+   groups, each with its center track, emotion and member offsets, in one
+   array pass per group size over the window's (N, T, 2) positions;
 2. :func:`group_candidates` retrieves each group's candidate destinations
    from a historical database;
 3. :func:`predict_at_endtime` composes the two, rolls every group's
@@ -23,7 +24,7 @@ import numpy as np
 from .core import Config, SceneGeometry, Tracks, TrajectoryDatabase, final_velocity
 from .dynamics import (ForceParams, ReconstructionPolicy, member_positions,
                        predict_group_trajectory)
-from .grouping import build_intimacy_graph, extract_groups, make_group_state
+from .grouping import build_intimacy_graph, extract_groups, window_group_states
 from .retrieval import track_candidates
 
 
@@ -59,13 +60,13 @@ def detect_groups(tracks: list, endtime: int, cfg: Config) -> tuple:
     Returns the known tracks (:func:`known_window_tracks`) and one
     ``GroupState`` per connected component of their closeness graph, in
     ``extract_groups`` order; both are empty when no agent covers the
-    window.
+    window. Every known track holds the window's T frames, so the states
+    are :func:`window_group_states` of the stacked (N, T, 2) window: one
+    gather and one emotion pass per group size, each state bit-equal to a
+    ``make_group_state`` call on its members.
     """
     known = known_window_tracks(tracks, endtime, cfg)
-    by_id = {tr.agent_id: tr for tr in known}
-    states = [make_group_state([by_id[m] for m in members], cfg)
-              for members in extract_groups(build_intimacy_graph(known, cfg))]
-    return known, states
+    return known, window_group_states(known, extract_groups(build_intimacy_graph(known, cfg)))
 
 
 def group_candidates(db: TrajectoryDatabase, states: list, cfg: Config) -> list:

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast import grouping
@@ -20,7 +22,9 @@ from crowdcast.grouping import (
     group_emotion,
     make_group_state,
     pairwise_intimacy,
+    window_group_states,
 )
+from crowdcast.pipeline import known_window_tracks
 
 import grouping_oracle as oracle
 from conftest import STEP, line_track, random_track
@@ -540,3 +544,126 @@ class TestEmotionMatchesOracle:
         got = np.vecdot(v[:, None], v[None, :])
         ref = np.array([[float(a @ b) for b in v] for a in v])
         assert np.array_equal(got, ref)
+
+
+def _walkers(rng, name, count, start, velocity, jitter, endtime, steps):
+    """``count`` agents walking ``velocity`` together from ``start``, each at
+    its own offset within 0.3 m plus ``jitter`` noise, on its own clock
+    (frame * STEP plus an agent offset and a row jitter, so no time is
+    frame * STEP), each over the known window ending at ``endtime`` and
+    up to 3 frames either side."""
+    out = []
+    for m in range(count):
+        first = endtime - steps + 1 - int(rng.integers(0, 4))
+        frames = np.arange(first, endtime + 1 + int(rng.integers(0, 4)))
+        k = (frames - (endtime - steps + 1))[:, None]
+        pos = (np.asarray(start) + rng.uniform(-0.15, 0.15, size=2)
+               + k * np.asarray(velocity) * STEP
+               + rng.normal(0.0, jitter, size=(len(frames), 2)))
+        times = (frames * STEP + rng.uniform(-5.0, 5.0)
+                 + rng.uniform(-0.2, 0.2, size=len(frames)) * STEP)
+        out.append(cc.Trajectory(f"{name}m{m}", frames, times, pos))
+    return out
+
+
+def _per_group_states(tracks, endtime, cfg):
+    """The oracle: ``make_group_state`` of each component, one call each."""
+    known = known_window_tracks(tracks, endtime, cfg)
+    by_id = {tr.agent_id: tr for tr in known}
+    return [make_group_state([by_id[m] for m in members], cfg)
+            for members in extract_groups(build_intimacy_graph(known, cfg))]
+
+
+def assert_states_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.members == b.members
+        ca, cb = a.center_trajectory, b.center_trajectory
+        assert ca.agent_id == cb.agent_id
+        for x, y in ((ca.frames, cb.frames), (ca.times, cb.times),
+                     (ca.positions, cb.positions)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+            assert not x.flags.writeable
+        assert a.emotion == b.emotion
+        assert list(a.member_offsets) == list(b.member_offsets)
+        for agent_id, offset in b.member_offsets.items():
+            assert a.member_offsets[agent_id].tobytes() == offset.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 8))
+def test_window_states_equal_per_group_calls(seed, steps):
+    # singletons and groups of 2-5 members 30 m apart, moving, still or
+    # jittering, on per-agent clocks, known windows on both sides of
+    # EMOTION_WINDOW_FRAMES; plus agents that miss the window
+    rng = np.random.default_rng(seed)
+    cfg = cc.Config(known_time_steps=steps, min_overlap_frames=steps)
+    endtime = 20
+    tracks, sizes = [], rng.integers(1, 6, size=int(rng.integers(1, 12))).tolist()
+    for g, size in enumerate(sizes):
+        kind = rng.integers(0, 3)
+        velocity = (0.0, 0.0) if kind == 0 else rng.uniform(-1.5, 1.5, size=2)
+        tracks += _walkers(rng, f"g{g}", size, (30.0 * g, 0.0),
+                           velocity, 0.0 if kind < 2 else 0.05, endtime, steps)
+    tracks.append(line_track("late", endtime - steps + 2, steps, (0.0, 0.1), (1.0, 0.0)))
+    tracks.append(line_track("early", 0, endtime - 1, (0.0, -0.1), (1.0, 0.0)))
+    rng.shuffle(tracks)
+    known, got = cc.detect_groups(tracks, endtime, cfg)
+    assert {tr.agent_id for tr in known}.isdisjoint({"late", "early"})
+    assert sorted(st.size for st in got) == sorted(sizes)
+    assert_states_equal(got, _per_group_states(tracks, endtime, cfg))
+
+
+@pytest.mark.parametrize("steps", [2, 8])
+def test_window_states_of_chains_split_into_row_blocks(steps):
+    # lines of agents 0.7 m apart: each a chain of close pairs, one group,
+    # two of 130 members and one of 190, large enough that the emotion of
+    # each size runs over several row blocks
+    rng = np.random.default_rng(steps)
+    cfg = cc.Config(known_time_steps=steps, min_overlap_frames=steps)
+    tracks = []
+    for c, n in enumerate((130, 190, 130)):
+        for m in range(n):
+            tracks += _walkers(rng, f"c{c}w{m:03d}", 1, (0.7 * m, 300.0 * c),
+                               (0.0, 1.0), 0.02, 20, steps)
+    got = cc.detect_groups(tracks, 20, cfg)[1]
+    assert sorted(st.size for st in got) == [130, 130, 190]
+    w = min(grouping.EMOTION_WINDOW_FRAMES, steps)
+    assert grouping._PAIR_BLOCK // (2 * w * 130) < 130
+    assert grouping._PAIR_BLOCK // (w * 190) < 190
+    assert_states_equal(got, _per_group_states(tracks, 20, cfg))
+
+
+def test_window_emotions_once_per_group_size(cfg, monkeypatch):
+    # pairs and trios 50 m apart: a window of n or 4n of each calls the
+    # emotion once per group size of two or more, not once per group
+    calls = []
+    emotions = grouping._emotions
+
+    def spy(vels):
+        calls.append(vels.shape)
+        return emotions(vels)
+
+    monkeypatch.setattr(grouping, "_emotions", spy)
+    steps = cfg.known_time_steps
+    for n in (6, 24):
+        tracks = [line_track(f"{kind}{i:03d}m{m}", 0, steps, (50.0 * i + 0.4 * m, y),
+                             (1.0, 0.0))
+                  for i in range(n) for kind, size, y in (("p", 2, 0.0), ("t", 3, 50.0))
+                  for m in range(size)]
+        calls.clear()
+        _, states = cc.detect_groups(tracks, steps - 1, cfg)
+        assert sorted(st.size for st in states) == [2] * n + [3] * n
+        assert sorted(calls) == [(n * grouping.EMOTION_WINDOW_FRAMES, size, 2)
+                                 for size in (2, 3)]
+
+
+def test_window_states_need_one_frame_set(cfg):
+    a = line_track("a", 0, 6, (0.0, 0.0), (1.0, 0.0))
+    b = line_track("b", 1, 6, (0.0, 0.3), (1.0, 0.0))
+    c = line_track("c", 0, 5, (0.0, 0.6), (1.0, 0.0))
+    for known in ([a, b], [a, c], [c, a]):
+        with pytest.raises(DataError, match=r"^known-window tracks must hold the same frames$"):
+            window_group_states(known, [tuple(tr.agent_id for tr in known)])
+    assert window_group_states([], []) == []
