@@ -248,8 +248,8 @@ def _prediction_layers(preds: list, known: list, tracks: list, endtime: int,
             future = tr.positions[(tr.frames > endtime) & (tr.frames <= horizon_last)]
             if len(future) >= 2:
                 layers.append(("groundtruth", future))
-        for c, traj in zip(pred.candidates, pred.group_trajectories):
-            layers.append(("predicted", traj.positions))
+        for c, points in zip(pred.candidates, pred.group_points):
+            layers.append(("predicted", points))
             layers.append(("destination", c.destination.reshape(1, 2)))
     return layers
 
@@ -271,10 +271,10 @@ def cmd_predict(args) -> int:
         "desired_speed": float(pred.desired_speed),
         "candidates": [{
             **_candidate(c),
-            "group_trajectory": _points(traj.positions),
+            "group_trajectory": _points(group),
             "members": dict(zip(pred.members, map(_points, points))),
-        } for c, traj, points in zip(pred.candidates, pred.group_trajectories,
-                                     pred.member_points)],
+        } for c, group, points in zip(pred.candidates, pred.group_points,
+                                      pred.member_points)],
     } for pred in preds])
     _write_outputs(args, run, {"predictions.jsonl": text},
                    endtime=args.endtime, scene=args.scene,

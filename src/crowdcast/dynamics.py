@@ -396,8 +396,7 @@ def _unit(to: np.ndarray) -> np.ndarray:
 
 def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
                              others: list, steps: int, params: ForceParams,
-                             cfg: Config, initial_velocity=None,
-                             start_frame: int = 0) -> list:
+                             cfg: Config, initial_velocity=None) -> list:
     """Roll each of S subject groups toward each of its candidate
     destinations for ``steps`` output steps.
 
@@ -417,8 +416,9 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     its connected component in ascending row order. Blocks advance together
     in chunks of whole subjects (``_CHUNK``). Desired speeds are floored at
     ``params.speed_floor``, so a briefly stationary group still makes
-    progress. Returns S lists of C_s trajectories, each with one position
-    per step on frames ``start_frame + 1 .. start_frame + steps``.
+    progress. Returns S read-only (C_s, steps, 2) arrays, subject s's
+    position after each output step along each of its candidates: views of
+    one array that joins every chunk's positions.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -507,14 +507,8 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     if not points:
         return []
     points = np.concatenate(points)
-    frames = np.arange(start_frame + 1, start_frame + steps + 1)
-    # the candidates share frames and times: checked once, with the first
-    first = Trajectory("predicted", frames, frames * cfg.step_duration, points[0])
     points.setflags(write=False)
-    trajs = [first] + [Trajectory.trusted("predicted", first.frames, first.times, p)
-                       for p in points[1:]]
-    bounds = np.cumsum([0] + [len(c) for c in cands]).tolist()
-    return [trajs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return np.split(points, np.cumsum([len(c) for c in cands[:-1]]))
 
 
 # the member reconstruction modes of ReconstructionPolicy

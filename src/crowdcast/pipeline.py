@@ -9,7 +9,7 @@
    candidates out in one call, jointly with the other groups, and
    reconstructs each group's members along all its candidates as one
    (C, M, T, 2) array. A ``GroupPrediction`` holds the retrieved
-   candidates, the rollout's group trajectories and that array.
+   candidates, the rollout's (C, T, 2) group positions and that array.
 
 The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
 the first, second and full stage; the experiment runner scores the last.
@@ -31,16 +31,16 @@ from .retrieval import track_candidates
 @dataclass(frozen=True)
 class GroupPrediction:
     """All candidates for one group at one endtime: the retrieved
-    ``candidates`` (``retrieval.Candidate``, the straight line last), the
-    group trajectory driven to each, and ``member_points``, the read-only
-    (C, M, T, 2) array of every candidate's members, in ``candidates`` and
-    ``members`` order."""
+    ``candidates`` (``retrieval.Candidate``, the straight line last),
+    ``group_points``, the read-only (C, T, 2) positions of the group driven
+    to each, and ``member_points``, the read-only (C, M, T, 2) array of
+    every candidate's members, in ``candidates`` and ``members`` order."""
 
     members: tuple
     emotion: float
     desired_speed: float
     candidates: tuple
-    group_trajectories: tuple
+    group_points: np.ndarray
     member_points: np.ndarray
 
 
@@ -102,10 +102,10 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     with the other groups of its reach component, which head for their
     straight-line continuations. The desired speed is the center's mean
     speed, floored at ``params.speed_floor``, and the initial velocity its
-    last step's; both are one array pass over the centers' stack. Each
-    group's members along all its candidates are one
-    :func:`member_positions` array. Returns a ``GroupPrediction`` per
-    group; empty when no agent covers the window.
+    last step's; both are one array pass over the centers' stack. The
+    rollout gives each group's candidates as one (C, T, 2) array, handed
+    whole to :func:`member_positions` for its members. Returns a
+    ``GroupPrediction`` per group; empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     pos, times = _center_stack(states, cfg)
@@ -114,18 +114,17 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     # each row's mean keeps the bits of the 1-D mean of its per-step speeds
     speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)
                          / np.diff(times, axis=1)).mean(axis=1), params.speed_floor)
-    trajs = predict_group_trajectory(
+    rolled = predict_group_trajectory(
         pos[:, -1], [np.array([c.destination for c in group]) for group in cands],
         speeds, scene, [], cfg.predict_time_steps, params, cfg,
-        initial_velocity=final_velocity(pos, times), start_frame=endtime)
+        initial_velocity=final_velocity(pos, times))
 
     out = []
-    for st, group_cands, speed, group_trajs in zip(states, cands, speeds.tolist(), trajs):
+    for st, group_cands, speed, group in zip(states, cands, speeds.tolist(), rolled):
         policy = ReconstructionPolicy.from_known_window(
             [by_id[m] for m in st.members], st.center_trajectory, st.member_offsets,
             mode, seed)
-        points = member_positions(np.stack([t.positions for t in group_trajs]),
-                                  st.member_offsets, st.emotion, policy)
+        points = member_positions(group, st.member_offsets, st.emotion, policy)
         out.append(GroupPrediction(st.members, st.emotion, speed, tuple(group_cands),
-                                   tuple(group_trajs), points))
+                                   group, points))
     return out

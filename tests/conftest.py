@@ -29,13 +29,13 @@ def line_track(agent_id: str, first_frame: int, n: int, start, velocity,
 
 
 def rollout_one(start, dest, speed, scene, others, steps, params, cfg,
-                initial_velocity=None, start_frame: int = 0) -> list:
-    """The trajectories of one subject's candidates ``dest``: a
-    ``predict_group_trajectory`` call with one subject and ``others`` after
-    it."""
+                initial_velocity=None) -> np.ndarray:
+    """The (C, steps, 2) positions of one subject along its candidates
+    ``dest``: a ``predict_group_trajectory`` call with one subject and
+    ``others`` after it."""
     [out] = predict_group_trajectory(
         [start], [dest], [speed], scene, others, steps, params, cfg,
-        None if initial_velocity is None else [initial_velocity], start_frame)
+        None if initial_velocity is None else [initial_velocity])
     return out
 
 

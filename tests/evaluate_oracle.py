@@ -107,14 +107,17 @@ def predict_at_endtime(tracks, endtime: int, db, cfg, params, scene,
     centers = [st.center_trajectory for st in states]
     starts = np.reshape([c.positions[-1] for c in centers], (-1, 2))
     speeds = [max(mean_speed(c), params.speed_floor) for c in centers]
-    trajs = predict_group_trajectory(
+    rolled = predict_group_trajectory(
         starts, [np.array([c.destination for c in group]) for group in cands],
         np.array(speeds), scene, [], cfg.predict_time_steps, params, cfg,
         initial_velocity=np.reshape([velocity_at(c, int(c.frames[-1])) for c in centers],
-                                    (-1, 2)),
-        start_frame=endtime)
+                                    (-1, 2)))
+    # each candidate's positions as a checked track on the horizon's frames
+    frames = np.arange(endtime + 1, endtime + cfg.predict_time_steps + 1)
     out = []
-    for st, group_cands, speed, group_trajs in zip(states, cands, speeds, trajs):
+    for st, group_cands, speed, points in zip(states, cands, speeds, rolled):
+        group_trajs = [Trajectory("predicted", frames, frames * cfg.step_duration, p)
+                       for p in points]
         member_known = tuple(by_id[m] for m in st.members)
         policy = ReconstructionPolicy.from_known_window(
             member_known, st.center_trajectory, st.member_offsets, mode, seed)

@@ -153,9 +153,9 @@ def test_criterion_5_integrator_sanity(cfg):
 
     for dist in (1.0, 3.0, 6.0, 9.0, 11.5):
         assert dist <= 1.0 * horizon
-        [traj] = rollout_one((0.0, 0.0), [(dist, 0.0)], 1.0, scene, [],
-                             cfg.predict_time_steps, params, cfg)
-        err = float(np.linalg.norm(traj.positions[-1] - [dist, 0.0]))
+        [points] = rollout_one((0.0, 0.0), [(dist, 0.0)], 1.0, scene, [],
+                               cfg.predict_time_steps, params, cfg)
+        err = float(np.linalg.norm(points[-1] - [dist, 0.0]))
         assert err <= 0.5, f"dist {dist}: arrival error {err:.3f}"
 
     rng = np.random.default_rng(55)

@@ -912,14 +912,12 @@ NEW_SITES = {("core.py", "Tracks._of_table"), ("core.py", "Trajectory.trusted")}
 
 # the callers of Trajectory.trusted, each on rows already checked once: a
 # span of a checked track, the tracks of the table that read_canonical_csv
-# checks whole, rollout candidates sharing the first one's frames and times,
-# reconstructed members sharing their group trajectory's (built from the
-# one-candidate member array), and group centers on frames and times that
-# are a subset of one checked member's;
+# checks whole, reconstructed members sharing their group trajectory's
+# (built from the one-candidate member array), and group centers on frames
+# and times that are a subset of one checked member's;
 # ingest's tracks are slices of one resample whose grid times it checks
 UNCHECKED_TRAJECTORY_SITES = {("core.py", "Trajectory.span"),
                               ("core.py", "read_canonical_csv"),
-                              ("dynamics.py", "predict_group_trajectory"),
                               ("dynamics.py", "reconstruct_members"),
                               ("grouping.py", "_center"),
                               ("ingest.py", "_canonical_tracks")}

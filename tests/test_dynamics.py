@@ -180,10 +180,10 @@ class TestPredictGroupTrajectory:
         scene = cc.SceneGeometry(polygons=(ring,),
                                  bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
         t0 = time.perf_counter()
-        trajs = rollout_one((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0, scene, [], 5,
-                            params, cfg)
+        points = rollout_one((0.0, 0.0), [(6.0, 0.5), (0.5, 6.0)], 1.0, scene, [], 5,
+                             params, cfg)
         assert time.perf_counter() - t0 < 2.0
-        assert all(np.all(np.isfinite(t.positions)) for t in trajs)
+        assert np.all(np.isfinite(points))
 
     def test_rotation_equivariance(self, cfg, params):
         scene = cc.parse_scene("seg 2 -4 2 4")
@@ -200,17 +200,11 @@ class TestPredictGroupTrajectory:
         start_r = rot @ np.array([0.0, 0.2])
         [rotated] = rollout_one(start_r, [rot @ np.array([6.0, 0.0])], 1.1, scene_r,
                                 others_r, 20, params, cfg)
-        assert np.max(np.abs(rotated.positions - base.positions @ rot.T)) < 1e-6
+        assert np.max(np.abs(rotated - base @ rot.T)) < 1e-6
 
     def test_zero_speed_uses_floor(self, cfg, params, scene):
-        [traj] = rollout_one((0.0, 0.0), [(5.0, 0.0)], 0.0, scene, [], 10, params, cfg)
-        assert traj.positions[-1, 0] >= 0.2
-
-    def test_start_frame_controls_grid(self, cfg, params, scene):
-        [traj] = rollout_one((0.0, 0.0), [(5.0, 0.0)], 1.0, scene, [], 5, params, cfg,
-                             start_frame=100)
-        assert list(traj.frames) == [101, 102, 103, 104, 105]
-        assert traj.times[0] == pytest.approx(101 * cfg.step_duration)
+        [points] = rollout_one((0.0, 0.0), [(5.0, 0.0)], 0.0, scene, [], 10, params, cfg)
+        assert points[-1, 0] >= 0.2
 
     def test_bad_steps_rejected(self, cfg, params, scene):
         with pytest.raises(ValueError):
@@ -228,8 +222,8 @@ class TestPredictGroupTrajectory:
 
     def test_substep_free_integration_still_arrives(self, cfg, scene):
         coarse = ForceParams.from_config(cfg, substeps=1)
-        [traj] = rollout_one((0.0, 0.0), [(6.0, 0.0)], 1.0, scene, [], 30, coarse, cfg)
-        assert np.linalg.norm(traj.positions[-1] - [6.0, 0.0]) <= 0.5
+        [points] = rollout_one((0.0, 0.0), [(6.0, 0.0)], 1.0, scene, [], 30, coarse, cfg)
+        assert np.linalg.norm(points[-1] - [6.0, 0.0]) <= 0.5
 
 
 class TestReconstruction:
@@ -348,15 +342,13 @@ class TestRolloutMatchesOracle:
 
     def _assert_matches(self, start, dests, speed, scene, others, steps,
                         params, cfg, initial_velocity=None):
-        trajs = rollout_one(start, dests, speed, scene, others, steps, params, cfg,
-                            initial_velocity, start_frame=7)
-        assert len(trajs) == len(dests)
-        for dest, traj in zip(dests, trajs):
+        points = rollout_one(start, dests, speed, scene, others, steps, params, cfg,
+                             initial_velocity)
+        assert len(points) == len(dests)
+        for dest, got in zip(dests, points):
             ref = oracle_rollout(start, dest, speed, scene, others, steps,
-                                 params, cfg, initial_velocity, start_frame=7)
-            assert np.array_equal(traj.frames, ref.frames)
-            assert np.array_equal(traj.times, ref.times)
-            assert np.array_equal(traj.positions, ref.positions)
+                                 params, cfg, initial_velocity)
+            assert got.tobytes() == ref.positions.tobytes()
 
     def _random_case(self, rng, n_others):
         start = rng.uniform(-20.0, 20.0, 2)
@@ -575,16 +567,14 @@ class TestRolloutMatchesOracle:
                      for s in range(4)]
         steps = 12
         out = predict_group_trajectory(start, dest, speed, scene, others, steps, params,
-                                       cfg, vel, start_frame=7)
+                                       cfg, vel)
         assert [len(o) for o in out] == [len(d) for d in dest]
         for s in range(4):
             rest = as_others[:s] + as_others[s + 1:] + others
-            for d, traj in zip(dest[s], out[s]):
+            for d, got in zip(dest[s], out[s]):
                 ref = oracle_rollout(start[s], d, speed[s], scene, rest, steps, params,
-                                     cfg, None if vel is None else vel[s], start_frame=7)
-                assert np.array_equal(traj.frames, ref.frames)
-                assert np.array_equal(traj.times, ref.times)
-                assert traj.positions.tobytes() == ref.positions.tobytes()
+                                     cfg, None if vel is None else vel[s])
+                assert got.tobytes() == ref.positions.tobytes()
 
     def test_subject_arrays_checked(self, cfg, params, scene):
         for start, dest, speed in (([(0.0, 0.0), (5.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
@@ -636,17 +626,32 @@ def _unordered_pairs(edges):
 
 
 def _spy_advance(monkeypatch) -> list:
-    """Patch ``dynamics._advance`` to record, per call, the state's bodies
-    plus pair entries and the number of rows it watches."""
+    """Patch ``dynamics._advance`` to record, per call, the state's bodies,
+    its pair entries and the number of rows it watches."""
     advances = []
     advance = dynamics._advance
 
     def spy(sim, scene, params, dt, steps, watch):
-        advances.append((len(sim.positions) + len(sim.rows), len(watch)))
+        advances.append((len(sim.positions), len(sim.rows), len(watch)))
         return advance(sim, scene, params, dt, steps, watch)
 
     monkeypatch.setattr(dynamics, "_advance", spy)
     return advances
+
+
+def _spy_near_pairs(monkeypatch) -> list:
+    """Patch the ``core.near_pairs`` that ``dynamics.reach_edges`` calls to
+    record the size of each block of pairs it hands out for testing."""
+    blocks = []
+    near_pairs = dynamics.near_pairs
+
+    def spy(*args):
+        for i, j in near_pairs(*args):
+            blocks.append(len(i))
+            yield i, j
+
+    monkeypatch.setattr(dynamics, "near_pairs", spy)
+    return blocks
 
 
 def _predict_window(monkeypatch, tracks, endtime, cfg, params, scene):
@@ -703,15 +708,12 @@ def test_window_components_equal_full_rollouts(monkeypatch):
     assert _unordered_pairs(edges) == [tuple(e) for e in np.argwhere(np.triu(adj)).tolist()]
     sizes = []
     for g, (pred, got) in enumerate(zip(preds, out)):
-        assert list(pred.group_trajectories) == got
+        assert pred.group_points is got
         rest = inits[:g] + inits[g + 1:]
         want = rollout_one(start[g], dest[g], speed[g], scene, rest, steps, params, cfg,
-                           vel[g], start_frame=24)
+                           vel[g])
         assert len(got) == len(want) == len(dest[g])
-        for a, b in zip(got, want):
-            assert a.positions.tobytes() == b.positions.tobytes()
-            assert a.frames.tobytes() == b.frames.tobytes()
-            assert a.times.tobytes() == b.times.tobytes()
+        assert got.tobytes() == want.tobytes()
         pos = np.stack([start[g]] + [o.pos for o in rest])
         caps = params.max_speed_for(np.array([speed[g]] + [o.speed for o in rest]))
         sizes.append(len(dense_reach_component(pos, caps, params.neighborhood_range,
@@ -735,10 +737,9 @@ class TestChunkedRollout:
             monkeypatch.setattr(dynamics, "_CHUNK", budget)
             preds, _, _, advances = _predict_window(monkeypatch, tracks, 24, cfg, params,
                                                     scene)
-            runs[budget] = [t.positions.tobytes()
-                            for p in preds for t in p.group_trajectories]
+            runs[budget] = [g.tobytes() for p in preds for g in p.group_points]
             assert len(advances) == (len(preds) if budget == 1 else 1)
-            assert sum(n for _, n in advances) == len(runs[budget])
+            assert sum(n for *_, n in advances) == len(runs[budget])
         assert runs[1] == runs[2**40]
 
     def test_concourse_window_advances_once(self, monkeypatch):
@@ -760,8 +761,8 @@ class TestChunkedRollout:
                                                 cc.SceneGeometry.empty())
         assert len(preds) == 18
         assert {len(p.candidates) for p in preds} == {cfg.k_candidates + 1}
-        [(size, blocks)] = advances
-        assert blocks == 108 and size <= dynamics._CHUNK
+        [(bodies, entries, blocks)] = advances
+        assert blocks == 108 and bodies + entries <= dynamics._CHUNK
 
     def test_dense_window_chunks_stay_bounded(self, monkeypatch, cfg):
         """A dense crowd of 40 subjects in one reach component, beside 30
@@ -792,18 +793,77 @@ class TestChunkedRollout:
         out = predict_group_trajectory(start, dest, speed, cc.SceneGeometry.empty(), [],
                                        steps, params, cfg)
         assert [len(o) for o in out] == [len(d) for d in dest]
-        sizes = [size for size, _ in advances]
+        sizes = [bodies + entries for bodies, entries, _ in advances]
         assert max(sizes) <= max(dynamics._CHUNK, max(costs))
         assert sum(sizes) == sum(costs)
-        assert sum(n for _, n in advances) == sum(len(d) for d in dest)
+        assert sum(n for *_, n in advances) == sum(len(d) for d in dest)
         assert len(advances) < len(start)
 
         inits = [GroupInit(p, d[-1], v) for p, d, v in zip(start, dest, speed)]
         for s in range(len(start)):
             want = rollout_one(start[s], dest[s], speed[s], cc.SceneGeometry.empty(),
                                inits[:s] + inits[s + 1:], steps, params, cfg)
-            assert [t.positions.tobytes() for t in out[s]] \
-                == [t.positions.tobytes() for t in want]
+            assert out[s].tobytes() == want.tobytes()
+
+
+class TestRolloutCostFamily:
+    """The rollout slice of the cost family: one ``predict_at_endtime``
+    window at n and 4n groups. The pairs ``reach_edges`` tests, and the
+    bodies and pair entries handed to ``_advance``, each grow by at most
+    4 × (1 + ε), or by the model's own order where that is larger. A block
+    holds its subject's whole reach component, so a component of G groups
+    costs G² bodies and G · 2E pair entries over its G blocks (E edges,
+    one candidate per group here: the window has no history)."""
+
+    N = 9
+    # room for the ends of a chain and the cells' phase along it (11 pairs
+    # tested at 9 groups, 51 at 36), far below a quadratic count's 16x
+    EPS = 0.25
+
+    # group g's position at the endtime, of G groups
+    SHAPES = {
+        # 100 m apart along y: no reach edge, and no pair to test
+        "singletons": lambda g, G: (0.0, 100.0 * g),
+        # 20 m apart along x: each group reach-linked to its neighbours only
+        "chain": lambda g, G: (20.0 * g, 0.0),
+        # a square block 2.5 m apart: every pair a reach edge
+        "plaza": lambda g, G: (2.5 * (g % math.isqrt(G)), 2.5 * (g // math.isqrt(G))),
+    }
+
+    # each count's order in G: (pairs tested, bodies, pair entries)
+    ORDERS = {
+        "singletons": (lambda G: G, lambda G: G, lambda G: G),
+        "chain": (lambda G: G, lambda G: G * G, lambda G: G * (G - 1)),
+        "plaza": (lambda G: G * (G - 1), lambda G: G * G, lambda G: G * G * (G - 1)),
+    }
+
+    def counts(self, monkeypatch, shape: str, n_groups: int) -> tuple:
+        cfg = cc.Config(known_time_steps=5, predict_time_steps=10, min_overlap_frames=3)
+        params = ForceParams.from_config(cfg, substeps=1)
+        vel = np.array([1.0, 0.0])
+        tracks = [line_track(f"g{g}", 0, 5, np.array(self.SHAPES[shape](g, n_groups))
+                             - 4 * vel * STEP, vel) for g in range(n_groups)]
+        blocks = _spy_near_pairs(monkeypatch)
+        preds, [(_, (i, _))], _, advances = _predict_window(
+            monkeypatch, tracks, 4, cfg, params, cc.SceneGeometry.empty())
+        assert len(preds) == n_groups
+        assert {len(p.candidates) for p in preds} == {1}
+        pairs = sum(blocks)
+        # every reach edge is a pair the cell list handed out
+        assert pairs >= len(i)
+        return (pairs, sum(b for b, _, _ in advances), sum(e for _, e, _ in advances))
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_growth_within_the_model_order(self, monkeypatch, shape):
+        small = self.counts(monkeypatch, shape, self.N)
+        large = self.counts(monkeypatch, shape, 4 * self.N)
+        for name, a, b, order in zip(("pairs tested", "bodies", "pair entries"),
+                                     small, large, self.ORDERS[shape]):
+            growth = max(4.0, order(4 * self.N) / order(self.N))
+            assert b <= growth * (1.0 + self.EPS) * a, (shape, name, a, b)
+        if shape == "chain":
+            # the whole component in every block: about 16x the bodies
+            assert large[1] == 16 * small[1]
 
 
 class TestReachEdgesMatchDense:

@@ -353,7 +353,7 @@ def _same_trajectory(a: Trajectory, b: Trajectory) -> bool:
 def test_window_equals_per_call_oracle(seed, mode):
     """Every group, candidate, member trajectory and ``AgentRecord`` of a
     random window, baselines included, equals the per-call reference bit
-    for bit; so do the desired speeds and, through the group trajectories,
+    for bit; so do the desired speeds and, through the group positions,
     the initial velocities of the one array pass over the centers."""
     tracks, endtime, cfg = _random_window(np.random.default_rng(seed))
     params = ForceParams.from_config(cfg, substeps=2)
@@ -369,17 +369,18 @@ def test_window_equals_per_call_oracle(seed, mode):
         n_c, n_m = len(rollouts), len(members)
         assert pred.member_points.shape == (n_c, n_m, cfg.predict_time_steps, 2)
         assert not pred.member_points.flags.writeable
-        assert len(pred.candidates) == len(pred.group_trajectories) == n_c
-        for c, traj, points, (dest, prov, score, want, by_member) in zip(
-                pred.candidates, pred.group_trajectories, pred.member_points, rollouts):
+        assert pred.group_points.shape == (n_c, cfg.predict_time_steps, 2)
+        assert not pred.group_points.flags.writeable
+        assert len(pred.candidates) == n_c
+        for c, group, points, (dest, prov, score, want, by_member) in zip(
+                pred.candidates, pred.group_points, pred.member_points, rollouts):
             assert type(c) is Candidate
             assert _same_bits(c.destination, dest)
             assert (c.provenance, repr(c.score)) == (prov, repr(score))
-            assert _same_trajectory(traj, want)
+            assert _same_bits(group, want.positions)
             assert list(by_member) == list(members)
             for p, tr in zip(points, by_member.values()):
                 assert _same_bits(p, tr.positions)
-                assert _same_bits(traj.frames, tr.frames) and _same_bits(traj.times, tr.times)
     windows = [Window(endtime), Window(endtime + 1)]
     report = run_experiment(tracks, scene, windows, cfg, params, mode, seed % 7)
     oracle = evaluate_oracle.run_experiment(tracks, scene, windows, cfg, params,
@@ -524,7 +525,7 @@ EDITS = st.sets(st.sampled_from(["move", "cut", "add", "shuffle"]), min_size=1)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES), edits=EDITS)
 def test_no_leak_from_after_the_endtime(seed, mode, edits):
     """Editing everything after a window's endtime leaves its groups,
-    candidates, group trajectories and member arrays bit-equal."""
+    candidates, group positions and member arrays bit-equal."""
     rng = np.random.default_rng(seed)
     tracks, endtime, cfg = _random_window(rng)
     edited = _edit_after(tracks, endtime, rng, edits)
@@ -538,12 +539,10 @@ def test_no_leak_from_after_the_endtime(seed, mode, edits):
     for pg, pw in zip(got, want):
         assert [(c.provenance, repr(c.score)) for c in pg.candidates] == \
             [(c.provenance, repr(c.score)) for c in pw.candidates]
+        assert _same_bits(pg.group_points, pw.group_points)
         assert _same_bits(pg.member_points, pw.member_points)
         for cg, cw in zip(pg.candidates, pw.candidates):
             assert _same_bits(cg.destination, cw.destination)
-        assert len(pg.group_trajectories) == len(pw.group_trajectories)
-        assert all(_same_trajectory(tg, tw)
-                   for tg, tw in zip(pg.group_trajectories, pw.group_trajectories))
 
 
 @settings(max_examples=30, deadline=None)
