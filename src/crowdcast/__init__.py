@@ -24,7 +24,6 @@ from .core import (
 )
 from .dynamics import (
     ForceParams,
-    GroupInit,
     ReconstructionPolicy,
     SimState,
     constant_velocity_baseline,
@@ -73,7 +72,6 @@ __all__ = [
     "Config",
     "DataError",
     "ForceParams",
-    "GroupInit",
     "GroupPrediction",
     "GroupState",
     "Homography",

@@ -463,6 +463,12 @@ def near_pairs(points: np.ndarray, bound: float, block: int):
         yield np.minimum(a, b), np.maximum(a, b)
 
 
+def runs(counts) -> tuple:
+    """Each item of runs of ``counts`` items laid end to end: its run and its place in it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
 def connected_components(n: int, edges) -> list:
     """Connected components of rows 0 .. n-1 under edges given as blocks of
     (i, j) index arrays: ascending row lists, by first row (union-find)."""
@@ -928,9 +934,8 @@ class TrajectoryDatabase:
         # samples: rows 2 .. n - 1 of each track, gathered from the table
         kept = lengths >= 3
         count = np.where(kept, lengths - 2, 0)
-        track = np.repeat(np.arange(len(tracks)), count)
-        ends = np.cumsum(count)
-        index = np.arange(len(track)) - np.repeat(ends - count, count) + 2
+        track, index = runs(count)
+        index += 2
         rows = tracks.starts[track] + index
         # codes renumbered to the stored agents, still in natural order
         stored = np.unique(tracks.codes[kept])

@@ -2,11 +2,10 @@
 
 Groups are simulated as single bodies: each accelerates toward a desired
 velocity aimed at its destination and is repelled exponentially by nearby
-groups and by the nearest points of scene obstacles. Member trajectories are
-recovered from a predicted group trajectory by rigid translation plus a
-deviation term scaled by one minus the group emotion: one (C, M, T, 2) pass
-over a group's C candidates (:func:`member_positions`), with each member's
-deviations drawn once and shared by every candidate.
+groups and by the nearest points of scene obstacles. Members are recovered
+from a group's positions by rigid translation plus a deviation scaled by one
+minus the group emotion: every member of a window's groups along every
+candidate is one row of one :func:`gather_members` array.
 
 Pair forces act only along the edges of the reach graph. Groups i and j are
 joined in that graph when, at the start,
@@ -23,13 +22,11 @@ directly or through others: leaving it out changes no bit of the subject's
 trajectory.
 
 A window makes one :func:`predict_group_trajectory` call with every group as
-a subject. That call builds the graph over its rows, labels its connected
-components and simulates each (subject, candidate) pair as one block: the
-subject heading to the candidate and the rest of its component heading to
-their own last candidates. Every block of the window is a slice of one flat
-body array, pairs never cross blocks, and the blocks advance together in
-chunks of whole subjects, so the fixed cost of each numpy call of a substep
-is paid once per chunk instead of once per group.
+a subject. Each (subject, candidate) pair is one block, the subject heading
+to the candidate and the rest of its reach component to their own last
+candidates. The blocks are slices of one flat body array, built in one array
+pass per chunk of whole subjects and advanced together, so the fixed cost of
+each numpy call is paid once per chunk instead of once per group.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Config, DataError, SceneGeometry, TooFewPointsError, Trajectory,
-                   check_scale, connected_components, final_velocity, near_pairs)
+                   check_scale, connected_components, final_velocity, near_pairs, runs)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -336,19 +333,6 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     return out
 
 
-@dataclass(frozen=True)
-class GroupInit:
-    """Initial condition of one simulated group.
-
-    ``velocity`` defaults to the desired speed aimed at the destination.
-    """
-
-    pos: np.ndarray
-    dest: np.ndarray
-    speed: float
-    velocity: np.ndarray | None = None
-
-
 def reach_edges(pos: np.ndarray, caps: np.ndarray, reach: float,
                 horizon: float) -> tuple:
     """The reach-graph edges of the (G, 2) starts ``pos`` with speed caps
@@ -403,22 +387,18 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     Subject s starts at ``start[s]`` (an (S, 2) array) with desired speed
     ``speed[s]`` and candidates ``dest[s]``, a (C_s, 2) array; its last
     candidate is where it heads in every other subject's rollouts.
-    ``others`` are ``GroupInit`` bodies that are simulated but never
-    subjects: rows S onward. ``initial_velocity`` is an (S, 2) array, or
-    None to start each subject at its desired speed aimed at the candidate.
+    ``others`` are bodies simulated but never subjects, rows S onward, each
+    with a ``pos``, ``dest``, ``speed`` and ``velocity`` (None to aim it).
+    ``initial_velocity`` is an (S, 2) array, or None to start each subject
+    at its desired speed aimed at the candidate. Desired speeds are floored
+    at ``params.speed_floor``.
 
-    The call builds its rows' reach graph once (:func:`reach_edges` of their
-    starts, the caps of their floored desired speeds and the ``steps``
-    horizon) and evaluates repulsion only along its edges: every pair left
-    out stays at least ``neighborhood_range`` apart for the whole horizon
-    (see the module docstring). Each candidate is an independent simulation,
-    block (s, c): subject s heads to ``dest[s][c]``, followed by the rest of
-    its connected component in ascending row order. Blocks advance together
-    in chunks of whole subjects (``_CHUNK``). Desired speeds are floored at
-    ``params.speed_floor``, so a briefly stationary group still makes
-    progress. Returns S read-only (C_s, steps, 2) arrays, subject s's
-    position after each output step along each of its candidates: views of
-    one array that joins every chunk's positions.
+    Repulsion acts only along the edges of one :func:`reach_edges` graph of
+    the rows' starts and floored speeds over the ``steps`` horizon. Block
+    (s, c) simulates subject s heading to ``dest[s][c]``, followed by the
+    rest of its component in ascending row order. Blocks advance together in
+    chunks of whole subjects (``_CHUNK``). Returns S read-only (C_s, steps,
+    2) arrays of subject s's positions: views of one array.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -430,16 +410,18 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
         raise DataError("subject arrays disagree on subject count")
     if np.count_nonzero(speed < 0):
         raise ValueError("speed must be non-negative")
-    if not all(len(c) for c in cands):
+    count = np.array([len(c) for c in cands], dtype=np.intp)
+    if np.count_nonzero(count == 0):
         raise DataError("every subject needs a candidate destination")
+    flat = np.concatenate([np.empty((0, 2))] + cands)
     others = list(others)
     starts = np.concatenate([subjects, np.reshape([g.pos for g in others], (-1, 2))])
-    heads = np.concatenate([np.reshape([c[-1] for c in cands], (-1, 2)),
+    heads = np.concatenate([flat[np.cumsum(count) - 1],
                             np.reshape([g.dest for g in others], (-1, 2))])
     speeds = np.maximum(np.concatenate([speed, [g.speed for g in others]]),
                         params.speed_floor)
     # every input is checked here, also of rows no subject's block holds
-    if not all(np.isfinite(a).all() for a in (starts, heads, speeds, *cands)):
+    if not all(np.isfinite(a).all() for a in (starts, heads, speeds, flat)):
         raise DataError("non-finite simulation input")
 
     # a body without a given velocity starts at its desired speed, aimed at
@@ -454,61 +436,57 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     if not np.isfinite(vel).all():
         raise DataError("non-finite simulation input")
 
-    # each component's rows ascending, and its edges as places in that list,
-    # sorted by component so that each component's are one slice
+    # the components' rows ascending, one component after another; each
+    # row's component and place in it; and the edges as places, sorted by
+    # component so that each component's are one slice
     i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
                        steps * cfg.step_duration)
     comps = connected_components(len(starts), [(i, j)])
+    size = np.array([len(rows) for rows in comps], dtype=np.intp)
+    member = np.array([r for rows in comps for r in rows], dtype=np.intp)
     label, place = np.empty((2, len(starts)), dtype=np.intp)
-    for c, rows in enumerate(comps):
-        label[rows] = c
-        place[rows] = np.arange(len(rows))
+    label[member], place[member] = runs(size)
     by = np.argsort(label[i], kind="stable")
     cut = np.searchsorted(label[i[by]], np.arange(len(comps) + 1))
     ends = place[np.stack([i, j])[:, by]]
     # one block of a subject holds its component's bodies and each edge twice
-    block = np.array([len(rows) for rows in comps]) + 2 * np.diff(cut)
-    costs = [len(c) * int(block[label[s]]) for s, c in enumerate(cands)]
+    costs = count * (size + 2 * np.diff(cut))[label[:n_sub]]
 
-    def state_of(chunk: list) -> tuple:
-        """The flat state of the chunk's blocks and each block's first row."""
-        body, pairs, leads, first = [], [], [], 0
-        for s in chunk:
-            comp, p = label[s], place[s]
-            rows = comps[comp]
-            rows = np.array([s] + rows[:p] + rows[p + 1:])
-            # block row 0 is the subject: a place before it moves up by one
-            e = ends[:, cut[comp]:cut[comp + 1]]
-            e = np.where(e == p, 0, e + (e < p))
-            # each edge in both directions, sorted by row, then column;
-            # offsetting every block by its first row keeps that order
-            r, c = np.concatenate([e, e[::-1]], axis=1)
-            order = np.lexsort((c, r))
-            n = len(cands[s])
-            leads.append(first + len(rows) * np.arange(n))
-            body.append(np.tile(rows, n))
-            pairs.append((np.column_stack([r[order], c[order]])
-                          + leads[-1][:, None, None]).reshape(-1, 2))
-            first += len(rows) * n
-        body, lead = np.concatenate(body), np.concatenate(leads)
+    def state_of(lo: int, hi: int) -> tuple:
+        """The flat state of subjects lo .. hi - 1's blocks, and their leads."""
+        comp, p, n = label[lo:hi], place[lo:hi], count[lo:hi]
+        sub, two = np.repeat(np.arange(hi - lo), n), 2 * np.diff(cut)[comp]
+        # block row k is the subject's place p at k = 0, then the others
+        blk, k = runs(size[comp[sub]])
+        q = p[sub[blk]]
+        body = member[(np.cumsum(size) - size)[comp[sub[blk]]]
+                      + np.where(k == 0, q, k - (k <= q))]
+        lead = np.flatnonzero(k == 0)
+        # each subject's edges in both directions as block rows, sorted by
+        # subject, row and column; then each block's, offset by its first row
+        at, e = runs(two // 2)
+        e = ends[:, cut[comp[at]] + e]
+        e = np.where(e == p[at], 0, e + (e < p[at]))
+        e = np.concatenate([e, e[::-1]], axis=1)
+        e = e.take(np.lexsort((e[1], e[0], np.concatenate([at, at]))), axis=1)
+        blk, w = runs(two[sub])
+        pairs = e.take((np.cumsum(two) - two)[sub[blk]] + w, axis=1)
+        pairs += lead[blk]
         dst, vel0 = heads[body], vel[body]
-        dst[lead] = np.concatenate([cands[s] for s in chunk])
+        dst[lead] = np.concatenate(cands[lo:hi])
         if initial_velocity is None:
-            vel0[lead] = np.concatenate([_unit(cands[s] - subjects[s]) * speeds[s]
-                                         for s in chunk])
-        return make_sim_state(starts[body], vel0, dst, speeds[body], params,
-                              np.concatenate(pairs)), lead
+            s = np.repeat(np.arange(lo, hi), n)
+            vel0[lead] = _unit(dst[lead] - subjects[s]) * speeds[s][:, None]
+        return make_sim_state(starts[body], vel0, dst, speeds[body], params, pairs.T), lead
 
     points = []
-    for chunk in _chunks(costs):
-        state, lead = state_of(chunk)
+    for chunk in _chunks(costs.tolist()):
+        state, lead = state_of(chunk[0], chunk[-1] + 1)
         points.append(_advance(state, scene, params, cfg.step_duration, steps, lead))
         del state       # freed before the next chunk's state is built
-    if not points:
-        return []
-    points = np.concatenate(points)
+    points = np.concatenate([np.empty((0, steps, 2))] + points)
     points.setflags(write=False)
-    return np.split(points, np.cumsum([len(c) for c in cands[:-1]]))
+    return [points[hi - c:hi] for c, hi in zip(count.tolist(), np.cumsum(count).tolist())]
 
 
 # the member reconstruction modes of ReconstructionPolicy
@@ -517,12 +495,10 @@ MODES = ("rigid", "seeded-jitter")
 
 @dataclass(frozen=True)
 class ReconstructionPolicy:
-    """How member deviations from rigid translation are generated.
-
-    ``rigid`` tiles each member's observed residual pattern from the known
-    window over the horizon; ``seeded-jitter`` draws per-step vectors from a
-    seeded generator, scaled to the member's observed residual spread.
-    """
+    """How member deviations from rigid translation are generated: the
+    ``mode`` and ``seed`` of :func:`member_deviations`, and each member's
+    residual pattern from the known window (``rigid`` tiles it over the
+    horizon, ``seeded-jitter`` scales random steps to its spread)."""
 
     mode: str = "rigid"
     residuals: dict = field(default_factory=dict)
@@ -532,48 +508,51 @@ class ReconstructionPolicy:
         if self.mode not in MODES:
             raise ValueError(f"unknown reconstruction mode {self.mode!r}")
 
-    @classmethod
-    def from_known_window(cls, members: list, center: Trajectory, offsets: dict,
-                          mode: str = "rigid", seed: int = 0) -> "ReconstructionPolicy":
-        """Derive residual patterns from the known window.
 
-        For each member, residual(t) = position(t) − (center(t) + offset),
-        with ``offsets`` the group's member offsets (``GroupState``), anchored
-        at the center's last frame; the residual at the anchor is therefore
-        zero.
-        """
-        residuals = {}
-        for tr in members:
-            member_pos = tr.positions[np.searchsorted(tr.frames, center.frames)]
-            residuals[tr.agent_id] = member_pos - (center.positions
-                                                   + offsets[tr.agent_id])
-        return cls(mode, residuals, seed)
-
-
-def _deviations(policy: ReconstructionPolicy, agent_id: str, steps: int,
-                rng) -> np.ndarray:
-    pattern = np.asarray(policy.residuals[agent_id], dtype=np.float64)
+def member_deviations(residuals: np.ndarray, slots: np.ndarray, steps: int,
+                      policy: ReconstructionPolicy) -> np.ndarray:
+    """The (M, steps, 2) deviations of M members from their (M, L, 2)
+    residual patterns, by the mode and seed of ``policy``. ``rigid`` takes
+    row t % L at step t (zero when L is 0). ``seeded-jitter`` scales
+    standard normal rows by each pattern's RMS: a group draws them member by
+    member from one generator seeded with the seed, so the member in group
+    slot ``slots[m]`` takes that block of one draw."""
+    n, length = residuals.shape[:2]
     if policy.mode == "rigid":
-        if len(pattern) == 0:
-            return np.zeros((steps, 2))
-        reps = -(-steps // len(pattern))
-        return np.tile(pattern, (reps, 1))[:steps]
-    rms = float(np.sqrt(np.mean(pattern ** 2))) if len(pattern) else 0.0
-    return rng.normal(0.0, 1.0, size=(steps, 2)) * rms
+        return residuals[:, np.arange(steps) % length] if length else np.zeros((n, steps, 2))
+    # each row's bits of np.mean over its pattern's 2L values
+    rms = np.sqrt(np.mean(residuals ** 2, axis=(1, 2))) if length else np.zeros(n)
+    draws = np.random.default_rng(policy.seed).normal(
+        0.0, 1.0, (slots.max(initial=-1) + 1, steps, 2))
+    return draws[slots] * rms[:, None, None]
+
+
+def gather_members(points: np.ndarray, sizes, offsets: np.ndarray, emotions: np.ndarray,
+                   dev: np.ndarray) -> np.ndarray:
+    """Every member of G groups along each of their candidates, a read-only
+    (sum C * M, T, 2) array of each group's (C, M) rows, candidate-major:
+    the group's position plus the member's offset plus ``1 − emotion`` times
+    its deviation. ``points`` stacks the groups' (C, T, 2) positions,
+    ``sizes`` and ``emotions`` hold each group's (C, M) and emotion, and
+    ``offsets`` (sum M, 2) and ``dev`` (sum M, T, 2) its members."""
+    n_cand, n_mem = np.reshape(np.asarray(sizes, dtype=np.intp), (-1, 2)).T
+    scaled = np.repeat(1.0 - emotions, n_mem)[:, None, None] * dev
+    at, k = runs(n_cand * n_mem)
+    member = (np.cumsum(n_mem) - n_mem)[at] + k % n_mem[at]
+    out = points.take((np.cumsum(n_cand) - n_cand)[at] + k // n_mem[at], axis=0)
+    # repeated over the steps, as a broadcast add loops over two coordinates
+    out += np.repeat(offsets[:, None], dev.shape[1], axis=1).take(member, axis=0)
+    out += scaled.take(member, axis=0)
+    out.setflags(write=False)
+    return out
 
 
 def member_positions(group_positions: np.ndarray, offsets: dict, emotion: float,
                      policy: ReconstructionPolicy) -> np.ndarray:
-    """Every member's positions along each of C group trajectories.
-
-    ``group_positions`` is a (C, T, 2) stack of the group's candidate
-    trajectories. Returns a read-only (C, M, T, 2) array, the members in
-    ``sorted(offsets, key=str)`` order: group position plus the member's
-    offset plus ``1 − emotion`` times its deviation. Deviations belong to
-    the group, not the candidate, so they are drawn once, in member order,
-    from one generator seeded with ``policy.seed``, and broadcast over the
-    candidates.
-    """
+    """Every member along each of the (C, T, 2) ``group_positions``, as a
+    read-only (C, M, T, 2) array, members in ``sorted(offsets, key=str)``
+    order and slots: the one-group call of :func:`gather_members`. A
+    member's deviations are the same along every candidate."""
     if not 0.0 <= emotion <= 1.0:
         raise DataError(f"emotion must be in [0, 1], got {emotion}")
     if set(offsets) != set(policy.residuals):
@@ -582,26 +561,25 @@ def member_positions(group_positions: np.ndarray, offsets: dict, emotion: float,
     for agent_id in ids:
         if np.shape(offsets[agent_id]) != (2,):
             raise DataError(f"offset of member {agent_id!r} must be one (x, y) point")
-    steps = group_positions.shape[1]
-    # only seeded-jitter draws; creating a generator is not free
-    rng = np.random.default_rng(policy.seed) if policy.mode == "seeded-jitter" else None
-    dev = np.array([_deviations(policy, a, steps, rng) for a in ids]).reshape(len(ids), steps, 2)
-    off = np.array([offsets[a] for a in ids], dtype=np.float64).reshape(len(ids), 1, 2)
-    points = group_positions[:, None] + off + (1.0 - emotion) * dev
-    points.setflags(write=False)
-    return points
+    n_cand, steps = group_positions.shape[:2]
+    # one pass per pattern length, as patterns may differ in length here
+    lengths = np.array([len(policy.residuals[a]) for a in ids], dtype=np.intp)
+    dev = np.empty((len(ids), steps, 2))
+    for length in np.unique(lengths).tolist():
+        at = np.flatnonzero(lengths == length)
+        pattern = np.asarray([policy.residuals[ids[k]] for k in at], dtype=np.float64)
+        dev[at] = member_deviations(pattern.reshape(len(at), length, 2), at, steps, policy)
+    points = gather_members(group_positions, [(n_cand, len(ids))],
+                            np.reshape([offsets[a] for a in ids], (-1, 2)), emotion, dev)
+    return points.reshape(n_cand, len(ids), steps, 2)
 
 
 def reconstruct_members(group_traj: Trajectory, offsets: dict, emotion: float,
                         policy: ReconstructionPolicy) -> dict:
-    """Member trajectories from a group trajectory.
-
-    Each member's standard position is the group position plus its fixed
-    offset; the deviation term, scaled by ``1 − emotion``, is added on top.
-    At emotion 1 the members translate rigidly with the group; at 0, which
-    a long chained group's cohesion rounds to, the deviation is unscaled.
-    The one-candidate case of :func:`member_positions`.
-    """
+    """Member trajectories along one group trajectory: the one-candidate
+    case of :func:`member_positions`. At emotion 1 the members translate
+    rigidly with the group; at 0, which a long chained group's cohesion
+    rounds to, the deviation is unscaled."""
     [points] = member_positions(group_traj.positions[None], offsets, emotion, policy)
     # the group's frames and times were checked when it was built
     return {m: Trajectory.trusted(m, group_traj.frames, group_traj.times, p)

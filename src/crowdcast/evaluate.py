@@ -7,10 +7,10 @@ best-of-K protocol of Gupta et al., "Social GAN", CVPR 2018). A constant
 velocity extrapolation of each member is scored alongside as the baseline.
 
 A window is scored in one pass: its ground truth, its baseline inputs and
-every (agent, candidate) prediction are gathered into one stack of
-difference tracks, and :func:`displacement_errors` scores them all.
-:func:`ade`, :func:`fde` and :func:`min_over_candidates` are its one-case
-calls, with the same bits.
+every (agent, candidate) row of its groups' flat member rows are gathered
+into one stack of difference tracks, which :func:`displacement_errors`
+scores. :func:`ade`, :func:`fde` and :func:`min_over_candidates` are its
+one-case calls, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     Trajectory,
     build_database,
     final_velocity,
+    runs,
 )
 from .dynamics import ForceParams, straight_lines
 from .pipeline import predict_at_endtime
@@ -253,31 +254,32 @@ def _score_window(tracks: Tracks, preds: list, endtime: int, cfg: Config) -> lis
     horizon, in ``preds`` and ``members`` order.
 
     One :func:`displacement_errors` pass scores every (agent, candidate)
-    row of the groups' ``member_points`` and every constant-velocity
-    baseline against the agents' horizon rows of the table. An agent's rows
-    are found by its id, which may hold several tracks: its ground truth in
-    the track holding the horizon, its baseline's two rows (frames
-    ``endtime - 1`` and ``endtime``) in the track it was grouped from. Two
-    tracks with one id that both hold the horizon raise ``DataError``.
+    row of the groups' flat ``member_points`` rows and every baseline
+    against the agents' horizon rows of the table. An agent's rows are found
+    by its id, which may hold several tracks: its ground truth in the track
+    holding the horizon, its baseline's two rows (frames ``endtime - 1`` and
+    ``endtime``) in the one it was grouped from. Two tracks with one id that
+    both hold the horizon raise ``DataError``.
     """
     steps, n_known = cfg.predict_time_steps, cfg.known_time_steps
     truth = _rows_from(tracks, endtime + 1, steps, unique=True)
     # every member holds the known window
     known_first = _rows_from(tracks, endtime - n_known + 1, n_known)
-    scored, rows, cands = [], [], []
+    scored, rows, first = [], [], 0
     for pred in preds:
+        shape = pred.member_points.shape[:2]
         for k, member in enumerate(pred.members):
             row = truth.get(member)
             if row is not None:
                 scored.append((pred, member))
-                rows.append((row, known_first[member] + n_known - 1))
-                cands.append(pred.member_points[:, k])
+                rows.append((row, known_first[member] + n_known - 1, first + k, *shape))
+        first += math.prod(shape)
     if not scored:
         return []
-    # row i of the (agent, candidate) rows is candidate slot[i] of agent[i]
-    (starts, ends), counts = np.array(rows).T, np.array([len(c) for c in cands])
-    agent = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(len(agent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # (agent, candidate) row i is flat member row lead + slot * size of agent[i]
+    starts, ends, lead, counts, size = np.array(rows).T
+    agent, slot = runs(counts)
+    members = np.concatenate([p.member_points.reshape(-1, steps, 2) for p in preds])
     gt = tracks.positions.take(starts[:, None] + np.arange(steps), axis=0)
     known = ends[:, None] + np.array([-1, 0])
     baseline = straight_lines(tracks.positions.take(ends, axis=0),
@@ -285,7 +287,7 @@ def _score_window(tracks: Tracks, preds: list, endtime: int, cfg: Config) -> lis
                                              tracks.times.take(known)),
                               steps, cfg.step_duration)
     errors = np.stack(displacement_errors(np.concatenate(
-        [np.concatenate(cands) - gt[agent], baseline - gt])))
+        [members[lead[agent] + slot * size[agent]] - gt[agent], baseline - gt])))
     table = np.full((2, len(counts), counts.max()), np.inf)
     table[:, agent, slot] = errors[:, :len(agent)]
     (min_ade, min_fde), (ai, fi) = _best(table)

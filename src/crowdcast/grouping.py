@@ -10,6 +10,7 @@ velocity alignment, speed differences, and group size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ _STILL_SPEED = 1e-6
 # per-frame emotion is averaged over this many trailing frames of the known
 # window to get the single value used for prediction
 EMOTION_WINDOW_FRAMES = 5
+
+# from this many members on, exp(n - 2) overflows a float (see _emotions)
+_ZERO_EMOTION_SIZE = math.floor(math.log(sys.float_info.max)) + 3
 
 # pair terms (one pair on one frame) held in memory at once: the emotion's
 # over a group's frames, the closeness graph's over its candidates' frames
@@ -229,9 +233,15 @@ def _emotions(vels: np.ndarray) -> list:
     i-major, j-minor order (skipped pairs add an exact +0.0), and the pair
     dot products come from ``np.vecdot``, whose inner loop is the one
     ``vels[i] @ vels[j]`` runs. Rows are taken in blocks, so scratch memory
-    stays near ``_PAIR_BLOCK`` terms however large the group.
+    stays near ``_PAIR_BLOCK`` terms however large the group. The score is
+    at most 2 - n (mean cosine at most 1, speed spread at least 0), so from
+    ``_ZERO_EMOTION_SIZE`` (712) members on every value is exactly 0.0, given
+    without the loop, for finite speeds, which positions within
+    ``core.SCALE`` on the step grid ensure (a NaN speed gives the loop NaN).
     """
     frames, n = vels.shape[:2]
+    if n >= _ZERO_EMOTION_SIZE:
+        return [0.0] * frames
     # sqrt of the sum of squares is what np.linalg.norm computes
     speeds = np.sqrt((vels * vels).sum(axis=-1))
     moving = speeds > _STILL_SPEED

@@ -6,10 +6,10 @@
 2. :func:`group_candidates` retrieves each group's candidate destinations
    from a historical database;
 3. :func:`predict_at_endtime` composes the two, rolls every group's
-   candidates out in one call, jointly with the other groups, and
-   reconstructs each group's members along all its candidates as one
-   (C, M, T, 2) array. A ``GroupPrediction`` holds the retrieved
-   candidates, the rollout's (C, T, 2) group positions and that array.
+   candidates out in one call, jointly with the other groups, and gathers
+   every group's members along all its candidates in one pass. A
+   ``GroupPrediction`` holds the retrieved candidates and (C, T, 2) group
+   and (C, M, T, 2) member views of those two arrays.
 
 The CLI subcommands ``groups``, ``destinations`` and ``predict`` serialize
 the first, second and full stage; the experiment runner scores the last.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Config, SceneGeometry, Tracks, TrajectoryDatabase, final_velocity
-from .dynamics import (ForceParams, ReconstructionPolicy, member_positions,
+from .core import Config, SceneGeometry, Tracks, TrajectoryDatabase, final_velocity, runs
+from .dynamics import (ForceParams, ReconstructionPolicy, gather_members, member_deviations,
                        predict_group_trajectory)
 from .grouping import build_intimacy_graph, extract_groups, window_group_states
 from .retrieval import track_candidates
@@ -102,29 +102,36 @@ def predict_at_endtime(tracks: list, endtime: int, db: TrajectoryDatabase,
     with the other groups of its reach component, which head for their
     straight-line continuations. The desired speed is the center's mean
     speed, floored at ``params.speed_floor``, and the initial velocity its
-    last step's; both are one array pass over the centers' stack. The
-    rollout gives each group's candidates as one (C, T, 2) array, handed
-    whole to :func:`member_positions` for its members. Returns a
-    ``GroupPrediction`` per group; empty when no agent covers the window.
+    last step's. Every member along every candidate is one row of one
+    :func:`gather_members` pass. Returns a ``GroupPrediction`` per group;
+    empty when no agent covers the window.
     """
     known, states = detect_groups(tracks, endtime, cfg)
     pos, times = _center_stack(states, cfg)
     cands = group_candidates(db, states, cfg)
-    by_id = {tr.agent_id: tr for tr in known}
+    steps = cfg.predict_time_steps
     # each row's mean keeps the bits of the 1-D mean of its per-step speeds
     speeds = np.maximum((np.linalg.norm(np.diff(pos, axis=1), axis=-1)
                          / np.diff(times, axis=1)).mean(axis=1), params.speed_floor)
     rolled = predict_group_trajectory(
         pos[:, -1], [np.array([c.destination for c in group]) for group in cands],
-        speeds, scene, [], cfg.predict_time_steps, params, cfg,
-        initial_velocity=final_velocity(pos, times))
+        speeds, scene, [], steps, params, cfg, initial_velocity=final_velocity(pos, times))
 
-    out = []
-    for st, group_cands, speed, group in zip(states, cands, speeds.tolist(), rolled):
-        policy = ReconstructionPolicy.from_known_window(
-            [by_id[m] for m in st.members], st.center_trajectory, st.member_offsets,
-            mode, seed)
-        points = member_positions(group, st.member_offsets, st.emotion, policy)
-        out.append(GroupPrediction(st.members, st.emotion, speed, tuple(group_cands),
-                                   group, points))
-    return out
+    # every group's members in group order: their residuals from the
+    # centers and offsets are one subtraction on the known window
+    by_id = {tr.agent_id: tr for tr in known}
+    sizes = np.array([(len(c), st.size) for st, c in zip(states, cands)],
+                     dtype=np.intp).reshape(-1, 2)
+    window = np.reshape([by_id[m].positions for st in states for m in st.members],
+                        (-1, cfg.known_time_steps, 2))
+    offsets = np.reshape([st.member_offsets[m] for st in states for m in st.members], (-1, 2))
+    group, slot = runs(sizes[:, 1])
+    dev = member_deviations(window - (pos[group] + offsets[:, None]), slot, steps,
+                            ReconstructionPolicy(mode, seed=seed))
+    members = gather_members(np.concatenate([np.empty((0, steps, 2))] + rolled), sizes,
+                             offsets, np.array([st.emotion for st in states]), dev)
+    ends = np.cumsum(sizes.prod(axis=1)).tolist()
+    return [GroupPrediction(st.members, st.emotion, speed, tuple(group_cands), group,
+                            members[end - c * m:end].reshape(c, m, steps, 2))
+            for st, group_cands, speed, group, (c, m), end
+            in zip(states, cands, speeds.tolist(), rolled, sizes.tolist(), ends)]

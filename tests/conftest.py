@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def line_track(agent_id: str, first_frame: int, n: int, start, velocity,
     pos = np.asarray(start, dtype=np.float64)[None, :] \
         + k[:, None] * np.asarray(velocity, dtype=np.float64)[None, :] * step_duration
     return Trajectory.from_frame_grid(agent_id, frames, pos, step_duration)
+
+
+@dataclass(frozen=True)
+class GroupInit:
+    """One body of ``predict_group_trajectory``'s ``others``: a group that
+    is simulated but is no subject. ``velocity`` None starts it at its
+    desired speed aimed at ``dest``."""
+
+    pos: np.ndarray
+    dest: np.ndarray
+    speed: float
+    velocity: np.ndarray | None = None
 
 
 def rollout_one(start, dest, speed, scene, others, steps, params, cfg,

@@ -1,12 +1,14 @@
 """Per-call reference for member reconstruction and window scoring.
 
 Reconstruction runs once per candidate, each call seeding its own
-generator; scoring runs once per agent, with one ``ade`` and one ``fde``
-call per candidate and a checked constant-velocity ``Trajectory`` as the
-baseline. A group's desired speed and initial velocity are taken center by
-center. ``predict_at_endtime`` and ``run_experiment`` in ``crowdcast`` must
-return exactly what :func:`predict_at_endtime` and :func:`run_experiment`
-here return, bit for bit.
+generator, from residual patterns searched member by member in the known
+window (:func:`from_known_window`); scoring runs once per agent, with one
+``ade`` and one ``fde`` call per candidate and a checked constant-velocity
+``Trajectory`` as the baseline. A group's desired speed and initial
+velocity are taken center by center. ``predict_at_endtime`` and
+``run_experiment`` in ``crowdcast`` must return exactly what
+:func:`predict_at_endtime` and :func:`run_experiment` here return, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def _deviations(policy, agent_id: str, steps: int, rng) -> np.ndarray:
         return np.tile(pattern, (reps, 1))[:steps]
     rms = float(np.sqrt(np.mean(pattern ** 2))) if len(pattern) else 0.0
     return rng.normal(0.0, 1.0, size=(steps, 2)) * rms
+
+
+def from_known_window(members: list, center, offsets: dict, mode: str = "rigid",
+                      seed: int = 0) -> ReconstructionPolicy:
+    """Residual patterns from the known window: for each member,
+    residual(t) = position(t) − (center(t) + offset), with ``offsets`` the
+    group's member offsets (``GroupState``), anchored at the center's last
+    frame, so the residual at the anchor is zero."""
+    residuals = {}
+    for tr in members:
+        member_pos = tr.positions[np.searchsorted(tr.frames, center.frames)]
+        residuals[tr.agent_id] = member_pos - (center.positions + offsets[tr.agent_id])
+    return ReconstructionPolicy(mode, residuals, seed)
 
 
 def reconstruct_members(group_traj, offsets: dict, emotion: float, policy) -> dict:
@@ -119,7 +134,7 @@ def predict_at_endtime(tracks, endtime: int, db, cfg, params, scene,
         group_trajs = [Trajectory("predicted", frames, frames * cfg.step_duration, p)
                        for p in points]
         member_known = tuple(by_id[m] for m in st.members)
-        policy = ReconstructionPolicy.from_known_window(
+        policy = from_known_window(
             member_known, st.center_trajectory, st.member_offsets, mode, seed)
         rollouts = [(c.destination, c.provenance, c.score, traj,
                      reconstruct_members(traj, st.member_offsets, st.emotion, policy))

@@ -5,7 +5,9 @@ G×G pair matrices, and finds obstacle contacts one body at a time with the
 scalar geometry below. ``predict_group_trajectory`` in ``crowdcast.dynamics``
 must return exactly what this returns, one candidate at a time, and
 ``SceneGeometry.obstacle_contacts`` exactly what ``obstacle_contacts`` here
-returns, point by point.
+returns, point by point. :func:`block_states` is the per-subject reference
+for the chunk states ``predict_group_trajectory`` builds before it advances
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdcast.core import Trajectory
+from crowdcast import dynamics
+from crowdcast.core import Trajectory, connected_components
 
 _EXP_CAP = 50.0
 _COINCIDENT = 1e-9
@@ -224,3 +227,68 @@ def predict_group_trajectory(start, dest, speed: float, scene, others: list,
         points[s] = state.positions[0]
     frames = np.arange(start_frame + 1, start_frame + steps + 1)
     return Trajectory("predicted", frames, frames * cfg.step_duration, points)
+
+
+def block_states(start, dest, speed, others: list, steps: int, params, cfg,
+                 initial_velocity=None) -> list:
+    """The (``dynamics.SimState``, block first rows) of each chunk of a
+    ``dynamics.predict_group_trajectory`` call with these arguments, built
+    one subject at a time: the subject as block row 0, then the rest of its
+    reach component ascending, each edge in both directions sorted by one
+    lexsort per subject, and one ``np.tile`` of the rows per candidate."""
+    subjects = np.asarray(start, dtype=np.float64).reshape(-1, 2)
+    cands = [np.asarray(d, dtype=np.float64).reshape(-1, 2) for d in dest]
+    speed = np.asarray(speed, dtype=np.float64).reshape(-1)
+    n_sub = len(subjects)
+    starts = np.concatenate([subjects, np.reshape([g.pos for g in others], (-1, 2))])
+    heads = np.concatenate([np.reshape([c[-1] for c in cands], (-1, 2)),
+                            np.reshape([g.dest for g in others], (-1, 2))])
+    speeds = np.maximum(np.concatenate([speed, [g.speed for g in others]]),
+                        params.speed_floor)
+    vel = dynamics._unit(heads - starts)
+    vel *= speeds[:, None]
+    if initial_velocity is not None:
+        vel[:n_sub] = np.reshape(initial_velocity, (n_sub, 2))
+    given = np.array([g.velocity is not None for g in others], dtype=bool)
+    vel[n_sub:][given] = np.reshape([g.velocity for g in others if g.velocity is not None],
+                                    (-1, 2))
+
+    i, j = dynamics.reach_edges(starts, params.max_speed_for(speeds),
+                                params.neighborhood_range, steps * cfg.step_duration)
+    comps = connected_components(len(starts), [(i, j)])
+    label, place = np.empty((2, len(starts)), dtype=np.intp)
+    for c, rows in enumerate(comps):
+        label[rows] = c
+        place[rows] = np.arange(len(rows))
+    by = np.argsort(label[i], kind="stable")
+    cut = np.searchsorted(label[i[by]], np.arange(len(comps) + 1))
+    ends = place[np.stack([i, j])[:, by]]
+    block = np.array([len(rows) for rows in comps]) + 2 * np.diff(cut)
+    costs = [len(c) * int(block[label[s]]) for s, c in enumerate(cands)]
+
+    def state_of(chunk: list) -> tuple:
+        body, pairs, leads, first = [], [], [], 0
+        for s in chunk:
+            comp, p = label[s], place[s]
+            rows = comps[comp]
+            rows = np.array([s] + rows[:p] + rows[p + 1:])
+            e = ends[:, cut[comp]:cut[comp + 1]]
+            e = np.where(e == p, 0, e + (e < p))
+            r, c = np.concatenate([e, e[::-1]], axis=1)
+            order = np.lexsort((c, r))
+            n = len(cands[s])
+            leads.append(first + len(rows) * np.arange(n))
+            body.append(np.tile(rows, n))
+            pairs.append((np.column_stack([r[order], c[order]])
+                          + leads[-1][:, None, None]).reshape(-1, 2))
+            first += len(rows) * n
+        body, lead = np.concatenate(body), np.concatenate(leads)
+        dst, vel0 = heads[body], vel[body]
+        dst[lead] = np.concatenate([cands[s] for s in chunk])
+        if initial_velocity is None:
+            vel0[lead] = np.concatenate([dynamics._unit(cands[s] - subjects[s]) * speeds[s]
+                                         for s in chunk])
+        return dynamics.make_sim_state(starts[body], vel0, dst, speeds[body], params,
+                                       np.concatenate(pairs)), lead
+
+    return [state_of(chunk) for chunk in dynamics._chunks(costs)]

@@ -7,13 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast import dynamics
 from crowdcast.core import DataError
 from crowdcast.dynamics import (
     ForceParams,
-    GroupInit,
     ReconstructionPolicy,
     constant_velocity_baseline,
     make_sim_state,
@@ -22,7 +23,8 @@ from crowdcast.dynamics import (
     step,
 )
 
-from conftest import STEP, line_track, rollout_one
+from conftest import STEP, GroupInit, line_track, rollout_one
+import evaluate_oracle
 import rollout_oracle
 from rollout_oracle import predict_group_trajectory as oracle_rollout
 
@@ -317,7 +319,7 @@ class TestReconstruction:
         a = line_track("a", 0, 10, (0.0, 0.0), (1.0, 0.1))
         b = line_track("b", 0, 10, (0.0, 0.4), (1.0, -0.1))
         state = cc.make_group_state([a, b], cfg)
-        policy = ReconstructionPolicy.from_known_window(
+        policy = evaluate_oracle.from_known_window(
             [a, b], state.center_trajectory, state.member_offsets)
         for m in ("a", "b"):
             assert np.allclose(policy.residuals[m][-1], [0.0, 0.0], atol=1e-12)
@@ -806,6 +808,65 @@ class TestChunkedRollout:
             assert out[s].tobytes() == want.tobytes()
 
 
+class TestBlockAssemblyMatchesOracle:
+    """Each chunk's ``SimState`` and block first rows, built in one array
+    pass, have the bytes of ``rollout_oracle.block_states``, which builds
+    them one subject at a time."""
+
+    @staticmethod
+    def _spy_states(mp) -> list:
+        """Patch ``dynamics._advance`` to record each chunk's state and
+        watched rows and return zero positions without simulating."""
+        seen = []
+
+        def spy(sim, scene, params, dt, steps, watch):
+            seen.append((sim, watch))
+            return np.zeros((len(watch), steps, 2))
+
+        mp.setattr(dynamics, "_advance", spy)
+        return seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sub=st.integers(0, 7),
+           n_others=st.integers(0, 4), spread=st.sampled_from([3.0, 15.0, 60.0, 1e4]),
+           budget=st.sampled_from([1, 8, 40, 300, dynamics._CHUNK]),
+           given_vel=st.booleans(), max_cands=st.integers(1, 6))
+    def test_random_components(self, seed, n_sub, n_others, spread, budget, given_vel,
+                               max_cands):
+        """Random component shapes (a spread of 1e4 m leaves only
+        singletons), 1-6 candidates per subject (one is the straight-line
+        case), no subject at all, chunk splits forced by a small
+        ``_CHUNK``, and velocities given or not."""
+        cfg = cc.Config(predict_time_steps=4)
+        params = ForceParams.from_config(cfg, substeps=1)
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(-spread, spread, (n_sub, 2))
+        dest = [start[s] + rng.uniform(-20.0, 20.0, (int(rng.integers(1, max_cands + 1)), 2))
+                for s in range(n_sub)]
+        speed = rng.uniform(0.0, 2.0, n_sub)
+        vel = rng.uniform(-1.5, 1.5, (n_sub, 2)) if given_vel else None
+        others = [GroupInit(rng.uniform(-spread, spread, 2), rng.uniform(-50.0, 50.0, 2),
+                            float(rng.uniform(0.0, 2.0)),
+                            rng.uniform(-1.0, 1.0, 2) if rng.random() < 0.5 else None)
+                  for _ in range(n_others)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK", budget)
+            seen = self._spy_states(mp)
+            out = predict_group_trajectory(start, dest, speed, cc.SceneGeometry.empty(),
+                                           others, cfg.predict_time_steps, params, cfg, vel)
+            want = rollout_oracle.block_states(start, dest, speed, others,
+                                               cfg.predict_time_steps, params, cfg, vel)
+        assert [len(o) for o in out] == [len(d) for d in dest]
+        assert len(seen) == len(want)
+        for (sim, lead), (ref, ref_lead) in zip(seen, want):
+            for name in ("positions", "velocities", "destinations", "desired_speeds",
+                         "max_speeds", "arrived", "rows", "cols", "ends", "bins"):
+                got, exp = getattr(sim, name), getattr(ref, name)
+                assert got.dtype == exp.dtype and got.shape == exp.shape, name
+                assert got.tobytes() == exp.tobytes(), name
+            assert lead.dtype == ref_lead.dtype and lead.tobytes() == ref_lead.tobytes()
+
+
 class TestRolloutCostFamily:
     """The rollout slice of the cost family: one ``predict_at_endtime``
     window at n and 4n groups. The pairs ``reach_edges`` tests, and the
@@ -864,6 +925,60 @@ class TestRolloutCostFamily:
         if shape == "chain":
             # the whole component in every block: about 16x the bodies
             assert large[1] == 16 * small[1]
+
+
+class TestPerWindowCallCounts:
+    """The call slice of the cost family: one ``predict_at_endtime`` window
+    under ``seeded-jitter`` at n and 4n groups, a chain of pairs each
+    reach-linked to its neighbours. The ``np.random.default_rng``
+    constructions per window and the ``np.lexsort`` calls per rollout chunk
+    are of order 0 in G: they may not grow at all."""
+
+    N = 9
+    ORDER = 0
+
+    def counts(self, monkeypatch, n_groups: int) -> tuple:
+        from crowdcast import pipeline
+
+        cfg = cc.Config(known_time_steps=5, predict_time_steps=10, min_overlap_frames=3)
+        params = ForceParams.from_config(cfg, substeps=1)
+        vel = np.array([1.0, 0.0])
+        tracks = [line_track(f"g{g}.{m}", 0, 5, (20.0 * g - 4 * STEP, 0.5 * m), vel)
+                  for g in range(n_groups) for m in range(2)]
+        calls = {"default_rng": 0, "lexsort": 0}
+        inside = []
+
+        def counted(name, fn):
+            def spy(*args, **kw):
+                calls[name] += name == "default_rng" or bool(inside)
+                return fn(*args, **kw)
+            return spy
+
+        def rollout(*args, **kw):
+            inside.append(True)
+            try:
+                return predict_group_trajectory(*args, **kw)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            counted("default_rng", np.random.default_rng))
+        monkeypatch.setattr(np, "lexsort", counted("lexsort", np.lexsort))
+        monkeypatch.setattr(pipeline, "predict_group_trajectory", rollout)
+        advances = _spy_advance(monkeypatch)
+        preds = cc.predict_at_endtime(tracks, 4, cc.build_database(tracks, cfg, 4), cfg,
+                                      params, cc.SceneGeometry.empty(),
+                                      mode="seeded-jitter", seed=3)
+        assert [len(p.members) for p in preds] == [2] * n_groups
+        assert len(advances) == 1
+        return calls["default_rng"], calls["lexsort"] / len(advances)
+
+    def test_constant_in_the_group_count(self, monkeypatch):
+        small = self.counts(monkeypatch, self.N)
+        large = self.counts(monkeypatch, 4 * self.N)
+        growth = 4.0 ** self.ORDER
+        for name, a, b in zip(("generators", "lexsorts per chunk"), small, large):
+            assert 0 < a and b <= growth * a, (name, a, b)
 
 
 class TestReachEdgesMatchDense:

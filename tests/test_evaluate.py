@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import crowdcast as cc
 from crowdcast import core, retrieval
 from crowdcast.core import DataError, Trajectory
-from crowdcast.dynamics import (MODES, ForceParams, ReconstructionPolicy, member_positions,
-                                reconstruct_members)
+from crowdcast.dynamics import (MODES, ForceParams, ReconstructionPolicy, gather_members,
+                                member_deviations, member_positions, reconstruct_members)
 from crowdcast.evaluate import (
     Window,
     ade,
@@ -465,6 +465,64 @@ def test_member_positions_equal_per_candidate_oracle(seed, mode, n_cand, steps, 
         for m, p in zip(sorted(ids), cand):
             assert _same_bits(p, want[m].positions)
             assert _same_trajectory(got[m], want[m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES),
+       known=st.integers(2, 12), steps=st.sampled_from([1, 3, 5, 11, 12, 13, 30]),
+       sizes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 40)), min_size=0,
+                      max_size=5))
+def test_member_gather_equals_one_call_per_group(seed, mode, known, steps, sizes):
+    """One window's deviations and gather over the flat (sum C * M, T, 2)
+    rows have the bytes of one ``member_positions`` call per group and of
+    the per-candidate oracle, for horizons shorter and longer than the
+    known window (rigid patterns tile by t % T) and groups of 1 to 40
+    members. The per-call oracle's member-by-member RMS pins the batched
+    one of ``seeded-jitter``."""
+    rng = np.random.default_rng(seed)
+    frames = np.arange(40, 40 + steps)
+    groups = []
+    for n_cand, n_mem in sizes:
+        ids = [f"m{k:02d}" for k in range(n_mem)]
+        groups.append((np.cumsum(rng.normal(0.0, 0.4, (n_cand, steps, 2)), axis=1),
+                       dict(zip(ids, rng.normal(0.0, 0.5, (n_mem, 2)))),
+                       dict(zip(ids, rng.normal(0.0, 0.2, (n_mem, known, 2))
+                                * 10.0 ** rng.integers(-3, 3, (n_mem, 1, 1)))),
+                       float(rng.choice([0.0, 1.0, rng.uniform()]))))
+    m = np.array([n for _, n in sizes], dtype=np.intp)
+    slots = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    residuals = np.reshape([r for g in groups for r in g[2].values()], (-1, known, 2))
+    offsets = np.reshape([o for g in groups for o in g[1].values()], (-1, 2))
+    dev = member_deviations(residuals, slots, steps, ReconstructionPolicy(mode, seed=seed % 5))
+    flat = gather_members(np.concatenate([np.empty((0, steps, 2))] + [g[0] for g in groups]),
+                          sizes, offsets, np.array([g[3] for g in groups]), dev)
+    assert flat.shape == (sum(c * n for c, n in sizes), steps, 2)
+    assert not flat.flags.writeable
+    blocks = np.split(flat, np.cumsum([c * n for c, n in sizes])[:-1]) if sizes else []
+    for (points, offs, res, emotion), block in zip(groups, blocks):
+        policy = ReconstructionPolicy(mode, res, seed=seed % 5)
+        want = member_positions(points, offs, emotion, policy)
+        assert _same_bits(block.reshape(want.shape), want)
+        for cand, traj in zip(want, points):
+            per_call = evaluate_oracle.reconstruct_members(_grid("group", frames, traj),
+                                                           offs, emotion, policy)
+            for member, p in zip(cand, per_call.values()):
+                assert _same_bits(member, p.positions)
+
+
+def test_member_positions_draws_from_one_generator(monkeypatch):
+    """A group whose residual patterns share one length draws its
+    ``seeded-jitter`` deviations from one generator, however many members
+    it has."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: made.append(args) or default_rng(*args))
+    for n_members in (4, 16):
+        ids = [f"m{k:02d}" for k in range(n_members)]
+        policy = ReconstructionPolicy("seeded-jitter", {m: np.ones((5, 2)) for m in ids}, 2)
+        member_positions(np.zeros((3, 8, 2)), {m: np.zeros(2) for m in ids}, 0.5, policy)
+    assert made == [(2,), (2,)]
 
 
 @settings(max_examples=60, deadline=None)

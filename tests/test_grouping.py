@@ -546,6 +546,51 @@ class TestEmotionMatchesOracle:
         assert np.array_equal(got, ref)
 
 
+class TestEmotionEarlyOut:
+    """From ``_ZERO_EMOTION_SIZE`` members on, ``_emotions`` returns exact
+    zeros without the pair loop, and the loop, run by raising that size,
+    gives the same bits on finite speeds."""
+
+    def test_size_follows_the_float_range(self):
+        # the score is at most 2 - n, and exp(710) is the first whole
+        # exponent past the largest float
+        assert grouping._ZERO_EMOTION_SIZE == 712
+        assert math.exp(709.0) < math.inf
+        with pytest.raises(OverflowError):
+            math.exp(710.0)
+
+    @pytest.mark.parametrize("n, frames", [(711, 3), (712, 3), (5000, 1)])
+    def test_bit_equal_to_the_pair_loop(self, monkeypatch, n, frames):
+        rng = np.random.default_rng(n)
+        # equal aligned velocities score the most, 2 - n; then mixed
+        # magnitudes with some members standing still
+        aligned = np.tile([0.7, -0.4], (frames, n, 1))
+        mixed = rng.normal(0.0, 1.0, (frames, n, 2)) \
+            * 10.0 ** rng.integers(-3, 3, (frames, n, 1))
+        mixed[:, ::7] = 0.0
+        loops = []
+        running_sum = grouping._running_sum
+
+        def spy(*args):
+            loops.append(1)
+            return running_sum(*args)
+
+        monkeypatch.setattr(grouping, "_running_sum", spy)
+        got = [grouping._emotions(v) for v in (aligned, mixed)]
+        early = n >= grouping._ZERO_EMOTION_SIZE
+        assert bool(loops) != early
+        monkeypatch.setattr(grouping, "_ZERO_EMOTION_SIZE", math.inf)
+        want = [grouping._emotions(v) for v in (aligned, mixed)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if not early:
+            # at 711 members the top score's logistic, 1 / (1 + e^709), is
+            # still a positive float
+            assert got[0] == [1.0 / (1.0 + math.exp(709.0))] * frames
+            assert got[0][0] > 0.0
+        else:
+            assert got == [[0.0] * frames] * 2
+
+
 def _walkers(rng, name, count, start, velocity, jitter, endtime, steps):
     """``count`` agents walking ``velocity`` together from ``start``, each at
     its own offset within 0.3 m plus ``jitter`` noise, on its own clock
