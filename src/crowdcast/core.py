@@ -496,6 +496,8 @@ class SceneGeometry:
     """Static obstacles of a scene: line segments and convex polygons.
 
     ``bounds`` is the axis-aligned scene rectangle [[xmin, ymin], [xmax, ymax]].
+    The scene stacks its obstacle edges once; an :class:`ObstacleLayout`
+    lays them out against a rollout chunk's bodies and finds the contacts.
     """
 
     segments: tuple = ()   # each (2, 2) array: two endpoints
@@ -531,8 +533,6 @@ class SceneGeometry:
                             ("_ring_starts", starts)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        # without a short edge, obstacle_contacts has no point to put back
-        object.__setattr__(self, "_any_short", bool(short.any()))
 
     @classmethod
     def empty(cls) -> "SceneGeometry":
@@ -542,49 +542,86 @@ class SceneGeometry:
     def is_empty(self) -> bool:
         return not self.segments and not self.polygons
 
-    def obstacle_contacts(self, points) -> tuple:
-        """Nearest boundary point and signed distance of every obstacle to
-        every point of ``points``, an (M, 2) array.
 
-        Returns (O, M, 2) nearest points and (O, M) distances, segments
-        first, then polygons, each in scene order. A polygon's nearest point
-        lies on the first of its nearest edges, and its distance is negative
-        when the point lies inside it.
+class ObstacleLayout:
+    """The obstacle edges of a scene laid out against M bodies, for
+    :meth:`contacts` to evaluate every edge against every body.
+
+    Each edge's start, direction and squared length is repeated once per
+    body into a contiguous (E, M, 2) or (E, M) array, so every array op of
+    :meth:`contacts` runs over E · M · 2 contiguous values instead of E · M
+    runs of two that broadcast the (E, 1, 2) constants. A rollout chunk lays
+    out its scene once, when it starts, and drops the layout with the chunk:
+    it takes about as much memory as one :meth:`contacts` call's (E, M, 2)
+    temporaries, and nothing is cached on the scene.
+    """
+
+    def __init__(self, scene: SceneGeometry, m: int):
+        starts = scene._ring_starts.tolist()
+        n_seg = starts[0]
+        self._a, self._ab, self._div = (
+            np.repeat(v, m, axis=0).reshape((len(v), m) + v.shape[1:])
+            for v in (scene._a, scene._ab, scene._div))
+        # the rings' edge directions as x and y planes, for the inside test
+        self._abx = self._ab[n_seg:, :, 0].copy()
+        self._aby = self._ab[n_seg:, :, 1].copy()
+        self._short = np.flatnonzero(scene._short)
+        # each ring's edge rows, and the flat (edge, body) index of its
+        # first edge against every body
+        cols = np.arange(m)
+        self._rings = [(lo, hi, lo * m + cols) for lo, hi in zip(starts[:-1], starts[1:])]
+        self._n_seg = n_seg
+        self.n_obstacles = n_seg + len(self._rings)
+
+    def contacts(self, p: np.ndarray) -> tuple:
+        """Offset from the nearest boundary point and signed distance of
+        every obstacle to every point of ``p``, an (M, 2) array of finite
+        points.
+
+        Returns (O, M, 2) offsets ``p - nearest`` and (O, M) distances,
+        segments first, then polygons, each in scene order. A polygon's
+        nearest point lies on the first of its nearest edges, and its
+        distance is negative when the point lies inside it. An edge of
+        squared length below 1e-18 stands for its start point.
         """
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        starts = self._ring_starts
-        n_seg = int(starts[0])
-        a = self._a[:, None]
-        ab = self._ab[:, None]
+        m = len(p)
+        n_seg = self._n_seg
         # (E, M) nearest points and distances, every edge against every point
-        pa = p - a
-        t = np.vecdot(pa, ab) / self._div[:, None]
-        t = np.where(t > 0.0, t, 0.0)
-        t = np.where(t < 1.0, t, 1.0)
-        q = a + t[..., None] * ab
-        if self._any_short:
-            q = np.where(self._short[:, None, None], a, q)
-        pq = p - q
+        pa = p - self._a
+        t = np.vecdot(pa, self._ab)
+        t /= self._div
+        # the bits of where(t > 0, t, 0), then where(t < 1, t, 1): t is finite
+        # and never -0.0, as vecdot sums its products onto +0.0 and div > 0
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        q = t[..., None] * self._ab
+        q += self._a
+        if len(self._short):
+            q[self._short] = self._a[self._short]
+        pq = np.subtract(p, q, out=q)
         d = np.sqrt(np.vecdot(pq, pq))
-        near = np.empty((n_seg + len(starts) - 1, len(p), 2))
-        dist = np.empty(near.shape[:2])
-        near[:n_seg] = q[:n_seg]
+        if not self._rings:
+            return pq, d
+        away = np.empty((self.n_obstacles, m, 2))
+        dist = np.empty(away.shape[:2])
+        away[:n_seg] = pq[:n_seg]
         dist[:n_seg] = d[:n_seg]
-        cols = np.arange(len(p))
-        for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]), start=n_seg):
-            first = lo + d[lo:hi].argmin(axis=0)
-            # a point is inside a ring when every edge whose cross product
-            # clears 1e-15 turns the same way, and at least one does
-            cross = (ab[lo:hi, :, 0] * pa[lo:hi, :, 1]
-                     - ab[lo:hi, :, 1] * pa[lo:hi, :, 0])
-            counted = ~(np.abs(cross) < 1e-15)
-            turn = cross > 0
-            left = (counted & turn).any(axis=0)
-            right = (counted & ~turn).any(axis=0)
-            near[r] = q[first, cols]
-            nearest = d[first, cols]
-            dist[r] = np.where(left != right, -nearest, nearest)
-        return near, dist
+        # a point is inside a ring when every edge whose cross product
+        # clears 1e-15 turns the same way, and at least one does: when just
+        # one of its largest and smallest cross products clears 1e-15
+        cross = self._abx * pa[n_seg:, :, 1]
+        cross -= self._aby * pa[n_seg:, :, 0]
+        flat_pq, flat_d = pq.reshape(-1, 2), d.reshape(-1)
+        for r, (lo, hi, first) in enumerate(self._rings, start=n_seg):
+            at = d[lo:hi].argmin(axis=0)
+            at *= m
+            at += first
+            flat_pq.take(at, axis=0, out=away[r])
+            flat_d.take(at, out=dist[r])
+            turns = cross[lo - n_seg:hi - n_seg]
+            inside = (turns.max(axis=0) >= 1e-15) != (turns.min(axis=0) <= -1e-15)
+            np.negative(dist[r], out=dist[r], where=inside)
+        return away, dist
 
 
 def _convex_polygon(p) -> np.ndarray:

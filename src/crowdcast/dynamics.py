@@ -26,7 +26,11 @@ a subject. Each (subject, candidate) pair is one block, the subject heading
 to the candidate and the rest of its reach component to their own last
 candidates. The blocks are slices of one flat body array, built in one array
 pass per chunk of whole subjects and advanced together, so the fixed cost of
-each numpy call is paid once per chunk instead of once per group.
+each numpy call is paid once per chunk instead of once per group. Each chunk
+lays out the scene's obstacle edges against its bodies once, when it starts
+(:class:`~crowdcast.core.ObstacleLayout`), and drops the layout when it ends:
+its memory matches one substep's (edges, bodies, 2) obstacle temporaries,
+and nothing is cached on the scene.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Config, DataError, SceneGeometry, TooFewPointsError, Trajectory,
-                   check_scale, connected_components, final_velocity, near_pairs, runs)
+from .core import (Config, DataError, ObstacleLayout, SceneGeometry, TooFewPointsError,
+                   Trajectory, check_scale, connected_components, final_velocity,
+                   near_pairs, runs)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
 # without affecting any distance the integrator can actually maintain
@@ -171,9 +176,11 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
     return SimState(pos, vel, dest, spd, caps, arrived, rows, cols, ends, bins)
 
 
-def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
-            h: float) -> tuple:
-    """Total force per body for one substep of length ``h``.
+def _forces(state: SimState, layout: ObstacleLayout, params: ForceParams,
+            h: float, dist: np.ndarray) -> tuple:
+    """Total force per body for one substep of length ``h``, given the
+    state's obstacle ``layout`` and each body's distance ``dist`` to its
+    destination.
 
     Returns the force array and a mask of the rows needing a coincidence
     nudge, or None when no pair is coincident. The desired speed is damped
@@ -187,7 +194,6 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     n_arrived = np.count_nonzero(arrived)
 
     to_dest = state.destinations - pos
-    dist = _length(to_dest)
     far = dist > _COINCIDENT
     speed = np.minimum(state.desired_speeds, dist / h)
     if np.count_nonzero(far) == len(far):
@@ -232,12 +238,11 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
     # the (O, M) terms of every obstacle at once, then added one obstacle at
     # a time, in scene order, as a per-body sum would add them; a body at a
     # contact point gets no term from that obstacle
-    if not scene.is_empty:
+    if layout.n_obstacles:
         # |signed_d| is the length of ``away`` bit for bit, and x / -l is
         # -(x / l) exactly, so dividing by signed_d both normalises ``away``
         # and turns it outward from inside a polygon
-        point, signed_d = scene.obstacle_contacts(pos)
-        away = pos - point
+        away, signed_d = layout.contacts(pos)
         use = ~(np.abs(signed_d) < _COINCIDENT)
         if n_arrived:
             use &= ~arrived
@@ -249,8 +254,8 @@ def _forces(state: SimState, scene: SceneGeometry, params: ForceParams,
             np.divide(away, signed_d[..., None], out=away, where=masks)
         exponent = np.minimum(
             (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
-        terms = (params.obstacle_strength * np.exp(exponent))[..., None] * away
-        for term, mask in zip(terms, masks):
+        away *= (params.obstacle_strength * np.exp(exponent))[..., None]
+        for term, mask in zip(away, masks):
             np.add(forces, term, out=forces, where=mask)
     if n_arrived:
         forces[arrived] = 0.0
@@ -305,9 +310,14 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     n_arrived = np.count_nonzero(sim.arrived)
     active = ~sim.arrived
     moving = active[:, None] if n_arrived else True
+    # laid out once per call, and dropped with it
+    layout = ObstacleLayout(scene, len(pos))
+    # each substep's distances to the destinations serve the next one:
+    # |pos - dest| has the bits of |dest - pos|, as (-x)² is x²
+    dist = _length(pos - sim.destinations)
     for s in range(steps):
         for _ in range(params.substeps):
-            forces, nudge = _forces(sim, scene, params, h)
+            forces, nudge = _forces(sim, layout, params, h, dist)
             forces /= params.mass
             forces *= h
             np.add(vel, forces, out=vel, where=moving)
@@ -320,7 +330,8 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
             np.add(pos, vel * h, out=pos, where=moving)
             if nudge is not None:
                 _nudge_coincident(sim, nudge)
-            newly = _length(pos - sim.destinations) <= params.radius
+            dist = _length(pos - sim.destinations)
+            newly = dist <= params.radius
             if n_arrived:
                 newly &= active
             if np.count_nonzero(newly):

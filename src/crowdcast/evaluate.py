@@ -30,7 +30,7 @@ from .core import (
     final_velocity,
     runs,
 )
-from .dynamics import ForceParams, straight_lines
+from .dynamics import ForceParams, _length, straight_lines
 from .pipeline import predict_at_endtime
 
 
@@ -89,10 +89,12 @@ def _check_aligned(pred: Trajectory, gt: Trajectory):
 def displacement_errors(d: np.ndarray) -> tuple:
     """ADE and FDE of each (..., T, 2) stack of differences between a
     prediction and its ground truth: the mean and the last of the per-step
-    distances. The FDE is ``sqrt(vecdot)``, which keeps the bits of the
-    one-point ``np.linalg.norm``; a norm over an axis need not."""
+    distances. The per-step distances are ``dynamics._length``'s
+    ``sqrt(x² + y²)``, the bits of ``np.linalg.norm(d, axis=-1)``. The FDE
+    is ``sqrt(vecdot)``, which keeps the bits of the one-point
+    ``np.linalg.norm``; a norm over an axis need not."""
     last = d[..., -1, :]
-    return np.linalg.norm(d, axis=-1).mean(axis=-1), np.sqrt(np.vecdot(last, last))
+    return _length(d).mean(axis=-1), np.sqrt(np.vecdot(last, last))
 
 
 def ade(pred: Trajectory, gt: Trajectory) -> float:

@@ -17,6 +17,7 @@ from crowdcast import core
 from crowdcast.core import (
     SCALE,
     DataError,
+    ObstacleLayout,
     TooFewPointsError,
     _directions,
     natural_key,
@@ -322,14 +323,16 @@ class TestScene:
     def test_parse_and_contacts(self):
         scene = parse_scene("# walls\nseg 0 0 4 0\npoly 10 0 12 0 12 2 10 2\n")
         assert len(scene.segments) == 1 and len(scene.polygons) == 1
-        points, dists = scene.obstacle_contacts(np.array([[2.0, 1.0], [13.0, 1.0]]))
-        assert points.shape == (2, 2, 2) and dists.shape == (2, 2)
-        assert np.allclose(points[0, 0], [2.0, 0.0]) and abs(dists[0, 0] - 1.0) < 1e-12
-        assert np.allclose(points[1, 1], [12.0, 1.0]) and abs(dists[1, 1] - 1.0) < 1e-12
+        pts = np.array([[2.0, 1.0], [13.0, 1.0]])
+        away, dists = ObstacleLayout(scene, 2).contacts(pts)
+        assert away.shape == (2, 2, 2) and dists.shape == (2, 2)
+        # the offsets from the nearest points (2, 0) and (12, 1)
+        assert np.allclose(pts[0] - away[0, 0], [2.0, 0.0]) and abs(dists[0, 0] - 1.0) < 1e-12
+        assert np.allclose(pts[1] - away[1, 1], [12.0, 1.0]) and abs(dists[1, 1] - 1.0) < 1e-12
 
     def test_inside_polygon_negative_distance(self):
         scene = parse_scene("poly 0 0 2 0 2 2 0 2")
-        _, dists = scene.obstacle_contacts(np.array([[1.0, 0.3]]))
+        _, dists = ObstacleLayout(scene, 1).contacts(np.array([[1.0, 0.3]]))
         assert abs(dists[0, 0] + 0.3) < 1e-12
 
     def test_bad_line_reports_number(self):
@@ -357,8 +360,8 @@ class TestScene:
     def test_empty_scene(self):
         scene = cc.SceneGeometry.empty()
         assert scene.is_empty
-        points, dists = scene.obstacle_contacts(np.zeros((3, 2)))
-        assert points.shape == (0, 3, 2) and dists.shape == (0, 3)
+        away, dists = ObstacleLayout(scene, 3).contacts(np.zeros((3, 2)))
+        assert away.shape == (0, 3, 2) and dists.shape == (0, 3)
 
 
 class TestCanonicalCsv:

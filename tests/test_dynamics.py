@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import crowdcast as cc
 from crowdcast import dynamics
-from crowdcast.core import DataError
+from crowdcast.core import DataError, ObstacleLayout
 from crowdcast.dynamics import (
     ForceParams,
     ReconstructionPolicy,
@@ -48,6 +48,14 @@ def dense_reach_component(pos, caps, reach, horizon):
         frontier = adj[frontier].any(axis=0) & ~seen
         seen = seen | frontier
     return np.flatnonzero(seen)
+
+
+def substep_forces(state, scene, params, h):
+    """``dynamics._forces`` on ``state`` at the start of a rollout: the
+    scene laid out against its bodies and their distances to their
+    destinations, as ``_advance`` hands them to the first substep."""
+    return dynamics._forces(state, ObstacleLayout(scene, len(state.positions)), params, h,
+                            dynamics._length(state.positions - state.destinations))
 
 
 @pytest.fixture
@@ -517,7 +525,7 @@ class TestRolloutMatchesOracle:
         state = make_sim_state(*args)
         assert state.arrived.all()
         h = cfg.step_duration / params.substeps
-        forces, nudge = dynamics._forces(state, scene, params, h)
+        forces, nudge = substep_forces(state, scene, params, h)
         ref_forces, _ = rollout_oracle._forces(rollout_oracle.make_sim_state(*args),
                                                scene, params, h)
         assert forces.tobytes() == ref_forces.tobytes() and not nudge.any()
@@ -981,6 +989,49 @@ class TestPerWindowCallCounts:
             assert 0 < a and b <= growth * a, (name, a, b)
 
 
+class TestObstacleLayoutPerChunk:
+    """The obstacle slice of the call counts: one ``predict_at_endtime``
+    window at n and 4n groups, a chain of pairs each reach-linked to its
+    neighbours, in a scene with a wall and a pillar. Each rollout chunk lays
+    out the scene's obstacle edges exactly once, against its own bodies,
+    however many substeps it runs: layouts per chunk are of order 0 in G."""
+
+    N = 9
+    ORDER = 0
+    SCENE = "seg -10 3 -10 9\npoly 30 -4 31 -4 31 -3 30 -3"
+
+    def counts(self, monkeypatch, n_groups: int, substeps: int) -> tuple:
+        cfg = cc.Config(known_time_steps=5, predict_time_steps=10, min_overlap_frames=3)
+        params = ForceParams.from_config(cfg, substeps=substeps)
+        vel = np.array([1.0, 0.0])
+        tracks = [line_track(f"g{g}.{m}", 0, 5, (20.0 * g - 4 * STEP, 0.5 * m), vel)
+                  for g in range(n_groups) for m in range(2)]
+        layouts = []
+
+        def spy(scene, m):
+            layouts.append(m)
+            return ObstacleLayout(scene, m)
+
+        monkeypatch.setattr(dynamics, "ObstacleLayout", spy)
+        advances = _spy_advance(monkeypatch)
+        preds = cc.predict_at_endtime(tracks, 4, cc.build_database(tracks, cfg, 4), cfg,
+                                      params, cc.parse_scene(self.SCENE))
+        assert [len(p.members) for p in preds] == [2] * n_groups
+        # one layout per chunk, as wide as the chunk's bodies
+        assert layouts == [bodies for bodies, _, _ in advances]
+        return len(layouts) / len(advances), len(advances)
+
+    # the default chunk holds either window whole; 256 splits the larger one
+    @pytest.mark.parametrize("chunk, split", [(dynamics._CHUNK, False), (1 << 8, True)])
+    @pytest.mark.parametrize("substeps", [1, 8])
+    def test_one_layout_per_chunk(self, monkeypatch, substeps, chunk, split):
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        (small, _), (large, chunks) = (self.counts(monkeypatch, n, substeps)
+                                       for n in (self.N, 4 * self.N))
+        assert small == 1.0 and large <= 4.0 ** self.ORDER * small
+        assert (chunks > 1) == split
+
+
 class TestReachEdgesMatchDense:
     """``reach_edges`` returns, as i < j pairs, exactly the edges of the
     dense test over every pair of rows."""
@@ -1047,13 +1098,25 @@ class TestReachEdgesMatchDense:
         assert self.check(pos, caps) == 1
 
 
+def oracle_contacts(scene, pts) -> tuple:
+    """The (O, M, 2) offsets ``p - q`` and (O, M) signed distances of
+    ``rollout_oracle.obstacle_contacts``, point by point."""
+    away = np.empty((len(scene.segments) + len(scene.polygons), len(pts), 2))
+    dist = np.empty(away.shape[:2])
+    for m, p in enumerate(pts):
+        for o, (q, d) in enumerate(rollout_oracle.obstacle_contacts(scene, p)):
+            away[o, m], dist[o, m] = p - q, d
+    return away, dist
+
+
 class TestObstacleFieldMatchesOracle:
-    """``SceneGeometry.obstacle_contacts`` and the obstacle terms of the
-    force return the bits of the scalar per-point code in
-    ``rollout_oracle``, signed zeros included, on points placed where the
-    geometry is ambiguous: on vertices and edges, at equal distance from
-    several edges, and inside or outside polygons of either orientation
-    with repeated vertices."""
+    """``ObstacleLayout.contacts`` and the obstacle terms of the force
+    return the bits of the scalar per-point code in ``rollout_oracle``,
+    signed zeros included, on points placed where the geometry is
+    ambiguous: on vertices and edges, at equal distance from several
+    edges, and inside or outside polygons of either orientation with
+    repeated vertices. The contacts' offsets are compared as ``p - q`` of
+    the oracle's nearest points ``q``."""
 
     SEGMENTS = ([(0.0, 0.0), (4.0, 0.0)],
                 [(0.1, 0.7), (0.3, -0.2)],
@@ -1089,16 +1152,27 @@ class TestObstacleFieldMatchesOracle:
     def test_contacts_bit_equal(self):
         scene = self._scene()
         pts = self._points(np.random.default_rng(7))
-        near, dist = scene.obstacle_contacts(pts)
-        assert near.shape == (10, len(pts), 2) and dist.shape == (10, len(pts))
-        ref_near = np.empty_like(near)
-        ref_dist = np.empty_like(dist)
-        for m, p in enumerate(pts):
-            for o, (q, d) in enumerate(rollout_oracle.obstacle_contacts(scene, p)):
-                ref_near[o, m], ref_dist[o, m] = q, d
-        assert near.tobytes() == ref_near.tobytes()
+        away, dist = ObstacleLayout(scene, len(pts)).contacts(pts)
+        assert away.shape == (10, len(pts), 2) and dist.shape == (10, len(pts))
+        ref_away, ref_dist = oracle_contacts(scene, pts)
+        assert away.tobytes() == ref_away.tobytes()
         assert dist.tobytes() == ref_dist.tobytes()
         assert np.any(dist < 0.0) and np.any(dist == 0.0)
+
+    def test_contacts_signed_zero_at_a_vertex(self):
+        # a point on a vertex at x = -0.0 of an edge heading to -x and -y:
+        # its projection t sums two -0.0 products, and must come out as the
+        # oracle's max(0.0, t) = +0.0, or the offset's x would be
+        # -0.0 - 0.0 = -0.0 where the oracle's is -0.0 - (-0.0) = +0.0
+        scene = cc.SceneGeometry((np.array([[-0.0, 1.0], [-1.0, 0.0]]),),
+                                 (np.array([[-0.0, 3.0], [-1.0, 2.0], [1.0, 2.0]]),),
+                                 np.array([[-5.0, -5.0], [5.0, 5.0]]))
+        pts = np.array([[-0.0, 1.0], [-0.0, 3.0], [0.0, 1.0]])
+        away, dist = ObstacleLayout(scene, len(pts)).contacts(pts)
+        ref_away, ref_dist = oracle_contacts(scene, pts)
+        assert away.tobytes() == ref_away.tobytes()
+        assert dist.tobytes() == ref_dist.tobytes()
+        assert not np.signbit(away[0, 0, 0])
 
     @pytest.mark.parametrize("segments, polygons", [
         (range(4), ()),                 # segments only
@@ -1110,22 +1184,20 @@ class TestObstacleFieldMatchesOracle:
                                  tuple(np.array(self.POLYGONS[i]) for i in polygons),
                                  np.array([[-10.0, -10.0], [10.0, 10.0]]))
         n_obstacles = len(segments) + len(polygons)
-        near, dist = scene.obstacle_contacts(np.empty((0, 2)))
-        assert near.shape == (n_obstacles, 0, 2) and dist.shape == (n_obstacles, 0)
+        away, dist = ObstacleLayout(scene, 0).contacts(np.empty((0, 2)))
+        assert away.shape == (n_obstacles, 0, 2) and dist.shape == (n_obstacles, 0)
         pts = self._points(np.random.default_rng(9))[::3]
-        near, dist = scene.obstacle_contacts(pts)
-        ref = [rollout_oracle.obstacle_contacts(scene, p) for p in pts]
-        ref_near = np.array([[q for q, _ in contacts] for contacts in ref])
-        ref_dist = np.array([[d for _, d in contacts] for contacts in ref])
-        assert near.tobytes() == ref_near.transpose(1, 0, 2).tobytes()
-        assert dist.tobytes() == ref_dist.T.tobytes()
+        away, dist = ObstacleLayout(scene, len(pts)).contacts(pts)
+        ref_away, ref_dist = oracle_contacts(scene, pts)
+        assert away.tobytes() == ref_away.tobytes()
+        assert dist.tobytes() == ref_dist.tobytes()
 
     def test_forces_bit_equal(self, cfg, params):
         h = cfg.step_duration / params.substeps
 
         def assert_same_forces(scene, p, vel, dest):
             args = ([p], [vel], [dest], [1.0], params)
-            forces, _ = dynamics._forces(make_sim_state(*args), scene, params, h)
+            forces, _ = substep_forces(make_sim_state(*args), scene, params, h)
             ref, _ = rollout_oracle._forces(rollout_oracle.make_sim_state(*args),
                                             scene, params, h)
             assert forces.tobytes() == ref.tobytes(), p

@@ -18,6 +18,7 @@ from crowdcast.dynamics import (MODES, ForceParams, ReconstructionPolicy, gather
 from crowdcast.evaluate import (
     Window,
     ade,
+    displacement_errors,
     fde,
     min_over_candidates,
     run_experiment,
@@ -78,6 +79,27 @@ class TestAdeFde:
             ade(pred, gt)
         with pytest.raises(DataError):
             fde(pred, gt)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_distances_bit_equal_to_norm(self, seed):
+        # the per-step distances are sqrt(x² + y²), the bits of a norm over
+        # the last axis, and the FDE has the bits of the one-point norm, on
+        # stacks holding signed zeros, values near 1e-12 whose squares are
+        # subnormal or zero, and squares that overflow
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(300, 30, 2)) * 10.0 ** rng.integers(-14, 3, (300, 30, 1))
+        special = np.array([0.0, -0.0, 1e-12, -1e-12, 3e-162, 1e-170, 1e155, -1e200,
+                            np.finfo(float).max])
+        pick = rng.random(d.shape) < 0.2
+        d[pick] = rng.choice(special, np.count_nonzero(pick))
+        with np.errstate(over="ignore"):
+            ade_got, fde_got = displacement_errors(d)
+            norm = np.linalg.norm(d, axis=-1)
+        assert np.isinf(norm).any() and (norm == 0.0).any()
+        assert ade_got.tobytes() == norm.mean(axis=-1).tobytes()
+        with np.errstate(over="ignore"):
+            last = np.array([np.linalg.norm(v) for v in d[:, -1]])
+        assert fde_got.tobytes() == last.tobytes()
 
     def test_empty_rejected(self):
         empty = Trajectory("e", np.zeros(0, dtype=np.int64), np.zeros(0),

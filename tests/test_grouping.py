@@ -591,6 +591,51 @@ class TestEmotionEarlyOut:
             assert got == [[0.0] * frames] * 2
 
 
+class TestEmotionCostFamily:
+    """The emotion slice of the cost family: one group of n and 4n members
+    through ``_emotions``. Below ``_ZERO_EMOTION_SIZE`` its pair terms (the
+    cosine and speed-spread terms it hands ``_running_sum``) are of the
+    model's own order, n² per frame, so they grow by at most 16 × (1 + ε).
+    From that size on the call is of order 0: it makes no ``np.vecdot``
+    call at either size."""
+
+    FRAMES = 5
+    EPS = 0.05
+
+    def counts(self, monkeypatch, n: int) -> tuple:
+        vels = np.random.default_rng(n).normal(0.0, 1.0, (self.FRAMES, n, 2))
+        calls = {"terms": 0, "vecdot": 0}
+        running_sum, vecdot = grouping._running_sum, np.vecdot
+
+        def summed(total, terms):
+            calls["terms"] += terms.size
+            return running_sum(total, terms)
+
+        def dot(*args, **kw):
+            calls["vecdot"] += 1
+            return vecdot(*args, **kw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(grouping, "_running_sum", summed)
+            mp.setattr(np, "vecdot", dot)
+            values = grouping._emotions(vels)
+        assert len(values) == self.FRAMES
+        return calls["terms"], calls["vecdot"]
+
+    def test_pair_terms_within_the_model_order(self, monkeypatch):
+        # every ordered pair of members, per frame: order 2 in n
+        n, order = 50, 2
+        (small, _), (large, _) = (self.counts(monkeypatch, g) for g in (n, 4 * n))
+        assert 0 < small and large <= 4.0 ** order * (1.0 + self.EPS) * small
+
+    def test_constant_from_the_zero_size(self, monkeypatch):
+        # order 0: no pair term and no np.vecdot call at n or 4n
+        n = 800
+        assert n >= grouping._ZERO_EMOTION_SIZE
+        for g in (n, 4 * n):
+            assert self.counts(monkeypatch, g) == (0, 0)
+
+
 def _walkers(rng, name, count, start, velocity, jitter, endtime, steps):
     """``count`` agents walking ``velocity`` together from ``start``, each at
     its own offset within 0.3 m plus ``jitter`` noise, on its own clock
