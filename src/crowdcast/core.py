@@ -260,6 +260,11 @@ def _directions(positions: np.ndarray) -> np.ndarray:
     return (i * d - before) / np.maximum(i, 1.0)
 
 
+# frames whose :meth:`Tracks.count_before` counts a run keeps: an eval
+# window asks three
+_COUNTS_KEPT = 4
+
+
 class Tracks(tuple):
     """The tracks of a run: an immutable tuple of trajectories that carries
     one columnar table of them (Abadi, Boncz & Harizopoulos, "Column-oriented
@@ -274,6 +279,20 @@ class Tracks(tuple):
     ``direction_norms`` their lengths. The table is built once; the ids,
     codes and directions on first use. A window's cut and database are then
     numpy over the table, with no Python per track.
+
+    The run's retrieval samples are the table rows ``sample_rows``: rows
+    2 .. n - 1 of every track, in track order, the samples
+    :func:`build_database` stores without an endtime. A window's samples
+    are those before its first frame, a frame prefix of the run's, so they
+    are indexed by a ladder of sample grids over time prefixes
+    (Bentley & Saxe's logarithmic method, "Decomposable searching problems
+    I", J. Algorithms 1(4), 1980): with n samples, level j holds those whose
+    frame is at most that of the ceil(n / 2**j)-th sample in frame order,
+    and :meth:`sample_grid` hands a window the smallest level holding it.
+    A run builds at most log2(n) + 1 grids, each on first use, instead of
+    one per window. Like the directions, none of it is built before a
+    database is queried, and :meth:`count_before` keeps the counts of the
+    last few frames it was asked, so a window's callers share its scans.
     """
 
     def __new__(cls, tracks=()):
@@ -295,6 +314,7 @@ class Tracks(tuple):
                           ("lengths", lengths), ("owners", owners)):
             arr.setflags(write=False)
             vars(self)[name] = arr
+        vars(self).update(_counted=(), _levels={})
         return self
 
     @classmethod
@@ -337,9 +357,53 @@ class Tracks(tuple):
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _code_of(self) -> dict:
+        return {aid: c for c, aid in enumerate(self.agent_ids)}
+
+    def codes_of(self, agent_ids) -> np.ndarray:
+        """Codes of those ``agent_ids`` that hold a track here."""
+        return np.array([self._code_of[a] for a in agent_ids if a in self._code_of],
+                        dtype=np.int64)
+
+    @cached_property
+    def sample_rows(self) -> np.ndarray:
+        """The table row of each of the run's samples: rows 2 .. n - 1 of
+        every track, in track order."""
+        return _frozen(_sample_layout(self.starts, self.lengths)[2])
+
+    def sample_grid(self, count: int) -> "SampleGrid":
+        """The smallest ladder level holding the ``count`` earliest samples
+        in frame order, built on first use; its ``order`` lists table rows.
+        Level j holds ceil(n / 2**j) >= count samples and level j + 1 fewer
+        (ties aside), so at most about half of its rows lie after those."""
+        rows = self.sample_rows
+        n, j = len(rows), 0
+        while -(-n >> j) > 1 and -(-n >> (j + 1)) >= count:
+            j += 1
+        grid = self._levels.get(j)
+        if grid is None:
+            if n:
+                frames, size = self.frames[rows], -(-n >> j)
+                rows = rows[frames <= np.partition(frames, size - 1)[size - 1]]
+            grid = self._levels.setdefault(j, SampleGrid(self.positions[rows], rows))
+        return grid
+
     def count_before(self, frame) -> np.ndarray:
         """Per track, how many of its frames lie before ``frame``: its first
-        rows, as frames strictly increase. An empty track counts 0."""
+        rows, as frames strictly increase. An empty track counts 0. The
+        read-only counts of the last ``_COUNTS_KEPT`` frames are kept, so
+        the callers of one window scan the table once per frame."""
+        for kept, counts in self._counted:
+            if kept == frame:
+                return counts
+        counts = _frozen(self._scan_before(frame))
+        # one tuple swapped in whole: threads sharing the run can lose an
+        # entry, which costs a scan, but never see a wrong count
+        vars(self)["_counted"] = ((frame, counts),) + self._counted[:_COUNTS_KEPT - 1]
+        return counts
+
+    def _scan_before(self, frame) -> np.ndarray:
         return np.bincount(self.owners[self.frames < frame], minlength=len(self))
 
     def covering(self, first: int, steps: int) -> tuple:
@@ -865,10 +929,11 @@ class SampleGrid:
     but never under 1/(4√n) of the larger extent. So a row or column has at
     most about 4√n cells and the cell key ``cx · rows + cy`` is an exact
     float. A sample with a non-finite coordinate lies in no cell: only the
-    square that covers the whole grid holds it.
+    square that covers the whole grid holds it. ``order`` lists the
+    samples' ``ids`` by cell.
     """
 
-    def __init__(self, positions: np.ndarray):
+    def __init__(self, positions: np.ndarray, ids: np.ndarray):
         x, y = positions.T
         good = np.isfinite(x) & np.isfinite(y)
         gx, gy = (x, y) if good.all() else (x[good], y[good])
@@ -890,8 +955,9 @@ class SampleGrid:
         self.rows = self.last[1] + 1.0
         key = np.full(len(x), np.inf)
         key[good] = cx * self.rows + cy
-        self.order = np.argsort(key)
-        self.keys = key[self.order]
+        order = np.argsort(key)
+        self.keys = key[order]
+        self.order = ids[order]
         # the coordinates' magnitude, for the rounding slack of ``clearance``
         self.magnitude = float(np.abs(self.origin).max()) + wide
 
@@ -938,7 +1004,7 @@ class SampleGrid:
         return whole, owner, first, count, clear
 
     def samples(self, first: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """The sample indices of the runs of ``order`` that start at
+        """The sample ids of the runs of ``order`` that start at
         ``first`` and hold ``count`` each, run after run."""
         runs = np.repeat(first - count.cumsum() + count, count)
         return self.order[runs + np.arange(len(runs))]
@@ -951,55 +1017,100 @@ class SampleGrid:
 
 
 class TrajectoryDatabase:
-    """Historical track samples as read-only arrays, one row per sample.
+    """Historical track samples of one window, one row per sample.
 
     The database stores the first ``lengths[t]`` points of each track t of
-    ``tracks``, a :class:`Tracks`, gathered from its table.
-    Every stored point with at least two earlier points is a sample, stored
-    as its position, its un-normalized average movement direction, the last
-    stored point of its track (the destination) and its 1-based ``step`` in
-    that track. ``agent_codes`` index ``agent_ids``, which lists the source
-    agents in natural order, so comparing codes compares ids. A track's
-    samples are contiguous, in ascending step, and tracks of three or more
-    stored points keep their input order. ``direction_norms`` are the
-    directions' lengths. ``grid``, the :class:`SampleGrid` of the sample
-    positions, is built on first use, so a database that is never queried
-    never pays for it.
+    ``tracks``, a :class:`Tracks`, and holds nothing but the table and
+    those lengths: its samples are the run's sample rows before each
+    track's stored length, and its ``grid`` is the :meth:`Tracks.sample_grid`
+    level holding them, which may hold later samples too. Every stored
+    point with at least two earlier points is a sample: its position, its
+    un-normalized average movement direction, the last stored point of its
+    track (the destination) and its 1-based ``step`` in that track. A
+    track's samples are contiguous, in ascending step, and tracks of three
+    or more stored points keep their input order; track t's first sample
+    is ``starts[t]``. ``agent_codes`` index ``agent_ids``, which lists the
+    source agents in natural order, so comparing codes compares ids.
+    ``direction_norms`` are the directions' lengths. These read-only
+    arrays are gathered from the table on first access only: retrieval
+    reads the table by row, so a window that is only queried gathers none.
     """
 
     def __init__(self, tracks: Tracks, lengths: np.ndarray):
-        # samples: rows 2 .. n - 1 of each track, gathered from the table
-        kept = lengths >= 3
-        count = np.where(kept, lengths - 2, 0)
-        track, index = runs(count)
-        index += 2
-        rows = tracks.starts[track] + index
-        # codes renumbered to the stored agents, still in natural order
-        stored = np.unique(tracks.codes[kept])
-        self.agent_ids = tuple(tracks.agent_ids[c] for c in stored.tolist())
-        self._codes = {aid: c for c, aid in enumerate(self.agent_ids)}
-        self.agent_codes = stored.searchsorted(tracks.codes)[track]
-        self.steps = index + 1
-        self.positions = tracks.positions.take(rows, axis=0)
-        self.directions = tracks.directions.take(rows, axis=0)
-        self.destinations = tracks.positions.take((tracks.starts + lengths - 1)[track],
-                                                  axis=0)
-        self.direction_norms = tracks.direction_norms.take(rows)
-        for arr in (self.agent_codes, self.steps, self.positions, self.directions,
-                    self.destinations, self.direction_norms):
-            arr.setflags(write=False)
+        self.tracks, self.lengths = tracks, lengths
+        self._counts = np.where(lengths >= 3, lengths - 2, 0)
+        self._ends = np.cumsum(self._counts)
+        self.starts = self._ends - self._counts
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return int(self._ends[-1]) if len(self._ends) else 0
 
     @cached_property
     def grid(self) -> SampleGrid:
-        return SampleGrid(self.positions)
+        return self.tracks.sample_grid(len(self))
+
+    def track_of(self, index: np.ndarray) -> np.ndarray:
+        """The track of each sample ``index``."""
+        return self._ends.searchsorted(index, side="right")
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """Each sample's track, index in it and table row."""
+        return _sample_layout(self.tracks.starts, self.lengths)
+
+    @cached_property
+    def agent_ids(self) -> tuple:
+        return tuple(self.tracks.agent_ids[c] for c in self._stored.tolist())
+
+    @cached_property
+    def _stored(self) -> np.ndarray:
+        """The run codes of the agents stored, ascending."""
+        return np.unique(self.tracks.codes[self._counts > 0])
+
+    @cached_property
+    def agent_codes(self) -> np.ndarray:
+        codes = self._stored.searchsorted(self.tracks.codes)
+        return _frozen(codes[self._layout[0]])
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        return _frozen(self._layout[1] + 1)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return _frozen(self.tracks.positions.take(self._layout[2], axis=0))
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        return _frozen(self.tracks.directions.take(self._layout[2], axis=0))
+
+    @cached_property
+    def destinations(self) -> np.ndarray:
+        last = self.tracks.starts + self.lengths - 1
+        return _frozen(self.tracks.positions.take(last[self._layout[0]], axis=0))
+
+    @cached_property
+    def direction_norms(self) -> np.ndarray:
+        return _frozen(self.tracks.direction_norms.take(self._layout[2]))
 
     def codes_of(self, agent_ids) -> np.ndarray:
         """Agent codes of those ``agent_ids`` that have samples here."""
-        return np.array([self._codes[a] for a in agent_ids if a in self._codes],
-                        dtype=np.int64)
+        codes = self.tracks.codes_of(agent_ids)
+        return self._stored.searchsorted(codes[np.isin(codes, self._stored)])
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def _sample_layout(starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The samples of the tracks of ``lengths`` points whose rows begin at
+    ``starts``: rows 2 .. n - 1 of each track of three or more, in track
+    order, as each sample's track, index in it and table row."""
+    track, index = runs(np.where(lengths >= 3, lengths - 2, 0))
+    index += 2
+    return track, index, starts[track] + index
 
 
 def build_database(tracks, cfg: Config, endtime: int | None = None
@@ -1015,6 +1126,12 @@ def build_database(tracks, cfg: Config, endtime: int | None = None
     track or prefix under three points holds no sample, so it is neither
     stored nor checked. An empty input yields an empty database whose every
     query misses. ``tracks`` is converted once by :meth:`Tracks.of`.
+
+    Nothing is gathered: the database is the run's table and each track's
+    stored length, the frame limit. Its samples are the run's
+    ``sample_rows`` before that limit, searched through the run's ladder
+    level that holds them, so building it costs O(tracks) and a run builds
+    O(log n) grids over all its windows, not one per window.
     """
     tracks = Tracks.of(tracks)
     lengths = (tracks.lengths if endtime is None

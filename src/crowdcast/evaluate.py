@@ -200,9 +200,15 @@ def run_experiment(tracks, scene: SceneGeometry, windows: list,
 
     Per window, the database is ``build_database(tracks, cfg,
     endtime=window.endtime)``: each track's points before the known window,
-    so nothing of the window or its horizon is searched. Each group's own
-    members are excluded from its query. Agents covering the whole known
-    window are simulated; those also covering the whole horizon are scored.
+    so nothing of the window or its horizon is searched. It holds only the
+    run's table and that frame limit per track; its search reads the run's
+    sample rows through the ladder level holding them (``Tracks.sample_grid``,
+    built once per level per run) and drops the rows past the limit. The
+    head count, the database, the cut and the scorer count rows before
+    three frames per window, and the run keeps those counts, so each is one
+    scan of the table. Each group's own members are excluded from its
+    query. Agents covering the whole known window are simulated; those also
+    covering the whole horizon are scored.
     An agent with any frame at or before the window's last horizon frame
     counts toward the window's total once, however many tracks hold its id
     (an empty track never counts); total minus evaluated is reported as

@@ -84,9 +84,15 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
     rejected scores at least ``d / neighborhood_range + min(0,
     direction_weight)``, because ``1 - cos`` lies in [0, 1]; the test
     subtracts a rounding slack. The last square, if it comes to that, is
-    the whole database. Every round ranks the squares of all the queries
-    still open at once, in blocks of about ``_BLOCK_ROWS`` rows, and only
-    the queries that fail the test go round again.
+    the whole grid. Every round ranks the squares of all the queries still
+    open at once, in blocks of about ``_BLOCK_ROWS`` rows, and only the
+    queries that fail the test go round again.
+
+    The grid is the run's ladder level holding the database
+    (:meth:`~crowdcast.core.Tracks.sample_grid`): its rows are the run's
+    table rows, read there, and a row past its track's stored length, in
+    the window's future, is dropped with the rejected and excluded ones.
+    Agents are ranked by run code, in the same natural order.
     """
     if k is None:
         k = cfg.k_candidates
@@ -94,10 +100,11 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 2)
     if len(db) == 0 or k <= 0 or not len(positions):
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp)
-    grid, agents = db.grid, len(db.agent_ids)
-    # the excluded agents as sorted (query, code) keys
+    grid, tracks = db.grid, db.tracks
+    agents = len(tracks.agent_ids)
+    # the excluded agents as sorted (query, run code) keys
     dropped = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        q * agents + db.codes_of(ids) for q, ids in enumerate(excluded)]))
+        q * agents + tracks.codes_of(ids) for q, ids in enumerate(excluded)]))
     norms = np.sqrt(np.vecdot(directions, directions))
     least = min(0.0, cfg.direction_weight)
     cells = grid.cell_of(positions)
@@ -108,7 +115,7 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
     while True:
         whole, owner, first, count, clear = grid.squares(positions[active], cells, h)
         rows = np.bincount(owner, count, minlength=len(active))
-        rows[whole] = len(db)
+        rows[whole] = len(grid.order)
         ranked = []
         for a, b in _blocks(rows):
             cols = slice(*owner.searchsorted((a, b)))
@@ -116,11 +123,11 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
             query = np.repeat(active[owner[cols]], count[cols])
             if whole[a:b].any():
                 every = active[a:b][whole[a:b]]
-                if b - a == 1:      # the whole grid's columns, read in place
-                    query, ids = every[0], None
+                if b - a == 1:      # the whole grid's rows, read in place
+                    query, ids = every[0], grid.order
                 else:
-                    ids = np.concatenate([ids, np.tile(np.arange(len(db)), every.size)])
-                    query = np.concatenate([query, np.repeat(every, len(db))])
+                    ids = np.concatenate([ids, np.tile(grid.order, every.size)])
+                    query = np.concatenate([query, np.repeat(every, len(grid.order))])
             ranked.append(_rank(db, cfg, k, dropped, positions, directions, norms,
                                 query, ids))
         q, score, index = ranked[0] if len(ranked) == 1 else (
@@ -172,31 +179,32 @@ def _blocks(rows: np.ndarray) -> list:
 def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
           positions: np.ndarray, directions: np.ndarray, norms: np.ndarray,
           query, ids) -> tuple:
-    """Score the (``query[r]``, sample ``ids[r]``) rows of one block and
-    rank each query's agents, leaving out the ``dropped`` (query, code)
-    keys. Returns the query, score and sample index of each query's ``k``
-    best agents' best samples (lowest score, then step, then index), by
-    query, then score, then agent code. ``query`` is one index and ``ids``
-    None for one query whose square is the whole grid, whose columns are
-    then read in place."""
-    columns = db.positions, db.direction_norms, db.agent_codes, db.directions
-    if ids is None:
-        ids = np.arange(len(db))
-        p, sample_norms, codes, sample_directions = columns
-    else:
-        p, sample_norms, codes, sample_directions = (a.take(ids, axis=0) for a in columns)
+    """Score the (``query[r]``, table row ``ids[r]``) rows of one block and
+    rank each query's agents, leaving out the rows past their track's
+    stored length and the ``dropped`` (query, run code) keys. Returns the
+    query, score and sample index of each query's ``k`` best agents' best
+    samples (lowest score, then step, then row), by query, then score, then
+    agent code. ``query`` is one index for one query whose square is the
+    whole grid, whose rows are then the grid's ``order``."""
+    tracks = db.tracks
+    track = tracks.owners.take(ids)
+    index = ids - tracks.starts.take(track)
+    p = tracks.positions.take(ids, axis=0)
+    sample_norms = tracks.direction_norms.take(ids)
     offset = positions[query] - p
     score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
     qn = norms[query]
     moving = (qn >= STATIONARY_NORM) & (sample_norms >= STATIONARY_NORM)
-    cos = np.vecdot(sample_directions, directions[query])
+    cos = np.vecdot(tracks.directions.take(ids, axis=0), directions[query])
     np.divide(cos, qn * sample_norms, out=cos, where=moving)
     score += np.where(moving, cfg.direction_weight * (1.0 - cos), 0.0)
     # a rejected sample scores NaN and is never ranked
     score[moving & ~(cos >= 0.0)] = np.nan
     q = query if np.ndim(query) else np.broadcast_to(query, score.shape)
-    key = query * len(db.agent_ids) + codes
+    codes = tracks.codes.take(track)
+    key = query * len(tracks.agent_ids) + codes
     out = np.isnan(score)
+    out |= index >= db.lengths.take(track)
     if dropped.size:
         out |= dropped[np.minimum(dropped.searchsorted(key), dropped.size - 1)] == key
     keep = (~out).nonzero()[0]
@@ -215,7 +223,7 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
                 break
             p *= 4
     # each (query, agent)'s best sample is the first of its key's run ...
-    keep = keep[np.lexsort((ids[keep], db.steps[ids[keep]], score[keep], key[keep]))]
+    keep = keep[np.lexsort((ids[keep], index[keep], score[keep], key[keep]))]
     run = key[keep]
     first = np.ones(len(run), dtype=bool)
     np.not_equal(run[1:], run[:-1], out=first[1:])
@@ -224,7 +232,7 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
     best = best[np.lexsort((key[best], score[best], q[best]))]
     qb = q[best]
     best = best[np.arange(len(best)) - qb.searchsorted(qb) < k]
-    return q[best], score[best], ids[best]
+    return q[best], score[best], db.starts[track[best]] + index[best] - 2
 
 
 def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
@@ -297,11 +305,14 @@ def track_candidates(db: TrajectoryDatabase, positions: np.ndarray, times: np.nd
     pos, direction = _poses(positions)
     lines = _continuations(positions, times, pos, direction, cfg)
     q, score, index = rank_queries(db, pos, direction, excluded, cfg)
+    # each hit's destination, agent and step from its track's stored prefix
+    tracks, track = db.tracks, db.track_of(index)
+    last = tracks.starts[track] + db.lengths[track] - 1
+    steps = index - db.starts[track] + 3
     out = [[] for _ in range(len(pos))]
-    for g, dest, code, step, s in zip(q.tolist(), db.destinations.take(index, axis=0),
-                                      db.agent_codes[index].tolist(),
-                                      db.steps[index].tolist(), score.tolist()):
-        out[g].append(Candidate(dest, f"db:{db.agent_ids[code]}@step{step}", s))
+    for g, dest, t, step, s in zip(q.tolist(), tracks.positions.take(last, axis=0),
+                                   track.tolist(), steps.tolist(), score.tolist()):
+        out[g].append(Candidate(dest, f"db:{tracks[t].agent_id}@step{step}", s))
     for group, line in zip(out, lines):
         group.append(Candidate(line, LINEAR_PROVENANCE, None))
     return out

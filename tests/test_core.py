@@ -4,6 +4,8 @@ and the sample database."""
 from __future__ import annotations
 
 import ast
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -783,6 +785,37 @@ class TestTracks:
             table.frames = None
         with pytest.raises(ValueError):
             table.positions[0, 0] = 1.0
+
+    def test_kept_counts_shared_by_threads(self):
+        # threads asking one run for the counts of more frames than it
+        # keeps, with a switch forced every microsecond, each get the counts
+        # a fresh scan gives, read-only
+        rng = np.random.default_rng(3)
+        table = cc.Tracks([random_track(rng, f"r{i}") for i in range(30)])
+        frames = list(range(-1, 45))
+        want = {f: np.bincount(table.owners[table.frames < f], minlength=len(table))
+                for f in frames}
+        bad = []
+
+        def ask(seed):
+            pick = np.random.default_rng(seed)
+            for f in pick.choice(frames, 300).tolist():
+                got = table.count_before(f)
+                if got.flags.writeable or not np.array_equal(got, want[f]):
+                    bad.append(f)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=ask, args=(k,)) for k in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert bad == []
 
     def test_read_tracks_are_views_of_the_table(self):
         data = b"frame,agent_id,x,y\n4,b,1.0,2.0\n0,a10,0.0,0.0\n3,b,0.5,0.5\n1,a10,1.0,0.0\n"

@@ -312,6 +312,84 @@ def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
     assert len(calls) == len(tracks) + len(report.rows)
 
 
+def test_three_table_scans_per_window(monkeypatch, cfg):
+    # a window counts rows before three frames: its first (for the
+    # database, the cut and the scorer's known rows), endtime + 1 (the
+    # scorer's truth) and its last horizon frame + 1 (the head count). The
+    # run keeps the last few counts, so it scans its table once per frame
+    scans = []
+    original = cc.Tracks._scan_before
+    monkeypatch.setattr(cc.Tracks, "_scan_before",
+                        lambda self, frame: scans.append(frame) or original(self, frame))
+    tracks = cc.Tracks(benchmark_tracks(3))
+    params = ForceParams.from_config(cfg, substeps=1)
+    # a stride of 7 divides none of 30, 60: no two windows share a frame
+    windows = [Window(e) for e in range(60, 130, 7)]
+    report = run_experiment(tracks, cc.SceneGeometry.empty(), windows, cfg, params)
+    assert sum(r.n_groups for r in report.rows) > 0
+    assert len(set(scans)) == len(scans) == 3 * len(windows)
+
+
+class TestLongRecordingCost:
+    """The long-recording slice of the cost family: ``run_experiment`` over
+    W windows of a recording and 4W windows of one 4x as long. The sample
+    grids built per run are of order log n in the run's samples (the
+    ladder's levels: at 4n, two more), the sample rows gathered into window
+    databases of order 0 per window (none: a window's search reads the
+    run's table), and reading the recording builds no grid."""
+
+    GRIDS_ORDER = "log n"
+    MORE_LEVELS_AT_4N = 2
+    WINDOW_ROWS_ORDER = 0
+    W = 6
+
+    @staticmethod
+    def recording(frames: int) -> list:
+        """Walkers of 40 frames, one starting every 3 of ``frames`` frames on
+        each of two lanes heading either way, and a pair abreast on a third,
+        every 15."""
+        tracks = [line_track(f"w{f}.{lane}", f, 40, (30.0 * lane, 2.0 + 4.0 * lane),
+                             (1.0 - 2.0 * lane, 0.05))
+                  for f in range(0, frames, 3) for lane in (0, 1)]
+        tracks += [line_track(f"p{f}.{m}", f, 40, (0.0, 10.0 + 0.5 * m), (1.0, 0.0))
+                   for f in range(0, frames, 15) for m in (0, 1)]
+        return tracks
+
+    def run(self, monkeypatch, scale: int) -> tuple:
+        cfg = cc.Config(known_time_steps=8, predict_time_steps=8, min_overlap_frames=4)
+        params = ForceParams.from_config(cfg, substeps=1)
+        grids, rows = [], []
+
+        class CountedGrid(core.SampleGrid):
+            def __init__(self, *args):
+                grids.append(1)
+                super().__init__(*args)
+
+        layout = core._sample_layout
+        monkeypatch.setattr(core, "SampleGrid", CountedGrid)
+        monkeypatch.setattr(core, "_sample_layout", lambda starts, lengths: (
+            lambda out: rows.append(len(out[2])) or out)(layout(starts, lengths)))
+        frames = 150 * scale
+        tracks = cc.read_canonical_csv(cc.write_canonical_csv(self.recording(frames)), STEP)
+        assert grids == rows == []
+        stride = (frames - 90) // (self.W * scale)
+        windows = [Window(e) for e in range(80, frames - 10, stride)][:self.W * scale]
+        assert len(windows) == self.W * scale
+        report = run_experiment(tracks, cc.SceneGeometry.empty(), windows, cfg, params)
+        assert sum(r.n_agents for r in report.rows) > 0
+        return len(tracks.sample_rows), len(grids), sum(rows)
+
+    def test_grids_per_run_and_rows_per_window(self, monkeypatch):
+        n, grids, rows = self.run(monkeypatch, 1)
+        n4, grids4, rows4 = self.run(monkeypatch, 4)
+        assert n4 == 4 * n
+        # log n: one grid per ladder level used, two more levels at 4n
+        assert grids <= math.log2(n) + 1 and grids4 <= math.log2(n4) + 1
+        assert grids4 <= grids + self.MORE_LEVELS_AT_4N, (grids, grids4)
+        # order 0 per window: the only sample rows laid out are the run's own
+        assert (rows - n) == (rows4 - n4) == self.WINDOW_ROWS_ORDER, (rows, n, rows4, n4)
+
+
 def test_experiment_on_read_tracks_equals_on_a_list(cfg):
     # the table read_canonical_csv builds and the one a list is converted
     # to give the same records and the same CSV
@@ -639,3 +717,43 @@ def test_no_leak_from_after_the_horizon(seed, mode, edits):
                  for t in (edited, tracks))
     assert repr(got.agents) == repr(want.agents)
     assert repr(got.rows) == repr(want.rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_leak_through_the_index(seed):
+    """The window's search runs on the run's ladder level, whose origin and
+    side depend on later samples. Tracks added and moved at or after the
+    window's first frame that the window never reads, partial tracks of
+    agents it already counts, one of them 1e8 m away, move that level's
+    origin and side, and leave the window's records and row byte-identical."""
+    rng = np.random.default_rng(seed)
+    cfg = cc.Config(known_time_steps=10, predict_time_steps=10, k_candidates=3,
+                    min_overlap_frames=5)
+    endtime, first = 59, 50
+
+    def walk(aid, frames, start, vel):
+        return _grid(aid, frames, start + frames[:, None] * np.asarray(vel) * STEP)
+
+    history = [walk(f"h{i}", np.arange(40), rng.uniform(-15.0, 15.0, 2),
+                    rng.uniform(-1.5, 1.5, 2)) for i in range(16)]
+    pair = [walk(f"g{m}", np.arange(30, 75), (0.0, 0.4 * m), (1.0, 0.2)) for m in range(2)]
+    tracks = history + pair
+    # none holds every known frame, and their ids are counted already
+    late = np.arange(first, endtime)
+    partial = _grid("h0", late, rng.uniform(-15.0, 15.0, (len(late), 2)))
+    moved = _grid("h0", late, partial.positions + rng.normal(0.0, 5.0, (len(late), 2)))
+    far = _grid("h1", late[:-2], rng.normal(-1e8, 1.0, (len(late) - 2, 2)))
+    window = Window(endtime)
+    params = ForceParams.from_config(cfg, substeps=2)
+    runs = [tracks, tracks + [partial, far], tracks + [moved, far], [far] + tracks + [moved]]
+    grids = [cc.build_database(t, cfg, endtime=endtime).grid for t in runs]
+    assert all(len(g.order) > len(cc.build_database(t, cfg, endtime=endtime))
+               for g, t in zip(grids, runs))
+    assert grids[0].origin.max() > -100.0 and grids[1].origin.min() < -1e8 + 100.0
+    assert grids[1].side > 1e3 * grids[0].side
+    reports = [run_experiment(t, cc.SceneGeometry.empty(), [window], cfg, params)
+               for t in runs]
+    assert reports[0].rows[0].n_agents == 2
+    for got in reports[1:]:
+        assert repr(got.agents) == repr(reports[0].agents)
+        assert repr(got.rows) == repr(reports[0].rows)

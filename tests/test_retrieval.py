@@ -21,10 +21,12 @@ from crowdcast.retrieval import (
     query_pose,
     query_similar,
     rank_queries,
+    track_candidates,
 )
 
 from conftest import STEP, benchmark_tracks, line_track, random_track
 from retrieval_oracle import scan_similar
+from test_core import clip_then_build, window_tracks
 
 
 def _db_from_lines(cfg, lines):
@@ -248,6 +250,94 @@ def test_batch_equals_one_query_scans(tracks, queries, k):
         assert got == _one_query(db, cfg, agent, positions[j], directions[j], exclude, k)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_search(got, want, queries, k):
+    """Ranking and candidates on the databases ``got`` and ``want`` equal
+    byte for byte; the candidates for 2-point tracks ending at the finite
+    queries' positions."""
+    cfg = cc.Config(known_time_steps=2)
+    positions = np.array([p for _, p, _, _ in queries], dtype=float)
+    directions = np.array([d for _, _, d, _ in queries], dtype=float)
+    excluded = [(agent, *exclude) for agent, _, _, exclude in queries]
+    ranked = [rank_queries(db, positions, directions, excluded, cfg, k) for db in (got, want)]
+    assert all(_same_bits(a, b) for a, b in zip(*ranked))
+    finite = np.isfinite(positions).all(axis=1) & np.isfinite(directions).all(axis=1)
+    stack = np.stack([positions - directions, positions], axis=1)[finite]
+    times = np.tile(np.arange(2) * STEP, (len(stack), 1))
+    excluded = [e for e, f in zip(excluded, finite) if f]
+    cands = [track_candidates(db, stack, times, excluded, cfg) for db in (got, want)]
+    for a, b in zip(*cands):
+        assert [(c.provenance, repr(c.score)) for c in a] == \
+            [(c.provenance, repr(c.score)) for c in b]
+        assert all(_same_bits(c.destination, d.destination) for c, d in zip(a, b))
+
+
+# a window whose stored samples reach each side of every ladder boundary: 8
+# tracks of 25 lattice points starting 3 frames apart, 184 samples in all
+LADDER_RUN = [cc.Trajectory.from_frame_grid(
+    ("a", "b", "10")[i % 3], np.arange(3 * i, 3 * i + 25),
+    np.cumsum(np.random.default_rng(i).integers(-1, 2, (25, 2)), axis=0) * LATTICE, STEP)
+    for i in range(8)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tracks=window_tracks(), known=st.integers(2, 5), queries=query_sets(),
+       k=st.integers(1, 8))
+@example(tracks=LADDER_RUN, known=3, k=4, queries=[
+    ("q", (0.0, 0.0), (0.5, 0.0), []), ("a", (1.0, -0.5), (0.0, 0.0), ["b"]),
+    ("q", (1e6, 0.0), (0.5, 0.5), []), ("10", (0.5, 0.5), (-0.5, 0.0), ["a", "10"])])
+def test_window_search_equals_a_grid_of_its_own(tracks, known, queries, k):
+    """At every endtime, a window's database searches the run's ladder level
+    that holds it and drops the later rows; a database of the clipped
+    tracks searches a grid built for the window alone. Both give the same
+    queries, scores and sample indices, and the same candidate
+    destinations, provenance and scores, byte for byte: with exact score
+    ties on the lattice, exclusions, far and non-finite queries (whose
+    square is the whole grid) and windows with no sample."""
+    cfg = cc.Config(known_time_steps=known)
+    run = cc.Tracks(tracks)
+    last = max((int(tr.frames[-1]) for tr in tracks), default=0)
+    for endtime in range(-2, last + known + 3):
+        try:
+            want = clip_then_build(tracks, cfg, endtime)
+        except cc.DataError:
+            continue
+        got = cc.build_database(run, cfg, endtime=endtime)
+        assert len(got) == len(want)
+        _assert_same_search(got, want, queries, k)
+
+
+def test_each_window_searches_the_smallest_level_holding_it():
+    # LADDER_RUN at every endtime: a window's level holds its samples, and
+    # fewer than about twice as many rows; a larger window never searches a
+    # smaller level, so the windows on each side of a level's size search
+    # adjacent levels; and the run builds one grid per level, all
+    # ceil(log2(184)) + 1 = 9 of them
+    cfg = cc.Config(known_time_steps=3)
+    run = cc.Tracks(LADDER_RUN)
+    n = len(run.sample_rows)
+    assert n == 184
+    levels = {}
+    for endtime in range(0, 100):
+        db = cc.build_database(run, cfg, endtime=endtime)
+        if not len(db):
+            continue
+        rows = db.grid.order
+        window = np.flatnonzero(run.frames[run.sample_rows] < endtime - 2)
+        assert len(window) == len(db)
+        assert np.isin(run.sample_rows[window], rows).all()
+        assert len(rows) < 2 * len(db) + 8       # ties at the level's last frame
+        levels.setdefault(len(rows), set()).add(len(db))
+    sizes = sorted(levels)
+    assert len(sizes) == len(run._levels) == 9
+    for small, big in zip(sizes, sizes[1:]):
+        assert max(levels[small]) < min(levels[big])
+
+
 def test_group_candidates_equal_one_track_calls(cfg):
     """A window's batched candidates equal one ``candidate_destinations``
     call per group center, destinations and scores bit for bit."""
@@ -268,8 +358,7 @@ def _spy_rows(monkeypatch) -> list:
     rows, original = [], retrieval._rank
 
     def spy(db, *args):
-        ids = args[-1]
-        rows.append(len(db) if ids is None else len(ids))
+        rows.append(len(args[-1]))
         return original(db, *args)
 
     monkeypatch.setattr(retrieval, "_rank", spy)
