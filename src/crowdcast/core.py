@@ -666,26 +666,24 @@ class ObstacleLayout:
         d = np.sqrt(np.vecdot(pq, pq))
         if not self._rings:
             return pq, d
-        away = np.empty((self.n_obstacles, m, 2))
-        dist = np.empty(away.shape[:2])
-        away[:n_seg] = pq[:n_seg]
-        dist[:n_seg] = d[:n_seg]
         # a point is inside a ring when every edge whose cross product
         # clears 1e-15 turns the same way, and at least one does: when just
         # one of its largest and smallest cross products clears 1e-15
         cross = self._abx * pa[n_seg:, :, 1]
         cross -= self._aby * pa[n_seg:, :, 0]
+        # ring r's nearest edge goes to row r, at or before the ring's first
+        # edge and past every earlier ring's, so the (O, M) rows come first
         flat_pq, flat_d = pq.reshape(-1, 2), d.reshape(-1)
         for r, (lo, hi, first) in enumerate(self._rings, start=n_seg):
             at = d[lo:hi].argmin(axis=0)
             at *= m
             at += first
-            flat_pq.take(at, axis=0, out=away[r])
-            flat_d.take(at, out=dist[r])
+            flat_pq.take(at, axis=0, out=pq[r])
+            flat_d.take(at, out=d[r])
             turns = cross[lo - n_seg:hi - n_seg]
             inside = (turns.max(axis=0) >= 1e-15) != (turns.min(axis=0) <= -1e-15)
-            np.negative(dist[r], out=dist[r], where=inside)
-        return away, dist
+            np.negative(d[r], out=d[r], where=inside)
+        return pq[:self.n_obstacles], d[:self.n_obstacles]
 
 
 def _convex_polygon(p) -> np.ndarray:

@@ -115,7 +115,8 @@ class SimState:
     one ``take`` gathers both ends of every pair. ``bins`` holds the (2P,)
     flat indices of each pair's x and y force term in an (n, 2) array.
     These four never change during a rollout: they are read-only and
-    shared by every copy.
+    shared by every copy. An ``arrived`` body's velocity is +0.0, as
+    :func:`make_sim_state` and the integrator leave it.
     """
 
     positions: np.ndarray
@@ -162,10 +163,10 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
         raise DataError("non-finite simulation input")
     caps = params.max_speed_for(spd)
     norms = _length(vel)
-    over = norms > caps
-    vel[over] *= (caps[over] / norms[over])[:, None]
+    over = (norms > caps).nonzero()[0]
+    vel[over] = vel.take(over, axis=0) * (caps.take(over) / norms.take(over))[:, None]
     arrived = _length(pos - dest) <= params.radius
-    vel[arrived] = 0.0
+    np.copyto(vel, 0.0, where=arrived[:, None])
     if pairs is None:
         pairs = np.argwhere(~np.eye(n, dtype=bool))
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.ravel()
@@ -177,63 +178,74 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
 
 
 def _forces(state: SimState, layout: ObstacleLayout, params: ForceParams,
-            h: float, dist: np.ndarray) -> tuple:
+            h: float, dist: np.ndarray, n_arrived: int) -> tuple:
     """Total force per body for one substep of length ``h``, given the
-    state's obstacle ``layout`` and each body's distance ``dist`` to its
-    destination.
+    state's obstacle ``layout``, each body's distance ``dist`` to its
+    destination and the number ``n_arrived`` of arrived bodies.
 
     Returns the force array and a mask of the rows needing a coincidence
     nudge, or None when no pair is coincident. The desired speed is damped
     to ``dist / h`` close to the destination so the drive term cannot
     overshoot it in one substep. Arrived bodies feel no force but still
-    repel others. Each mask below is skipped where it would select every
-    row, which leaves every bit as it was.
+    repel others: their rows are computed as any other and zeroed once, at
+    the end, so ``dist`` may read anything non-negative there, +inf
+    included. Masks guard coincidence only: a body on its destination, a
+    coincident pair, a body on an obstacle's boundary. Each is tested with
+    one reduction, and its mask is built only when it occurs.
     """
     pos = state.positions
-    arrived = state.arrived
-    n_arrived = np.count_nonzero(arrived)
 
-    to_dest = state.destinations - pos
-    far = dist > _COINCIDENT
+    # mass * (v_des - v) / relaxation_time, in place
+    forces = state.destinations - pos
     speed = np.minimum(state.desired_speeds, dist / h)
-    if np.count_nonzero(far) == len(far):
-        v_des = to_dest / dist[:, None] * speed[:, None]
+    if dist.min(initial=np.inf) > _COINCIDENT:
+        forces /= dist[:, None]
+        forces *= speed[:, None]
     else:
-        v_des = np.where(far[:, None],
-                         to_dest / np.where(far, dist, 1.0)[:, None] * speed[:, None],
-                         0.0)
-    forces = params.mass * (v_des - state.velocities) / params.relaxation_time
+        far = dist > _COINCIDENT
+        forces = np.where(far[:, None],
+                          forces / np.where(far, dist, 1.0)[:, None] * speed[:, None], 0.0)
+    forces -= state.velocities
+    forces *= params.mass
+    forces /= params.relaxation_time
 
     n_pairs = len(state.rows)
     nudge = None
     if n_pairs:
         ends = pos.take(state.ends, axis=0)
-        delta = ends[:n_pairs] - ends[n_pairs:]
+        delta = np.subtract(ends[:n_pairs], ends[n_pairs:], out=ends[:n_pairs])
         d = _length(delta)
-        pair = (d < params.neighborhood_range) & (d >= _COINCIDENT)
+        apart = d.min() >= _COINCIDENT
+        pair = d < params.neighborhood_range
+        if not apart:
+            pair &= d >= _COINCIDENT
         in_range = np.count_nonzero(pair)
         if in_range:
             near, dn, bins = delta, d, state.bins
             if in_range < n_pairs:
-                keep = np.flatnonzero(pair)
+                keep = pair.nonzero()[0]
                 near, dn = delta.take(keep, axis=0), d.take(keep)
                 bins = bins.reshape(-1, 2).take(keep, axis=0).ravel()
-            exponent = np.minimum((2.0 * params.radius - dn) / params.repulsion_range,
-                                  _EXP_CAP)
-            terms = (params.repulsion_strength * np.exp(exponent))[:, None] \
-                * (near / dn[:, None])
+            # strength * exp(min((2 radius - d) / range, cap)) * delta / d,
+            # in place
+            mag = 2.0 * params.radius - dn
+            mag /= params.repulsion_range
+            np.minimum(mag, _EXP_CAP, out=mag)
+            np.exp(mag, out=mag)
+            mag *= params.repulsion_strength
+            near /= dn[:, None]
+            near *= mag[:, None]
             # bincount adds the terms into zeroed bins in input order, so each
             # row sums in ascending j, as a dense sum over the full pair
             # matrix does. A pair out of range adds exactly +0.0 there, and a
             # sum that starts at +0.0 never holds -0.0, so leaving it out
             # changes no bit.
-            forces += np.bincount(bins, terms.ravel(), forces.size).reshape(forces.shape)
-        coincident = d < _COINCIDENT
-        if np.count_nonzero(coincident):
+            forces += np.bincount(bins, near.ravel(), forces.size).reshape(forces.shape)
+        if not apart:
             nudge = np.zeros(len(pos), dtype=bool)
-            nudge[state.rows[coincident]] = True
+            nudge[state.rows[d < _COINCIDENT]] = True
             if n_arrived:
-                nudge &= ~arrived
+                nudge &= ~state.arrived
 
     # the (O, M) terms of every obstacle at once, then added one obstacle at
     # a time, in scene order, as a per-body sum would add them; a body at a
@@ -243,22 +255,23 @@ def _forces(state: SimState, layout: ObstacleLayout, params: ForceParams,
         # -(x / l) exactly, so dividing by signed_d both normalises ``away``
         # and turns it outward from inside a polygon
         away, signed_d = layout.contacts(pos)
-        use = ~(np.abs(signed_d) < _COINCIDENT)
-        if n_arrived:
-            use &= ~arrived
-        if np.count_nonzero(use) == use.size:
+        if np.abs(signed_d).min(initial=np.inf) >= _COINCIDENT:
             away /= signed_d[..., None]
-            masks = [True] * len(use)
+            masks = [True] * len(away)
         else:
-            masks = use[..., None]
+            masks = ~(np.abs(signed_d) < _COINCIDENT)[..., None]
             np.divide(away, signed_d[..., None], out=away, where=masks)
-        exponent = np.minimum(
-            (2.0 * params.radius - signed_d) / params.obstacle_range, _EXP_CAP)
-        away *= (params.obstacle_strength * np.exp(exponent))[..., None]
+        mag = 2.0 * params.radius - signed_d
+        mag /= params.obstacle_range
+        np.minimum(mag, _EXP_CAP, out=mag)
+        np.exp(mag, out=mag)
+        mag *= params.obstacle_strength
+        away *= mag[..., None]
+        # ``where=True`` is the unmasked ufunc
         for term, mask in zip(away, masks):
             np.add(forces, term, out=forces, where=mask)
     if n_arrived:
-        forces[arrived] = 0.0
+        np.copyto(forces, 0.0, where=state.arrived[:, None])
     return forces, nudge
 
 
@@ -305,41 +318,45 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     out = np.empty((len(watch), steps, 2))
     h = dt / params.substeps
     pos, vel, caps = sim.positions, sim.velocities, sim.max_speeds
-    # until a body arrives every row moves, and ``where=True`` is the
-    # unmasked ufunc, bit for bit the same as a mask selecting every row
+    # an arrived row's force comes out of _forces as +0.0 and its velocity
+    # is +0.0, so the velocity add and the speed cap keep its bits unmasked.
+    # Its position would lose a -0.0 to a +0.0 add, so that one add is
+    # masked once a body has arrived; ``where=True`` is the unmasked ufunc
     n_arrived = np.count_nonzero(sim.arrived)
-    active = ~sim.arrived
-    moving = active[:, None] if n_arrived else True
+    moving = ~sim.arrived[:, None] if n_arrived else True
     # laid out once per call, and dropped with it
     layout = ObstacleLayout(scene, len(pos))
     # each substep's distances to the destinations serve the next one:
-    # |pos - dest| has the bits of |dest - pos|, as (-x)² is x²
+    # |pos - dest| has the bits of |dest - pos|, as (-x)² is x². An arrived
+    # row reads +inf (``beyond``), which _forces allows, so one minimum
+    # tells whether a body arrives; a distance plus +0.0 keeps its bits
+    beyond = np.where(sim.arrived, np.inf, 0.0)
     dist = _length(pos - sim.destinations)
+    dist += beyond
     for s in range(steps):
         for _ in range(params.substeps):
-            forces, nudge = _forces(sim, layout, params, h, dist)
+            forces, nudge = _forces(sim, layout, params, h, dist, n_arrived)
             forces /= params.mass
             forces *= h
-            np.add(vel, forces, out=vel, where=moving)
+            vel += forces
             norms = _length(vel)
             over = norms > caps
-            if n_arrived:
-                over &= active
             if np.count_nonzero(over):
                 vel[over] *= (caps[over] / norms[over])[:, None]
             np.add(pos, vel * h, out=pos, where=moving)
             if nudge is not None:
                 _nudge_coincident(sim, nudge)
             dist = _length(pos - sim.destinations)
-            newly = dist <= params.radius
             if n_arrived:
-                newly &= active
-            if np.count_nonzero(newly):
-                sim.arrived |= newly
+                dist += beyond
+            if dist.min(initial=np.inf) <= params.radius:
+                newly = (dist <= params.radius).nonzero()[0]
+                sim.arrived[newly] = True
                 vel[newly] = 0.0
-                n_arrived = np.count_nonzero(sim.arrived)
-                active = ~sim.arrived
-                moving = active[:, None]
+                beyond[newly] = np.inf
+                dist[newly] = np.inf
+                n_arrived += len(newly)
+                moving = ~sim.arrived[:, None]
         out[:, s] = pos.take(watch, axis=0)
     return out
 
@@ -483,12 +500,13 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
         blk, w = runs(two[sub])
         pairs = e.take((np.cumsum(two) - two)[sub[blk]] + w, axis=1)
         pairs += lead[blk]
-        dst, vel0 = heads[body], vel[body]
+        dst, vel0 = heads.take(body, axis=0), vel.take(body, axis=0)
         dst[lead] = np.concatenate(cands[lo:hi])
         if initial_velocity is None:
             s = np.repeat(np.arange(lo, hi), n)
-            vel0[lead] = _unit(dst[lead] - subjects[s]) * speeds[s][:, None]
-        return make_sim_state(starts[body], vel0, dst, speeds[body], params, pairs.T), lead
+            vel0[lead] = _unit(dst.take(lead, axis=0) - subjects[s]) * speeds[s][:, None]
+        return make_sim_state(starts.take(body, axis=0), vel0, dst, speeds[body], params,
+                              pairs.T), lead
 
     points = []
     for chunk in _chunks(costs.tolist()):

@@ -146,12 +146,12 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
         closed[active[done]] = True
         last = closed[q]
         hits.append((q[last], score[last], index[last]))
-        # a square short of k agents doubles. Else it grows toward the
-        # square that clears the k-th score (one cell more for the slack),
-        # at least one ring and at most doubling at a time: the k-th score
-        # falls as the square grows. Where a ring more no longer changes a
-        # huge h, the next square is the whole grid
-        grown = 2.0 * h + 1.0
+        # a square short of k agents grows four times as wide. Else it
+        # grows toward the square that clears the k-th score (one cell more
+        # for the slack), at least one ring and at most four times as wide
+        # at a time: the k-th score falls as the square grows. Where a ring
+        # more no longer changes a huge h, the next square is the whole grid
+        grown = 4.0 * h + 3.0
         need = np.floor((kth - least) * cfg.neighborhood_range / grid.side) + 2.0
         grown[full] = np.maximum(h[full] + 1.0, np.minimum(need, grown[full]))
         h = np.where(grown > h, grown, np.inf)[~done]
@@ -191,11 +191,11 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
     index = ids - tracks.starts.take(track)
     p = tracks.positions.take(ids, axis=0)
     sample_norms = tracks.direction_norms.take(ids)
-    offset = positions[query] - p
+    offset = positions.take(query, axis=0) - p
     score = np.sqrt(np.vecdot(offset, offset)) / cfg.neighborhood_range
     qn = norms[query]
     moving = (qn >= STATIONARY_NORM) & (sample_norms >= STATIONARY_NORM)
-    cos = np.vecdot(tracks.directions.take(ids, axis=0), directions[query])
+    cos = np.vecdot(tracks.directions.take(ids, axis=0), directions.take(query, axis=0))
     np.divide(cos, qn * sample_norms, out=cos, where=moving)
     score += np.where(moving, cfg.direction_weight * (1.0 - cos), 0.0)
     # a rejected sample scores NaN and is never ranked

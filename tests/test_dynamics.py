@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -52,10 +53,13 @@ def dense_reach_component(pos, caps, reach, horizon):
 
 def substep_forces(state, scene, params, h):
     """``dynamics._forces`` on ``state`` at the start of a rollout: the
-    scene laid out against its bodies and their distances to their
-    destinations, as ``_advance`` hands them to the first substep."""
+    scene laid out against its bodies, their distances to their
+    destinations (+inf for an arrived body) and the arrival count, as
+    ``_advance`` hands them to the first substep."""
+    dist = dynamics._length(state.positions - state.destinations)
+    dist[state.arrived] = np.inf
     return dynamics._forces(state, ObstacleLayout(scene, len(state.positions)), params, h,
-                            dynamics._length(state.positions - state.destinations))
+                            dist, np.count_nonzero(state.arrived))
 
 
 @pytest.fixture
@@ -512,6 +516,49 @@ class TestRolloutMatchesOracle:
                   for p, q, s, v in zip(pos[1:], dest[1:], speeds[1:], vel[1:])]
         self._assert_matches(pos[0], np.array([dest[0], [-6.0, -6.0], [3.0, 9.0]]),
                              speeds[0], scene, others, 24, params, cfg, vel[0])
+
+    def test_arrived_on_an_edge_and_inside_the_pillar(self, cfg, monkeypatch):
+        """An arrived row's terms are computed as any other and zeroed once,
+        and masks guard coincidence only. At 8 substeps beside the wall and
+        the pillar, one body starts arrived exactly on the wall, one starts
+        arrived inside the pillar, one arrives mid-step and the rest move:
+        every state equals the oracle's, step by step, with no warning."""
+        params = ForceParams.from_config(cfg, substeps=8)
+        scene = cc.parse_scene(self.SCENE)
+        pos = np.array([[-6.0, 5.0],                      # on the wall, arrived
+                        [5.5, -0.5],                      # inside the pillar, arrived
+                        [0.0, 0.0],                       # arrives mid-step
+                        [-3.0, -4.0], [2.0, 3.0], [8.5, -3.0]])
+        dest = pos + np.array([[0.0, 0.1], [0.1, 0.0], [0.5, 0.0],
+                               [10.0, 8.0], [-6.0, -9.0], [0.0, 9.0]])
+        vel = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0],
+                        [0.8, 0.6], [-0.5, -0.7], [0.0, 1.1]])
+        speeds = np.array([1.0, 1.0, 1.0, 1.2, 0.9, 1.1])
+        _, signed_d = ObstacleLayout(scene, len(pos)).contacts(pos)
+        assert abs(signed_d[0, 0]) < 1e-9 and signed_d[1, 1] < 0.0
+
+        arrived = []        # at the start of each substep
+        forces = dynamics._forces
+
+        def spy(state, *args):
+            arrived.append(state.arrived.copy())
+            return forces(state, *args)
+
+        monkeypatch.setattr(dynamics, "_forces", spy)
+        state = make_sim_state(pos, vel, dest, speeds, params)
+        ref = rollout_oracle.make_sim_state(pos, vel, dest, speeds, params)
+        assert state.arrived.tolist() == [True, True, False, False, False, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(12):
+                state = step(state, scene, params, cfg.step_duration)
+                ref = rollout_oracle.step(ref, scene, params, cfg.step_duration)
+                for name in ("positions", "velocities", "arrived"):
+                    assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        first = next(s for s, a in enumerate(arrived) if a[2])
+        assert 0 < first < params.substeps - 1
+        assert not state.arrived[3:].any()
+        assert not np.array_equal(state.positions[3:], pos[3:])
 
     def test_step_when_every_body_has_arrived(self, cfg, params):
         # masked updates keep each arrived body's bits, -0.0 included, where

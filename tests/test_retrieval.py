@@ -431,6 +431,49 @@ def test_far_queries_score_in_blocks_within_the_row_budget(monkeypatch, cfg):
     assert max(rows) <= len(db) < sum(rows), rows
 
 
+class TestSearchRoundCost:
+    """The round slice of the cost family: one query at the near end of a
+    line of samples n and then 4n grid cells long, whose k agents wait at
+    the far end while every sample between heads against the query. A
+    square short of k agents grows four times as wide per round, so the
+    ``_rank`` rounds are of order log n, base 4: at 4n, one more at most
+    (doubling would take two)."""
+
+    ROUNDS_ORDER = "log n"
+    MORE_ROUNDS_AT_4N = 1
+
+    @staticmethod
+    def database(cfg, cells):
+        """``cells`` grid cells of 4 samples each along the x axis, every
+        sample heading -x, and ``k_candidates`` agents heading +x at its
+        far end."""
+        n = 4 * cells
+        end = (n - 1) * 0.25
+        tracks = [cc.Trajectory.from_frame_grid(
+            f"f{i}", np.arange(3), np.array([[x + 2.0, 0.0], [x + 1.0, 0.0], [x, 0.0]]),
+            STEP) for i, x in enumerate(np.arange(n) * 0.25)]
+        tracks += [cc.Trajectory.from_frame_grid(
+            f"a{j}", np.arange(3), np.array([[end - 2.0, 0.0], [end - 1.0, 0.0], [end, 0.0]]),
+            STEP) for j in range(cfg.k_candidates)]
+        return cc.build_database(tracks, cfg)
+
+    def rounds(self, monkeypatch, cfg, cells) -> tuple:
+        db = self.database(cfg, cells)
+        pose = QueryPose("q", np.zeros(2), np.array([1.0, 0.0]))
+        rows = _spy_rows(monkeypatch)
+        hits = query_similar(db, pose, cfg)
+        assert hits == scan_similar(db, pose, cfg)
+        assert {db.agent_ids[db.agent_codes[i]] for _, i in hits} == {
+            f"a{j}" for j in range(cfg.k_candidates)}
+        return len(rows), int(db.grid.last[0]) + 1
+
+    def test_rounds_grow_by_one_at_4n(self, monkeypatch, cfg):
+        rounds, wide = self.rounds(monkeypatch, cfg, 16)
+        rounds4, wide4 = self.rounds(monkeypatch, cfg, 64)
+        assert wide4 >= 4 * wide - 4, (wide, wide4)
+        assert rounds4 <= rounds + self.MORE_ROUNDS_AT_4N, (rounds, rounds4)
+
+
 def _walks(seed, n_tracks=80, scale=20.0, offset=(0.0, 0.0)):
     """Random-walk tracks of 3-30 points around ``offset``; the ids come
     from a pool of 30, so an agent often holds several tracks."""
