@@ -115,8 +115,7 @@ class SimState:
     one ``take`` gathers both ends of every pair. ``bins`` holds the (2P,)
     flat indices of each pair's x and y force term in an (n, 2) array.
     These four never change during a rollout: they are read-only and
-    shared by every copy. An ``arrived`` body's velocity is +0.0, as
-    :func:`make_sim_state` and the integrator leave it.
+    shared by every copy.
     """
 
     positions: np.ndarray
@@ -163,8 +162,8 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
         raise DataError("non-finite simulation input")
     caps = params.max_speed_for(spd)
     norms = _length(vel)
-    over = (norms > caps).nonzero()[0]
-    vel[over] = vel.take(over, axis=0) * (caps.take(over) / norms.take(over))[:, None]
+    over = norms > caps
+    vel[over] *= (caps[over] / norms[over])[:, None]
     arrived = _length(pos - dest) <= params.radius
     np.copyto(vel, 0.0, where=arrived[:, None])
     if pairs is None:
@@ -178,33 +177,32 @@ def make_sim_state(positions, velocities, destinations, desired_speeds,
 
 
 def _forces(state: SimState, layout: ObstacleLayout, params: ForceParams,
-            h: float, dist: np.ndarray, n_arrived: int) -> tuple:
+            h: float, dist: np.ndarray) -> tuple:
     """Total force per body for one substep of length ``h``, given the
-    state's obstacle ``layout``, each body's distance ``dist`` to its
-    destination and the number ``n_arrived`` of arrived bodies.
+    state's obstacle ``layout`` and each body's distance ``dist`` to its
+    destination.
 
     Returns the force array and a mask of the rows needing a coincidence
     nudge, or None when no pair is coincident. The desired speed is damped
     to ``dist / h`` close to the destination so the drive term cannot
     overshoot it in one substep. Arrived bodies feel no force but still
     repel others: their rows are computed as any other and zeroed once, at
-    the end, so ``dist`` may read anything non-negative there, +inf
-    included. Masks guard coincidence only: a body on its destination, a
-    coincident pair, a body on an obstacle's boundary. Each is tested with
-    one reduction, and its mask is built only when it occurs.
+    the end, so ``dist`` may read anything positive there, +inf included.
+    Masks guard coincidence only: a coincident pair, a body on an
+    obstacle's boundary. Each is tested with one reduction, and its mask is
+    built only when it occurs.
     """
     pos = state.positions
+    n_arrived = np.count_nonzero(state.arrived)
 
-    # mass * (v_des - v) / relaxation_time, in place
+    # mass * (v_des - v) / relaxation_time, in place. A body not arrived
+    # lies further than radius >= 1/SCALE = _COINCIDENT from its
+    # destination (make_sim_state and every substep mark the others
+    # arrived), so no dist here is zero
     forces = state.destinations - pos
     speed = np.minimum(state.desired_speeds, dist / h)
-    if dist.min(initial=np.inf) > _COINCIDENT:
-        forces /= dist[:, None]
-        forces *= speed[:, None]
-    else:
-        far = dist > _COINCIDENT
-        forces = np.where(far[:, None],
-                          forces / np.where(far, dist, 1.0)[:, None] * speed[:, None], 0.0)
+    forces /= dist[:, None]
+    forces *= speed[:, None]
     forces -= state.velocities
     forces *= params.mass
     forces /= params.relaxation_time
@@ -318,11 +316,15 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     out = np.empty((len(watch), steps, 2))
     h = dt / params.substeps
     pos, vel, caps = sim.positions, sim.velocities, sim.max_speeds
-    # an arrived row's force comes out of _forces as +0.0 and its velocity
-    # is +0.0, so the velocity add and the speed cap keep its bits unmasked.
-    # Its position would lose a -0.0 to a +0.0 add, so that one add is
-    # masked once a body has arrived; ``where=True`` is the unmasked ufunc
-    n_arrived = np.count_nonzero(sim.arrived)
+    # an arrived row's force comes out of _forces as +0.0, and its velocity
+    # is held at +0.0 for the call and given back at the end, so the
+    # velocity add and the speed cap keep its bits unmasked. Its position
+    # would lose a -0.0 to a +0.0 add, so that one add is masked once a
+    # body has arrived; ``where=True`` is the unmasked ufunc
+    held = sim.arrived.nonzero()[0]
+    kept = vel.take(held, axis=0)
+    vel[held] = 0.0
+    n_arrived = len(held)
     moving = ~sim.arrived[:, None] if n_arrived else True
     # laid out once per call, and dropped with it
     layout = ObstacleLayout(scene, len(pos))
@@ -335,7 +337,7 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
     dist += beyond
     for s in range(steps):
         for _ in range(params.substeps):
-            forces, nudge = _forces(sim, layout, params, h, dist, n_arrived)
+            forces, nudge = _forces(sim, layout, params, h, dist)
             forces /= params.mass
             forces *= h
             vel += forces
@@ -358,6 +360,7 @@ def _advance(sim: SimState, scene: SceneGeometry, params: ForceParams, dt: float
                 n_arrived += len(newly)
                 moving = ~sim.arrived[:, None]
         out[:, s] = pos.take(watch, axis=0)
+    vel[held] = kept
     return out
 
 

@@ -53,13 +53,13 @@ def dense_reach_component(pos, caps, reach, horizon):
 
 def substep_forces(state, scene, params, h):
     """``dynamics._forces`` on ``state`` at the start of a rollout: the
-    scene laid out against its bodies, their distances to their
-    destinations (+inf for an arrived body) and the arrival count, as
-    ``_advance`` hands them to the first substep."""
+    scene laid out against its bodies and their distances to their
+    destinations (+inf for an arrived body), as ``_advance`` hands them to
+    the first substep."""
     dist = dynamics._length(state.positions - state.destinations)
     dist[state.arrived] = np.inf
     return dynamics._forces(state, ObstacleLayout(scene, len(state.positions)), params, h,
-                            dist, np.count_nonzero(state.arrived))
+                            dist)
 
 
 @pytest.fixture
@@ -583,6 +583,28 @@ class TestRolloutMatchesOracle:
             assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
         assert out.positions.tobytes() == pos.tobytes()
         assert np.signbit(out.positions[0, 0]) and np.signbit(out.positions[1, 1])
+
+    def test_step_keeps_an_arrived_bodys_velocity(self, cfg, params):
+        # a state whose arrived rows were given a velocity after it was made:
+        # one over its speed cap, one of -0.0s. A step leaves both as they
+        # were, as the oracle does, and moves the others as before
+        scene = cc.parse_scene("seg 0 -3 8 -3\npoly 6 2 7 2 7 3 6 3")
+        pos = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0], [5.0, -1.0]])
+        dest = pos + np.array([[0.1, 0.0], [0.0, 0.1], [6.0, -3.0], [-4.0, 5.0]])
+        args = (pos, np.ones((4, 2)), dest, np.full(4, 1.0), params)
+        state = make_sim_state(*args)
+        ref = rollout_oracle.make_sim_state(*args)
+        assert state.arrived.tolist() == [True, True, False, False]
+        held = np.array([[9.0, -7.0], [-0.0, -0.0]])
+        state.velocities[:2] = held
+        ref.velocities[:2] = held
+        for _ in range(3):
+            state = step(state, scene, params, cfg.step_duration)
+            ref = rollout_oracle.step(ref, scene, params, cfg.step_duration)
+            for name in ("positions", "velocities", "arrived"):
+                assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert state.velocities[:2].tobytes() == held.tobytes()
+        assert not np.array_equal(state.positions[2:], pos[2:])
 
     def test_reach_bound_edge(self, cfg, params, scene):
         from crowdcast.dynamics import _REACH_MARGIN
