@@ -456,14 +456,17 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
         raise DataError("non-finite simulation input")
 
     # a body without a given velocity starts at its desired speed, aimed at
-    # its destination, or at rest when it is already there
-    vel = _unit(heads - starts)
-    vel *= speeds[:, None]
+    # its destination, or at rest when it is already there; only those
+    # bodies are aimed
+    aim = np.array([initial_velocity is None] * n_sub + [g.velocity is None for g in others],
+                   dtype=bool)
+    vel = np.empty_like(starts)
     if initial_velocity is not None:
         vel[:n_sub] = np.reshape(initial_velocity, (n_sub, 2))
-    given = np.array([g.velocity is not None for g in others], dtype=bool)
-    vel[n_sub:][given] = np.reshape([g.velocity for g in others if g.velocity is not None],
-                                    (-1, 2))
+    vel[n_sub:][~aim[n_sub:]] = np.reshape(
+        [g.velocity for g in others if g.velocity is not None], (-1, 2))
+    if aim.any():
+        vel[aim] = _unit(heads[aim] - starts[aim]) * speeds[aim, None]
     if not np.isfinite(vel).all():
         raise DataError("non-finite simulation input")
 

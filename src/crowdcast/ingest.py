@@ -2,11 +2,13 @@
 
 Parses the whitespace-separated annotation matrices shipped with the common
 public pedestrian datasets into one (N, 4) array of (frame, id, x, y) rows,
-each block of lines in one pass of numpy's C text reader. Then, in array
-passes over the whole file: maps every point to meters with one homography
-product per file, checks every agent for faults at once, cuts the tracks at
-long gaps, resamples every part onto the shared step grid in one pass, and
-emits the canonical ``frame,agent_id,x,y`` CSV. Of several faults the first
+each block of lines in one pass of numpy's C text reader, which converts
+only the kept columns and, in a file with no comment character, gets the
+lines as they are. Then, in array passes over the whole file: maps every
+point to meters with one homography product per file, checks every agent
+for faults at once, cuts the tracks at long gaps, resamples every part onto
+the shared step grid in one pass, and emits the canonical
+``frame,agent_id,x,y`` CSV. Of several faults the first
 agent's, in id order, is the one reported.
 """
 
@@ -125,6 +127,13 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
     ``ValueError``. The result is an (N, 4) float array of
     (frame, id, x, y) rows in file order, never reordered or deduplicated
     here; frame and id hold integers.
+
+    Each block of ``_PARSE_BLOCK`` lines takes one pass of numpy's C text
+    reader (:func:`_parse_block`), which reads only the kept columns and
+    skips the comment filter when the file holds no ``#`` or ``%``. A
+    block the reader refuses is walked line by line (:func:`_parse_lines`),
+    the only source of ``ParseError``, so every value and message is the
+    walk's.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -138,36 +147,48 @@ def parse_obsmat(data, column_map: str | None = None) -> np.ndarray:
             raise ValueError(f"bad column map {column_map!r}: need 4 non-negative "
                              f"indices frame,id,x,y, e.g. 0,1,2,4")
     lines = data.splitlines()
+    # with no comment character in the file, no line is a comment
+    plain = "#" not in data and "%" not in data
     blocks = [np.empty((0, 4))]
     for lo in range(0, len(lines), _PARSE_BLOCK):
         block = lines[lo:lo + _PARSE_BLOCK]
-        rows = _parse_block(block, override)
+        rows = _parse_block(block, override, plain)
         blocks.append(rows if rows is not None else _parse_lines(block, override, lo))
     return np.concatenate(blocks)
 
 
-def _parse_block(lines: list, override: tuple | None) -> np.ndarray | None:
+def _parse_block(lines: list, override: tuple | None, plain: bool) -> np.ndarray | None:
     """The rows of ``lines`` in one pass of numpy's C text reader, or None
-    when the reader refuses the block (a token it cannot convert, rows of
-    several widths when no column map is given, a mapped column past a
-    row's end) or a row has an unknown width or a value the line walk
-    rejects. The reader gives every token it accepts the double Python's
-    ``float`` gives it; it refuses underscores and non-ASCII digits, which
-    ``float`` accepts, so those blocks are walked."""
-    # the line walk's rule: blank lines and whole-line comments hold no row
-    # (the empty prefix of a blank line is in "#%" too)
-    body = [line for line in lines if line.strip()[:1] not in "#%"]
-    if not body:
+    when the reader refuses the block (a token it cannot convert in a
+    column it reads, a row too narrow for the columns read, rows of
+    several widths in the 4-column layout) or a row has an unknown width or
+    a value the line walk rejects. ``plain`` says the file holds no ``#``
+    or ``%``, so no line is a comment and the lines go to the reader as
+    they are. The first row's width picks the columns read: all 4 of a
+    4-column row; of a wider one 0, 1, 2, 4 and 7, the last only so that
+    the reader refuses a narrower row. The reader gives every token it
+    accepts the double Python's ``float`` gives it; it refuses underscores
+    and non-ASCII digits, which ``float`` accepts, so those blocks are
+    walked."""
+    if not plain:
+        # the line walk's rule: blank lines and whole-line comments hold no
+        # row (the empty prefix of a blank line is in "#%" too)
+        lines = [line for line in lines if line.strip()[:1] not in "#%"]
+    # the reader skips blank lines as the walk does, but warns on a block
+    # of nothing else, so such a block never reaches it
+    first = next((toks for line in lines if (toks := line.split())), None)
+    if first is None:
         return np.empty((0, 4))
-    try:
-        vals = np.loadtxt(body, comments=None, ndmin=2, usecols=override)
-    except ValueError:
-        return None
-    if override is None:
-        width = vals.shape[1]
-        if width != 4 and width < 8:
+    cols = override
+    if override is None and len(first) != 4:
+        if len(first) < 8:
             return None
-        vals = vals[:, [0, 1, 2, 3 if width == 4 else 4]]
+        cols = (0, 1, 2, 4, 7)
+    try:
+        vals = np.loadtxt(lines, comments=None, ndmin=2, usecols=cols)
+    except (ValueError, OverflowError):     # an index past 2**63 overflows
+        return None
+    vals = vals[:, :4]
     if not np.isfinite(vals).all():
         return None
     whole = np.rint(vals[:, :2])

@@ -93,6 +93,17 @@ class TestIngest:
             assert "bad column map" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_column_index_past_int64_is_parse_error(self, tmp_path, capsys):
+        # an index numpy cannot hold is reported as a column past the row's
+        # end, as the largest one it can hold is
+        raw = _write_obsmat(tmp_path / "raw.txt")
+        out = tmp_path / "run"
+        for big in [2**63 - 1, 99999999999999999999]:
+            rc = cli.main(["ingest", str(raw), "--columns", f"0,1,2,{big}", "--out", str(out)])
+            assert rc == 2, big
+            assert f"line 1: column {big} missing in 8-column row" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         raw = _write_obsmat(tmp_path / "raw.txt", bad_line=3)
         rc = cli.main(["ingest", str(raw), "--out", str(tmp_path)])

@@ -655,6 +655,32 @@ class TestRolloutMatchesOracle:
                                      cfg, None if vel is None else vel[s])
                 assert got.tobytes() == ref.positions.tobytes()
 
+    @pytest.mark.parametrize("given", [False, True])
+    def test_only_bodies_without_a_velocity_are_aimed(self, cfg, monkeypatch, given):
+        """The aimed start velocity is worked out for the bodies that keep
+        it and no other: with every velocity given, for none."""
+        params = ForceParams.from_config(cfg, substeps=1)
+        rng = np.random.default_rng(5)
+        start = rng.uniform(-5.0, 5.0, (3, 2))
+        dest = [rng.uniform(-20.0, 20.0, (2, 2)) for _ in range(3)]
+        vel = rng.uniform(-1.0, 1.0, (3, 2)) if given else None
+        others = [GroupInit(rng.uniform(-5.0, 5.0, 2), rng.uniform(-20.0, 20.0, 2), 1.0, v)
+                  for v in (rng.uniform(-1.0, 1.0, 2), None, None)]
+        aimed = []
+
+        def unit(to, real=dynamics._unit):
+            aimed.append(len(to))
+            return real(to)
+        monkeypatch.setattr(dynamics, "_unit", unit)
+        for rest in (others, others[:1]):
+            aimed.clear()
+            predict_group_trajectory(start, dest, [1.0, 1.2, 0.8], cc.SceneGeometry.empty(),
+                                     rest, 6, params, cfg, vel)
+            # the first call aims the bodies, if any; without given subject
+            # velocities each block's lead is aimed at its candidate too
+            want = 3 * (not given) + (len(rest) - 1)
+            assert aimed == [want] * (want > 0) + [6] * (not given)
+
     def test_subject_arrays_checked(self, cfg, params, scene):
         for start, dest, speed in (([(0.0, 0.0), (5.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),
                                    ([(0.0, 0.0)], [[(1.0, 0.0)]], [1.0, 1.0]),

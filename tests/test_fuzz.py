@@ -274,7 +274,7 @@ HOMOGRAPHIES = st.one_of(st.none(), st.sampled_from([
            ["25", "0.1", "1e-300", "1e300", "0", "-1", "nan", "inf"])),
        columns=st.one_of(st.none(), st.sampled_from(
            ["0,1,2,3", "0,1,2,4", "1,0,3,2", "0,1", "0,1,2,9", "a,b,c,d",
-            "-1,1,2,3"])))
+            "-1,1,2,3", "0,1,2,9223372036854775807", "0,1,2,99999999999999999999"])))
 def test_ingest_cli_exit_codes_and_readback(raw, homography, fps, columns):
     """``ingest`` on random annotation rows, homography files and flags:
     exit 0, 2 or 3; on 0 the canonical CSV reads back with finite

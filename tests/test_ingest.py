@@ -110,9 +110,17 @@ class TestParseArrayPass:
 
     def assert_as_the_walk(self, text, override=None, column_map=None):
         """``parse_obsmat`` gives the walk's bits or raises its message, and
-        the C pass gives them too or refuses; returns the C pass's rows."""
+        the C pass gives them too or refuses; returns the C pass's rows. On
+        a file with no comment character the C pass without the comment
+        filter and with it agree."""
         want, error = self.walk(text, override)
-        got = ingest._parse_block(text.splitlines(), override)
+        lines = text.splitlines()
+        plain = "#" not in text and "%" not in text
+        got = ingest._parse_block(lines, override, plain)
+        if plain:
+            filtered = ingest._parse_block(lines, override, False)
+            assert (filtered is None) == (got is None), text
+            assert got is None or got.tobytes() == filtered.tobytes(), text
         if error is not None:
             assert got is None, text
             with pytest.raises(ParseError) as exc:
@@ -141,7 +149,7 @@ class TestParseArrayPass:
         # refuses them, so their block is walked
         for tok in ["1_0", "1e1_0", "١٢", "１２", "𝟙"]:
             text = f"0 1 1.0 2.0\n{tok} 1 2.5 -1.5\n4 {tok} {tok} {tok}\n"
-            assert ingest._parse_block(text.splitlines(), None) is None, tok
+            assert ingest._parse_block(text.splitlines(), None, True) is None, tok
             assert parse_obsmat(text).tobytes() == self.walk(text)[0].tobytes(), tok
         text = "-0 -0.0000003 1e-400 -0\n0.0000003 7 4.9e-324 -1e-400\n"
         got = self.assert_as_the_walk(text)
@@ -158,16 +166,19 @@ class TestParseArrayPass:
             assert (got is not None) == (len(text.splitlines()) == 2), repr(sep)
 
     @pytest.mark.parametrize("lines", [[""], ["", ""], ["   "], [" \t", "\xa0"], ["# c"],
-                                       ["% c", "  # c", ""]])
+                                       ["% c", "  # c", ""], ["\x1f", "\u3000 \u2003"]])
     def test_blocks_without_rows(self, lines):
         # numpy's reader warns on a block with no data; the C pass is not
-        # run on one
+        # run on one, in a file with a comment character or with none
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = self.assert_as_the_walk("\n".join(lines) + "\n")
             assert got is not None and got.shape == (0, 4)
-            text = "\n".join(lines * ingest._PARSE_BLOCK + ["0 1 1.0 2.0"])
-            assert parse_obsmat(text).tolist() == [[0.0, 1.0, 1.0, 2.0]]
+            for tail in ["", "% c", "0 1 1.0 0 2.0 0 0 #"]:
+                text = "\n".join(lines * ingest._PARSE_BLOCK + ["0 1 1.0 2.0", tail])
+                want = [[0.0, 1.0, 1.0, 2.0]] * (1 + tail.startswith("0"))
+                assert parse_obsmat(text).tolist() == want
+                self.assert_as_the_walk(text)
 
     def test_blocks_of_many_lines(self):
         rng = np.random.default_rng(3)
@@ -207,12 +218,52 @@ class TestParseArrayPass:
         assert self.assert_as_the_walk(text, (0, 1, 3, 2), "0,1,3,2") is not None
         self.assert_as_the_walk(text + "3 7 4.8\n", (0, 1, 3, 2), "0,1,3,2")
         self.assert_as_the_walk(text, (0, 0, 1, 1), "0,0,1,1")
+        # an index numpy cannot hold (2**63 and up) is refused by the C pass
+        # as a column past the end is, and reported by the walk
+        text = "0 7 4.5 0 3.5 0 0 0\n"
+        for big in [2**63 - 1, 2**63, 99999999999999999999]:
+            assert self.assert_as_the_walk(text, (0, 1, 2, big), f"0,1,2,{big}") is None
+            with pytest.raises(ParseError, match=f"^line 1: column {big} missing in "
+                                                 f"8-column row$"):
+                parse_obsmat(text, column_map=f"0,1,2,{big}")
 
     def test_mixed_widths_without_a_map(self):
         for text in ["0 1 1.0 2.0\n1 1 1.0 0 2.0 0 0 0\n",
                      "0 1 1.0 0 2.0 0 0 0\n1 1 1.0 0 2.0 0 0 0 0\n",
                      "0 1 1.0 0 2.0 0 0 0\n1 1 1.0 0 2.0\n", "0 1 1.0\n", "0 1 1 1 1 1\n",
                      "0 1 1.0 2.0 # x\n", "0 1 1.0 0 2.0 0 0 0 # x\n"]:
+            self.assert_as_the_walk(text)
+
+    @pytest.mark.parametrize("comment", ["", "% c\n"], ids=["plain", "comment"])
+    @pytest.mark.parametrize("width", [4, 5, 6, 7, 9, 10])
+    def test_rows_after_an_eight_column_row(self, width, comment):
+        # the first row's 8 columns pick columns 0, 1, 2, 4 and 7: a row
+        # too narrow for them is walked, a wider one read
+        row = " ".join(["3", "1", "2.5", "9", "-1.5", "0", "0", "0", "6", "7"][:width])
+        got = self.assert_as_the_walk(comment + "0 1 1.0 0 2.0 0 0 0\n" + row + "\n")
+        assert (got is not None) == (width > 8)
+
+    @pytest.mark.parametrize("column", [3, 5, 6, 7])
+    def test_bad_tokens_in_columns_not_kept(self, column):
+        # columns 3, 5 and 6 are never converted; column 7 is, and a token
+        # the reader refuses there sends the block to the walk
+        for tok in ["x", "nan", "1e400", "١٢"]:
+            row = ["3", "1", "2.5", "9", "-1.5", "0", "0", "0"]
+            row[column] = tok
+            got = self.assert_as_the_walk("0 1 1.0 0 2.0 0 0 0\n" + " ".join(row) + "\n")
+            assert (got is None) == (column == 7 and tok in ("x", "١٢")), tok
+
+    @pytest.mark.parametrize("char", ["%", "#"])
+    def test_the_only_comment_character_in_a_later_block(self, char):
+        # one comment character anywhere puts every block through the
+        # comment filter
+        block = ingest._PARSE_BLOCK
+        lines = [f"{k} {k % 5} {0.5 * k!r} 0 {-0.25 * k!r} 0 0 0" for k in range(3 * block)]
+        at = 2 * block + 5
+        for line in [f"{char} a comment", f"  {char}", lines[at] + f" {char}",
+                     lines[at].replace(" 0 ", f" {char} ", 1),
+                     lines[at].replace(" 0.5", f" {char}", 1)]:
+            text = "\n".join(lines[:at] + [line] + lines[at + 1:]) + "\n"
             self.assert_as_the_walk(text)
 
 
@@ -345,10 +396,19 @@ class TestWorkCounts:
         n = 3 * ingest._PARSE_BLOCK + 17
         text = "".join(f"{k} {k % 97} {0.5 * k!r} 0 {-0.25 * k!r} 0 0 0\n" for k in range(n))
         want = ingest._parse_lines(text.splitlines(), None, 0)
-        walks = []
+        walks, reads = [], []
+
+        def loadtxt(lines, *args, real=np.loadtxt, **kw):
+            reads.append((len(lines), kw.get("usecols")))
+            return real(lines, *args, **kw)
         monkeypatch.setattr(ingest, "_parse_lines", lambda *args: walks.append(args))
+        monkeypatch.setattr(ingest.np, "loadtxt", loadtxt)
         assert parse_obsmat(text).tobytes() == want.tobytes()
         assert walks == []
+        # one reader call per block, of the block's lines as they are, and
+        # only the kept columns and column 7 converted
+        block = ingest._PARSE_BLOCK
+        assert reads == [(block, (0, 1, 2, 4, 7))] * 3 + [(17, (0, 1, 2, 4, 7))]
 
     def test_one_product_and_one_resample_for_all_agents(self, monkeypatch, cfg):
         calls = []
