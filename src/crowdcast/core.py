@@ -14,7 +14,8 @@ that holds one columnar table of all their rows, built once.
 table. The functions that take a run's tracks (:func:`build_database`,
 ``pipeline.known_window_tracks``, ``evaluate.run_experiment``) accept a
 list too and convert it at entry with :meth:`Tracks.of`, once per call, so
-a window's cut, database and head count are numpy over the table.
+a window's cut, database and head count are searches of summaries of the
+table, built once per run on first use.
 
 One scale rule holds where input enters: every coordinate read (canonical
 CSV, scene vertices, annotation points after the homography) lies within
@@ -260,11 +261,6 @@ def _directions(positions: np.ndarray) -> np.ndarray:
     return (i * d - before) / np.maximum(i, 1.0)
 
 
-# frames whose :meth:`Tracks.count_before` counts a run keeps: an eval
-# window asks three
-_COUNTS_KEPT = 4
-
-
 class Tracks(tuple):
     """The tracks of a run: an immutable tuple of trajectories that carries
     one columnar table of them (Abadi, Boncz & Harizopoulos, "Column-oriented
@@ -277,8 +273,18 @@ class Tracks(tuple):
     and ``codes[t]`` is track t's place in it, so comparing codes compares
     ids. ``directions`` is each track's :func:`_directions`, end to end, and
     ``direction_norms`` their lengths. The table is built once; the ids,
-    codes and directions on first use. A window's cut and database are then
-    numpy over the table, with no Python per track.
+    codes and directions on first use.
+
+    A window reads only its own history: three summaries, each built once
+    per run on first use, answer its questions in O(log n) searches plus
+    the tracks alive near it, so no window scans the table.
+    :meth:`ids_before` counts the ids with a frame before a given one from
+    each id's first frame, sorted; :meth:`covering`, the window cut, stabs
+    an interval index of the tracks' frame spans (``_spans``); and
+    :meth:`first_gap_before`, the database's gap check, searches each
+    track's first-gap frame, sorted, with the least track over each prefix.
+    Rows are found by ``searchsorted`` over keys of (track, frame rank),
+    ascending in table order (:meth:`rows_at`).
 
     The run's retrieval samples are the table rows ``sample_rows``: rows
     2 .. n - 1 of every track, in track order, the samples
@@ -290,9 +296,9 @@ class Tracks(tuple):
     frame is at most that of the ceil(n / 2**j)-th sample in frame order,
     and :meth:`sample_grid` hands a window the smallest level holding it.
     A run builds at most log2(n) + 1 grids, each on first use, instead of
-    one per window. Like the directions, none of it is built before a
-    database is queried, and :meth:`count_before` keeps the counts of the
-    last few frames it was asked, so a window's callers share its scans.
+    one per window. ``sample_frames``, their frames sorted, sizes a
+    window's database with one search. Like the directions, none of it is
+    built before a window asks.
     """
 
     def __new__(cls, tracks=()):
@@ -314,7 +320,7 @@ class Tracks(tuple):
                           ("lengths", lengths), ("owners", owners)):
             arr.setflags(write=False)
             vars(self)[name] = arr
-        vars(self).update(_counted=(), _levels={})
+        vars(self).update(_levels={})
         return self
 
     @classmethod
@@ -389,33 +395,141 @@ class Tracks(tuple):
             grid = self._levels.setdefault(j, SampleGrid(self.positions[rows], rows))
         return grid
 
-    def count_before(self, frame) -> np.ndarray:
-        """Per track, how many of its frames lie before ``frame``: its first
-        rows, as frames strictly increase. An empty track counts 0. The
-        read-only counts of the last ``_COUNTS_KEPT`` frames are kept, so
-        the callers of one window scan the table once per frame."""
-        for kept, counts in self._counted:
-            if kept == frame:
-                return counts
-        counts = _frozen(self._scan_before(frame))
-        # one tuple swapped in whole: threads sharing the run can lose an
-        # entry, which costs a scan, but never see a wrong count
-        vars(self)["_counted"] = ((frame, counts),) + self._counted[:_COUNTS_KEPT - 1]
-        return counts
+    @cached_property
+    def _row_keys(self) -> tuple:
+        """The run's distinct frames, ascending, and each row's key ``owner *
+        len(distinct) + rank of its frame among them``, then one key above
+        every row's: rows run by track, then frame, so the keys ascend and
+        one ``searchsorted`` finds a frame in any number of tracks."""
+        distinct, rank = np.unique(self.frames, return_inverse=True)
+        keys = np.append(self.owners * len(distinct) + rank, _MAX_FRAME)
+        return _frozen(distinct), _frozen(keys)
 
-    def _scan_before(self, frame) -> np.ndarray:
-        return np.bincount(self.owners[self.frames < frame], minlength=len(self))
+    def _rows_of(self, t: np.ndarray, rank: int) -> np.ndarray:
+        """The row of each track ``t``'s first frame of rank ``rank`` or
+        more among the distinct frames (its end when there is none)."""
+        distinct, keys = self._row_keys
+        return keys.searchsorted(t * len(distinct) + rank)
+
+    def rows_at(self, t: np.ndarray, frame) -> np.ndarray:
+        """The row of each track ``t``'s first frame at or after ``frame``
+        (its end when there is none): its first row past those before
+        ``frame``, as frames strictly increase."""
+        return self._rows_of(t, _count_below(self._row_keys[0], frame))
+
+    @cached_property
+    def _spans(self) -> tuple:
+        """An interval index of the nonempty tracks' frame spans, in ranks of
+        the distinct frames (interval stabbing: de Berg, Cheong, van Kreveld
+        & Overmars, *Computational Geometry*, 3rd ed., ch. 10).
+
+        The tracks are sorted by length class c, the floor of log2 of the
+        ranks their span covers, then by first rank. A class-c span holding
+        rank r begins at most ``2**(c + 1) - 1`` ranks before it, so one
+        run per class holds every span through r, and its other spans lie
+        near r too: a track spanning the whole run is read alone in its
+        class. Returns each class's bounds' key bases and reaches (the
+        runs' first and last keys, each class's twice), and the index's
+        keys, tracks and last ranks."""
+        distinct, keys = self._row_keys
+        t = np.flatnonzero(self.lengths)
+        base = t * len(distinct)
+        lo = keys[self.starts[t]] - base
+        hi = keys[self.starts[t] + self.lengths[t] - 1] - base
+        cls = np.frexp((hi - lo + 1).astype(np.float64))[1].astype(np.int64) - 1
+        order = np.lexsort((lo, cls))
+        classes = np.unique(cls)
+        return (_frozen(np.tile(classes * len(distinct), 2)),
+                _frozen(np.concatenate([(2 << classes) - 1, np.full(len(classes), -1)])),
+                _frozen(cls[order] * len(distinct) + lo[order]), _frozen(t[order]),
+                _frozen(hi[order]))
+
+    def _stab(self, rank: int) -> tuple:
+        """The tracks whose spans may hold the distinct frame of ``rank``, in
+        ``_spans`` order, and their last ranks: those of each class
+        beginning at most its reach before it."""
+        base, reach, keys, tracks, ends = self._spans
+        bounds = keys.searchsorted(base + np.maximum(rank - reach, 0))
+        a, b = bounds[:len(bounds) // 2], bounds[len(bounds) // 2:]
+        n = b - a
+        runs = n.cumsum()
+        i = np.repeat(a - runs + n, n) + np.arange(runs[-1])
+        return tracks[i], ends[i]
 
     def covering(self, first: int, steps: int) -> tuple:
         """The tracks holding every frame ``first`` .. ``first + steps - 1``,
-        ascending, and the row of ``first`` within each: a track holds them
-        when the frame ``steps - 1`` rows after its first one not before
-        ``first`` is the last of them."""
-        n = self.count_before(first)
-        t = np.flatnonzero(self.lengths - n >= steps)
-        if t.size:      # else ``steps`` need not fit in int64
-            t = t[self.frames[self.starts[t] + n[t] + (steps - 1)] == first + steps - 1]
-        return t, n[t]
+        ascending, and the row of ``first`` within each.
+
+        Only the tracks whose span holds both ends are read, found by
+        :meth:`_stab`; one holds every frame between when the row ``steps -
+        1`` after its first one not before ``first`` is its row of the
+        last frame. A frame that no track holds covers nothing."""
+        distinct, keys = self._row_keys
+        rank = _count_below(distinct, first)
+        last = rank + steps - 1         # the window's frames are distinct frames
+        if last >= len(distinct) or distinct[rank] != first \
+                or distinct[last] != first + steps - 1:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        t, ends = self._stab(rank)
+        t = np.sort(t[ends >= last])
+        rows = self._rows_of(t, rank)
+        # the padding key matches no row
+        held = keys[np.minimum(rows + (steps - 1), len(keys) - 1)] == t * len(distinct) + last
+        t = t[held]
+        return t, rows[held] - self.starts[t]
+
+    @cached_property
+    def _id_firsts(self) -> np.ndarray:
+        """Each agent id's first frame over its nonempty tracks, ascending."""
+        t = np.flatnonzero(self.lengths)
+        first = np.full(len(self.agent_ids), _MAX_FRAME)
+        np.minimum.at(first, self.codes[t], self.frames[self.starts[t]])
+        held = np.zeros(len(first), dtype=bool)
+        held[self.codes[t]] = True
+        return _frozen(np.sort(first[held]))
+
+    def ids_before(self, frame) -> int:
+        """How many agent ids hold a frame before ``frame``, however many
+        tracks hold each."""
+        return _count_below(self._id_firsts, frame)
+
+    @cached_property
+    def _gaps(self) -> tuple:
+        """Each track's first prefix to hold three points and a gap, as the
+        frame before which it lies: the later of its third frame and the
+        frame after its first gap. Returns those frames ascending and the
+        least track over each prefix of them."""
+        d = np.diff(self.frames)
+        rows = np.flatnonzero(d != 1)       # a wrapped difference is no 1
+        rows = rows[self.owners[rows] == self.owners[rows + 1]]
+        t, first = np.unique(self.owners[rows], return_index=True)
+        rows = rows[first]
+        t, rows = t[self.lengths[t] >= 3], rows[self.lengths[t] >= 3]
+        frames = np.maximum(self.frames[self.starts[t] + 2], self.frames[rows + 1])
+        order = np.argsort(frames, kind="stable")
+        return _frozen(frames[order]), _frozen(np.minimum.accumulate(t[order]))
+
+    def first_gap_before(self, frame) -> int | None:
+        """The first track whose points before ``frame`` are three or more
+        and skip a frame, or None."""
+        frames, least = self._gaps
+        n = _count_below(frames, frame)
+        return int(least[n - 1]) if n else None
+
+    @cached_property
+    def sample_frames(self) -> np.ndarray:
+        """The frames of the run's samples, ascending."""
+        return _frozen(np.sort(self.frames[self.sample_rows]))
+
+
+def _count_below(values: np.ndarray, frame) -> int:
+    """How many of the ascending int64 ``values`` lie below ``frame``, an
+    int of any size."""
+    if frame > _MAX_FRAME:
+        return len(values)
+    if frame <= -_MAX_FRAME - 1:
+        return 0
+    return int(values.searchsorted(frame))
 
 
 def resample_trajectory(traj: Trajectory, step_duration: float) -> Trajectory:
@@ -1017,39 +1131,63 @@ class SampleGrid:
 class TrajectoryDatabase:
     """Historical track samples of one window, one row per sample.
 
-    The database stores the first ``lengths[t]`` points of each track t of
-    ``tracks``, a :class:`Tracks`, and holds nothing but the table and
-    those lengths: its samples are the run's sample rows before each
-    track's stored length, and its ``grid`` is the :meth:`Tracks.sample_grid`
-    level holding them, which may hold later samples too. Every stored
-    point with at least two earlier points is a sample: its position, its
-    un-normalized average movement direction, the last stored point of its
-    track (the destination) and its 1-based ``step`` in that track. A
-    track's samples are contiguous, in ascending step, and tracks of three
-    or more stored points keep their input order; track t's first sample
-    is ``starts[t]``. ``agent_codes`` index ``agent_ids``, which lists the
-    source agents in natural order, so comparing codes compares ids.
-    ``direction_norms`` are the directions' lengths. These read-only
-    arrays are gathered from the table on first access only: retrieval
-    reads the table by row, so a window that is only queried gathers none.
+    The database is the run's table, ``tracks``, a :class:`Tracks`, and a
+    frame ``limit``, an int of any size: it stores each track's points
+    before the limit, a prefix of the track, and its samples are the run's
+    ``sample_rows`` whose frame lies before it. ``len`` is one search
+    over the run's sorted sample frames, and ``grid`` is the
+    :meth:`Tracks.sample_grid` level holding the samples, which may hold
+    later ones too. Every stored point with at least two earlier points is
+    a sample: its position, its un-normalized average movement direction,
+    the last stored point of its track (the destination) and its 1-based
+    ``step`` in that track.
+
+    Samples are numbered by track, then step: track t's first is
+    ``starts[t]``, its stored length ``lengths[t]``, and tracks of three or
+    more stored points keep their input order. ``agent_codes`` index
+    ``agent_ids``, which lists the source agents in natural order, so
+    comparing codes compares ids. ``direction_norms`` are the directions'
+    lengths. These read-only arrays, and the numbering, are built on first
+    access only: retrieval reads the table by row, so a window that is only
+    queried builds none.
     """
 
-    def __init__(self, tracks: Tracks, lengths: np.ndarray):
-        self.tracks, self.lengths = tracks, lengths
-        self._counts = np.where(lengths >= 3, lengths - 2, 0)
-        self._ends = np.cumsum(self._counts)
-        self.starts = self._ends - self._counts
+    def __init__(self, tracks: Tracks, limit: int):
+        self.tracks, self.limit = tracks, limit
+        self._size = _count_below(tracks.sample_frames, limit)
 
     def __len__(self) -> int:
-        return int(self._ends[-1]) if len(self._ends) else 0
+        return self._size
 
     @cached_property
     def grid(self) -> SampleGrid:
         return self.tracks.sample_grid(len(self))
 
-    def track_of(self, index: np.ndarray) -> np.ndarray:
-        """The track of each sample ``index``."""
-        return self._ends.searchsorted(index, side="right")
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The samples' table rows, in ``grid.order``."""
+        order = self.grid.order
+        return order[self.tracks.frames[order] < self.limit]
+
+    def last_rows(self, t: np.ndarray) -> np.ndarray:
+        """The table row of the last stored point of each track ``t``."""
+        return self.tracks.rows_at(t, self.limit) - 1
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Each track's stored length: its points before the limit."""
+        tracks = self.tracks
+        return _frozen(tracks.rows_at(np.arange(len(tracks)), self.limit) - tracks.starts)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        counts = np.where(self.lengths >= 3, self.lengths - 2, 0)
+        return _frozen(np.cumsum(counts) - counts)
+
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """The sample index of each sample's table row in ``rows``."""
+        t = self.tracks.owners[rows]
+        return self.starts[t] + (rows - self.tracks.starts[t]) - 2
 
     @cached_property
     def _layout(self) -> tuple:
@@ -1063,7 +1201,7 @@ class TrajectoryDatabase:
     @cached_property
     def _stored(self) -> np.ndarray:
         """The run codes of the agents stored, ascending."""
-        return np.unique(self.tracks.codes[self._counts > 0])
+        return np.unique(self.tracks.codes[self.lengths >= 3])
 
     @cached_property
     def agent_codes(self) -> np.ndarray:
@@ -1125,20 +1263,17 @@ def build_database(tracks, cfg: Config, endtime: int | None = None
     stored nor checked. An empty input yields an empty database whose every
     query misses. ``tracks`` is converted once by :meth:`Tracks.of`.
 
-    Nothing is gathered: the database is the run's table and each track's
-    stored length, the frame limit. Its samples are the run's
-    ``sample_rows`` before that limit, searched through the run's ladder
-    level that holds them, so building it costs O(tracks) and a run builds
-    O(log n) grids over all its windows, not one per window.
+    Nothing is gathered: the database is the run's table and the frame
+    limit. The gap check is one search of the run's first-gap frames
+    (:meth:`Tracks.first_gap_before`) and the size one of its sorted sample
+    frames, so building it costs O(log n); its samples are searched through
+    the run's ladder level that holds them, so a run builds O(log n) grids
+    over all its windows, not one per window.
     """
     tracks = Tracks.of(tracks)
-    lengths = (tracks.lengths if endtime is None
-               else tracks.count_before(endtime - cfg.known_time_steps + 1))
-    # strictly increasing frames are consecutive when they span n - 1
-    t = np.flatnonzero(lengths >= 3)
-    first = tracks.starts[t]
-    gap = tracks.frames[first + lengths[t] - 1] - tracks.frames[first] != lengths[t] - 1
-    if gap.any():
-        raise DataError(f"agent {tracks[int(t[gap.argmax()])].agent_id!r} "
-                        f"is not resampled to the step grid")
-    return TrajectoryDatabase(tracks, lengths)
+    # without an endtime, a limit above every frame stores every point
+    limit = _MAX_FRAME + 1 if endtime is None else endtime - cfg.known_time_steps + 1
+    t = tracks.first_gap_before(limit)
+    if t is not None:
+        raise DataError(f"agent {tracks[t].agent_id!r} is not resampled to the step grid")
+    return TrajectoryDatabase(tracks, limit)

@@ -47,7 +47,8 @@ class GroupPrediction:
 def known_window_tracks(tracks, endtime: int, cfg: Config) -> list:
     """Tracks restricted to the known window, keeping only agents present at
     every frame of it, in input order: :meth:`Trajectory.span` views, no
-    copy. ``tracks`` is converted once by :meth:`Tracks.of`."""
+    copy. ``tracks`` is converted once by :meth:`Tracks.of`, and only the
+    tracks alive near the window are read (:meth:`Tracks.covering`)."""
     tracks = Tracks.of(tracks)
     steps = cfg.known_time_steps
     hits, rows = tracks.covering(endtime - steps + 1, steps)

@@ -90,17 +90,25 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
 
     The grid is the run's ladder level holding the database
     (:meth:`~crowdcast.core.Tracks.sample_grid`): its rows are the run's
-    table rows, read there, and a row past its track's stored length, in
-    the window's future, is dropped with the rejected and excluded ones.
-    Agents are ranked by run code, in the same natural order.
+    table rows, read there. A row at or past the database's frame limit,
+    in the window's future, is dropped by its frame before anything of it
+    is gathered or scored. Agents are ranked by run code, in the same
+    natural order.
     """
+    q, score, rows = _search(db, positions, directions, excluded, cfg, k)
+    return q, score, db.index_of(rows)
+
+
+def _search(db: TrajectoryDatabase, positions, directions, excluded, cfg: Config,
+            k: int | None = None) -> tuple:
+    """:func:`rank_queries` with each hit's table row for its sample index."""
     if k is None:
         k = cfg.k_candidates
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 2)
     if len(db) == 0 or k <= 0 or not len(positions):
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp)
-    grid, tracks = db.grid, db.tracks
+    grid, tracks, limit = db.grid, db.tracks, db.limit
     agents = len(tracks.agent_ids)
     # the excluded agents as sorted (query, run code) keys
     dropped = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
@@ -115,22 +123,24 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
     while True:
         whole, owner, first, count, clear = grid.squares(positions[active], cells, h)
         rows = np.bincount(owner, count, minlength=len(active))
-        rows[whole] = len(grid.order)
+        rows[whole] = len(db)
         ranked = []
         for a, b in _blocks(rows):
             cols = slice(*owner.searchsorted((a, b)))
             ids = grid.samples(first[cols], count[cols])
             query = np.repeat(active[owner[cols]], count[cols])
+            now = tracks.frames[ids] < limit        # the window's own samples only
+            ids, query = ids[now], query[now]
             if whole[a:b].any():
                 every = active[a:b][whole[a:b]]
-                if b - a == 1:      # the whole grid's rows, read in place
-                    query, ids = every[0], grid.order
+                if b - a == 1:      # the database's rows, read in place
+                    query, ids = every[0], db.order
                 else:
-                    ids = np.concatenate([ids, np.tile(grid.order, every.size)])
-                    query = np.concatenate([query, np.repeat(every, len(grid.order))])
+                    ids = np.concatenate([ids, np.tile(db.order, every.size)])
+                    query = np.concatenate([query, np.repeat(every, len(db))])
             ranked.append(_rank(db, cfg, k, dropped, positions, directions, norms,
                                 query, ids))
-        q, score, index = ranked[0] if len(ranked) == 1 else (
+        q, score, row = ranked[0] if len(ranked) == 1 else (
             np.concatenate(x) for x in zip(*ranked))
         count = np.bincount(q, minlength=len(positions))[active]
         full = (count >= k) & ~whole
@@ -140,12 +150,12 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
         done = whole
         done[full] = d + least - 1e-12 * (d + abs(least)) > kth
         if done.all():
-            hits.append((q, score, index))
+            hits.append((q, score, row))
             break
         closed = np.zeros(len(positions), dtype=bool)
         closed[active[done]] = True
         last = closed[q]
-        hits.append((q[last], score[last], index[last]))
+        hits.append((q[last], score[last], row[last]))
         # a square short of k agents grows four times as wide. Else it
         # grows toward the square that clears the k-th score (one cell more
         # for the slack), at least one ring and at most four times as wide
@@ -158,9 +168,9 @@ def rank_queries(db: TrajectoryDatabase, positions, directions, excluded,
         active, cells = active[~done], cells[~done]
     if len(hits) == 1:
         return hits[0]
-    q, score, index = (np.concatenate(a) for a in zip(*hits))
+    q, score, row = (np.concatenate(a) for a in zip(*hits))
     order = np.argsort(q, kind="stable")
-    return q[order], score[order], index[order]
+    return q[order], score[order], row[order]
 
 
 def _blocks(rows: np.ndarray) -> list:
@@ -179,13 +189,13 @@ def _blocks(rows: np.ndarray) -> list:
 def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
           positions: np.ndarray, directions: np.ndarray, norms: np.ndarray,
           query, ids) -> tuple:
-    """Score the (``query[r]``, table row ``ids[r]``) rows of one block and
-    rank each query's agents, leaving out the rows past their track's
-    stored length and the ``dropped`` (query, run code) keys. Returns the
-    query, score and sample index of each query's ``k`` best agents' best
-    samples (lowest score, then step, then row), by query, then score, then
-    agent code. ``query`` is one index for one query whose square is the
-    whole grid, whose rows are then the grid's ``order``."""
+    """Score the (``query[r]``, table row ``ids[r]``) rows of one block,
+    every row a sample of the database, and rank each query's agents,
+    leaving out the ``dropped`` (query, run code) keys. Returns the query,
+    score and table row of each query's ``k`` best agents' best samples
+    (lowest score, then step, then row), by query, then score, then agent
+    code. ``query`` is one index for one query whose square is the whole
+    grid, whose rows are then the database's ``order``."""
     tracks = db.tracks
     track = tracks.owners.take(ids)
     index = ids - tracks.starts.take(track)
@@ -204,7 +214,6 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
     codes = tracks.codes.take(track)
     key = query * len(tracks.agent_ids) + codes
     out = np.isnan(score)
-    out |= index >= db.lengths.take(track)
     if dropped.size:
         out |= dropped[np.minimum(dropped.searchsorted(key), dropped.size - 1)] == key
     keep = (~out).nonzero()[0]
@@ -232,7 +241,7 @@ def _rank(db: TrajectoryDatabase, cfg: Config, k: int, dropped: np.ndarray,
     best = best[np.lexsort((key[best], score[best], q[best]))]
     qb = q[best]
     best = best[np.arange(len(best)) - qb.searchsorted(qb) < k]
-    return q[best], score[best], db.starts[track[best]] + index[best] - 2
+    return q[best], score[best], ids[best]
 
 
 def query_similar(db: TrajectoryDatabase, pose: QueryPose, cfg: Config,
@@ -304,11 +313,13 @@ def track_candidates(db: TrajectoryDatabase, positions: np.ndarray, times: np.nd
     plus the straight-line continuation, always last."""
     pos, direction = _poses(positions)
     lines = _continuations(positions, times, pos, direction, cfg)
-    q, score, index = rank_queries(db, pos, direction, excluded, cfg)
-    # each hit's destination, agent and step from its track's stored prefix
-    tracks, track = db.tracks, db.track_of(index)
-    last = tracks.starts[track] + db.lengths[track] - 1
-    steps = index - db.starts[track] + 3
+    q, score, rows = _search(db, pos, direction, excluded, cfg)
+    # each hit's agent and step from its row, its destination the last
+    # stored point of its track
+    tracks = db.tracks
+    track = tracks.owners[rows]
+    last = db.last_rows(track)
+    steps = rows - tracks.starts[track] + 1
     out = [[] for _ in range(len(pos))]
     for g, dest, t, step, s in zip(q.tolist(), tracks.positions.take(last, axis=0),
                                    track.tolist(), steps.tolist(), score.tolist()):

@@ -30,7 +30,8 @@ from crowdcast.pipeline import known_window_tracks
 
 import test_ingest
 from conftest import STEP, line_track, random_track
-from window_oracle import frame_span, known_window_spans
+from window_oracle import (count_before, covering, first_gap, frame_span, ids_before,
+                           known_window_spans, stored_lengths, stored_rows)
 
 CONFIG_FLOATS = ["person_radius", "step_duration", "neighborhood_range",
                  "person_mass", "intimate_distance", "personal_distance",
@@ -716,6 +717,82 @@ def test_window_database_ignores_the_window_and_after(precomputed):
                              cc.build_database(tracks, cfg, endtime=endtime))
 
 
+RECORDING_IDS = st.sampled_from(("a", "a#2", "a#3", "b", "10", "10#2"))
+
+
+def recording_track(agent_id: str, frames, rng_points=None) -> cc.Trajectory:
+    """A track on ``frames`` with times 0, STEP, 2 STEP, ... (frames near
+    ``core._MAX_FRAME`` have no grid time of their own) and lattice points."""
+    frames = np.asarray(frames, dtype=np.int64)
+    points = (np.zeros((len(frames), 2)) if rng_points is None
+              else np.cumsum(rng_points, axis=0) * 0.5)
+    return cc.Trajectory(agent_id, frames, np.arange(len(frames)) * STEP, points)
+
+
+@st.composite
+def recordings(draw):
+    """0-8 tracks of 0-20 points (empty ones, and ones of 1-2 points) with
+    ids from a pool of split parts (``a``, ``a#2``, ...) that repeats, so
+    several tracks hold one id. A track skips 1-4 frames up to twice, so
+    each window finds gaps before, at and after it. The first frames lie
+    near 0, or in half the runs within 60 of ``core._MAX_FRAME``."""
+    origin = core._MAX_FRAME - 60 if draw(st.booleans()) else 0
+    tracks = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 20))
+        frames = draw(st.integers(0, 30)) + np.arange(n)
+        for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+            frames[draw(st.integers(1, n - 1)):] += draw(st.integers(1, 4))
+        steps = draw(st.lists(LATTICE_MOVES, min_size=n, max_size=n))
+        tracks.append(recording_track(draw(RECORDING_IDS), origin + frames,
+                                      np.reshape(steps, (n, 2))))
+    return tracks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tracks=recordings(), known=st.integers(2, 5), steps=st.integers(1, 6))
+# a track spanning the whole recording among short ones, split and repeated
+# ids, an empty track, tracks of one and two points and a gap at frame 20
+@example(tracks=[recording_track("a", np.arange(0, 60)), recording_track("a#2", [61, 62]),
+                 recording_track("b", []), recording_track("10", [5]),
+                 recording_track("a", np.r_[10:20, 21:30]), recording_track("b", [3, 4])],
+         known=3, steps=4)
+# the same near the largest frame
+@example(tracks=[recording_track("a", core._MAX_FRAME - np.arange(59, -1, -1)),
+                 recording_track("a#2", core._MAX_FRAME - np.array([40, 39, 37, 36])),
+                 recording_track("b", [])], known=2, steps=3)
+def test_window_reads_equal_one_scan_of_the_table(tracks, known, steps):
+    """At every endtime, the run's summaries give what one scan of its
+    table gives (``window_oracle``): the head count, ``covering``'s tracks
+    and rows, each track's stored length, the stored samples, ``len(db)``
+    and the first-gap ``DataError``."""
+    cfg = cc.Config(known_time_steps=known)
+    table = cc.Tracks(tracks)
+    every = np.arange(len(table))
+    frames = table.frames.tolist() or [0]
+    for limit in (None, *range(min(frames) - 2, max(frames) + 4)):
+        if limit is not None:
+            assert table.ids_before(limit) == ids_before(table, limit)
+            got, want = table.covering(limit, steps), covering(table, limit, steps)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            assert (table.rows_at(every, limit) - table.starts).tolist() == \
+                count_before(table, limit).tolist()
+        endtime = None if limit is None else limit + known - 1
+        gap = first_gap(table, limit)
+        if gap is not None:
+            with pytest.raises(DataError) as err:
+                cc.build_database(table, cfg, endtime=endtime)
+            assert str(err.value) == \
+                f"agent {table[gap].agent_id!r} is not resampled to the step grid"
+            continue
+        db = cc.build_database(table, cfg, endtime=endtime)
+        rows = stored_rows(table, limit)
+        assert len(db) == len(rows)
+        assert db.lengths.tolist() == stored_lengths(table, limit).tolist()
+        if len(db):
+            assert np.sort(db.order).tolist() == rows.tolist()
+
+
 def assert_same_track(got, want):
     assert got.agent_id == want.agent_id
     for name in ("frames", "times", "positions"):
@@ -770,7 +847,8 @@ class TestTracks:
         assert table.starts.tolist() == [0, 3, 3] and table.lengths.tolist() == [3, 0, 2]
         assert table.frames.tolist() == [2, 3, 4, 0, 1]
         assert table.agent_ids == ("a", "b9", "b10") and table.codes.tolist() == [2, 0, 1]
-        assert table.count_before(3).tolist() == [1, 0, 2]
+        assert count_before(table, 3).tolist() == [1, 0, 2]
+        assert (table.rows_at(np.arange(3), 3) - table.starts).tolist() == [1, 0, 2]
         assert table.owners.tolist() == [0, 0, 0, 2, 2]
         assert [a.tolist() for a in table.covering(0, 2)] == [[2], [0]]
         assert [a.tolist() for a in table.covering(0, 10**20)] == [[], []]
@@ -786,22 +864,27 @@ class TestTracks:
         with pytest.raises(ValueError):
             table.positions[0, 0] = 1.0
 
-    def test_kept_counts_shared_by_threads(self):
-        # threads asking one run for the counts of more frames than it
-        # keeps, with a switch forced every microsecond, each get the counts
-        # a fresh scan gives, read-only
+    def test_summaries_built_once_under_threads(self):
+        # threads asking a fresh run for the cut, the head count and the
+        # stored lengths of random frames, with a switch forced every
+        # microsecond, build its summaries on first use while the others
+        # read them, and each gets what one scan of the table gives
         rng = np.random.default_rng(3)
-        table = cc.Tracks([random_track(rng, f"r{i}") for i in range(30)])
+        table = cc.Tracks([random_track(rng, f"r{i % 20}") for i in range(30)])
         frames = list(range(-1, 45))
-        want = {f: np.bincount(table.owners[table.frames < f], minlength=len(table))
+        every = np.arange(len(table))
+        want = {f: (count_before(table, f), ids_before(table, f), covering(table, f, 3))
                 for f in frames}
         bad = []
 
         def ask(seed):
             pick = np.random.default_rng(seed)
             for f in pick.choice(frames, 300).tolist():
-                got = table.count_before(f)
-                if got.flags.writeable or not np.array_equal(got, want[f]):
+                counts, ids, (t, rows) = want[f]
+                got_t, got_rows = table.covering(f, 3)
+                if not (np.array_equal(table.rows_at(every, f) - table.starts, counts)
+                        and table.ids_before(f) == ids and np.array_equal(got_t, t)
+                        and np.array_equal(got_rows, rows)):
                     bad.append(f)
 
         interval = sys.getswitchinterval()

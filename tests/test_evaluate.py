@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -312,35 +313,26 @@ def test_directions_computed_once_per_track_over_windows(monkeypatch, cfg):
     assert len(calls) == len(tracks) + len(report.rows)
 
 
-def test_three_table_scans_per_window(monkeypatch, cfg):
-    # a window counts rows before three frames: its first (for the
-    # database, the cut and the scorer's known rows), endtime + 1 (the
-    # scorer's truth) and its last horizon frame + 1 (the head count). The
-    # run keeps the last few counts, so it scans its table once per frame
-    scans = []
-    original = cc.Tracks._scan_before
-    monkeypatch.setattr(cc.Tracks, "_scan_before",
-                        lambda self, frame: scans.append(frame) or original(self, frame))
-    tracks = cc.Tracks(benchmark_tracks(3))
-    params = ForceParams.from_config(cfg, substeps=1)
-    # a stride of 7 divides none of 30, 60: no two windows share a frame
-    windows = [Window(e) for e in range(60, 130, 7)]
-    report = run_experiment(tracks, cc.SceneGeometry.empty(), windows, cfg, params)
-    assert sum(r.n_groups for r in report.rows) > 0
-    assert len(set(scans)) == len(scans) == 3 * len(windows)
-
-
 class TestLongRecordingCost:
     """The long-recording slice of the cost family: ``run_experiment`` over
     W windows of a recording and 4W windows of one 4x as long. The sample
     grids built per run are of order log n in the run's samples (the
     ladder's levels: at 4n, two more), the sample rows gathered into window
     databases of order 0 per window (none: a window's search reads the
-    run's table), and reading the recording builds no grid."""
+    run's table), and reading the recording builds no grid.
+
+    A window reads only its own history: over k and 4k copies of a
+    recording, one after another with fresh ids, a window in the last copy
+    reads the same tracks and rows of the table, within 1 + ε (order 0 in
+    the recording's length), through the run's summaries, and those are
+    built once per run."""
 
     GRIDS_ORDER = "log n"
     MORE_LEVELS_AT_4N = 2
     WINDOW_ROWS_ORDER = 0
+    WINDOW_READS_ORDER = 0
+    READS_EPS = 0.05
+    SUMMARIES = ("_row_keys", "_spans", "_id_firsts", "_gaps", "sample_frames")
     W = 6
 
     @staticmethod
@@ -388,6 +380,56 @@ class TestLongRecordingCost:
         assert grids4 <= grids + self.MORE_LEVELS_AT_4N, (grids, grids4)
         # order 0 per window: the only sample rows laid out are the run's own
         assert (rows - n) == (rows4 - n4) == self.WINDOW_ROWS_ORDER, (rows, n, rows4, n4)
+
+    def copies_read(self, monkeypatch, k: int) -> tuple:
+        """The tracks and rows the windows in the last of ``k`` copies of a
+        recording read per window, counted where they are read: the
+        interval index's stabs (tracks) and the row-key searches (a row per
+        track). Also each summary's builds in the run."""
+        cfg = cc.Config(known_time_steps=8, predict_time_steps=8, min_overlap_frames=4)
+        params = ForceParams.from_config(cfg, substeps=1)
+        period = 150 + 40       # the recording's frames, its walkers' last included
+        tracks = cc.Tracks(
+            Trajectory.from_frame_grid(f"{tr.agent_id}~{j}", tr.frames + j * period,
+                                       tr.positions, STEP)
+            for j in range(k) for tr in self.recording(150))
+        reads = {"tracks": 0, "rows": 0}
+        builds = dict.fromkeys(self.SUMMARIES, 0)
+        stab, rows_of = cc.Tracks._stab, cc.Tracks._rows_of
+
+        def counted_stab(table, rank):
+            out = stab(table, rank)
+            reads["tracks"] += len(out[0])
+            return out
+
+        def counted_rows_of(table, t, rank):
+            reads["rows"] += len(t)
+            return rows_of(table, t, rank)
+
+        monkeypatch.setattr(cc.Tracks, "_stab", counted_stab)
+        monkeypatch.setattr(cc.Tracks, "_rows_of", counted_rows_of)
+        for name in self.SUMMARIES:
+            build = vars(cc.Tracks)[name].func
+            prop = cached_property(lambda table, build=build, name=name: (
+                builds.__setitem__(name, builds[name] + 1) or build(table)))
+            prop.__set_name__(cc.Tracks, name)
+            monkeypatch.setattr(cc.Tracks, name, prop)
+        windows = [Window(e + (k - 1) * period) for e in range(80, 141, 12)]
+        report = run_experiment(tracks, cc.SceneGeometry.empty(), windows, cfg, params)
+        assert sum(r.n_agents for r in report.rows) > 0 and len(report.rows) == self.W
+        return reads["tracks"] / self.W, reads["rows"] / self.W, builds
+
+    def test_window_reads_do_not_grow_with_the_recording(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            tracks, rows, builds = self.copies_read(mp, 2)
+        with monkeypatch.context() as mp:
+            tracks4, rows4, builds4 = self.copies_read(mp, 8)
+        assert tracks > 0 and rows > 0
+        # order 0 per window: 4x the history before it reads no more of it
+        assert tracks4 <= (1 + self.READS_EPS) * tracks, (tracks, tracks4)
+        assert rows4 <= (1 + self.READS_EPS) * rows, (rows, rows4)
+        # each summary built once per run, however many windows ask
+        assert set(builds.values()) == set(builds4.values()) == {1}, (builds, builds4)
 
 
 def test_experiment_on_read_tracks_equals_on_a_list(cfg):

@@ -367,21 +367,36 @@ def _line_of_agents(n, axis, frames):
     return out
 
 
-def test_grouping_cost_does_not_depend_on_the_axis(cfg):
-    # the broad phase is a 2-D cell list: a line along y costs what the
-    # same line along x does, where a sweep over x alone scores every pair
+def _near_pairs_yielded(monkeypatch, tracks, endtime, cfg) -> tuple:
+    """The (i, j) rows ``near_pairs`` yields to one ``detect_groups`` call,
+    as a set, and its groups."""
+    pairs, original = [], grouping.near_pairs
+
+    def spy(*args):
+        for i, j in original(*args):
+            pairs.extend(zip(i.tolist(), j.tolist()))
+            yield i, j
+
+    monkeypatch.setattr(grouping, "near_pairs", spy)
+    _, states = cc.detect_groups(tracks, endtime, cfg)
+    return set(pairs), states
+
+
+def test_grouping_cost_does_not_depend_on_the_axis(monkeypatch, cfg):
+    # the broad phase is a 2-D cell list: a line along y yields the
+    # candidate pairs the same line along x does, where a sweep over x
+    # alone yields every pair of it, and they grow linearly in n
     frames = np.arange(cfg.known_time_steps)
-    took = {}
-    for axis in (0, 1):
-        tracks = _line_of_agents(4000, axis, frames)
-        runs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            known, states = cc.detect_groups(tracks, int(frames[-1]), cfg)
-            runs.append(time.perf_counter() - t0)
-            assert len(states) == 4000
-        took[axis] = sorted(runs)[1]
-    assert took[1] < 2.0 * took[0], took
+    yielded = {}
+    for n in (1000, 4000):
+        for axis in (0, 1):
+            pairs, states = _near_pairs_yielded(
+                monkeypatch, _line_of_agents(n, axis, frames), int(frames[-1]), cfg)
+            assert len(states) == n
+            yielded[n, axis] = pairs
+    assert yielded[4000, 1] == yielded[4000, 0] and yielded[1000, 1] == yielded[1000, 0]
+    assert 0 < len(yielded[4000, 0]) <= 4 * 1.1 * len(yielded[1000, 0]), \
+        {key: len(p) for key, p in yielded.items()}
 
 
 def test_window_reach_cost_follows_nearby_groups(monkeypatch):

@@ -365,6 +365,36 @@ def _spy_rows(monkeypatch) -> list:
     return rows
 
 
+def test_rank_scores_no_row_of_the_window_or_after(monkeypatch):
+    """At recording-like windows the ladder level a window searches holds
+    rows of its future, yet every row ``_rank`` is handed, for the groups'
+    batch and for one-pose queries, lies before the window's frame limit;
+    the hits equal the scan oracle's."""
+    from test_evaluate import TestLongRecordingCost
+
+    cfg = cc.Config(known_time_steps=8, predict_time_steps=8, min_overlap_frames=4)
+    tracks = cc.Tracks(TestLongRecordingCost.recording(150))
+    seen, original = [], retrieval._rank
+
+    def spy(db, *args):
+        seen.append((db.limit, args[-1]))
+        return original(db, *args)
+
+    monkeypatch.setattr(retrieval, "_rank", spy)
+    future = 0
+    for endtime in range(30, 150, 20):
+        db = cc.build_database(tracks, cfg, endtime=endtime)
+        future += int((tracks.frames[db.grid.order] >= db.limit).sum())
+        _, states = detect_groups(tracks, endtime, cfg)
+        assert len(group_candidates(db, states, cfg)) == len(states) > 0
+        for st_ in states[:3]:
+            pose = query_pose(st_.center_trajectory)
+            assert query_similar(db, pose, cfg, exclude=st_.members) == \
+                scan_similar(db, pose, cfg, exclude=st_.members)
+    assert future > 0 and seen
+    assert all((tracks.frames[ids] < limit).all() for limit, ids in seen)
+
+
 def _far_apart_groups(cfg, side):
     """``side``² clusters 10 km apart: each has six local walkers of 30
     points as its history and one group of two walking beside them over
