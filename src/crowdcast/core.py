@@ -647,23 +647,18 @@ def runs(counts) -> tuple:
     return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
-def connected_components(n: int, edges) -> list:
-    """Connected components of rows 0 .. n-1 under edges given as blocks of
-    (i, j) index arrays: ascending row lists, by first row (union-find)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]       # path halving
-        return x
-
-    for i, j in edges:
-        for a, b in zip(i.tolist(), j.tolist()):
-            parent[find(b)] = find(a)
-    out: dict = {}
-    for x in range(n):
-        out.setdefault(find(x), []).append(x)
-    return list(out.values())
+def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each row's component under the edges (i, j), labelled by its first
+    row: every round hooks each edge's larger root onto the smaller, then
+    labels jump until none moves (hook and jump, Shiloach & Vishkin 1982)."""
+    label = np.arange(n)
+    a, b = i, j
+    while np.count_nonzero(a != b):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while np.count_nonzero((up := label[label]) != label):
+            label = up
+        a, b = label[i], label[j]
+    return label
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Config, DataError, ObstacleLayout, SceneGeometry, TooFewPointsError,
-                   Trajectory, check_scale, connected_components, final_velocity,
+                   Trajectory, check_scale, component_labels, final_velocity,
                    near_pairs, runs)
 
 # exponent cap for the repulsion law: keeps forces finite at deep overlap
@@ -475,13 +475,12 @@ def predict_group_trajectory(start, dest, speed, scene: SceneGeometry,
     # component so that each component's are one slice
     i, j = reach_edges(starts, params.max_speed_for(speeds), params.neighborhood_range,
                        steps * cfg.step_duration)
-    comps = connected_components(len(starts), [(i, j)])
-    size = np.array([len(rows) for rows in comps], dtype=np.intp)
-    member = np.array([r for rows in comps for r in rows], dtype=np.intp)
-    label, place = np.empty((2, len(starts)), dtype=np.intp)
-    label[member], place[member] = runs(size)
+    label = component_labels(len(starts), i, j)
+    member, size = np.argsort(label, kind="stable"), np.bincount(label)
+    place = np.empty_like(label)
+    place[member] = runs(size)[1]
     by = np.argsort(label[i], kind="stable")
-    cut = np.searchsorted(label[i[by]], np.arange(len(comps) + 1))
+    cut = np.searchsorted(label[i[by]], np.arange(len(size) + 1))
     ends = place[np.stack([i, j])[:, by]]
     # one block of a subject holds its component's bodies and each edge twice
     costs = count * (size + 2 * np.diff(cut))[label[:n_sub]]

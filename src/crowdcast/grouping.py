@@ -2,7 +2,8 @@
 
 Pairs of agents that stay close over their whole co-present history get a
 three-valued closeness score (0, 0.5, or 1). Positive scores become edges of
-an undirected graph whose connected components are the groups; a group's
+an undirected graph, held as index arrays (i, j) into the sorted agent ids,
+i < j, in (i, j) order; its connected components are the groups. A group's
 emotion value is a logistic transform of a cohesion score built from pairwise
 velocity alignment, speed differences, and group size.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Config, DataError, TooFewPointsError, Trajectory, connected_components,
+from .core import (Config, DataError, TooFewPointsError, Trajectory, component_labels,
                    near_pairs, velocity_at)
 
 # speeds below this are treated as standing still in the emotion cosine term
@@ -33,16 +34,23 @@ _ZERO_EMOTION_SIZE = math.floor(math.log(sys.float_info.max)) + 3
 _PAIR_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntimacyGraph:
-    """Undirected graph of agents; edges carry a positive closeness level."""
+    """Undirected graph over the sorted agent ids ``nodes``: edge k joins
+    ``nodes[i[k]]`` and ``nodes[j[k]]``, i[k] < j[k], at closeness level
+    ``levels[k]`` (0.5 or 1.0), in (i, j) order; ``edges`` is their dict."""
 
     nodes: tuple
-    edges: dict  # (id_a, id_b) sorted tuple -> 0.5 or 1.0
+    i: np.ndarray
+    j: np.ndarray
+    levels: np.ndarray
+
+    @property
+    def edges(self) -> dict:
+        return {(self.nodes[a], self.nodes[b]): v for a, b, v in zip(
+            self.i.tolist(), self.j.tolist(), self.levels.tolist())}
 
     def level(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.0
         return self.edges.get((min(a, b), max(a, b)), 0.0)
 
 
@@ -100,7 +108,7 @@ def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
     every row. Candidates are scored in blocks of about ``_PAIR_BLOCK``
     terms with the definition of :func:`pairwise_intimacy`: co-present
     count, then the maximum distance over the co-present frames, then the
-    two thresholds. Edges are inserted in (i, j) node order.
+    two thresholds. Edges are sorted into (i, j) node order.
     """
     rows = sorted(tracks, key=lambda tr: tr.agent_id)
     nodes = tuple(tr.agent_id for tr in rows)
@@ -110,15 +118,15 @@ def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
     frames, cols = np.unique(np.concatenate(
         [np.empty(0, dtype=np.int64)] + [tr.frames for tr in rows]),
         return_inverse=True)
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     if not len(frames):
-        return IntimacyGraph(nodes, {})
+        return IntimacyGraph(nodes, *found[0])
     cells = np.repeat(np.arange(n), [len(tr.frames) for tr in rows]), cols
     present = np.zeros((n, len(frames)), dtype=bool)
     present[cells] = True
     x, y = np.full((2, n, len(frames)), np.nan)
     x[cells], y[cells] = np.concatenate(
         [np.empty((0, 2))] + [tr.positions for tr in rows]).T
-    found = []
     for i, j in near_pairs(np.column_stack([x[:, -1], y[:, -1]]), cfg.personal_distance,
                            max(1, _PAIR_BLOCK // len(frames))):
         co = present[i] & present[j]
@@ -132,13 +140,9 @@ def build_intimacy_graph(tracks: list, cfg: Config) -> IntimacyGraph:
                 & (worst <= cfg.personal_distance))
         found.append((i[keep], j[keep],
                       np.where(worst[keep] <= cfg.intimate_distance, 1.0, 0.5)))
-    edges = {}
-    if found:
-        i, j, level = (np.concatenate(c) for c in zip(*found))
-        first = np.lexsort((j, i))
-        edges = {(nodes[a], nodes[b]): v for a, b, v in zip(
-            i[first].tolist(), j[first].tolist(), level[first].tolist())}
-    return IntimacyGraph(nodes, edges)
+    i, j, levels = (np.concatenate(c) for c in zip(*found))
+    first = np.lexsort((j, i))
+    return IntimacyGraph(nodes, i[first], j[first], levels[first])
 
 
 def extract_groups(graph: IntimacyGraph) -> list:
@@ -148,10 +152,12 @@ def extract_groups(graph: IntimacyGraph) -> list:
     singleton groups. Components are returned as sorted member tuples,
     ordered by their first member.
     """
-    index = {node: k for k, node in enumerate(graph.nodes)}
-    ends = np.array([index[m] for edge in graph.edges for m in edge], dtype=np.intp)
-    return sorted(tuple(sorted(graph.nodes[k] for k in rows)) for rows
-                  in connected_components(len(index), [(ends[::2], ends[1::2])]))
+    label = component_labels(len(graph.nodes), graph.i, graph.j)
+    order = np.argsort(label, kind="stable")
+    ids = np.array(graph.nodes, dtype=object)[order].tolist()
+    # in label order, a group starts at its first row, its label
+    starts = np.flatnonzero(label[order] == order).tolist()
+    return [tuple(ids[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(ids)])]
 
 
 def _gather(members: list) -> tuple:

@@ -52,6 +52,17 @@ def rollout_one(start, dest, speed, scene, others, steps, params, cfg,
     return out
 
 
+def dense_blob(n: int, steps: int, step_duration: float = STEP) -> list:
+    """``n`` agents over frames 0 .. steps - 1 walking together at 0.5 m/s
+    from random starts inside a 1 m square: all but about 0.2% of the
+    pairs stay within the personal distance."""
+    rng = np.random.default_rng(n)
+    frames = np.arange(steps)
+    walk = np.column_stack([0.5 * step_duration * frames, np.zeros(steps)])
+    return [Trajectory.from_frame_grid(f"b{k:05d}", frames, start + walk, step_duration)
+            for k, start in enumerate(rng.uniform(0.0, 1.0, (n, 2)))]
+
+
 def random_track(rng: np.random.Generator, agent_id: str,
                  first_frame: int | None = None, n: int | None = None,
                  scale: float = 5.0, step_duration: float = STEP) -> Trajectory:
@@ -65,6 +76,40 @@ def random_track(rng: np.random.Generator, agent_id: str,
     steps = rng.normal(0.0, 0.3, size=(n - 1, 2))
     pos = np.vstack([start, start + np.cumsum(steps, axis=0)])
     return Trajectory.from_frame_grid(agent_id, frames, pos, step_duration)
+
+
+class HookCounter:
+    """``np.minimum`` as ``crowdcast.core`` sees it under the ``hook_rounds``
+    fixture: the same ufunc, with each ``at`` call, one hooking round of
+    ``core.component_labels``, counted."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __call__(self, *args, **kw):
+        return np.minimum(*args, **kw)
+
+    def at(self, *args):
+        self.rounds += 1
+        np.minimum.at(*args)
+
+
+@pytest.fixture
+def hook_rounds(monkeypatch) -> HookCounter:
+    """Counts the hooking rounds of every ``core.component_labels`` call
+    made while the test runs."""
+    from crowdcast import core
+
+    counter = HookCounter()
+
+    class Numpy:
+        minimum = counter
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(core, "np", Numpy())
+    return counter
 
 
 def benchmark_tracks(n_agents: int = 100, lane_gap: float = 10.5,

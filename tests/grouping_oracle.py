@@ -2,7 +2,7 @@
 
 ``build_intimacy_graph`` and the emotion of ``make_group_state`` in
 ``crowdcast.grouping`` must return exactly what these return: the same
-edges in the same insertion order, and emotions bit for bit.
+nodes, the same edges in the same order, and emotions bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from crowdcast.core import DataError, TooFewPointsError
 from crowdcast.grouping import (
     EMOTION_WINDOW_FRAMES,
-    IntimacyGraph,
     group_center_trajectory,
     pairwise_intimacy,
 )
@@ -23,9 +22,10 @@ _STILL_SPEED = 1e-6
 
 
 def build_intimacy_graph(tracks, cfg):
-    """Every pair in node order, skipping pairs that share too few frames or
-    are already beyond the personal distance at their first or last
-    co-present frame (the maximum over all frames is then too)."""
+    """The sorted node ids and the edge dict (id_a, id_b) -> level over every
+    pair in node order, skipping pairs that share too few frames or are
+    already beyond the personal distance at their first or last co-present
+    frame (the maximum over all frames is then too)."""
     nodes = tuple(sorted({tr.agent_id for tr in tracks}))
     by_id = {tr.agent_id: tr for tr in tracks}
     if len(nodes) != len(tracks):
@@ -45,7 +45,7 @@ def build_intimacy_graph(tracks, cfg):
                 level = pairwise_intimacy(ta, tb, cfg)
                 if level > 0.0:
                     edges[(a, b)] = level
-    return IntimacyGraph(nodes, edges)
+    return nodes, edges
 
 
 def velocity_at(traj, frame):

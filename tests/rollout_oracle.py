@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crowdcast import dynamics
-from crowdcast.core import Trajectory, connected_components
+from crowdcast.core import Trajectory
 
 _EXP_CAP = 50.0
 _COINCIDENT = 1e-9
@@ -229,6 +229,24 @@ def predict_group_trajectory(start, dest, speed: float, scene, others: list,
     return Trajectory("predicted", frames, frames * cfg.step_duration, points)
 
 
+def connected_components(n: int, i, j) -> list:
+    """Connected components of rows 0 .. n-1 under the edges (i, j):
+    ascending row lists, by first row (union-find with path halving)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        parent[find(b)] = find(a)
+    out: dict = {}
+    for x in range(n):
+        out.setdefault(find(x), []).append(x)
+    return list(out.values())
+
+
 def block_states(start, dest, speed, others: list, steps: int, params, cfg,
                  initial_velocity=None) -> list:
     """The (``dynamics.SimState``, block first rows) of each chunk of a
@@ -255,7 +273,7 @@ def block_states(start, dest, speed, others: list, steps: int, params, cfg,
 
     i, j = dynamics.reach_edges(starts, params.max_speed_for(speeds),
                                 params.neighborhood_range, steps * cfg.step_duration)
-    comps = connected_components(len(starts), [(i, j)])
+    comps = connected_components(len(starts), i, j)
     label, place = np.empty((2, len(starts)), dtype=np.intp)
     for c, rows in enumerate(comps):
         label[rows] = c

@@ -22,6 +22,7 @@ from crowdcast.core import (
     ObstacleLayout,
     TooFewPointsError,
     _directions,
+    component_labels,
     natural_key,
     near_pairs,
     parse_scene,
@@ -30,6 +31,7 @@ from crowdcast.pipeline import known_window_tracks
 
 import test_ingest
 from conftest import STEP, line_track, random_track
+from rollout_oracle import connected_components
 from window_oracle import (count_before, covering, first_gap, frame_span, ids_before,
                            known_window_spans, stored_lengths, stored_rows)
 
@@ -320,6 +322,55 @@ class TestNearPairsWithinTwoCells:
             n = int(rng.integers(0, 30))
             points = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-1, 1, 2)
             self.check(points, 1.0, int(rng.integers(1, 50)))
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, i, j): random edges, a path or star over randomly ordered rows,
+    or two chains over interleaved rows; each edge drawn either way round,
+    some drawn twice, in a random order."""
+    n = draw(st.integers(0, 40))
+    rows = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["random", "path", "star", "chains"]))
+    if kind == "random" and n:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+    elif kind == "path":
+        edges = list(zip(rows, rows[1:]))
+    elif kind == "star":
+        edges = [(rows[0], r) for r in rows[1:]]
+    else:
+        edges = [(a, a + 2) for a in range(n - 2)]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    edges = [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(edges))]
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return n, i, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)))
+@example(graph=(5, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)))
+@example(graph=(4, np.array([3, 1, 3, 2]), np.array([1, 3, 1, 2])))
+def test_component_labels_equal_the_union_find(graph):
+    # the rows' components as the union-find of the rollout oracle finds
+    # them, each labelled by its first row
+    n, i, j = graph
+    label = component_labels(n, i, j)
+    want = np.empty(n, dtype=np.intp)
+    for rows in connected_components(n, i, j):
+        want[rows] = rows[0]
+    assert label.dtype == np.intp and label.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1000])
+def test_path_components_hook_within_log_rounds(hook_rounds, n):
+    # each round hooks every row of a path but its local minima, at most
+    # half of them, onto a neighbour: ceil(log2 n) rounds at most, in any
+    # row order
+    rows = np.random.default_rng(n).permutation(n)
+    assert component_labels(n, rows[:-1], rows[1:]).tolist() == [0] * n
+    assert hook_rounds.rounds <= int(np.ceil(np.log2(n)))
 
 
 class TestScene:

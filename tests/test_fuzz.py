@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from crowdcast import Config, cli
@@ -275,6 +275,12 @@ HOMOGRAPHIES = st.one_of(st.none(), st.sampled_from([
        columns=st.one_of(st.none(), st.sampled_from(
            ["0,1,2,3", "0,1,2,4", "1,0,3,2", "0,1", "0,1,2,9", "a,b,c,d",
             "-1,1,2,3", "0,1,2,9223372036854775807", "0,1,2,99999999999999999999"])))
+# column maps at the int64 limit and past it, with a valid rate and rows to
+# read: the draws above never pair them so
+@example(raw="0 1 0.0 0.0\n1 1 0.5 0.0\n", homography=None, fps="2.5",
+         columns="0,1,2,99999999999999999999")
+@example(raw="0 1 0.0 0.0\n1 1 0.5 0.0\n", homography=None, fps="2.5",
+         columns="0,1,2,9223372036854775807")
 def test_ingest_cli_exit_codes_and_readback(raw, homography, fps, columns):
     """``ingest`` on random annotation rows, homography files and flags:
     exit 0, 2 or 3; on 0 the canonical CSV reads back with finite

@@ -27,7 +27,7 @@ from crowdcast.grouping import (
 from crowdcast.pipeline import known_window_tracks
 
 import grouping_oracle as oracle
-from conftest import STEP, line_track, random_track
+from conftest import STEP, dense_blob, line_track, random_track
 
 
 def _pair_at_distance(d, n=12):
@@ -199,9 +199,9 @@ class TestGraphMatchesOracle:
     @staticmethod
     def check(tracks, cfg):
         got = build_intimacy_graph(tracks, cfg)
-        ref = oracle.build_intimacy_graph(tracks, cfg)
-        assert got.nodes == ref.nodes
-        assert list(got.edges.items()) == list(ref.edges.items())
+        nodes, edges = oracle.build_intimacy_graph(tracks, cfg)
+        assert got.nodes == nodes
+        assert list(got.edges.items()) == list(edges.items())
         return got
 
     @pytest.mark.parametrize("min_overlap", [1, 4, 10])
@@ -397,6 +397,26 @@ def test_grouping_cost_does_not_depend_on_the_axis(monkeypatch, cfg):
     assert yielded[4000, 1] == yielded[4000, 0] and yielded[1000, 1] == yielded[1000, 0]
     assert 0 < len(yielded[4000, 0]) <= 4 * 1.1 * len(yielded[1000, 0]), \
         {key: len(p) for key, p in yielded.items()}
+
+
+def test_blob_components_in_log_rounds_without_edge_objects(monkeypatch, cfg, hook_rounds):
+    # the cost family's dense-blob slice: a blob of n and 4n agents has
+    # about n²/2 edges. Its components take hooking rounds of order log n,
+    # so at 4n at most log2(4) = 2 more than at n, and group detection
+    # never builds the graph's per-edge dict
+    built = []
+    edges = grouping.IntimacyGraph.edges
+    monkeypatch.setattr(grouping.IntimacyGraph, "edges",
+                        property(lambda graph: built.append(len(graph.i)) or edges.fget(graph)))
+    frames = np.arange(cfg.known_time_steps)
+    rounds = {}
+    for n in (250, 1000):
+        hook_rounds.rounds = 0
+        known, states = cc.detect_groups(dense_blob(n, len(frames)), int(frames[-1]), cfg)
+        assert len(known) == n and len(states) == 1
+        rounds[n] = hook_rounds.rounds
+    assert 1 <= rounds[250] and rounds[1000] <= rounds[250] + 2, rounds
+    assert built == []
 
 
 def test_window_reach_cost_follows_nearby_groups(monkeypatch):
